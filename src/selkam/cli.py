@@ -53,11 +53,9 @@ class RunConfig:
     steps: int
     lagrangian_file: str
     base_grid: int
-    lattice_grid: int
     velocity_grid: int
     samples: int
     seed: int
-    workers: int
     dt: float
     horizon: float
     level: float               # energy level for `invariant` (nan = alpha)
@@ -76,7 +74,7 @@ def _power_of_two(name, value):
     return value
 
 
-def load_config(path, out_dir=None, seed=None, workers=None):
+def load_config(path, out_dir=None, seed=None):
     """Parse and validate a flat sectioned key=value config file."""
     p = Path(path)
     if not p.exists():
@@ -129,11 +127,9 @@ def load_config(path, out_dir=None, seed=None, workers=None):
         steps=get("lagrangian", "steps", 1000, int),
         lagrangian_file=lag_file,
         base_grid=_power_of_two("grids.base", get("grids", "base", 512, int)),
-        lattice_grid=_power_of_two("grids.lattice", get("grids", "lattice", 512, int)),
         velocity_grid=_power_of_two("grids.velocity", get("grids", "velocity", 1024, int)),
         samples=_power_of_two("grids.samples", get("grids", "samples", 4096, int)),
         seed=seed if seed is not None else get("run", "seed", 0, int),
-        workers=workers if workers is not None else get("run", "workers", 1, int),
         dt=get("run", "dt", 0.1, float),
         horizon=get("run", "horizon", 100.0, float),
         level=get("run", "level", float("nan"), float),
@@ -391,14 +387,12 @@ def main(argv=None):
                                  "verify", "oracle"])
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--suite", default="all",
                         choices=["selector", "weakkam", "dynamics", "all"])
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, out_dir=args.out, seed=args.seed,
-                          workers=args.workers)
+        cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
         summary, status = run(args.command, cfg, suite=args.suite)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import hamcore
-from .lagrangian import ExactLagrangian, from_graph, mollify_sequence
+from .lagrangian import ExactLagrangian, SpectralFun, from_graph, mollify_sequence
 from .selector import generalized_selector
 from .torus import hausdorff, wrap
 from .weakkam import smooth_subsolution, subsolution_check
@@ -24,9 +24,7 @@ __all__ = [
     "maximal_invariant_set",
     "energy_level_check",
     "graph_test",
-    "verify_theorem_energy_pipeline",
     "verify_theorem_6_3",
-    "verify_theorem_invariant_graph",
     "verify_theorem_1_5",
     "equivariance_check",
     "dump_invariant_set",
@@ -57,6 +55,13 @@ def _as_points(L):
         return L.phase_points(), L.dim
     pts = np.atleast_2d(np.asarray(L, dtype=float))
     return pts, pts.shape[1] // 2
+
+
+def _split(points, dim):
+    """Base and momentum columns of (k, 2 dim) phase points; 1-d columns for dim 1."""
+    if dim == 1:
+        return points[:, 0], points[:, 1]
+    return points[:, :dim], points[:, dim:]
 
 
 def _phase_tree(points, dim):
@@ -90,8 +95,7 @@ def maximal_invariant_set(L, H, a, horizon=50.0, tube_radius=None, e_tol=None,
     energy-band seeding cannot distinguish from true invariant points.
     """
     points, dim = _as_points(L)
-    vals = H.value(points[:, :dim] if dim > 1 else points[:, 0],
-                   points[:, dim:] if dim > 1 else points[:, 1])
+    vals = H.value(*_split(points, dim))
     if e_tol is None:
         e_tol = max(E_TOL_FRACTION * float(vals.max() - vals.min()), 1e-9)
     mask = np.abs(vals - a) <= e_tol
@@ -130,11 +134,11 @@ def maximal_invariant_set(L, H, a, horizon=50.0, tube_radius=None, e_tol=None,
 
     n_steps = int(np.ceil(horizon / dt))
     total = 2 * n_steps if double_horizon else n_steps
+    seed_qp = _split(seeds, dim)
     state = {}
     frozen = {}
     for sgn in (+1.0, -1.0):
-        state[sgn] = (seeds[:, :dim].copy() if dim > 1 else seeds[:, 0].copy(),
-                      seeds[:, dim:].copy() if dim > 1 else seeds[:, 1].copy())
+        state[sgn] = tuple(x.copy() for x in seed_qp)
         frozen[sgn] = np.zeros(seeds.shape[0], dtype=bool)
     alive = np.ones(seeds.shape[0], dtype=bool)
     vanish_tol = 1e-5
@@ -154,10 +158,9 @@ def maximal_invariant_set(L, H, a, horizon=50.0, tube_radius=None, e_tol=None,
             # through the fixed point and amplify one-ulp noise)
             frz = frozen[sgn]
             if np.any(frz):
-                Qn = np.where(frz, Q, Qn) if dim == 1 else \
-                    np.where(frz[:, None], Q, Qn)
-                Pn = np.where(frz, P, Pn) if dim == 1 else \
-                    np.where(frz[:, None], P, Pn)
+                fz = frz if dim == 1 else frz[:, None]
+                Qn = np.where(fz, Q, Qn)
+                Pn = np.where(fz, P, Pn)
             speed = np.abs(H.grad_p(wrap(Qn), Pn)) + np.abs(H.grad_q(wrap(Qn), Pn))
             if dim == 2:
                 speed = np.sum(speed, axis=-1)
@@ -166,10 +169,9 @@ def maximal_invariant_set(L, H, a, horizon=50.0, tube_radius=None, e_tol=None,
             dist, _ = tree.query(embed(Qn, Pn))
             alive &= dist <= tube_radius
             if recurrence_filter:
-                dq = np.abs(wrap(Qn) - seeds[:, :dim].squeeze() if dim == 1
-                            else wrap(Qn) - seeds[:, :dim])
-                dq = np.minimum(np.abs(dq), 1.0 - np.abs(dq))
-                dp = Pn - (seeds[:, 1] if dim == 1 else seeds[:, dim:])
+                dq = np.abs(wrap(Qn) - seed_qp[0])
+                dq = np.minimum(dq, 1.0 - dq)
+                dp = Pn - seed_qp[1]
                 own = np.hypot(dq, dp) if dim == 1 else \
                     np.sqrt(np.sum(dq * dq, axis=-1) + np.sum(dp * dp, axis=-1))
                 alive &= own <= tube_radius
@@ -197,8 +199,7 @@ def maximal_invariant_set(L, H, a, horizon=50.0, tube_radius=None, e_tol=None,
                                meta={"e_tol": float(e_tol), "dt": dt})
     # containment in L cap {|H - a| <= e_tol} holds by construction; assert
     if survivors.size:
-        sv = H.value(survivors[:, :dim] if dim > 1 else survivors[:, 0],
-                     survivors[:, dim:] if dim > 1 else survivors[:, 1])
+        sv = H.value(*_split(survivors, dim))
         assert np.all(np.abs(sv - a) <= e_tol + 1e-12)
     return est
 
@@ -227,8 +228,7 @@ def _project_energy(H, Q, P, a, dim):
 def energy_level_check(L, H, tol=1e-6):
     """Mean energy if H is constant on L within tol, else None with profile."""
     points, dim = _as_points(L)
-    vals = H.value(points[:, :dim] if dim > 1 else points[:, 0],
-                   points[:, dim:] if dim > 1 else points[:, 1])
+    vals = H.value(*_split(points, dim))
     e = float(np.mean(vals))
     dev = float(np.max(np.abs(vals - e)))
     if dev <= tol:
@@ -365,9 +365,6 @@ def verify_theorem_6_3(L, H, a, grid=512, horizon=100.0, levels=4,
                                 inv_L=inv_L, inv_graph=inv_G, grid_step=h, ok=ok)
 
 
-verify_theorem_energy_pipeline = verify_theorem_6_3
-
-
 @dataclass
 class InvariantGraphReport:
     invariance_defect: float
@@ -419,9 +416,6 @@ def verify_theorem_1_5(L, H, horizon=5.0, inv_tol=None, n_check=4):
                                 lipschitz_estimate=quot, ok=ok)
 
 
-verify_theorem_invariant_graph = verify_theorem_1_5
-
-
 def equivariance_check(v_samples, w_samples, dw_src, H, a=None, grid=512,
                        horizon=50.0):
     """Momentum-shift equivariance of the computed invariant sets.
@@ -433,8 +427,8 @@ def equivariance_check(v_samples, w_samples, dw_src, H, a=None, grid=512,
     """
     # resample densely so the energy band around the level is populated
     fine = np.arange(4096) / 4096
-    vf = _spectral(v_samples)
-    wf = _spectral(w_samples)
+    vf = SpectralFun(np.asarray(v_samples, dtype=float))
+    wf = SpectralFun(np.asarray(w_samples, dtype=float))
     L1 = from_graph(vf(fine))
     L2 = from_graph(vf(fine) - wf(fine))
     H2 = hamcore.shift_momentum(H, dw_src)
@@ -451,11 +445,6 @@ def equivariance_check(v_samples, w_samples, dw_src, H, a=None, grid=512,
         return 0.0, inv1, inv2
     hd = hausdorff(s1, inv2.samples, q_cols=1)
     return hd, inv1, inv2
-
-
-def _spectral(samples):
-    from .lagrangian import SpectralFun
-    return SpectralFun(np.asarray(samples, dtype=float))
 
 
 def dump_invariant_set(est, path):

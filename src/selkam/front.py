@@ -6,11 +6,10 @@ refinement, sheet tracking); dim-2 graphs have single-point fibers and an
 empty caustic by construction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .lagrangian import ExactLagrangian, SpectralFun
 from .torus import wrap
 
 __all__ = [

@@ -16,7 +16,6 @@ vectorized evaluators are lambdified once at construction.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import sympy as sp
@@ -98,17 +97,18 @@ class Call:
     arg: object
 
 
-def _ast_has_var(node):
+def _ast_has_var(node, names=None):
+    """True if the tree holds a variable (one of ``names`` when given)."""
     if isinstance(node, Var):
-        return True
+        return names is None or node.name in names
     if isinstance(node, Neg):
-        return _ast_has_var(node.arg)
+        return _ast_has_var(node.arg, names)
     if isinstance(node, Bin):
-        return _ast_has_var(node.lhs) or _ast_has_var(node.rhs)
+        return _ast_has_var(node.lhs, names) or _ast_has_var(node.rhs, names)
     if isinstance(node, PowInt):
-        return _ast_has_var(node.base)
+        return _ast_has_var(node.base, names)
     if isinstance(node, Call):
-        return _ast_has_var(node.arg)
+        return _ast_has_var(node.arg, names)
     return False
 
 
@@ -261,7 +261,7 @@ class _Parser:
     def number(self):
         start = self.pos
         text = self._take(str.isdigit)
-        if self.peek() == "." if False else (self.pos < len(self.src) and self.src[self.pos] == "."):
+        if self.pos < len(self.src) and self.src[self.pos] == ".":
             self.pos += 1
             text += "." + self._take(str.isdigit)
         if self.pos < len(self.src) and self.src[self.pos] in "eE":
@@ -367,15 +367,16 @@ class HamiltonianSpec:
         args, _ = self._split(q, p)
         return self._impl["H"](*args)
 
-    def grad_q(self, q, p):
-        args, shape = self._split(q, p)
-        comps = [f(*args) for f in self._impl["dHdq"]]
+    def _vector(self, key, args):
+        """Evaluate the per-component table ``key``; trailing axis for dim 2."""
+        comps = [f(*args) for f in self._impl[key]]
         return comps[0] if self.dim == 1 else np.stack(np.broadcast_arrays(*comps), axis=-1)
 
+    def grad_q(self, q, p):
+        return self._vector("dHdq", self._split(q, p)[0])
+
     def grad_p(self, q, p):
-        args, shape = self._split(q, p)
-        comps = [f(*args) for f in self._impl["dHdp"]]
-        return comps[0] if self.dim == 1 else np.stack(np.broadcast_arrays(*comps), axis=-1)
+        return self._vector("dHdp", self._split(q, p)[0])
 
     def hess_pp(self, q, p):
         args, shape = self._split(q, p)
@@ -398,17 +399,16 @@ class HamiltonianSpec:
                 J[..., n + i, n + j] = -blk(self._impl["d2Hdqdp"], i, j)
         return J
 
+    def _base_args(self, q):
+        q = np.asarray(q, dtype=float)
+        return (q,) if self.dim == 1 else (q[..., 0], q[..., 1])
+
     def potential(self, q):
         """V(q) = H(q, 0); used by the splitting integrator."""
-        args = (np.asarray(q, dtype=float),) if self.dim == 1 else \
-            (np.asarray(q, dtype=float)[..., 0], np.asarray(q, dtype=float)[..., 1])
-        return self._impl["V"](*args)
+        return self._impl["V"](*self._base_args(q))
 
     def grad_potential(self, q):
-        q = np.asarray(q, dtype=float)
-        args = (q,) if self.dim == 1 else (q[..., 0], q[..., 1])
-        comps = [f(*args) for f in self._impl["dVdq"]]
-        return comps[0] if self.dim == 1 else np.stack(np.broadcast_arrays(*comps), axis=-1)
+        return self._vector("dVdq", self._base_args(q))
 
 
 def parse_hamiltonian(src, dim):
@@ -457,11 +457,7 @@ def shift_momentum(spec, dw_src):
     if len(dw_src) != spec.dim:
         raise ValueError("need one shift expression per momentum component")
     for s in dw_src:
-        node = _Parser(s, spec.dim).parse()
-        for pname in names[spec.dim:]:
-            if pname in s:
-                pass
-        if any(_contains_momentum(node, names[spec.dim:]) for node in [node]):
+        if _ast_has_var(_Parser(s, spec.dim).parse(), names[spec.dim:]):
             raise ValueError("momentum shift must depend on q only")
 
     def substitute(node):
@@ -479,20 +475,6 @@ def shift_momentum(spec, dw_src):
         return node
 
     return parse_hamiltonian(ast_to_text(substitute(spec.ast)), spec.dim)
-
-
-def _contains_momentum(node, pnames):
-    if isinstance(node, Var):
-        return node.name in pnames
-    if isinstance(node, Neg):
-        return _contains_momentum(node.arg, pnames)
-    if isinstance(node, Bin):
-        return _contains_momentum(node.lhs, pnames) or _contains_momentum(node.rhs, pnames)
-    if isinstance(node, PowInt):
-        return _contains_momentum(node.base, pnames)
-    if isinstance(node, Call):
-        return _contains_momentum(node.arg, pnames)
-    return False
 
 
 # ---------------------------------------------------------------------------

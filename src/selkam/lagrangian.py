@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hamcore
-from .torus import PeriodicCubic, cumtrapz_closed, unwrap_closed, wrap
+from .torus import PeriodicCubic, unwrap_closed, wrap
 
 __all__ = [
     "ExactLagrangian",
@@ -107,11 +107,6 @@ class ExactLagrangian:
             self._cache["p"] = PeriodicCubic(self.t, self.p)
         return self._cache["p"]
 
-    def interp_S(self):
-        if "S" not in self._cache:
-            self._cache["S"] = PeriodicCubic(self.t, self.S)
-        return self._cache["S"]
-
     def arc_length(self):
         dq = np.diff(np.append(self.q, self.q[0] + self.winding))
         dp = np.diff(np.append(self.p, self.p[0]))
@@ -127,21 +122,12 @@ class ExactLagrangian:
         smod = np.mod(s, 1.0)
         idx = np.searchsorted(self.t, smod, side="right") - 1
         idx = np.clip(idx, 0, self.t.size - 1)
-        fq, fp = self.interp_q(), self.interp_p()
-        nodes = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
-        wts = np.array([5.0, 8.0, 5.0]) / 9.0
-        t0 = self.t[idx]
-        h = smod - t0
         out = self.S[idx].copy()
-        for x, w in zip(nodes, wts):
-            u = 0.5 * (t0 + smod) + 0.5 * h * x
-            out += 0.5 * h * w * fp(u) * fq.derivative(u)
+        _gauss3_add(out, self.interp_q(), self.interp_p(), self.t[idx], smod)
         return out if out.size > 1 else float(out[0])
 
     def phase_points(self):
         """Samples as an (m, 2n) array [q (wrapped), p]."""
-        if self.dim == 1:
-            return np.column_stack([wrap(self.q), self.p])
         return np.column_stack([wrap(self.q), self.p])
 
 
@@ -172,21 +158,23 @@ class ExactnessReport:
 # helpers
 
 
-def _gauss3_segment_integral(fq, fp, t):
-    """Integral of p dq per parameter interval, 3-point Gauss on interpolants."""
-    nodes = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
-    wts = np.array([5.0, 8.0, 5.0]) / 9.0
-    t0 = t[:-1]
-    t1 = t[1:]
-    out = np.zeros(t.size)  # includes the closing interval at the end
+_GAUSS3_NODES = np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
+_GAUSS3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9.0
+
+
+def _gauss3_add(out, fq, fp, t0, t1):
+    """Add int p dq over [t0, t1] to ``out`` in place, 3-point Gauss on interpolants."""
     h = t1 - t0
-    for x, w in zip(nodes, wts):
+    for x, w in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
         s = 0.5 * (t0 + t1) + 0.5 * h * x
-        out[:-1] += 0.5 * h * w * fp(s) * fq.derivative(s)
-    hc = (t[0] + 1.0) - t[-1]
-    for x, w in zip(nodes, wts):
-        s = 0.5 * (t[-1] + t[0] + 1.0) + 0.5 * hc * x
-        out[-1] += 0.5 * hc * w * fp(s) * fq.derivative(s)
+        out += 0.5 * h * w * fp(s) * fq.derivative(s)
+
+
+def _gauss3_segment_integral(fq, fp, t):
+    """Integral of p dq per parameter interval, the closing one last."""
+    out = np.zeros(t.size)
+    _gauss3_add(out[:-1], fq, fp, t[:-1], t[1:])
+    _gauss3_add(out[-1:], fq, fp, t[-1:], t[:1] + 1.0)
     return out
 
 

@@ -21,10 +21,10 @@ from scipy.interpolate import RectBivariateSpline
 from scipy.spatial import ConvexHull
 
 from . import hamcore
-from .front import fiber_sweep, fiber_intersections, caustics
+from .front import fiber_sweep, caustics
 from .lagrangian import ExactLagrangian, SpectralFun
 from .persistence import sublevel_persistence
-from .torus import wrap
+from .torus import hermite_basis
 
 __all__ = [
     "ActionKernel",
@@ -138,10 +138,7 @@ def _fan_kernel(H, tau, n_grid, p_bound, dt_target):
         h = b1 - b0
         A0, A1 = ACT[i, j - 1], ACT[i, j]
         m0, m1 = Pend[i, j - 1] * h, Pend[i, j] * h
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u * u * (3 - 2 * u)
-        h11 = u * u * (u - 1)
+        h00, h10, h01, h11 = hermite_basis(u)
         Av = h00 * A0 + h10 * m0 + h01 * A1 + h11 * m1
         psv = p0[j - 1] * (1 - u) + p0[j] * u
         pev = Pend[i, j - 1] * (1 - u) + Pend[i, j] * u
@@ -243,37 +240,33 @@ class DiscreteAction:
     s_offset: float = 0.0
     meta: dict = field(default_factory=dict)
 
+    def _stiffness(self, n):
+        """T = 0 penalty weight pinning the breakpoints, from max |v'| on n points."""
+        x = np.arange(n) / n
+        return 100.0 * (1.0 + np.max(np.abs(self.v_fun.derivative(x)))) ** 2
+
     def lattice_values(self, n=None):
         n = n or self.lattice_shape[0]
         x = np.arange(n) / n
         if self.T == 0:
-            stiff = 100.0 * (1.0 + np.max(np.abs(self.v_fun.derivative(x)))) ** 2
+            stiff = self._stiffness(n)
             G = self.v_fun(x) + stiff * _circ(x - self.q) ** 2
             for _ in range(self.xi_dim - 1):
                 G = G[..., None] + stiff * _circ(x - x[0]) ** 2  # inert chain
             return G
-        d = self.xi_dim
-        if n == self.kernel.grid.size:
-            Kseg = [self.kernel.K] * max(d - 1, 0)
-            Klast = None
-        else:
-            sp = self.kernel.spline()
-            Ksub = sp(x, x)
-            Kseg = [Ksub] * max(d - 1, 0)
-            Klast = None
         lastcol = self.kernel.eval(x, np.full(n, self.q))
         G = self.v_fun(x)
-        for Kmat in Kseg:
-            G = G[..., None] + (Kmat if Kmat.shape[0] == n else Kmat)
-        G = G + lastcol if d == 1 else G + lastcol[(None,) * (d - 1)]
-        return G
+        if self.xi_dim > 1:
+            K = self.kernel.K if n == self.kernel.grid.size else self.kernel.spline()(x, x)
+            for _ in range(self.xi_dim - 1):
+                G = G[..., None] + K
+        return G + lastcol[(None,) * (self.xi_dim - 1)]
 
     def value(self, q, xi):
         """Continuum extension of G at arbitrary (q, xi)."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         if self.T == 0:
-            x = np.arange(self.lattice_shape[0]) / self.lattice_shape[0]
-            stiff = 100.0 * (1.0 + np.max(np.abs(self.v_fun.derivative(x)))) ** 2
+            stiff = self._stiffness(self.lattice_shape[0])
             out = self.v_fun(xi[:1])[0] + stiff * _circ(xi[-1] - q) ** 2
             for k in range(xi.size - 1):
                 out += stiff * _circ(xi[k + 1] - xi[k]) ** 2
@@ -289,8 +282,7 @@ class DiscreteAction:
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         g = np.zeros(xi.size)
         if self.T == 0:
-            x = np.arange(self.lattice_shape[0]) / self.lattice_shape[0]
-            stiff = 100.0 * (1.0 + np.max(np.abs(self.v_fun.derivative(x)))) ** 2
+            stiff = self._stiffness(self.lattice_shape[0])
             g[0] = self.v_fun.derivative(xi[:1])[0]
             for k in range(xi.size - 1):
                 d = _circ(xi[k + 1] - xi[k])
@@ -317,8 +309,9 @@ def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,
 
     ``N_steps`` is the number of integration segments along a trajectory
     (at least 8); ``xi_dim`` the number of free breakpoints (<= 3 for grid
-    evaluation).  The kernel fan auto-widens once if the minimizing
-    momenta hit its boundary.
+    evaluation).  The xi_dim chained kernels share the horizon, each
+    spanning T / xi_dim with its share of the segments.  The kernel fan
+    auto-widens once if the minimizing momenta hit its boundary.
     """
     if N_steps < 8 and T > 0:
         raise ValueError("need at least 8 trajectory segments")
@@ -331,6 +324,7 @@ def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,
         return DiscreteAction(q=float(q), H=H, v_fun=vf, T=0.0, N_steps=0,
                               xi_dim=xi_dim, lattice_shape=(n,) * xi_dim,
                               kernel=None, s_offset=0.0)
+    tau = T / xi_dim
     if p_bound is None:
         pv = float(np.max(np.abs(vf.derivative(np.arange(512) / 512))))
         if H.is_mechanical:
@@ -338,10 +332,10 @@ def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,
             swing = float(np.sqrt(2.0 * max(Vg.max() - Vg.min(), 0.0) + 2.0 * pv ** 2))
         else:
             swing = 2.0
-        p_bound = max(3.0, pv + swing + 1.5, 0.8 / (T / max(1, int(np.ceil(T / TAU_MAX)))))
+        p_bound = max(3.0, pv + swing + 1.5, 0.8 / (tau / max(1, int(np.ceil(tau / TAU_MAX)))))
         p_bound = 0.5 * np.ceil(2.0 * p_bound)   # quantize for kernel reuse
     kernel_grid = max(n, 256) if xi_dim == 1 else 256
-    kernel, m = _build_kernel(H, T, kernel_grid, p_bound, N_steps)
+    kernel, m = _build_kernel(H, tau, kernel_grid, p_bound, -(-N_steps // xi_dim))
     return DiscreteAction(q=float(q), H=H, v_fun=vf, T=float(T),
                           N_steps=N_steps, xi_dim=xi_dim,
                           lattice_shape=(n,) * xi_dim, kernel=kernel,
@@ -390,8 +384,6 @@ def spectral_value(DA, validate=True, return_diagram=False):
 
 
 def _argmin_on_edge(DA, arg):
-    if DA.kernel is None:
-        return False
     n = DA.lattice_shape[0]
     x = np.arange(n) / n
     idx = (np.abs(DA.kernel.grid[:, None] - x[None, :])).argmin(axis=0)
@@ -420,8 +412,10 @@ class SelectorFunction:
     """Grid-sampled Lipschitz selector with per-point provenance.
 
     ``provenance[j]`` is the index of the selected spectrum sheet at grid
-    point j (sorted by primitive value), or -1 where the raw minimax value
-    was retained (snap ambiguity at a Cerf-irregular point).
+    point j (sorted by primitive value), or -1 at a flagged point: with no
+    spectrum value in reach the raw minimax value is kept; where several
+    coincide (a Maxwell or Cerf-irregular point) the lowest is taken, as
+    for Tonelli H the minimax selector is the front's lower envelope.
     """
 
     q_grid: np.ndarray
@@ -446,7 +440,11 @@ def _lipschitz_all_pairs(q_grid, values):
 
 
 def _snap_values(raw, spectra, snap_radius, snap_tol):
-    """Snap raw minimax values to the nearest spectrum member per point."""
+    """Snap raw minimax values to the nearest spectrum member per point.
+
+    Where members within ``snap_radius`` coincide to ``snap_tol`` the point
+    is flagged and takes the lowest of them.
+    """
     n = raw.size
     values = raw.copy()
     provenance = np.full(n, -1, dtype=int)
@@ -465,8 +463,10 @@ def _snap_values(raw, spectra, snap_radius, snap_tol):
         if order.size > 1:
             second = order[1]
             if d[second] <= snap_radius and abs(spec[second] - spec[best]) <= snap_tol:
-                # two sheets coincide here (Maxwell/Cerf-irregular): keep raw
+                # sheets coincide here (Maxwell/Cerf-irregular): lowest one
                 flags[j] = True
+                close = (d <= snap_radius) & (np.abs(spec - spec[best]) <= snap_tol)
+                values[j] = spec[close].min()
                 continue
         values[j] = spec[best]
         provenance[j] = int(best)
@@ -477,11 +477,13 @@ def graph_selector(L, grid_size=512, snap_radius=SNAP_RADIUS, snap_tol=SNAP_TOL,
                    n_steps=None):
     """Selector for a flowed graph: per-point minimax over the action lattice.
 
-    Every grid point runs the sublevel persistence of its own discrete
-    action; the selected level, shifted back to the anchored primitive
-    frame, is snapped to the fiber spectrum and the selected sheet
-    recorded.  The certified Lipschitz constant is the max over all grid
-    pairs in the flat-torus metric.
+    Each grid point's discrete action is a column of the kernel lattice;
+    on that connected 1-d lattice the essential class is born at the
+    minimum, so the minimax is the column minimum (``spectral_value``'s
+    union-find persistence is the reference).  The value, shifted back to
+    the anchored primitive frame, is snapped to the fiber spectrum and the
+    selected sheet recorded.  The certified Lipschitz constant is the max
+    over all grid pairs in the flat-torus metric.
     """
     if L.kind != "flowed" or "H_source" not in L.meta:
         raise ValueError("graph selector needs a flow presentation (from_flow output)")
@@ -501,9 +503,7 @@ def graph_selector(L, grid_size=512, snap_radius=SNAP_RADIUS, snap_tol=SNAP_TOL,
                                     lattice_size=grid_size)
         kernel = DA0.kernel
         GM = vf(kernel.grid)[:, None] + kernel.K     # G columns per target q
-        raw = np.empty(grid_size)
-        for j in range(grid_size):
-            raw[j] = sublevel_persistence(GM[:, j]).selected
+        raw = GM.min(axis=0)
     f_raw = raw - L.s_offset
 
     fibers = fiber_sweep(L, q_grid)
@@ -605,7 +605,7 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR, lip_margin=1e-2):
 # front-based assembly
 
 
-def selector_from_front(L, grid_size=512, calibrate=None):
+def selector_from_front(L, grid_size=512):
     """Assemble continuous selector candidates from the wavefront.
 
     The canonical section is the lower envelope of the front (pointwise
@@ -623,7 +623,6 @@ def selector_from_front(L, grid_size=512, calibrate=None):
         raise ValueError("front has empty fibers; not a closed front over the torus")
 
     env = np.array([fd.h[0] for fd in fibers])
-    env_prov = np.zeros(grid_size, dtype=int)
     candidates = []
     if np.all(counts == counts[0]) and counts[0] > 1:
         # fold-free front: every continuity-tracked global sheet is a section
@@ -654,8 +653,6 @@ def selector_from_front(L, grid_size=512, calibrate=None):
         if not candidates:
             raise RuntimeError("no continuous section through the computed front")
     else:
-        for j in range(grid_size):
-            env_prov[j] = 0
         candidates.insert(0, env)
 
     chosen = candidates[0]

@@ -13,21 +13,6 @@ def wrap(q):
     return np.mod(q, 1.0)
 
 
-def torus_dist(q0, q1):
-    """Flat-torus distance, componentwise shortest representative.
-
-    Accepts scalars or arrays of matching (broadcastable) shape; the last
-    axis is treated as the coordinate axis when ndim matches.
-    """
-    d = np.abs(np.asarray(q0, dtype=float) - np.asarray(q1, dtype=float))
-    d = np.minimum(d, 1.0 - d)
-    if d.ndim == 0:
-        return float(d)
-    if d.shape[-1:] == (1,) or d.ndim == 1:
-        return d if d.ndim == 1 else d[..., 0]
-    return np.sqrt(np.sum(d * d, axis=-1))
-
-
 def unwrap_closed(q, winding=None):
     """Continuous lift of a sampled closed curve on the torus.
 
@@ -47,12 +32,10 @@ def unwrap_closed(q, winding=None):
     return lift, winding
 
 
-def cumtrapz_closed(y, x):
-    """Cumulative trapezoid of y dx starting at 0 (open curve portion)."""
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    inc = 0.5 * (y[1:] + y[:-1]) * np.diff(x)
-    return np.concatenate([[0.0], np.cumsum(inc)])
+def hermite_basis(u):
+    """Cubic-Hermite basis (h00, h10, h01, h11) at local coordinates u in [0, 1]."""
+    return ((1 + 2 * u) * (1 - u) ** 2, u * (1 - u) ** 2,
+            u * u * (3 - 2 * u), u * u * (u - 1))
 
 
 class PeriodicCubic:
@@ -104,11 +87,7 @@ class PeriodicCubic:
         y0, y1 = self._ye[k], self._ye[k + 1]
         m0, m1 = self._me[k], self._me[k + 1]
         h = t1 - t0
-        u = (sm - t0) / h
-        h00 = (1 + 2 * u) * (1 - u) ** 2
-        h10 = u * (1 - u) ** 2
-        h01 = u * u * (3 - 2 * u)
-        h11 = u * u * (u - 1)
+        h00, h10, h01, h11 = hermite_basis((sm - t0) / h)
         val = h00 * y0 + h10 * h * m0 + h01 * y1 + h11 * h * m1
         return val + wind * self.jump
 
@@ -124,23 +103,6 @@ class PeriodicCubic:
         d01 = -d00
         d11 = u * (3 * u - 2)
         return d00 * y0 + d10 * m0 + d01 * y1 + d11 * m1
-
-
-def bisect_root(fun, lo, hi, iters=80):
-    """Plain bisection for a scalar sign change; returns the midpoint."""
-    flo = fun(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = fun(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def hausdorff(a, b, q_cols):

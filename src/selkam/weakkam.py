@@ -25,8 +25,6 @@ __all__ = [
     "critical_value",
     "critical_value_infmax",
     "subsolution_check",
-    "aubry_set",
-    "mane_set",
     "weak_kam_family",
     "smooth_subsolution",
 ]
@@ -75,45 +73,32 @@ class LegendreTable:
 def _velocity_bound(H, margin=1.5):
     """Speed bound for descent minimizers from the Hamiltonian's slope."""
     q = np.linspace(0.0, 1.0, 64, endpoint=False)
-    if H.dim == 1:
-        if H.is_mechanical:
-            Vg = H.potential(q)
-            return float(np.sqrt(2.0 * max(Vg.max() - Vg.min(), 0.0) + 1.0) + margin)
+    if H.dim == 1 and not H.is_mechanical:
         p = np.linspace(-4, 4, 33)
         return float(np.max(np.abs(H.grad_p(*np.meshgrid(q, p, indexing="ij")))) + margin)
-    Vg = H.potential(np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1))
+    Vg = H.potential(q if H.dim == 1 else np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1))
     return float(np.sqrt(2.0 * max(Vg.max() - Vg.min(), 0.0) + 1.0) + margin)
 
 
 def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     """One Lax-Oleinik step on a periodic grid function.
 
-    dim 1: any Tonelli H (tabulated Legendre transform); dim 2: mechanical
-    H only, where the quadratic cost separates into per-axis passes.
+    Mechanical H (dim 1 or 2): the quadratic cost separates into per-axis
+    passes.  Other H, dim 1 only: tabulated Legendre transform.
     """
     u = np.asarray(u, dtype=float)
     if not 0 < dt <= 0.5:
         raise ValueError("dt must lie in (0, 0.5]")
     v_max = v_max or _velocity_bound(H)
+    if H.is_mechanical:
+        return _lo_step_mechanical(u, H, dt, direction, v_max)
     if u.ndim == 2:
-        return _lo_step_2d(u, H, dt, direction, v_max)
+        raise NotImplementedError("dim-2 steps need a mechanical Hamiltonian")
     n = u.size
     h = 1.0 / n
     K = min(int(np.ceil(v_max * dt / h)), n // 2)
     shifts = np.arange(-K, K + 1)
     q = np.arange(n) / n
-    if H.is_mechanical:
-        quad = (shifts * h) ** 2 / (2 * dt)
-        stack = np.empty((shifts.size, n))
-        for i, k in enumerate(shifts):
-            stack[i] = np.roll(u, k) + quad[i]
-        env = np.min(stack, axis=0) if direction == "descending" else None
-        if direction == "descending":
-            return env - dt * H.potential(q)
-        stack = np.empty((shifts.size, n))
-        for i, k in enumerate(shifts):
-            stack[i] = np.roll(u, k) - quad[i]
-        return np.max(stack, axis=0) + dt * H.potential(q)
     tab = table
     if tab is None:
         tab = LegendreTable(H, shifts * h / dt, q)
@@ -128,13 +113,11 @@ def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     return np.max(stack, axis=0)
 
 
-def _lo_step_2d(u, H, dt, direction, v_max):
-    if not H.is_mechanical:
-        raise NotImplementedError("dim-2 steps need a mechanical Hamiltonian")
-    n1, n2 = u.shape
+def _lo_step_mechanical(u, H, dt, direction, v_max):
+    """Quadratic kinetic cost: one min-plus pass per axis, then the potential."""
     out = u.copy()
     sign = 1.0 if direction == "descending" else -1.0
-    for axis, n in ((0, n1), (1, n2)):
+    for axis, n in enumerate(u.shape):
         h = 1.0 / n
         K = min(int(np.ceil(v_max * dt / h)), n // 2)
         shifts = np.arange(-K, K + 1)
@@ -143,9 +126,8 @@ def _lo_step_2d(u, H, dt, direction, v_max):
         for i, k in enumerate(shifts):
             stack[i] = np.roll(out, k, axis=axis) + sign * quad[i]
         out = np.min(stack, axis=0) if direction == "descending" else np.max(stack, axis=0)
-    g1 = np.arange(n1) / n1
-    g2 = np.arange(n2) / n2
-    Vg = H.potential(np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1))
+    grids = np.meshgrid(*(np.arange(n) / n for n in u.shape), indexing="ij")
+    Vg = H.potential(grids[0] if u.ndim == 1 else np.stack(grids, axis=-1))
     return out - sign * dt * Vg
 
 
@@ -170,12 +152,8 @@ def critical_value(H, grid=1024, dt=0.1, max_iters=4000, fp_tol=FP_TOL,
     last quarter of the decrements after the transient and the certificate
     carries the critical solution and the fixed-point residual.
     """
-    if H.dim == 1:
-        q = np.arange(grid) / grid
-        u = np.zeros(grid) if u0 is None else np.asarray(u0, dtype=float).copy()
-    else:
-        q = np.arange(grid) / grid
-        u = np.zeros((grid, grid)) if u0 is None else np.asarray(u0, dtype=float).copy()
+    q = np.arange(grid) / grid
+    u = np.zeros((grid,) * H.dim) if u0 is None else np.asarray(u0, dtype=float).copy()
     if seed is not None:
         u = u + np.random.default_rng(seed).uniform(-0.5, 0.5, size=u.shape)
     v_max = _velocity_bound(H)
@@ -232,7 +210,6 @@ def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
     best = (objective(np.zeros(n_params)), np.zeros(n_params))
     for r in range(restarts):
         theta = np.zeros(n_params) if r == 0 else rng.uniform(-0.5, 0.5, n_params)
-        val = objective(theta)
         span = radius
         for _ in range(sweeps):
             for i in range(n_params):
@@ -257,7 +234,6 @@ def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
                         f2 = objective(t2)
                         best = min(best, (f2, t2), key=lambda z: z[0])
                 theta[i] = x1 if f1 < f2 else x2
-                val = min(f1, f2)
             span *= 0.5
     dv_best = best[1] @ basis
     return best[0], {"theta": best[1], "dv": dv_best, "modes": modes}
@@ -476,13 +452,3 @@ def _dedupe_points(pts, radius):
             kept.append(x)
     return np.asarray(kept)
 
-
-def aubry_set(H, grid=1024, **kwargs):
-    """Aubry point set (intersection of family invariant sets); see
-    weak_kam_family for the approximation caveats."""
-    return weak_kam_family(H, grid=grid, **kwargs).aubry_pts
-
-
-def mane_set(H, grid=1024, **kwargs):
-    """Mane point set (union of family invariant sets)."""
-    return weak_kam_family(H, grid=grid, **kwargs).mane_pts

@@ -111,3 +111,25 @@ def test_summary_has_versions_and_hash(fast_cfg, tmp_path):
     data = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert data["config_hash"] == cfg.config_hash
     assert "numpy" in data["versions"]
+
+
+def test_removed_keys_still_load(tmp_path):
+    # FAST_CFG carries [grids] lattice; add [run] workers: both are ignored
+    plain = tmp_path / "plain.cfg"
+    plain.write_text(FAST_CFG.replace("lattice = 256\n", ""))
+    legacy = tmp_path / "legacy.cfg"
+    legacy.write_text(FAST_CFG.replace("[run]\n", "[run]\nworkers = 4\n"))
+    summaries = []
+    for path in (plain, legacy):
+        cfg = load_config(path, out_dir=tmp_path / path.stem)
+        summary, status = run("weakkam", cfg)
+        assert status == 0
+        summaries.append({k: v for k, v in summary.items() if k != "config_hash"})
+    assert summaries[0] == summaries[1]
+
+
+def test_workers_flag_is_a_usage_error(fast_cfg, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["weakkam", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
+              "--workers", "2"])
+    assert exc.value.code == 2

@@ -4,10 +4,10 @@ import pytest
 from selkam.front import fiber_sweep, sheet_decomposition
 from selkam.lagrangian import SpectralFun, from_flow, from_graph, mollify_sequence
 from selkam.persistence import connectivity_oracle, sublevel_persistence
-from selkam.selector import (build_discrete_action, convexify_fiber,
-                             generalized_selector, graph_selector,
-                             selector_from_front, spectral_value,
-                             verify_selector, dump_selector)
+from selkam.selector import (_snap_values, build_discrete_action,
+                             convexify_fiber, generalized_selector,
+                             graph_selector, selector_from_front,
+                             spectral_value, verify_selector, dump_selector)
 
 GRID = np.arange(256) / 256
 
@@ -78,6 +78,39 @@ def test_spectral_value_matches_oracle_exactly(pendulum, rand_v):
                                 lattice_size=64)
     G2 = DA2.lattice_values()
     assert sublevel_persistence(G2).selected == connectivity_oracle(G2).selected
+
+
+def test_spectral_value_independent_of_breakpoint_count(pendulum, rand_v):
+    # the xi_dim chained kernels split the horizon, so every breakpoint
+    # count discretizes the same time-T minimax
+    lams = [spectral_value(build_discrete_action(pendulum, rand_v, 1.5, 1500,
+                                                 0.3, xi_dim=d))
+            for d in (1, 2)]
+    assert abs(lams[0] - lams[1]) <= 1e-3
+
+
+def test_graph_selector_column_minimum_is_persistence(pendulum, rand_v):
+    # the column minimum equals the union-find essential birth, bit for bit
+    L = from_flow(rand_v, pendulum, 0.5, steps=500)
+    sf = graph_selector(L, 256)
+    DA = build_discrete_action(pendulum, rand_v, 0.5, 1000, 0.0, xi_dim=1,
+                               lattice_size=256)
+    GM = SpectralFun(rand_v)(DA.kernel.grid)[:, None] + DA.kernel.K
+    births = np.array([sublevel_persistence(GM[:, j]).selected
+                       for j in range(GM.shape[1])])
+    assert np.array_equal(sf.meta["raw"], births - L.s_offset)
+
+
+def test_snap_values_ambiguous_point_takes_lowest_sheet():
+    # two sheets 2e-8 apart near the raw value: flagged, lowest sheet taken
+    raw = np.array([-1.9110175, 0.30002])
+    spectra = [np.array([-1.91104035, -1.91104037, 0.5]),
+               np.array([0.1, 0.3])]
+    values, provenance, flags = _snap_values(raw, spectra, 5e-4, 1e-4)
+    assert values[0] == -1.91104037
+    assert flags.tolist() == [True, False]
+    assert provenance.tolist() == [-1, 1]
+    assert values[1] == 0.3
 
 
 def test_spectral_refinement_validation(pendulum, rand_v):

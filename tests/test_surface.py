@@ -1,0 +1,64 @@
+"""Static checks of the package surface, read with `ast` only.
+
+Every name a module exports in `__all__` must be defined in it, and no
+module may import a name it never uses (the package `__init__` re-exports
+its submodules, so it is exempt).  This keeps dead helpers and their
+imports from accumulating.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "selkam"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _bound_names(node):
+    """Names an import binds: the alias, or the first component of the path."""
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def _exports(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _top_level_names(tree):
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(_bound_names(node))
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_all_names_resolve(path):
+    tree = _tree(path)
+    missing = set(_exports(tree)) - _top_level_names(tree)
+    assert not missing, f"{path.name}: __all__ names not defined: {sorted(missing)}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_exports(tree))
+    unused = [name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              for name in _bound_names(node) if name not in used]
+    assert not unused, f"{path.name}: imported but never used: {unused}"
