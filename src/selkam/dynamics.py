@@ -197,10 +197,13 @@ def maximal_invariant_set(L, H, a, horizon=50.0, tube_radius=None, e_tol=None,
                                converged=converged, n_seeds=int(seeds.shape[0]),
                                energy=float(a),
                                meta={"e_tol": float(e_tol), "dt": dt})
-    # containment in L cap {|H - a| <= e_tol} holds by construction; assert
+    # containment in L cap {|H - a| <= e_tol} holds by construction; check it
     if survivors.size:
-        sv = H.value(*_split(survivors, dim))
-        assert np.all(np.abs(sv - a) <= e_tol + 1e-12)
+        worst = float(np.max(np.abs(H.value(*_split(survivors, dim)) - a)))
+        if not worst <= e_tol + 1e-12:
+            raise RuntimeError(
+                "maximal_invariant_set: survivors left the energy band: "
+                f"worst |H - a| = {worst:.3g} > e_tol = {e_tol:.3g}")
     return est
 
 

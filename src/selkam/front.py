@@ -141,7 +141,7 @@ def fiber_sweep(L, q_values, merge_tol=MERGE_TOL):
     out = []
     for idx, qv in enumerate(q_values):
         r = roots[own == idx]
-        out.append(_assemble_fiber(L, qv, np.sort(np.mod(r, 1.0)), merge_tol))
+        out.append(_assemble_fiber(L, qv, np.sort(wrap(r)), merge_tol))
     return out
 
 
@@ -241,7 +241,7 @@ def caustics(L, cusp_tol=CUSP_TOL):
         lo = np.where(left, mid, lo)
         flo = np.where(left, fm, flo)
         hi = np.where(left, hi, mid)
-    t_fold = np.mod(0.5 * (lo + hi), 1.0)
+    t_fold = wrap(0.5 * (lo + hi))
     q_fold = wrap(fq(t_fold))
     eps = 1e-6
     curv = (fq.derivative(t_fold + eps) - fq.derivative(t_fold - eps)) / (2 * eps)

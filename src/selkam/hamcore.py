@@ -36,6 +36,8 @@ __all__ = [
 
 MIDPOINT_TOL = 1e-12
 MIDPOINT_MAX_ITERS = 50
+PERIODIC_SAMPLES = 5      # per axis of the (q, p) grid the periodicity check samples
+PERIODIC_TOL = 1e-9       # relative to 1 + |H|
 
 _FUNCS = ("sin", "cos", "exp")
 _IDENTS = {1: ("q", "p"), 2: ("q1", "q2", "p1", "p2")}
@@ -415,7 +417,8 @@ def parse_hamiltonian(src, dim):
     """Parse an expression text into a HamiltonianSpec.
 
     Raises ExpressionError with the source offset on malformed input, on
-    identifiers unknown to the grammar, and on dimension mismatches.
+    identifiers unknown to the grammar, and on dimension mismatches; and
+    with offset 0 when H is not 1-periodic in each base coordinate.
     """
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
@@ -442,7 +445,31 @@ def parse_hamiltonian(src, dim):
         "dVdq": [_lambdify(sp.diff(V, s), qsyms) for s in qsyms],
         "mechanical": bool(mechanical),
     }
+    _check_periodic(impl["H"], dim)
     return HamiltonianSpec(source=ast_to_text(ast), ast=ast, dim=dim, _impl=impl)
+
+
+def _check_periodic(H, dim):
+    """Raise ExpressionError unless H(q + e_i, p) = H(q, p) on sampled points.
+
+    The integrators wrap q to [0, 1) every step, which would silently turn
+    a non-periodic H into one with a discontinuous force.
+    """
+    n = PERIODIC_SAMPLES
+    # golden-section offset: off the rationals where a wrong period's terms vanish
+    q = (np.arange(n) + 0.381966) / n
+    p = np.linspace(-2.0, 2.0, n)
+    grids = np.meshgrid(*([q] * dim + [p] * dim), indexing="ij")
+    base = H(*grids)
+    for i in range(dim):
+        shifted = list(grids)
+        shifted[i] = grids[i] + 1.0
+        diff = np.abs(H(*shifted) - base)
+        if np.any(diff > PERIODIC_TOL * (1.0 + np.abs(base))):
+            name = _IDENTS[dim][i]
+            raise ExpressionError(
+                f"Hamiltonian is not 1-periodic in {name}: H changes by up to "
+                f"{float(np.max(diff)):.3g} under {name} -> {name} + 1", 0)
 
 
 def shift_momentum(spec, dw_src):
@@ -549,19 +576,28 @@ def tonelli_check(spec, grid=24, p_max=6.0):
 
 
 def _leapfrog(spec, Q, P, dt, nsteps, accumulate_action=False):
-    """Strang splitting for H = |p|^2/2 + V(q); Q is left unwrapped."""
-    Q = np.array(Q, dtype=float)
-    P = np.array(P, dtype=float)
+    """Strang splitting for H = |p|^2/2 + V(q); Q is left unwrapped.
+
+    Kick-drift-kick with the closing kick's force carried into the next
+    step's opening kick: one wrap and one force evaluation per step, the
+    same floats as evaluating both kicks afresh.
+    """
+    Q, P = (np.array(x, dtype=float) for x in np.broadcast_arrays(Q, P))
     act = np.zeros(Q.shape[: Q.ndim - (spec.dim == 2)]) if accumulate_action else None
+    half = 0.5 * dt
+    Qw = wrap(Q)
+    F = spec.grad_potential(Qw)
     if accumulate_action:
-        g_prev = 0.5 * _sq(P, spec.dim) - spec.potential(wrap(Q))
+        g_prev = 0.5 * _sq(P, spec.dim) - spec.potential(Qw)
     for _ in range(nsteps):
-        P = P - 0.5 * dt * spec.grad_potential(wrap(Q))
-        Q = Q + dt * P
-        P = P - 0.5 * dt * spec.grad_potential(wrap(Q))
+        P -= half * F
+        Q += dt * P
+        Qw = wrap(Q)
+        F = spec.grad_potential(Qw)
+        P -= half * F
         if accumulate_action:
-            g = 0.5 * _sq(P, spec.dim) - spec.potential(wrap(Q))
-            act += 0.5 * dt * (g_prev + g)
+            g = 0.5 * _sq(P, spec.dim) - spec.potential(Qw)
+            act += half * (g_prev + g)
             g_prev = g
     return (Q, P, act) if accumulate_action else (Q, P)
 

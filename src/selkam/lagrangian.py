@@ -119,7 +119,7 @@ class ExactLagrangian:
         at the nodes reproduce the stored S exactly.
         """
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        smod = np.mod(s, 1.0)
+        smod = wrap(s)
         idx = np.searchsorted(self.t, smod, side="right") - 1
         idx = np.clip(idx, 0, self.t.size - 1)
         out = self.S[idx].copy()
@@ -310,10 +310,10 @@ def from_flow(v, H, T, steps, initial_samples=4096):
                 "flowed curve cannot be resolved in double precision "
                 f"(exp stretching ~ e^(lambda T) too large for T = {T})")
         mids = 0.5 * (tc[bad] + tc[bad + 1])
-        Qm, Pm, rawm = shoot(np.mod(mids, 1.0))
+        Qm, Pm, rawm = shoot(wrap(mids))
         # lift continuity: a start wrapped past 1 shifts the branch by the winding
         Qm += np.floor(mids)
-        t = np.concatenate([t, np.mod(mids, 1.0)])
+        t = np.concatenate([t, wrap(mids)])
         order = np.argsort(t)
         if t.size > RESAMPLE_BUDGET:
             raise RuntimeError("resampling budget exceeded while resolving the flowed curve")

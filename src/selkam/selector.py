@@ -24,7 +24,7 @@ from . import hamcore
 from .front import fiber_sweep, caustics
 from .lagrangian import ExactLagrangian, SpectralFun
 from .persistence import sublevel_persistence
-from .torus import hermite_basis
+from .torus import hermite_basis, wrap
 
 __all__ = [
     "ActionKernel",
@@ -95,7 +95,7 @@ class ActionKernel:
         return self._splines[name]
 
     def eval(self, a, b, dx=0, dy=0):
-        return self.spline("K").ev(np.mod(a, 1.0), np.mod(b, 1.0), dx=dx, dy=dy)
+        return self.spline("K").ev(wrap(a), wrap(b), dx=dx, dy=dy)
 
 
 def _fan_kernel(H, tau, n_grid, p_bound, dt_target):
@@ -300,7 +300,7 @@ class DiscreteAction:
 
 def _circ(d):
     """Signed circular displacement in (-1/2, 1/2]."""
-    return np.mod(np.asarray(d, dtype=float) + 0.5, 1.0) - 0.5
+    return wrap(d + 0.5) - 0.5
 
 
 def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,

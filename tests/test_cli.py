@@ -57,6 +57,18 @@ def test_config_rejects_bad_expression(tmp_path):
     assert status == 2
 
 
+@pytest.mark.parametrize("expr, dim", [("p^2/2 + q", 1), ("(p1^2+p2^2)/2 + q2", 2)])
+def test_config_rejects_non_periodic_hamiltonian(tmp_path, expr, dim):
+    p = tmp_path / "bad.cfg"
+    p.write_text(FAST_CFG.replace("expr = p^2/2", f"expr = {expr}")
+                 .replace("dim = 1", f"dim = {dim}"))
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    assert exc.value.fieldpath == "hamiltonian.expr" and "periodic" in str(exc.value)
+    status = main(["weakkam", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert status == 2
+
+
 def test_config_tolerance_range(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text(FAST_CFG + "\n[tolerances]\nsnap_radius = 0.5\n")

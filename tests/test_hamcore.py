@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from selkam.hamcore import (CotangentPoint, ExpressionError, flow_step,
-                            integrate, parse_hamiltonian, shift_momentum,
-                            tonelli_check)
+from selkam.hamcore import (CotangentPoint, ExpressionError, _leapfrog,
+                            flow_step, integrate, parse_hamiltonian,
+                            shift_momentum, tonelli_check)
+from selkam.torus import wrap
 
 
 def test_parse_and_evaluate_basic():
@@ -39,10 +41,25 @@ def test_parse_division_by_variable_rejected():
 
 def test_reserialization_idempotent():
     for src in ["p^2/2 + cos(2*pi*q)", "-p^2", "(p + 0.3*cos(2*pi*q))^2/2",
-                "exp(sin(q))*2 - 1.5e-2"]:
+                "exp(sin(2*pi*q))*2 - 1.5e-2"]:
         H = parse_hamiltonian(src, 1)
         H2 = parse_hamiltonian(H.source, 1)
         assert H2.source == H.source
+
+
+@pytest.mark.parametrize("src, dim, name", [("p^2/2 + q", 1, "q"),
+                                            ("(p1^2+p2^2)/2 + q2", 2, "q2"),
+                                            ("p^2/2 + cos(pi*q)", 1, "q"),
+                                            ("exp(sin(q))*2 - 1.5e-2", 1, "q")])
+def test_parse_rejects_non_periodic(src, dim, name):
+    with pytest.raises(ExpressionError, match=f"not 1-periodic in {name}:"):
+        parse_hamiltonian(src, dim)
+
+
+def test_parse_accepts_periodic_with_large_values():
+    # the tolerance is relative to |H|: exp(p) and high harmonics still pass
+    parse_hamiltonian("exp(p)*exp(3*cos(2*pi*q)) + cos(200*pi*q)", 1)
+    parse_hamiltonian("(p1^2 + p2^2)/2 + 0.3*sin(2*pi*(q1 - 2*q2))", 2)
 
 
 def test_tonelli_examples(pendulum):
@@ -119,3 +136,88 @@ def test_dim2_flow_and_energy():
     drift = abs(H.value(Q % 1.0, P) - H.value(np.array([0.1, 0.2]),
                                               np.array([0.3, -0.1])))
     assert drift <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The leapfrog computes the same floats as the textbook two-force stepper
+
+
+@given(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False,
+                 allow_infinity=False, allow_subnormal=True))
+@example(0.0)
+@example(-0.0)
+@example(-3.0)
+@example(-5e-324)
+@example(-1e-20)
+@example(np.nextafter(1.0, 0.0))
+@example(-np.nextafter(1.0, 0.0))
+@example(-1e12)
+def test_wrap_is_mod_one_bit_for_bit(x):
+    got, want = wrap(x), np.mod(x, 1.0)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_wrap_is_mod_one_on_arrays():
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.normal(scale=10.0 ** rng.integers(-8, 13, 20000)),
+                        np.arange(-50.0, 50.0), -np.arange(50.0) - 0.0,
+                        np.nextafter(np.arange(-50.0, 50.0), np.inf),
+                        np.nextafter(np.arange(-50.0, 50.0), -np.inf),
+                        [5e-324, -5e-324, 2.2e-308, -2.2e-308]])
+    assert wrap(x).tobytes() == np.mod(x, 1.0).tobytes()
+    assert wrap(x.reshape(-1, 2)).shape == (x.size // 2, 2)
+
+
+def _strang_reference(spec, Q, P, dt, nsteps):
+    """Kick-drift-kick with both forces evaluated afresh and three np.mod wraps."""
+    sq = (lambda P: P * P) if spec.dim == 1 else (lambda P: np.sum(P * P, axis=-1))
+    Q = np.array(Q, dtype=float)
+    P = np.array(P, dtype=float)
+    act = np.zeros(Q.shape[: Q.ndim - (spec.dim == 2)])
+    g_prev = 0.5 * sq(P) - spec.potential(np.mod(Q, 1.0))
+    for _ in range(nsteps):
+        P = P - 0.5 * dt * spec.grad_potential(np.mod(Q, 1.0))
+        Q = Q + dt * P
+        P = P - 0.5 * dt * spec.grad_potential(np.mod(Q, 1.0))
+        g = 0.5 * sq(P) - spec.potential(np.mod(Q, 1.0))
+        act += 0.5 * dt * (g_prev + g)
+        g_prev = g
+    return Q, P, act
+
+
+_LEAPFROG_CASES = {
+    1: "p^2/2 + cos(2*pi*q) + 0.3*sin(4*pi*q)",
+    2: "(p1^2 + p2^2)/2 + 0.3*cos(2*pi*q1)*cos(2*pi*q2) + 0.1*sin(2*pi*q2)",
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("accumulate_action", [False, True])
+def test_leapfrog_matches_two_force_reference(dim, accumulate_action):
+    H = parse_hamiltonian(_LEAPFROG_CASES[dim], dim)
+    rng = np.random.default_rng(dim)
+    shape = (40, 3) if dim == 1 else (60, 2)
+    Q0 = rng.uniform(-2.0, 2.0, shape)
+    P0 = rng.normal(scale=1.5, size=shape)
+    Q0_copy, P0_copy = Q0.copy(), P0.copy()
+    for dt in (1e-3, -0.02):
+        out = _leapfrog(H, Q0, P0, dt, 137, accumulate_action=accumulate_action)
+        ref = _strang_reference(H, Q0, P0, dt, 137)
+        for got, want in zip(out, ref):
+            assert got.shape == want.shape and np.array_equal(got, want)
+    # the inputs are copied, not stepped in place
+    assert np.array_equal(Q0, Q0_copy) and np.array_equal(P0, P0_copy)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n1, n2", [(1, 1), (7, 30), (250, 3)])
+def test_integrate_chains_bit_for_bit(dim, n1, n2):
+    H = parse_hamiltonian(_LEAPFROG_CASES[dim], dim)
+    rng = np.random.default_rng(11)
+    shape = (50,) if dim == 1 else (50, 2)
+    Q0 = rng.uniform(-1.0, 2.0, shape)
+    P0 = rng.normal(size=shape)
+    Q1, P1 = integrate(H, Q0, P0, 2e-3, n1)
+    Q2, P2 = integrate(H, Q1, P1, 2e-3, n2)
+    Qf, Pf = integrate(H, Q0, P0, 2e-3, n1 + n2)
+    assert np.array_equal(Q2, Qf) and np.array_equal(P2, Pf)

@@ -3,7 +3,9 @@
 Every name a module exports in `__all__` must be defined in it, and no
 module may import a name it never uses (the package `__init__` re-exports
 its submodules, so it is exempt).  This keeps dead helpers and their
-imports from accumulating.
+imports from accumulating.  Every mod-1 reduction goes through
+`torus.wrap`, and invariants are checked by raising, never by `assert`
+(which `python -O` strips).
 """
 
 import ast
@@ -62,3 +64,29 @@ def test_no_unused_imports(path):
               if isinstance(node, (ast.Import, ast.ImportFrom))
               for name in _bound_names(node) if name not in used]
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+def _is_one(node):
+    return isinstance(node, ast.Constant) and not isinstance(node.value, bool) \
+        and node.value == 1
+
+
+def _is_mod_one(node):
+    """``np.mod(x, 1.0)`` or ``x % 1.0`` (integer-modulus calls are not mod 1)."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in ("mod", "remainder", "fmod") and len(node.args) == 2 \
+            and _is_one(node.args[1])
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and _is_one(node.right)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "torus.py"],
+                         ids=lambda p: p.stem)
+def test_mod_one_goes_through_wrap(path):
+    lines = [node.lineno for node in ast.walk(_tree(path)) if _is_mod_one(node)]
+    assert not lines, f"{path.name}: mod-1 reduction outside torus.wrap at lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_assert_statements(path):
+    lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name}: assert statements (stripped under -O) at lines {lines}"
