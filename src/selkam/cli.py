@@ -37,8 +37,6 @@ SAFE_TOLERANCES = {
     "snap_radius": (5e-4, 1e-6, 1e-2),
     "snap_tol": (1e-4, 1e-8, 1e-2),
     "c_tol": (1e-3, 1e-6, 1e-1),
-    "conv_tol": (1e-3, 1e-6, 1e-1),
-    "sub_tol": (1e-2, 1e-6, 1e0),
     "num_tol": (1e-3, 1e-8, 1e-1),
 }
 
@@ -310,26 +308,28 @@ def _cmd_verify(cfg, suite):
     def check(name, value):
         checks[name] = bool(value)
 
-    if suite in ("selector", "all"):
+    if suite != "weakkam":
         L = _build_lagrangian(cfg, H)
-        if L.kind != "flowed":
-            L = lagrangian.from_flow(_eval_potential_expr(cfg.v_expr, 256), H,
-                                     cfg.T, steps=max(cfg.steps, 8),
-                                     initial_samples=cfg.samples)
-        sf = selector.graph_selector(L, cfg.base_grid,
-                                     snap_radius=cfg.tolerances["snap_radius"])
-        rep = selector.verify_selector(sf, L, c_tol=cfg.tolerances["c_tol"])
+    if suite in ("selector", "all"):
+        Lf = L if L.kind == "flowed" else lagrangian.from_flow(
+            _eval_potential_expr(cfg.v_expr, 256), H, cfg.T,
+            steps=max(cfg.steps, 8), initial_samples=cfg.samples)
+        sf = selector.graph_selector(Lf, cfg.base_grid,
+                                     snap_radius=cfg.tolerances["snap_radius"],
+                                     snap_tol=cfg.tolerances["snap_tol"])
+        rep = selector.verify_selector(sf, Lf, c_tol=cfg.tolerances["c_tol"])
         check("selector.lipschitz", rep.lipschitz_const <= rep.lipschitz_bound)
         check("selector.graph_distance", rep.max_graph_distance <= cfg.tolerances["c_tol"])
         check("selector.value_match", rep.max_value_mismatch <= cfg.tolerances["c_tol"])
         spectra_ok = True
-        fibers = front.fiber_sweep(L, sf.q_grid)
+        fibers = front.fiber_sweep(Lf, sf.q_grid)
         for fd, val in zip(fibers, sf.values):
             if fd.h.size and np.min(np.abs(fd.h - val)) > cfg.tolerances["snap_tol"]:
                 spectra_ok = False
         check("selector.tightness", spectra_ok)
     if suite in ("weakkam", "all"):
-        sol = weakkam.weak_kam_family(H, grid=cfg.velocity_grid, dt=cfg.dt)
+        sol = weakkam.weak_kam_family(H, grid=cfg.velocity_grid, dt=cfg.dt,
+                                      num_tol=cfg.tolerances["num_tol"])
         Vmax = float(np.max(H.potential(np.arange(8192) / 8192))) if H.is_mechanical else None
         if Vmax is not None:
             check("weakkam.alpha_maxV", abs(sol.alpha - Vmax) <= 1e-3)
@@ -341,7 +341,6 @@ def _cmd_verify(cfg, suite):
             any(np.allclose(a, m, atol=2.0 / cfg.velocity_grid) for m in sol.mane_pts)
             for a in sol.aubry_pts) if sol.aubry_pts.size else True)
     if suite in ("dynamics", "all"):
-        L = _build_lagrangian(cfg, H)
         a = weakkam.critical_value(H, grid=cfg.velocity_grid, dt=cfg.dt).alpha
         try:
             rep63 = dynamics.verify_theorem_6_3(L, H, a, grid=cfg.base_grid,

@@ -34,6 +34,8 @@ E_TOL_FRACTION = 1e-3     # energy-shell tolerance, fraction of H's range on L
 INV_TOL_FRACTION = 1e-3   # invariance defect tolerance, fraction of diameter
 TRIM_DT = 5e-3
 CHECK_EVERY = 10
+GRAPH_BINS = 256          # periodic base bins of graph_test
+SPREAD_TOL = 0.02         # momentum spread within one bin that breaks a graph
 
 
 @dataclass
@@ -80,8 +82,7 @@ def _phase_tree(points, dim):
     return cKDTree(np.vstack(tiles))
 
 
-def maximal_invariant_set(L, H, a, horizon=50.0, tube_radius=None, e_tol=None,
-                          dt=TRIM_DT, double_horizon=True,
+def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True,
                           recurrence_filter=False):
     """Trimmed estimate of the maximal invariant subset of L on {H = a}.
 
@@ -103,17 +104,16 @@ def maximal_invariant_set(L, H, a, horizon=50.0, tube_radius=None, e_tol=None,
     if seeds.shape[0] == 0:
         raise ValueError(f"energy level {a} does not meet the sampled set "
                          f"(H range [{vals.min():.6g}, {vals.max():.6g}], e_tol {e_tol:.2e})")
-    if tube_radius is None:
-        if seeds.shape[0] > 2:
-            # nearest-neighbor spacing: transversal where the sampled set
-            # stacks (tight tubes reject orbits sliding between sheets)
-            nn_tree = cKDTree(seeds)
-            d, _ = nn_tree.query(seeds, k=2)
-            local = float(np.median(d[:, 1]))
-        else:
-            local = 0.0
-        fallback = 3.0 / max(points.shape[0], 64)
-        tube_radius = max(3.0 * local, fallback, 1e-4)
+    if seeds.shape[0] > 2:
+        # nearest-neighbor spacing: transversal where the sampled set
+        # stacks (tight tubes reject orbits sliding between sheets)
+        nn_tree = cKDTree(seeds)
+        d, _ = nn_tree.query(seeds, k=2)
+        local = float(np.median(d[:, 1]))
+    else:
+        local = 0.0
+    fallback = 3.0 / max(points.shape[0], 64)
+    tube_radius = max(3.0 * local, fallback, 1e-4)
     tree = _phase_tree(seeds, dim)
 
     def embed(qs, ps):
@@ -132,6 +132,7 @@ def maximal_invariant_set(L, H, a, horizon=50.0, tube_radius=None, e_tol=None,
         if abs(a - vmax) <= max(10.0 * e_tol, 1e-4):
             a_proj = vmax
 
+    dt = TRIM_DT
     n_steps = int(np.ceil(horizon / dt))
     total = 2 * n_steps if double_horizon else n_steps
     seed_qp = _split(seeds, dim)
@@ -239,16 +240,18 @@ def energy_level_check(L, H, tol=1e-6):
     return None, dev
 
 
-def graph_test(points, grid=256, spread_tol=0.02):
+def graph_test(points):
     """True iff the point set is a fiberwise-single-valued (Lipschitz) graph.
 
-    Base points are binned on a periodic grid; a bin with momentum spread
-    above ``spread_tol`` breaks single-valuedness.  Returns the flag and
-    the max difference quotient between neighboring occupied bins.
+    Base points are binned on a periodic grid of GRAPH_BINS cells; a bin
+    with momentum spread above SPREAD_TOL breaks single-valuedness.  Returns
+    the flag and the max difference quotient between neighboring occupied
+    bins.
     """
     pts, dim = _as_points(points)
     if pts.shape[0] == 0:
         raise ValueError("empty point set")
+    grid = GRAPH_BINS
     if dim == 1:
         bins = np.mod(np.round(pts[:, 0] * grid).astype(int), grid)
         pmin = np.full(grid, np.inf)
@@ -256,7 +259,7 @@ def graph_test(points, grid=256, spread_tol=0.02):
         np.minimum.at(pmin, bins, pts[:, 1])
         np.maximum.at(pmax, bins, pts[:, 1])
         occupied = np.isfinite(pmin)
-        single = bool(np.all((pmax - pmin)[occupied] <= spread_tol))
+        single = bool(np.all((pmax - pmin)[occupied] <= SPREAD_TOL))
         occ_idx = np.nonzero(occupied)[0]
         quot = 0.0
         if occ_idx.size > 1:
@@ -277,7 +280,7 @@ def graph_test(points, grid=256, spread_tol=0.02):
             grp = pts[order[start:i], 2:]
             if grp.shape[0] > 1:
                 spread = np.max(np.linalg.norm(grp - grp.mean(axis=0), axis=1))
-                if spread > spread_tol:
+                if spread > SPREAD_TOL:
                     single = False
             start = i
     return single, quot
@@ -304,8 +307,7 @@ class EnergyPipelineReport:
         return self.ok
 
 
-def verify_theorem_6_3(L, H, a, grid=512, horizon=100.0, levels=4,
-                       base_width=1.0 / 64, sub_tol=1e-2, collar=2):
+def verify_theorem_6_3(L, H, a, grid=512, horizon=100.0):
     """Replace a Lagrangian below an energy level by a graph with the same
     maximal invariant set.
 
@@ -324,19 +326,18 @@ def verify_theorem_6_3(L, H, a, grid=512, horizon=100.0, levels=4,
         from .selector import graph_selector
         f = graph_selector(L, grid)
     else:
-        seq = mollify_sequence(L, levels=levels, base_width=base_width,
-                               resample=8192) \
+        seq = mollify_sequence(L, base_width=1.0 / 64, resample=8192) \
             if isinstance(L, ExactLagrangian) else L
         f, _ = generalized_selector(seq, grid)
 
-    ok_sub, bad, margin = subsolution_check(f.values, H, a, tol=sub_tol)
+    ok_sub, bad, margin = subsolution_check(f.values, H, a)
     if not ok_sub:
-        # exclude collars around derivative kinks before declaring failure
+        # exclude two-step collars around derivative kinks before declaring failure
         n = grid
         kink = np.abs(np.roll(f.values, -1) + np.roll(f.values, 1) - 2 * f.values) * n
         kmask = np.zeros(n, dtype=bool)
         for j in np.nonzero(kink > 0.1 * max(1.0, float(np.max(np.abs(f.values)))))[0]:
-            for k in range(-collar, collar + 1):
+            for k in range(-2, 3):
                 kmask[(j + k) % n] = True
         bad = np.array([j for j in bad if not kmask[j]])
         ok_sub = bad.size == 0
@@ -382,7 +383,7 @@ class InvariantGraphReport:
         return self.ok
 
 
-def verify_theorem_1_5(L, H, horizon=5.0, inv_tol=None, n_check=4):
+def verify_theorem_1_5(L, H, horizon=5.0):
     """Invariant Lipschitz-exact sets must be single-level Lipschitz graphs.
 
     Measures the flow-invariance defect of L over the horizon; when it is
@@ -392,13 +393,13 @@ def verify_theorem_1_5(L, H, horizon=5.0, inv_tol=None, n_check=4):
     pts, dim = _as_points(L)
     p_range = float(pts[:, 1].max() - pts[:, 1].min()) if pts.shape[0] > 1 else 0.0
     diam = float(np.hypot(0.5, p_range))
-    if inv_tol is None:
-        inv_tol = INV_TOL_FRACTION * max(diam, 1.0)
+    inv_tol = INV_TOL_FRACTION * max(diam, 1.0)
     tree = _phase_tree(pts, dim)
     sub = pts[:: max(1, pts.shape[0] // 512)]
     defect = 0.0
     Q, P = sub[:, 0].copy(), sub[:, 1].copy()
     dt = min(TRIM_DT, horizon / 64)
+    n_check = 4
     per = int(np.ceil(horizon / n_check / dt))
     for _ in range(n_check):
         Q, P = hamcore.integrate(H, Q, P, dt, per)
@@ -419,8 +420,7 @@ def verify_theorem_1_5(L, H, horizon=5.0, inv_tol=None, n_check=4):
                                 lipschitz_estimate=quot, ok=ok)
 
 
-def equivariance_check(v_samples, w_samples, dw_src, H, a=None, grid=512,
-                       horizon=50.0):
+def equivariance_check(v_samples, w_samples, dw_src, H, a=None, horizon=50.0):
     """Momentum-shift equivariance of the computed invariant sets.
 
     phi(q, p) = (q, p + dw(q)) is an exact symplectomorphism; the

@@ -30,6 +30,7 @@ MERGE_TOL = 1e-9           # parameter-space dedupe radius for roots
 TRANSVERSE_TOL = 1e-5      # |dQ/dt| below this (x speed scale) flags tangency
 DEGENERATE_TOL = 1e-10
 CUSP_TOL = 1e-3
+CAUSTIC_TOL = 1e-8         # base-point distance at which a query sits on the caustic
 
 
 @dataclass
@@ -77,7 +78,7 @@ class SheetChart:
         return self.phi.shape[0]
 
 
-def _bisect_batch(fq, lo, hi, targets, iters=70):
+def _bisect_batch(fq, lo, hi, targets):
     """Vectorized bisection of fq(t) = target on bracketing intervals.
 
     Brackets whose endpoint sits exactly on the target resolve to that
@@ -90,7 +91,7 @@ def _bisect_batch(fq, lo, hi, targets, iters=70):
     flo = fq(lo) - targets
     at_lo = flo == 0
     at_hi = (fq(hi) - targets == 0) & ~at_lo
-    for _ in range(iters):
+    for _ in range(70):
         mid = 0.5 * (lo + hi)
         fm = fq(mid) - targets
         left = (flo < 0) == (fm < 0)
@@ -112,7 +113,7 @@ def _brackets_for_level(L, level):
     return tc, Qc, np.nonzero(hit)[0]
 
 
-def fiber_sweep(L, q_values, merge_tol=MERGE_TOL):
+def fiber_sweep(L, q_values):
     """FiberData for many base points at once (shared vectorized refine)."""
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
     if L.dim == 2:
@@ -141,11 +142,11 @@ def fiber_sweep(L, q_values, merge_tol=MERGE_TOL):
     out = []
     for idx, qv in enumerate(q_values):
         r = roots[own == idx]
-        out.append(_assemble_fiber(L, qv, np.sort(wrap(r)), merge_tol))
+        out.append(_assemble_fiber(L, qv, np.sort(wrap(r))))
     return out
 
 
-def _assemble_fiber(L, qv, roots, merge_tol):
+def _assemble_fiber(L, qv, roots):
     def dedupe(rr, tol):
         if rr.size == 0:
             return rr
@@ -158,8 +159,8 @@ def _assemble_fiber(L, qv, roots, merge_tol):
             keep.pop()
         return np.asarray(keep)
 
-    r1 = dedupe(roots, merge_tol)
-    r2 = dedupe(roots, merge_tol / 2)
+    r1 = dedupe(roots, MERGE_TOL)
+    r2 = dedupe(roots, MERGE_TOL / 2)
     stable = r1.size == r2.size
     fq, fp = L.interp_q(), L.interp_p()
     if r1.size == 0:
@@ -199,14 +200,14 @@ def _fiber_grid(L, qv):
                      multiplicity_stable=True, uncertainty=np.zeros(1))
 
 
-def fiber_intersections(L, q, tol=MERGE_TOL):
+def fiber_intersections(L, q):
     """All points of L over the fiber at q, with momenta and primitives.
 
     Tangential intersections are reported with ``transverse = False`` and a
     widened uncertainty rather than dropped; multiplicity is certified
-    stable when re-detection at tol/2 finds the same count.
+    stable when re-detection at MERGE_TOL/2 finds the same count.
     """
-    return fiber_sweep(L, [q] if np.ndim(q) == 0 else [q], merge_tol=tol)[0]
+    return fiber_sweep(L, [q])[0]
 
 
 def spectrum(L, q):
@@ -214,7 +215,7 @@ def spectrum(L, q):
     return fiber_intersections(L, q).h
 
 
-def caustics(L, cusp_tol=CUSP_TOL):
+def caustics(L):
     """Base projections of the fold points (critical values of projection).
 
     Folds are zeros of dQ/dt located by bisection on the interpolated
@@ -232,22 +233,13 @@ def caustics(L, cusp_tol=CUSP_TOL):
     if hits.size == 0:
         return CausticReport(t=np.empty(0), q=np.empty(0), curvature=np.empty(0),
                              kinds=[], intervals=[(0.0, 1.0, 1)])
-    lo, hi = tc[hits], tc[hits + 1]
-    flo = dq[hits]
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        fm = fq.derivative(mid)
-        left = (flo < 0) == (fm < 0)
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fm, flo)
-        hi = np.where(left, hi, mid)
-    t_fold = wrap(0.5 * (lo + hi))
+    t_fold = wrap(_bisect_batch(fq.derivative, tc[hits], tc[hits + 1], 0.0))
     q_fold = wrap(fq(t_fold))
     eps = 1e-6
     curv = (fq.derivative(t_fold + eps) - fq.derivative(t_fold - eps)) / (2 * eps)
     # degenerate folds are judged against the fold population's own scale
     scale = max(float(np.median(np.abs(curv))), 1e-12)
-    kinds = ["cusp" if abs(c) < cusp_tol * scale else "fold" for c in curv]
+    kinds = ["cusp" if abs(c) < CUSP_TOL * scale else "fold" for c in curv]
     order = np.argsort(q_fold)
     qs = q_fold[order]
     intervals = []
@@ -263,18 +255,16 @@ def caustics(L, cusp_tol=CUSP_TOL):
                          kinds=[kinds[i] for i in order], intervals=intervals)
 
 
-def cerf_regular(L, q, gap_tol=GAP_TOL, caustic_q=None, caustic_tol=1e-8):
+def cerf_regular(L, q, gap_tol=GAP_TOL):
     """True iff the fiber's primitive values are separated by > gap_tol.
 
     Raises for base points on (or numerically at) the caustic, where the
-    query is not defined.  Pass ``caustic_q`` (precomputed fold values) to
-    avoid recomputing the caustic per query.
+    query is not defined.
     """
-    if caustic_q is None:
-        caustic_q = caustics(L).q
+    caustic_q = caustics(L).q
     if len(caustic_q):
-        d = np.abs(np.asarray(caustic_q) - q)
-        if np.min(np.minimum(d, 1.0 - d)) <= caustic_tol:
+        d = np.abs(caustic_q - q)
+        if np.min(np.minimum(d, 1.0 - d)) <= CAUSTIC_TOL:
             raise ValueError(f"base point {q} is not in the regular set (caustic)")
     fd = fiber_intersections(L, q)
     if not fd.transverse:
@@ -284,7 +274,7 @@ def cerf_regular(L, q, gap_tol=GAP_TOL, caustic_q=None, caustic_tol=1e-8):
     return bool(np.min(np.diff(fd.h)) > gap_tol)
 
 
-def sheet_decomposition(L, interval, n_grid=257, degenerate_tol=DEGENERATE_TOL):
+def sheet_decomposition(L, interval, n_grid=257):
     """Track the front's sheets over a caustic-free base interval.
 
     Sheets are continued in q by Newton steps on the interpolated lift;
@@ -319,7 +309,7 @@ def sheet_decomposition(L, interval, n_grid=257, degenerate_tol=DEGENERATE_TOL):
     for i in range(k):
         for j in range(i + 1, k):
             delta = h[i] - h[j]
-            if np.max(np.abs(delta)) < degenerate_tol:
+            if np.max(np.abs(delta)) < DEGENERATE_TOL:
                 raise ValueError(
                     f"degenerate front: sheets {i} and {j} carry identical primitives")
             # identity from the primitive structure of the front

@@ -38,6 +38,8 @@ MIDPOINT_TOL = 1e-12
 MIDPOINT_MAX_ITERS = 50
 PERIODIC_SAMPLES = 5      # per axis of the (q, p) grid the periodicity check samples
 PERIODIC_TOL = 1e-9       # relative to 1 + |H|
+TONELLI_GRID = 24         # base samples per axis of the Tonelli check
+TONELLI_P_MAX = 6.0       # momentum radius the Tonelli check samples
 
 _FUNCS = ("sin", "cos", "exp")
 _IDENTS = {1: ("q", "p"), 2: ("q1", "q2", "p1", "p2")}
@@ -523,17 +525,17 @@ class TonelliReport:
         return self.ok
 
 
-def tonelli_check(spec, grid=24, p_max=6.0):
+def tonelli_check(spec):
     """Sample fiberwise convexity and superlinearity diagnostics.
 
     Reports the minimum eigenvalue of the fiberwise Hessian over samples
-    with |p| <= p_max, and the growth ratio H/|p| at |p| = p_max versus
-    p_max/2.  Report-only: never raises.
+    with |p| <= TONELLI_P_MAX, and the growth ratio H/|p| at
+    |p| = TONELLI_P_MAX versus TONELLI_P_MAX/2.  Report-only: never raises.
     """
     n = spec.dim
-    qs = np.linspace(0.0, 1.0, grid, endpoint=False)
+    qs = np.linspace(0.0, 1.0, TONELLI_GRID, endpoint=False)
     # odd count so p = 0 is sampled (degenerate Hessians often sit there)
-    ps = np.linspace(-p_max, p_max, grid + 1 - grid % 2)
+    ps = np.linspace(-TONELLI_P_MAX, TONELLI_P_MAX, TONELLI_GRID + 1)
     if n == 1:
         Q, P = np.meshgrid(qs, ps, indexing="ij")
     else:
@@ -560,14 +562,14 @@ def tonelli_check(spec, grid=24, p_max=6.0):
                 vals.append(np.min(spec.value(Qg, np.broadcast_to(pv, Qg.shape))))
         return float(np.min(vals) / scale)
 
-    r_half = ratio(p_max / 2)
-    r_full = ratio(p_max)
+    r_half = ratio(TONELLI_P_MAX / 2)
+    r_full = ratio(TONELLI_P_MAX)
     convex = min_eig > 1e-9
     superlinear = r_full > r_half + 1e-9
     vel = float(np.max(np.abs(spec.grad_p(Q, P))))
     return TonelliReport(ok=convex and superlinear, convex=convex,
                          superlinear=superlinear, min_hessian_eig=min_eig,
-                         ratio_half=r_half, ratio_full=r_full, p_max=p_max,
+                         ratio_half=r_half, ratio_full=r_full, p_max=TONELLI_P_MAX,
                          velocity_bound=vel)
 
 

@@ -49,6 +49,7 @@ SNAP_RADIUS = 5e-4        # acceptance radius for snapping minimax to spectrum
 CONV_TOL = 1e-3
 C_TOL = 1e-3
 COLLAR = 2                # grid steps excluded around caustics/Maxwell points
+LIP_MARGIN = 1e-2         # allowance of the Lipschitz check over max |p|
 DIST_TOL = 1e-3
 EDGE_FRACTION = 0.97      # momentum-fan edge flag threshold
 LARGE = 1e30
@@ -81,21 +82,21 @@ class ActionKernel:
     p_end: np.ndarray
     edge: np.ndarray
     p_bound: float
-    _splines: dict = field(default_factory=dict, repr=False)
+    _spline: object = field(default=None, init=False, repr=False)
 
-    def spline(self, name="K"):
-        if name not in self._splines:
-            arr = {"K": self.K, "p_start": self.p_start, "p_end": self.p_end}[name]
+    def spline(self):
+        """Periodic bicubic spline of K, built on first use."""
+        if self._spline is None:
             n = self.grid.size
             pad = 4
             idx = np.arange(-pad, n + pad) % n
             ax = np.arange(-pad, n + pad) / n
-            self._splines[name] = RectBivariateSpline(ax, ax, arr[np.ix_(idx, idx)],
-                                                      kx=3, ky=3)
-        return self._splines[name]
+            self._spline = RectBivariateSpline(ax, ax, self.K[np.ix_(idx, idx)],
+                                               kx=3, ky=3)
+        return self._spline
 
     def eval(self, a, b, dx=0, dy=0):
-        return self.spline("K").ev(wrap(a), wrap(b), dx=dx, dy=dy)
+        return self.spline().ev(wrap(a), wrap(b), dx=dx, dy=dy)
 
 
 def _fan_kernel(H, tau, n_grid, p_bound, dt_target):
@@ -342,12 +343,12 @@ def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,
                           meta={"segments": m, "p_bound": p_bound})
 
 
-def spectral_value(DA, validate=True, return_diagram=False):
+def spectral_value(DA):
     """Minimax level of the discrete action: birth of the essential class.
 
-    Computed by union-find persistence over the periodic xi-lattice; with
-    ``validate`` the lattice is refined (x2, then x4) and the selected
-    value must move by no more than a grid-scale bound.
+    Computed by union-find persistence over the periodic xi-lattice; the
+    lattice is then refined (x2, then x4) and the selected value must move
+    by no more than a grid-scale bound.
     """
     G = DA.lattice_values()
     diag = sublevel_persistence(G)
@@ -366,21 +367,19 @@ def spectral_value(DA, validate=True, return_diagram=False):
             DA.kernel = wider.kernel
             DA.meta.update(wider.meta)
             DA.meta["expanded"] = True
-            return spectral_value(DA, validate=validate,
-                                  return_diagram=return_diagram)
-    if validate:
-        n = DA.lattice_shape[0]
-        seen = [lam]
-        for factor in (2, 4):
-            lam_f = sublevel_persistence(DA.lattice_values(n=factor * n)).selected
-            seen.append(lam_f)
-            scale = _grad_scale(DA) / (factor * n)
-            if abs(lam_f - lam) <= max(4.0 * scale, 1e-9):
-                break
-        else:
-            raise SpectralStabilityError(
-                "spectral value did not stabilize under lattice refinement", seen)
-    return (lam, diag) if return_diagram else lam
+            return spectral_value(DA)
+    n = DA.lattice_shape[0]
+    seen = [lam]
+    for factor in (2, 4):
+        lam_f = sublevel_persistence(DA.lattice_values(n=factor * n)).selected
+        seen.append(lam_f)
+        scale = _grad_scale(DA) / (factor * n)
+        if abs(lam_f - lam) <= max(4.0 * scale, 1e-9):
+            break
+    else:
+        raise SpectralStabilityError(
+            "spectral value did not stabilize under lattice refinement", seen)
+    return lam
 
 
 def _argmin_on_edge(DA, arg):
@@ -473,8 +472,7 @@ def _snap_values(raw, spectra, snap_radius, snap_tol):
     return values, provenance, flags
 
 
-def graph_selector(L, grid_size=512, snap_radius=SNAP_RADIUS, snap_tol=SNAP_TOL,
-                   n_steps=None):
+def graph_selector(L, grid_size=512, snap_radius=SNAP_RADIUS, snap_tol=SNAP_TOL):
     """Selector for a flowed graph: per-point minimax over the action lattice.
 
     Each grid point's discrete action is a column of the kernel lattice;
@@ -498,7 +496,7 @@ def graph_selector(L, grid_size=512, snap_radius=SNAP_RADIUS, snap_tol=SNAP_TOL,
     if T == 0:
         raw = vf(q_grid)
     else:
-        n_steps = n_steps or max(8, int(np.ceil(T / 5e-4)))
+        n_steps = max(8, int(np.ceil(T / 5e-4)))
         DA0 = build_discrete_action(H, v, T, n_steps, 0.0, xi_dim=1,
                                     lattice_size=grid_size)
         kernel = DA0.kernel
@@ -543,7 +541,7 @@ class SelectorReport:
         return self.ok
 
 
-def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR, lip_margin=1e-2):
+def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
     """Check the defining selector properties on the grid.
 
     At grid points outside collars around caustics, provenance changes and
@@ -593,7 +591,7 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR, lip_margin=1e-2):
     gd = float(np.max(gd)) if gd else np.inf
     vm = float(np.max(vm)) if vm else np.inf
     lip = _lipschitz_all_pairs(q, vals)
-    bound = L.pmax + lip_margin
+    bound = L.pmax + LIP_MARGIN
     ok = gd <= c_tol and vm <= c_tol and lip <= bound
     return SelectorReport(max_graph_distance=gd, max_value_mismatch=vm,
                           lipschitz_const=lip, lipschitz_bound=bound,
@@ -754,12 +752,11 @@ class GeneralizedReport:
         return self.ok
 
 
-def generalized_selector(seq, grid_size=512, conv_tol=CONV_TOL,
-                         dist_tol=DIST_TOL, c_tol=C_TOL):
+def generalized_selector(seq, grid_size=512):
     """Limit of per-level selectors of an approximating sequence.
 
     Each level contributes its front-based (or minimax) selector; the
-    sequence must be Cauchy at ``conv_tol``.  The limit is verified
+    sequence must be Cauchy at CONV_TOL.  The limit is verified
     against the fiberwise convexification of the limit Lagrangian: the
     selector's differential lies in the fiber hull at differentiability
     points, and wherever it is extremal the selector value matches the
@@ -773,9 +770,9 @@ def generalized_selector(seq, grid_size=512, conv_tol=CONV_TOL,
             sels.append(selector_from_front(entry, grid_size))
     sups = np.array([float(np.max(np.abs(sels[i + 1].values - sels[i].values)))
                      for i in range(len(sels) - 1)])
-    if sups.size and sups[-1] > conv_tol:
+    if sups.size and sups[-1] > CONV_TOL:
         raise RuntimeError(
-            f"selector sequence is not Cauchy at {conv_tol}: gaps {sups}")
+            f"selector sequence is not Cauchy at {CONV_TOL}: gaps {sups}")
 
     f = sels[-1]
     limit = ExactLagrangian(
@@ -801,14 +798,14 @@ def generalized_selector(seq, grid_size=512, conv_tol=CONV_TOL,
             continue
         fh = convexify_fiber(fibers[j].p, q=f.q_grid[j])
         hull_d = max(hull_d, fh.distance(df[j]))
-        if fh.extremal_distance(df[j]) <= dist_tol:
+        if fh.extremal_distance(df[j]) <= DIST_TOL:
             i = int(np.argmin(np.abs(fibers[j].p - df[j])))
             gap = max(gap, abs(vals[j] - fibers[j].h[i]))
             n_ext += 1
     report = GeneralizedReport(consecutive_sup=sups, hull_distance_max=hull_d,
                                extremal_value_gap_max=gap,
                                n_extremal_checked=n_ext,
-                               ok=hull_d <= dist_tol and gap <= c_tol)
+                               ok=hull_d <= DIST_TOL and gap <= C_TOL)
     f.meta["generalized_report"] = report
     return f, report
 

@@ -25,22 +25,21 @@ def wrap(q):
     return q - np.floor(q)
 
 
-def unwrap_closed(q, winding=None):
+def unwrap_closed(q):
     """Continuous lift of a sampled closed curve on the torus.
 
     ``q`` is a 1-d array of wrapped samples; consecutive jumps are resolved
     to the nearest integer shift.  Returns the lift and the winding number
-    implied by the closure jump (or the supplied one).
+    implied by the closure jump.
     """
     q = np.asarray(q, dtype=float)
     dq = np.diff(q)
     dq -= np.round(dq)
     lift = np.concatenate([[q[0]], q[0] + np.cumsum(dq)])
-    if winding is None:
-        closure = wrap(q[0] - lift[-1])
-        # shortest closing jump, then total displacement fixes the winding
-        closing = closure if closure <= 0.5 else closure - 1.0
-        winding = int(np.round(lift[-1] + closing - q[0]))
+    closure = wrap(q[0] - lift[-1])
+    # shortest closing jump, then total displacement fixes the winding
+    closing = closure if closure <= 0.5 else closure - 1.0
+    winding = int(np.round(lift[-1] + closing - q[0]))
     return lift, winding
 
 
@@ -53,22 +52,21 @@ def hermite_basis(u):
 class PeriodicCubic:
     """Periodic Catmull-Rom interpolant on a non-uniform closed grid.
 
-    ``t`` are strictly increasing parameters in [0, period), ``y`` the
-    samples; closure wraps with the given period in ``t`` and ``jump`` in
-    ``y`` (so lifted curves with winding are supported).
+    ``t`` are strictly increasing parameters in [0, 1), ``y`` the samples;
+    closure wraps with period 1 in ``t`` and ``jump`` in ``y`` (so lifted
+    curves with winding are supported).
     """
 
-    def __init__(self, t, y, period=1.0, jump=0.0):
+    def __init__(self, t, y, jump=0.0):
         t = np.asarray(t, dtype=float)
         y = np.asarray(y, dtype=float)
         if t.ndim != 1 or t.size < 4:
             raise ValueError("need at least 4 samples")
         self.t = t
         self.y = y
-        self.period = float(period)
         self.jump = float(jump)
         # extended arrays: two ghost points each side
-        self._te = np.concatenate([t[-2:] - period, t, t[:2] + period])
+        self._te = np.concatenate([t[-2:] - 1.0, t, t[:2] + 1.0])
         self._ye = np.concatenate([y[-2:] - jump, y, y[:2] + jump])
         # finite-difference slopes at the extended nodes (3-pt, non-uniform)
         te, ye = self._te, self._ye
@@ -86,14 +84,14 @@ class PeriodicCubic:
                 - y[:-2] * h1 / h0) / (h0 + h1)
 
     def _locate(self, s):
-        s = np.mod(np.asarray(s, dtype=float) - self.t[0], self.period) + self.t[0]
+        s = wrap(np.asarray(s, dtype=float) - self.t[0]) + self.t[0]
         k = np.searchsorted(self._te, s, side="right") - 1
         k = np.clip(k, 0, self._te.size - 2)
         return s, k
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        wind = np.floor((s - self.t[0]) / self.period)
+        wind = np.floor(s - self.t[0])
         sm, k = self._locate(s)
         t0, t1 = self._te[k], self._te[k + 1]
         y0, y1 = self._ye[k], self._ye[k + 1]

@@ -70,14 +70,14 @@ class LegendreTable:
         return P * V - self.H.value(Q, P)
 
 
-def _velocity_bound(H, margin=1.5):
+def _velocity_bound(H):
     """Speed bound for descent minimizers from the Hamiltonian's slope."""
     q = np.linspace(0.0, 1.0, 64, endpoint=False)
     if H.dim == 1 and not H.is_mechanical:
         p = np.linspace(-4, 4, 33)
-        return float(np.max(np.abs(H.grad_p(*np.meshgrid(q, p, indexing="ij")))) + margin)
+        return float(np.max(np.abs(H.grad_p(*np.meshgrid(q, p, indexing="ij")))) + 1.5)
     Vg = H.potential(q if H.dim == 1 else np.stack(np.meshgrid(q, q, indexing="ij"), axis=-1))
-    return float(np.sqrt(2.0 * max(Vg.max() - Vg.min(), 0.0) + 1.0) + margin)
+    return float(np.sqrt(2.0 * max(Vg.max() - Vg.min(), 0.0) + 1.0) + 1.5)
 
 
 def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
@@ -144,8 +144,8 @@ class WeakKamSolution:
     meta: dict = field(default_factory=dict)
 
 
-def critical_value(H, grid=1024, dt=0.1, max_iters=4000, fp_tol=FP_TOL,
-                   u0=None, direction="descending", seed=None):
+def critical_value(H, grid=1024, dt=0.1, max_iters=4000, direction="descending",
+                   seed=None):
     """Critical value by iterating the Lax-Oleinik operator to its fixed point.
 
     The per-step decrement converges to dt * alpha; alpha averages the
@@ -153,7 +153,7 @@ def critical_value(H, grid=1024, dt=0.1, max_iters=4000, fp_tol=FP_TOL,
     carries the critical solution and the fixed-point residual.
     """
     q = np.arange(grid) / grid
-    u = np.zeros((grid,) * H.dim) if u0 is None else np.asarray(u0, dtype=float).copy()
+    u = np.zeros((grid,) * H.dim)
     if seed is not None:
         u = u + np.random.default_rng(seed).uniform(-0.5, 0.5, size=u.shape)
     v_max = _velocity_bound(H)
@@ -173,11 +173,11 @@ def critical_value(H, grid=1024, dt=0.1, max_iters=4000, fp_tol=FP_TOL,
         resid = float(np.max(np.abs(dec - c)))
         alphas.append(c / dt)
         u = u_new - u_new.min()
-        if resid <= fp_tol and it > 8:
+        if resid <= FP_TOL and it > 8:
             break
     else:
         raise RuntimeError(
-            f"Lax-Oleinik iteration did not reach residual {fp_tol} in "
+            f"Lax-Oleinik iteration did not reach residual {FP_TOL} in "
             f"{max_iters} steps (residual {resid:.2e})")
     tail = alphas[-max(1, len(alphas) // 4):]
     return WeakKamSolution(u=u, alpha=float(np.mean(tail)), residual=resid,
@@ -186,7 +186,7 @@ def critical_value(H, grid=1024, dt=0.1, max_iters=4000, fp_tol=FP_TOL,
 
 
 def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
-                          seed=0, radius=2.0):
+                          seed=0):
     """Upper critical bound: minimize over graph families the max of H.
 
     The family is the set of exact graphs with truncated-trigonometric
@@ -210,7 +210,7 @@ def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
     best = (objective(np.zeros(n_params)), np.zeros(n_params))
     for r in range(restarts):
         theta = np.zeros(n_params) if r == 0 else rng.uniform(-0.5, 0.5, n_params)
-        span = radius
+        span = 2.0
         for _ in range(sweeps):
             for i in range(n_params):
                 a, b = theta[i] - span, theta[i] + span
@@ -239,7 +239,7 @@ def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
     return best[0], {"theta": best[1], "dv": dv_best, "modes": modes}
 
 
-def critical_subsolution(H, grid=1024, dt=0.05, max_iters=8000):
+def critical_subsolution(H, grid=1024, dt=0.05):
     """Symmetrized critical subsolution: mean of the descending and
     ascending fixed points.
 
@@ -248,9 +248,8 @@ def critical_subsolution(H, grid=1024, dt=0.05, max_iters=8000):
     carry opposite O(dt) derivative biases, so the mean is accurate to a
     much smaller margin than either.  Returns (u, alpha).
     """
-    sm = critical_value(H, grid=grid, dt=dt, max_iters=max_iters)
-    sp = critical_value(H, grid=grid, dt=dt, max_iters=max_iters,
-                        direction="ascending")
+    sm = critical_value(H, grid=grid, dt=dt, max_iters=8000)
+    sp = critical_value(H, grid=grid, dt=dt, max_iters=8000, direction="ascending")
     u = 0.5 * (sm.u + (sp.u - sp.u.min()))
     return u - u.min(), 0.5 * (sm.alpha + sp.alpha)
 
@@ -279,13 +278,14 @@ def subsolution_check(v, H, a, tol=1e-2):
     return bad.size == 0, bad, margin
 
 
-def smooth_subsolution(u, H, s=0.05, dt=0.01):
+def smooth_subsolution(u, H, s=0.05):
     """Double Lax-Oleinik smoothing (descend then ascend for time s).
 
     A C^{1,1}-grade surrogate for variational regularization: preserves
     subsolutions and the maximal invariant set of the critical graph.
     """
     out = np.asarray(u, dtype=float).copy()
+    dt = 0.01
     steps = max(1, int(round(s / dt)))
     for _ in range(steps):
         out = lax_oleinik_step(out, H, dt, direction="descending")
@@ -327,9 +327,9 @@ def _calibrated_solutions(H, alpha, grid):
     return [s - s.min() for s in sols], [q[i] for i in classes]
 
 
-def _equilibria(H, grid=8192):
+def _equilibria(H):
     """Newton-refined hyperbolic equilibria (q*, 0) at maxima of V (1-d)."""
-    q = np.arange(grid) / grid
+    q = np.arange(8192) / 8192
     V = H.potential(q)
     cand = np.nonzero((V >= np.roll(V, 1)) & (V > np.roll(V, -1)))[0]
     out = []
@@ -347,8 +347,7 @@ def _equilibria(H, grid=8192):
     return np.asarray(sorted(out))
 
 
-def weak_kam_family(H, grid=1024, dt=0.1, max_iters=4000, num_tol=NUM_TOL,
-                    horizon=50.0, dedupe_tol=1e-3):
+def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
     """Critical value plus Aubry and Mane sets from a subsolution family.
 
     The family contains the descending and ascending fixed points and, for
@@ -363,10 +362,9 @@ def weak_kam_family(H, grid=1024, dt=0.1, max_iters=4000, num_tol=NUM_TOL,
     if H.dim != 1:
         raise NotImplementedError("Aubry/Mane assembly works over T^1; "
                                   "critical_value itself supports dim 2")
-    sol_minus = critical_value(H, grid=grid, dt=dt, max_iters=max_iters)
+    sol_minus = critical_value(H, grid=grid, dt=dt)
     alpha = sol_minus.alpha
-    sol_plus = critical_value(H, grid=grid, dt=dt, max_iters=max_iters,
-                              direction="ascending")
+    sol_plus = critical_value(H, grid=grid, dt=dt, direction="ascending")
     family = [sol_minus.u, sol_plus.u,
               0.5 * (sol_minus.u + (sol_plus.u - sol_plus.u.min()))]
     equil = np.empty((0, 2))
@@ -380,7 +378,7 @@ def weak_kam_family(H, grid=1024, dt=0.1, max_iters=4000, num_tol=NUM_TOL,
     # dedupe near-identical members
     kept = []
     for u in family:
-        if all(np.max(np.abs(u - w)) > dedupe_tol for w in kept):
+        if all(np.max(np.abs(u - w)) > 1e-3 for w in kept):
             kept.append(u)
     q = np.arange(grid) / grid
     h = 1.0 / grid

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from selkam import selector, weakkam
 from selkam.cli import ConfigError, load_config, main, run
 
 FAST_CFG = """[hamiltonian]
@@ -117,6 +118,27 @@ def test_verify_suite_exit_status(fast_cfg, tmp_path):
     assert summary["results"]["ok"]
 
 
+@pytest.mark.parametrize("suite, module, target, key, value", [
+    ("selector", selector, "graph_selector", "snap_tol", 2e-4),
+    ("weakkam", weakkam, "weak_kam_family", "num_tol", 2e-3)],
+    ids=["selector", "weakkam"])
+def test_verify_reads_tolerances_like_the_commands(tmp_path, monkeypatch, suite,
+                                                   module, target, key, value):
+    inner = getattr(module, target)
+    seen = {}
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, target, spy)
+    p = tmp_path / "tol.cfg"
+    p.write_text(FAST_CFG + "\n[tolerances]\nsnap_tol = 2e-4\nnum_tol = 2e-3\n")
+    main(["verify", "--config", str(p), "--out", str(tmp_path / "v"),
+          "--suite", suite])
+    assert seen.get(key) == value
+
+
 def test_summary_has_versions_and_hash(fast_cfg, tmp_path):
     cfg = load_config(fast_cfg, out_dir=tmp_path / "out")
     run("weakkam", cfg)
@@ -126,18 +148,21 @@ def test_summary_has_versions_and_hash(fast_cfg, tmp_path):
 
 
 def test_removed_keys_still_load(tmp_path):
-    # FAST_CFG carries [grids] lattice; add [run] workers: both are ignored
+    # FAST_CFG carries [grids] lattice; add [run] workers, and [tolerances]
+    # conv_tol and sub_tol at values their old range checks refused: all ignored
     plain = tmp_path / "plain.cfg"
     plain.write_text(FAST_CFG.replace("lattice = 256\n", ""))
     legacy = tmp_path / "legacy.cfg"
     legacy.write_text(FAST_CFG.replace("[run]\n", "[run]\nworkers = 4\n"))
+    tolerances = tmp_path / "tolerances.cfg"
+    tolerances.write_text(FAST_CFG + "\n[tolerances]\nconv_tol = 1.0\nsub_tol = 5.0\n")
     summaries = []
-    for path in (plain, legacy):
+    for path in (plain, legacy, tolerances):
         cfg = load_config(path, out_dir=tmp_path / path.stem)
         summary, status = run("weakkam", cfg)
         assert status == 0
         summaries.append({k: v for k, v in summary.items() if k != "config_hash"})
-    assert summaries[0] == summaries[1]
+    assert summaries[0] == summaries[1] == summaries[2]
 
 
 def test_workers_flag_is_a_usage_error(fast_cfg, tmp_path):

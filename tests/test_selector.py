@@ -115,7 +115,7 @@ def test_snap_values_ambiguous_point_takes_lowest_sheet():
 
 def test_spectral_refinement_validation(pendulum, rand_v):
     DA = build_discrete_action(pendulum, rand_v, 0.5, 500, 0.7, xi_dim=1)
-    lam = spectral_value(DA, validate=True)
+    lam = spectral_value(DA)
     assert np.isfinite(lam)
 
 

@@ -5,7 +5,9 @@ module may import a name it never uses (the package `__init__` re-exports
 its submodules, so it is exempt).  This keeps dead helpers and their
 imports from accumulating.  Every mod-1 reduction goes through
 `torus.wrap`, and invariants are checked by raising, never by `assert`
-(which `python -O` strips).
+(which `python -O` strips).  Every function parameter is read, and every
+tolerance the CLI loader range-checks is read by a command, so no knob is
+accepted and then ignored.
 """
 
 import ast
@@ -90,3 +92,39 @@ def test_mod_one_goes_through_wrap(path):
 def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statements (stripped under -O) at lines {lines}"
+
+
+def _unread_parameters(tree):
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+        nodes = [n for stmt in fn.body for n in ast.walk(stmt)]
+        # `x += y` reads x although its target is a store
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read |= {n.target.id for n in nodes
+                 if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+        out += [f"{fn.name}({x.arg})" for x in params
+                if x.arg not in ("self", "cls") and x.arg not in read]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_parameter_is_read(path):
+    unread = _unread_parameters(_tree(path))
+    assert not unread, f"{path.name}: parameters never read: {unread}"
+
+
+def test_every_safe_tolerance_is_read():
+    tree = _tree(PACKAGE / "cli.py")
+    safe = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "SAFE_TOLERANCES"
+                        for t in node.targets))
+    keys = {k.value for k in safe.keys}
+    read = {n.slice.value for n in ast.walk(tree)
+            if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Load)
+            and isinstance(n.value, ast.Attribute) and n.value.attr == "tolerances"
+            and isinstance(n.slice, ast.Constant)}
+    assert keys <= read, f"tolerances checked but never read: {sorted(keys - read)}"
