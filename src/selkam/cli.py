@@ -185,13 +185,17 @@ def _write_summary(cfg, command, results, wall):
 # commands
 
 
+def _graph_selector(cfg, L):
+    return selector.graph_selector(L, cfg.base_grid,
+                                   snap_radius=cfg.tolerances["snap_radius"],
+                                   snap_tol=cfg.tolerances["snap_tol"])
+
+
 def _cmd_selector(cfg):
     H = hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
     L = _build_lagrangian(cfg, H)
     if L.kind == "flowed":
-        sf = selector.graph_selector(L, cfg.base_grid,
-                                     snap_radius=cfg.tolerances["snap_radius"],
-                                     snap_tol=cfg.tolerances["snap_tol"])
+        sf = _graph_selector(cfg, L)
     else:
         sf = selector.selector_from_front(L, cfg.base_grid)
     rep = selector.verify_selector(sf, L, c_tol=cfg.tolerances["c_tol"])
@@ -310,13 +314,12 @@ def _cmd_verify(cfg, suite):
 
     if suite != "weakkam":
         L = _build_lagrangian(cfg, H)
+    sf = None
     if suite in ("selector", "all"):
         Lf = L if L.kind == "flowed" else lagrangian.from_flow(
             _eval_potential_expr(cfg.v_expr, 256), H, cfg.T,
             steps=max(cfg.steps, 8), initial_samples=cfg.samples)
-        sf = selector.graph_selector(Lf, cfg.base_grid,
-                                     snap_radius=cfg.tolerances["snap_radius"],
-                                     snap_tol=cfg.tolerances["snap_tol"])
+        sf = _graph_selector(cfg, Lf)
         rep = selector.verify_selector(sf, Lf, c_tol=cfg.tolerances["c_tol"])
         check("selector.lipschitz", rep.lipschitz_const <= rep.lipschitz_bound)
         check("selector.graph_distance", rep.max_graph_distance <= cfg.tolerances["c_tol"])
@@ -343,8 +346,14 @@ def _cmd_verify(cfg, suite):
     if suite in ("dynamics", "all"):
         a = weakkam.critical_value(H, grid=cfg.velocity_grid, dt=cfg.dt).alpha
         try:
-            rep63 = dynamics.verify_theorem_6_3(L, H, a, grid=cfg.base_grid,
-                                                horizon=cfg.horizon)
+            if L.kind == "flowed" and "H_source" in L.meta:
+                # a smooth flowed L: its graph selector (the selector suite's,
+                # when that ran) is already a generalized selector
+                f = sf if sf is not None else _graph_selector(cfg, L)
+            else:
+                seq = lagrangian.mollify_sequence(L, base_width=1.0 / 64, resample=8192)
+                f, _ = selector.generalized_selector(seq, cfg.base_grid)
+            rep63 = dynamics.verify_theorem_6_3(L, H, a, f, horizon=cfg.horizon)
             check("dynamics.energy_pipeline", rep63.ok)
         except ValueError as exc:
             checks["dynamics.energy_pipeline"] = False

@@ -14,8 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import hamcore
-from .lagrangian import ExactLagrangian, SpectralFun, from_graph, mollify_sequence
-from .selector import generalized_selector
+from .lagrangian import ExactLagrangian, SpectralFun, from_graph
 from .torus import hausdorff, wrap
 from .weakkam import smooth_subsolution, subsolution_check
 
@@ -307,33 +306,25 @@ class EnergyPipelineReport:
         return self.ok
 
 
-def verify_theorem_6_3(L, H, a, grid=512, horizon=100.0):
+def verify_theorem_6_3(L, H, a, f, horizon=100.0):
     """Replace a Lagrangian below an energy level by a graph with the same
     maximal invariant set.
 
-    Pipeline: generalized selector of (a mollification of) L ->
-    subsolution check at level a -> double Lax-Oleinik smoothing -> graph
-    of the smoothed differential -> invariant-set comparison by trimming.
+    ``f`` is the caller's generalized selector of L on a uniform grid: the
+    graph selector of a flowed L, else the limit selector of a mollification
+    sequence.  Pipeline: subsolution check of f at level a -> double
+    Lax-Oleinik smoothing -> graph of the smoothed differential ->
+    invariant-set comparison by trimming.
     """
     pts, dim = _as_points(L)
     vals = H.value(pts[:, 0], pts[:, 1])
     if float(np.max(vals)) > a + 1e-3 * max(1.0, abs(a)):
         raise ValueError(f"input set is not contained in the energy sublevel "
                          f"{{H <= {a}}} (max H = {vals.max():.6g})")
-    if isinstance(L, ExactLagrangian) and L.kind == "flowed" and "H_source" in L.meta:
-        # smooth flowed input: its selector is already a generalized selector
-        # (constant approximating sequence); no mollification detour needed
-        from .selector import graph_selector
-        f = graph_selector(L, grid)
-    else:
-        seq = mollify_sequence(L, base_width=1.0 / 64, resample=8192) \
-            if isinstance(L, ExactLagrangian) else L
-        f, _ = generalized_selector(seq, grid)
-
+    n = f.q_grid.size
     ok_sub, bad, margin = subsolution_check(f.values, H, a)
     if not ok_sub:
         # exclude two-step collars around derivative kinks before declaring failure
-        n = grid
         kink = np.abs(np.roll(f.values, -1) + np.roll(f.values, 1) - 2 * f.values) * n
         kmask = np.zeros(n, dtype=bool)
         for j in np.nonzero(kink > 0.1 * max(1.0, float(np.max(np.abs(f.values)))))[0]:
@@ -343,7 +334,7 @@ def verify_theorem_6_3(L, H, a, grid=512, horizon=100.0):
         ok_sub = bad.size == 0
 
     g = smooth_subsolution(f.values, H, s=0.05)
-    h = 1.0 / grid
+    h = 1.0 / n
     dg = (np.roll(g, -1) - np.roll(g, 1)) / (2 * h)
     graph_pts = np.column_stack([f.q_grid, dg])
 

@@ -14,7 +14,7 @@ Selector values are snapped to the front's spectrum (tightness) and their
 provenance (selected sheet) recorded per grid point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import RectBivariateSpline
@@ -176,22 +176,12 @@ def _compose(k1, k2):
                         p_bound=max(k1.p_bound, k2.p_bound))
 
 
-_KERNEL_CACHE = {}
-
-
 def _build_kernel(H, T, n_grid, p_bound, n_steps):
-    """Composed minimal-action kernel for horizon T (T > 0); memoized."""
-    key = (H.source, round(float(T), 12), n_grid, round(p_bound, 3), n_steps)
-    if key in _KERNEL_CACHE:
-        return _KERNEL_CACHE[key]
-    out = _build_kernel_impl(H, T, n_grid, p_bound, n_steps)
-    if len(_KERNEL_CACHE) > 8:
-        _KERNEL_CACHE.pop(next(iter(_KERNEL_CACHE)))
-    _KERNEL_CACHE[key] = out
-    return out
+    """Composed minimal-action kernel for horizon T (T > 0) and its segment count.
 
-
-def _build_kernel_impl(H, T, n_grid, p_bound, n_steps):
+    Every call builds; a caller that needs the same kernel again passes the
+    one it holds (a ``DiscreteAction`` is reused with ``dataclasses.replace``).
+    """
     m = max(1, int(np.ceil(T / TAU_MAX)))
     for _ in range(4):
         tau = T / m
@@ -311,8 +301,8 @@ def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,
     ``N_steps`` is the number of integration segments along a trajectory
     (at least 8); ``xi_dim`` the number of free breakpoints (<= 3 for grid
     evaluation).  The xi_dim chained kernels share the horizon, each
-    spanning T / xi_dim with its share of the segments.  The kernel fan
-    auto-widens once if the minimizing momenta hit its boundary.
+    spanning T / xi_dim with its share of the segments.  ``spectral_value``
+    widens the kernel fan once if the minimizing momenta hit its boundary.
     """
     if N_steps < 8 and T > 0:
         raise ValueError("need at least 8 trajectory segments")
@@ -334,7 +324,8 @@ def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,
         else:
             swing = 2.0
         p_bound = max(3.0, pv + swing + 1.5, 0.8 / (tau / max(1, int(np.ceil(tau / TAU_MAX)))))
-        p_bound = 0.5 * np.ceil(2.0 * p_bound)   # quantize for kernel reuse
+        # half-integer steps: potentials that differ by rounding get the same fan
+        p_bound = 0.5 * np.ceil(2.0 * p_bound)
     kernel_grid = max(n, 256) if xi_dim == 1 else 256
     kernel, m = _build_kernel(H, tau, kernel_grid, p_bound, -(-N_steps // xi_dim))
     return DiscreteAction(q=float(q), H=H, v_fun=vf, T=float(T),
@@ -359,15 +350,14 @@ def spectral_value(DA):
             if DA.meta.get("expanded"):
                 raise RuntimeError("minimizing trajectories exit the momentum "
                                    "box even after expansion")
-            # auto-expand once: rebuild the kernel with a wider fan
+            # auto-expand once: a copy of DA on a kernel with a wider fan (not
+            # ``wider`` itself, whose v_fun is resampled from DA's)
             vg = DA.v_fun(np.arange(512) / 512)
             wider = build_discrete_action(DA.H, vg, DA.T, DA.N_steps, DA.q,
                                           DA.xi_dim, DA.lattice_shape[0],
                                           p_bound=2.0 * DA.meta["p_bound"])
-            DA.kernel = wider.kernel
-            DA.meta.update(wider.meta)
-            DA.meta["expanded"] = True
-            return spectral_value(DA)
+            return spectral_value(replace(DA, kernel=wider.kernel, meta={
+                **DA.meta, **wider.meta, "expanded": True}))
     n = DA.lattice_shape[0]
     seen = [lam]
     for factor in (2, 4):
@@ -383,14 +373,15 @@ def spectral_value(DA):
 
 
 def _argmin_on_edge(DA, arg):
-    n = DA.lattice_shape[0]
-    x = np.arange(n) / n
-    idx = (np.abs(DA.kernel.grid[:, None] - x[None, :])).argmin(axis=0)
-    cells = [idx[a] for a in arg]
-    flags = [DA.kernel.edge[cells[k], cells[k + 1]] for k in range(len(cells) - 1)]
-    qcell = int(np.abs(DA.kernel.grid - DA.q).argmin())
-    flags.append(DA.kernel.edge[cells[-1], qcell])
-    return bool(np.any(flags))
+    """True if the broken trajectory through the breakpoints at lattice
+    index ``arg`` and on to q uses a kernel entry flagged as fan edge.
+
+    Each point goes to its circular-nearest kernel cell: q = 0.999 is next
+    to cell 0, not to the last cell.
+    """
+    pts = np.append(np.asarray(arg) / DA.lattice_shape[0], DA.q)
+    cells = np.abs(_circ(DA.kernel.grid[:, None] - pts[None, :])).argmin(axis=0)
+    return bool(np.any(DA.kernel.edge[cells[:-1], cells[1:]]))
 
 
 def _grad_scale(DA):

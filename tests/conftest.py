@@ -5,6 +5,7 @@ import pytest
 
 from selkam.hamcore import parse_hamiltonian
 from selkam.lagrangian import from_flow
+from selkam.selector import graph_selector
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,12 @@ def whorl(pendulum):
     """Zero section flowed for T = 3 under the pendulum: the standard whorl."""
     return from_flow(np.zeros(256), pendulum, 3.0, steps=3000,
                      initial_samples=4096)
+
+
+@pytest.fixture(scope="session")
+def whorl_selector(whorl):
+    """Graph selector of the whorl on 512 points, built once (read only)."""
+    return graph_selector(whorl, 512)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ configurable: selector snap 1e-4, pointwise residuals 1e-3 outside
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,16 @@ def _random_potential(rng, modes=3, amp=0.05):
         a, b = rng.uniform(-amp, amp, 2) / k
         v += a * np.cos(2 * np.pi * k * GRID) + b * np.sin(2 * np.pi * k * GRID)
     return v
+
+
+@pytest.fixture(scope="module")
+def pendulum_actions():
+    """Discrete actions of criteria 2 and 3 (T = 1.5, q = 0.3), one kernel per
+    breakpoint count, on criterion 2's lattices."""
+    H = parse_hamiltonian("p^2/2 + cos(2*pi*q)", 1)
+    v = _random_potential(np.random.default_rng(5))
+    return {d: build_discrete_action(H, v, 1.5, 1500, 0.3, xi_dim=d, lattice_size=n)
+            for d, n in ((1, 512), (2, 32), (3, 8))}
 
 
 def test_criterion_1_selector_validity():
@@ -81,7 +92,7 @@ def test_criterion_1_selector_validity():
             f"({elapsed:.0f}s)" + ("; " + "; ".join(failures) if failures else ""))
 
 
-def test_criterion_2_minimax_oracle_equivalence():
+def test_criterion_2_minimax_oracle_equivalence(pendulum_actions):
     rng = np.random.default_rng(22)
     n_checked = 0
     mismatches = 0
@@ -109,14 +120,10 @@ def test_criterion_2_minimax_oracle_equivalence():
             mismatches += 1
         n_checked += 1
 
-    H = parse_hamiltonian("p^2/2 + cos(2*pi*q)", 1)
-    v = _random_potential(np.random.default_rng(5))
-    for d, n_lat, count in ((1, 512, 40), (2, 32, 12), (3, 8, 8)):
+    for d, count in ((1, 40), (2, 12), (3, 8)):
         for j in range(count):
             q = (j * 0.37) % 1.0
-            DA = build_discrete_action(H, v, 1.5, 1500, q, xi_dim=d,
-                                       lattice_size=n_lat)
-            G = DA.lattice_values()
+            G = replace(pendulum_actions[d], q=q).lattice_values()
             if sublevel_persistence(G).selected != connectivity_oracle(G).selected:
                 mismatches += 1
             n_checked += 1
@@ -125,14 +132,12 @@ def test_criterion_2_minimax_oracle_equivalence():
             f"{n_checked} seeded fibers ({mismatches} mismatches)")
 
 
-def test_criterion_3_action_gradient():
+def test_criterion_3_action_gradient(pendulum_actions):
+    # value and gradient take q as an argument and read no lattice when T > 0
     rng = np.random.default_rng(33)
-    H = parse_hamiltonian("p^2/2 + cos(2*pi*q)", 1)
-    v = _random_potential(np.random.default_rng(5))
     worst = 0.0
     n_samples = 0
-    for d in (1, 2, 3):
-        DA = build_discrete_action(H, v, 1.5, 1500, 0.3, xi_dim=d)
+    for d, DA in pendulum_actions.items():
         for _ in range(334):
             q = rng.uniform(0, 1)
             xi = rng.uniform(0, 1, d)
@@ -204,9 +209,9 @@ def test_criterion_5_aubry_mane_structure():
             + ("; " + "; ".join(failures) if failures else ""))
 
 
-def test_criterion_6_energy_pipeline(whorl, pendulum):
+def test_criterion_6_energy_pipeline(whorl, whorl_selector, pendulum):
     alpha = critical_value(pendulum, grid=1024, dt=0.1).alpha
-    rep = verify_theorem_6_3(whorl, pendulum, alpha, grid=512, horizon=100.0)
+    rep = verify_theorem_6_3(whorl, pendulum, alpha, whorl_selector, horizon=100.0)
     ok = (rep.subsolution_ok and rep.hausdorff_distance <= 2 * rep.grid_step
           and rep.inv_L.converged and rep.inv_graph.converged)
     _report(6, ok,

@@ -120,8 +120,9 @@ def test_verify_suite_exit_status(fast_cfg, tmp_path):
 
 @pytest.mark.parametrize("suite, module, target, key, value", [
     ("selector", selector, "graph_selector", "snap_tol", 2e-4),
-    ("weakkam", weakkam, "weak_kam_family", "num_tol", 2e-3)],
-    ids=["selector", "weakkam"])
+    ("weakkam", weakkam, "weak_kam_family", "num_tol", 2e-3),
+    ("dynamics", selector, "graph_selector", "snap_tol", 2e-4)],
+    ids=["selector", "weakkam", "dynamics"])
 def test_verify_reads_tolerances_like_the_commands(tmp_path, monkeypatch, suite,
                                                    module, target, key, value):
     inner = getattr(module, target)
@@ -137,6 +138,25 @@ def test_verify_reads_tolerances_like_the_commands(tmp_path, monkeypatch, suite,
     main(["verify", "--config", str(p), "--out", str(tmp_path / "v"),
           "--suite", suite])
     assert seen.get(key) == value
+
+
+def test_verify_all_builds_one_selector(tmp_path, monkeypatch):
+    # max H on the graph of dv is 4.9e-4, inside the sublevel {H <= alpha + 1e-3},
+    # so the dynamics suite runs its pipeline on the selector suite's selector
+    calls = {"graph_selector": 0, "_build_kernel": 0}
+    for name in calls:
+        inner = getattr(selector, name)
+
+        def spy(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(selector, name, spy)
+    p = tmp_path / "small.cfg"
+    p.write_text(FAST_CFG.replace("v = 0.02*sin", "v = 0.005*sin"))
+    summary, _ = run("verify", load_config(p, out_dir=tmp_path / "v"), suite="all")
+    assert summary["results"]["checks"]["dynamics.energy_pipeline"]
+    assert calls == {"graph_selector": 1, "_build_kernel": 1}
 
 
 def test_summary_has_versions_and_hash(fast_cfg, tmp_path):

@@ -5,7 +5,8 @@ from selkam.dynamics import (energy_level_check, equivariance_check,
                              graph_test, maximal_invariant_set,
                              verify_theorem_1_5, verify_theorem_6_3,
                              dump_invariant_set)
-from selkam.lagrangian import from_graph
+from selkam.lagrangian import from_graph, mollify_sequence
+from selkam.selector import generalized_selector
 from selkam.weakkam import critical_value
 
 GRID = np.arange(256) / 256
@@ -75,9 +76,9 @@ def test_graph_test_examples(whorl):
     assert quot3 <= 1.3 * 0.1 * (2 * np.pi) ** 2  # ~ max |v''|
 
 
-def test_theorem_6_3_whorl(whorl, pendulum):
+def test_theorem_6_3_whorl(whorl, whorl_selector, pendulum):
     alpha = critical_value(pendulum, grid=1024, dt=0.1).alpha
-    rep = verify_theorem_6_3(whorl, pendulum, alpha, grid=512, horizon=100.0)
+    rep = verify_theorem_6_3(whorl, pendulum, alpha, whorl_selector, horizon=100.0)
     assert rep.subsolution_ok
     assert rep.hausdorff_distance <= 2.0 * rep.grid_step
     assert rep.inv_L.converged and rep.inv_graph.converged
@@ -86,13 +87,15 @@ def test_theorem_6_3_whorl(whorl, pendulum):
 
 def test_theorem_6_3_trivial_graph(pendulum):
     L = from_graph(0.02 * np.sin(2 * np.pi * GRID))
-    rep = verify_theorem_6_3(L, pendulum, 1.05, grid=512, horizon=25.0)
+    seq = mollify_sequence(L, base_width=1.0 / 64, resample=8192)
+    f, _ = generalized_selector(seq, 512)
+    rep = verify_theorem_6_3(L, pendulum, 1.05, f, horizon=25.0)
     assert rep.ok and rep.hausdorff_distance == 0.0
 
 
-def test_theorem_6_3_precondition(whorl, pendulum):
+def test_theorem_6_3_precondition(whorl, whorl_selector, pendulum):
     with pytest.raises(ValueError, match="sublevel"):
-        verify_theorem_6_3(whorl, pendulum, 0.5, grid=512)
+        verify_theorem_6_3(whorl, pendulum, 0.5, whorl_selector)
 
 
 def test_theorem_1_5_invariant_zero_section(free):

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from selkam import selector
 from selkam.front import fiber_sweep, sheet_decomposition
 from selkam.lagrangian import SpectralFun, from_flow, from_graph, mollify_sequence
 from selkam.persistence import connectivity_oracle, sublevel_persistence
-from selkam.selector import (_snap_values, build_discrete_action,
+from selkam.selector import (ActionKernel, DiscreteAction, _argmin_on_edge,
+                             _snap_values, build_discrete_action,
                              convexify_fiber, generalized_selector,
                              graph_selector, selector_from_front,
                              spectral_value, verify_selector, dump_selector)
@@ -24,6 +28,13 @@ def rand_v():
         a, b = rng.uniform(-0.05, 0.05, 2) / k
         v += a * np.cos(2 * np.pi * k * GRID) + b * np.sin(2 * np.pi * k * GRID)
     return v
+
+
+@pytest.fixture(scope="module")
+def pendulum_actions(pendulum, rand_v):
+    """T = 1.5 discrete actions at q = 0.3, one kernel per breakpoint count."""
+    return {d: build_discrete_action(pendulum, rand_v, 1.5, 1500, 0.3, xi_dim=d)
+            for d in (1, 2, 3)}
 
 
 def test_time_zero_reduces_to_potential(free, rand_v):
@@ -50,11 +61,10 @@ def test_free_particle_zero_potential(free):
     assert spectral_value(DA) == pytest.approx(0.0, abs=5e-6)
 
 
-def test_discrete_action_gradient_fd(pendulum, rand_v):
+def test_discrete_action_gradient_fd(pendulum_actions):
     rng = np.random.default_rng(0)
     worst = 0.0
-    for d in (1, 2, 3):
-        DA = build_discrete_action(pendulum, rand_v, 1.5, 1500, 0.3, xi_dim=d)
+    for d, DA in pendulum_actions.items():
         for _ in range(60):
             q = rng.uniform(0, 1)
             xi = rng.uniform(0, 1, d)
@@ -69,23 +79,17 @@ def test_discrete_action_gradient_fd(pendulum, rand_v):
     assert worst <= 1e-6
 
 
-def test_spectral_value_matches_oracle_exactly(pendulum, rand_v):
-    DA = build_discrete_action(pendulum, rand_v, 1.5, 1500, 0.25, xi_dim=1,
-                               lattice_size=512)
-    G = DA.lattice_values()
-    assert sublevel_persistence(G).selected == connectivity_oracle(G).selected
-    DA2 = build_discrete_action(pendulum, rand_v, 1.5, 1500, 0.25, xi_dim=2,
-                                lattice_size=64)
-    G2 = DA2.lattice_values()
-    assert sublevel_persistence(G2).selected == connectivity_oracle(G2).selected
+def test_spectral_value_matches_oracle_exactly(pendulum_actions):
+    # lattices 512 and 64, the default sizes for one and two breakpoints
+    for d in (1, 2):
+        G = replace(pendulum_actions[d], q=0.25).lattice_values()
+        assert sublevel_persistence(G).selected == connectivity_oracle(G).selected
 
 
-def test_spectral_value_independent_of_breakpoint_count(pendulum, rand_v):
+def test_spectral_value_independent_of_breakpoint_count(pendulum_actions):
     # the xi_dim chained kernels split the horizon, so every breakpoint
     # count discretizes the same time-T minimax
-    lams = [spectral_value(build_discrete_action(pendulum, rand_v, 1.5, 1500,
-                                                 0.3, xi_dim=d))
-            for d in (1, 2)]
+    lams = [spectral_value(pendulum_actions[d]) for d in (1, 2)]
     assert abs(lams[0] - lams[1]) <= 1e-3
 
 
@@ -119,6 +123,43 @@ def test_spectral_refinement_validation(pendulum, rand_v):
     assert np.isfinite(lam)
 
 
+def test_spectral_value_leaves_its_argument_unchanged(free, monkeypatch):
+    # a deep well opposite q: the minimizer leaves at the fan edge, so the
+    # value is taken on a copy with a fan twice as wide
+    v = 5.0 * np.sin(2 * np.pi * GRID)
+    DA = build_discrete_action(free, v, 0.25, 250, 0.253, lattice_size=256,
+                               p_bound=2.05)
+    kernel, meta = DA.kernel, dict(DA.meta)
+    widths = []
+    build = selector.build_discrete_action
+
+    def spy(*args, **kwargs):
+        widths.append(kwargs["p_bound"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(selector, "build_discrete_action", spy)
+    assert np.isfinite(spectral_value(DA))
+    assert widths == [4.1]
+    assert DA.kernel is kernel and DA.meta == meta
+
+
+def test_argmin_on_edge_uses_circular_cells():
+    # only kernel column 0 is flagged: points just below 1 are next to it
+    n = 256
+    zeros = np.zeros((n, n))
+    edge = np.zeros((n, n), dtype=bool)
+    edge[:, 0] = True
+    kernel = ActionKernel(tau=1.0, grid=np.arange(n) / n, K=zeros, p_start=zeros,
+                          p_end=zeros, edge=edge, p_bound=1.0)
+    DA = DiscreteAction(q=0.999, H=None, v_fun=None, T=1.0, N_steps=8, xi_dim=1,
+                        lattice_shape=(n,), kernel=kernel)
+    assert _argmin_on_edge(DA, (5,))
+    assert not _argmin_on_edge(replace(DA, q=0.5), (5,))
+    DA2 = replace(DA, q=0.5, xi_dim=2, lattice_shape=(1024, 1024))
+    assert _argmin_on_edge(DA2, (5, 1023))       # 1023/1024 is nearest cell 0
+    assert not _argmin_on_edge(DA2, (5, 1020))   # 1020/1024 is cell 255
+
+
 def test_graph_selector_trivial_graph(pendulum):
     v = 0.1 * np.sin(2 * np.pi * GRID)
     L = from_flow(v, pendulum, 0.0, steps=1)
@@ -129,8 +170,8 @@ def test_graph_selector_trivial_graph(pendulum):
     assert verify_selector(sf, L).ok
 
 
-def test_whorl_selector_properties(whorl):
-    sf = graph_selector(whorl, 512)
+def test_whorl_selector_properties(whorl, whorl_selector):
+    sf = whorl_selector
     # tightness: every value sits on the fiber spectrum
     fibers = fiber_sweep(whorl, sf.q_grid)
     worst = max(float(np.min(np.abs(fd.h - val))) if fd.h.size else np.inf
@@ -156,26 +197,25 @@ def test_whorl_selector_properties(whorl):
     assert rep.max_value_mismatch <= 1e-3
 
 
-def test_selector_refinement_stability(whorl):
+def test_selector_refinement_stability(whorl, whorl_selector):
     # doubling the base grid moves the selector by at most a grid-step scale
     f256 = graph_selector(whorl, 256)
-    f512 = graph_selector(whorl, 512)
+    f512 = whorl_selector
     diff = float(np.max(np.abs(f512.values[::2] - f256.values)))
     assert diff <= 4.0 * whorl.pmax / 256
 
 
-def test_selector_smooth_sheet_locality(whorl):
+def test_selector_smooth_sheet_locality(whorl_selector):
     # on a caustic-free, crossing-free interval the provenance is constant
-    sf = graph_selector(whorl, 512)
+    sf = whorl_selector
     window = (sf.q_grid > 0.425) & (sf.q_grid < 0.49)
     assert len(set(sf.provenance[window].tolist())) == 1
 
 
-def test_verify_selector_flags_corruption(whorl):
-    sf = graph_selector(whorl, 512)
+def test_verify_selector_flags_corruption(whorl, whorl_selector):
+    sf = whorl_selector
     bad = np.array(sf.values)
     bad[150:200] += 0.1
-    from dataclasses import replace
     sf_bad = replace(sf, values=bad,
                      lipschitz_const=sf.lipschitz_const)
     rep = verify_selector(sf_bad, whorl)
@@ -192,8 +232,8 @@ def test_selector_from_front_graph():
     assert np.max(np.abs(sf.values - expected)) <= 1e-6
 
 
-def test_selector_from_front_matches_minimax(whorl):
-    sf = graph_selector(whorl, 512)
+def test_selector_from_front_matches_minimax(whorl, whorl_selector):
+    sf = whorl_selector
     sff = selector_from_front(whorl, 512)
     assert np.max(np.abs(sf.values - sff.values)) <= 1e-4
 

@@ -7,7 +7,8 @@ imports from accumulating.  Every mod-1 reduction goes through
 `torus.wrap`, and invariants are checked by raising, never by `assert`
 (which `python -O` strips).  Every function parameter is read, and every
 tolerance the CLI loader range-checks is read by a command, so no knob is
-accepted and then ignored.
+accepted and then ignored.  No function keeps state in a module-level name,
+so one call cannot change what the next one computes.
 """
 
 import ast
@@ -128,3 +129,43 @@ def test_every_safe_tolerance_is_read():
             and isinstance(n.value, ast.Attribute) and n.value.attr == "tolerances"
             and isinstance(n.slice, ast.Constant)}
     assert keys <= read, f"tolerances checked but never read: {sorted(keys - read)}"
+
+
+MUTATING_METHODS = {"pop", "popitem", "update", "append", "extend", "insert",
+                    "setdefault", "clear", "add", "discard", "remove"}
+
+
+def _module_state_writes(tree):
+    """Lines where a function writes to a name its module binds by assignment."""
+    module_names = {n.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                    for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    for n in ast.walk(t) if isinstance(n, ast.Name)}
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = [n for stmt in fn.body for n in ast.walk(stmt)]
+        a = fn.args
+        local = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x}
+        local |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        shared = module_names - local
+
+        def is_shared(node):
+            return isinstance(node, ast.Name) and node.id in shared
+
+        for n in nodes:
+            if isinstance(n, ast.Global):
+                out += [(n.lineno, name) for name in n.names]
+            elif isinstance(n, (ast.Subscript, ast.Attribute)) \
+                    and isinstance(n.ctx, (ast.Store, ast.Del)) and is_shared(n.value):
+                out.append((n.lineno, n.value.id))
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) \
+                    and n.func.attr in MUTATING_METHODS and is_shared(n.func.value):
+                out.append((n.lineno, n.func.value.id))
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_state(path):
+    writes = _module_state_writes(_tree(path))
+    assert not writes, f"{path.name}: functions write module-level names at {writes}"
