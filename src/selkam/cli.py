@@ -157,7 +157,10 @@ def _build_lagrangian(cfg, H):
     if cfg.kind == "flowed":
         return lagrangian.from_flow(v, H, cfg.T, steps=max(cfg.steps, 8),
                                     initial_samples=cfg.samples)
-    return lagrangian.load_lagrangian(cfg.lagrangian_file)
+    try:
+        return lagrangian.load_lagrangian(cfg.lagrangian_file)
+    except ValueError as exc:
+        raise ConfigError("lagrangian.file", str(exc)) from exc
 
 
 def _summary(cfg, command, results):
@@ -185,19 +188,26 @@ def _write_summary(cfg, command, results, wall):
 # commands
 
 
+def _refuse_non_tonelli(H):
+    """Results and exit status 1 for an H that fails the Tonelli check, else None."""
+    ton = hamcore.tonelli_check(H)
+    if ton.ok:
+        return None
+    return {"ok": False, "reason": "Hamiltonian failed the Tonelli check",
+            "min_hessian_eig": ton.min_hessian_eig}, 1
+
+
 def _graph_selector(cfg, L):
-    return selector.graph_selector(L, cfg.base_grid,
-                                   snap_radius=cfg.tolerances["snap_radius"],
-                                   snap_tol=cfg.tolerances["snap_tol"])
+    return selector.graph_selector(L, cfg.base_grid, snap_tol=cfg.tolerances["snap_tol"])
 
 
 def _cmd_selector(cfg):
     H = hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
+    refused = _refuse_non_tonelli(H)
+    if refused:
+        return refused
     L = _build_lagrangian(cfg, H)
-    if L.kind == "flowed":
-        sf = _graph_selector(cfg, L)
-    else:
-        sf = selector.selector_from_front(L, cfg.base_grid)
+    sf = _graph_selector(cfg, L)
     rep = selector.verify_selector(sf, L, c_tol=cfg.tolerances["c_tol"])
     selector.dump_selector(sf, cfg.out_dir / "selector.txt")
     with open(cfg.out_dir / "selector.jsonl", "w") as fh:
@@ -214,7 +224,7 @@ def _cmd_selector(cfg):
                "max_graph_distance": rep.max_graph_distance,
                "max_value_mismatch": rep.max_value_mismatch,
                "checked_points": rep.checked_points,
-               "snapped": int(sf.meta.get("snapped", 0)),
+               "snapped": sf.meta["snapped"],
                "ok": bool(rep.ok)}
     return results, 0 if rep.ok else 1
 
@@ -234,10 +244,9 @@ def _cmd_front(cfg):
 
 def _cmd_weakkam(cfg):
     H = hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
-    ton = hamcore.tonelli_check(H)
-    if not ton.ok:
-        return {"ok": False, "reason": "Hamiltonian failed the Tonelli check",
-                "min_hessian_eig": ton.min_hessian_eig}, 1
+    refused = _refuse_non_tonelli(H)
+    if refused:
+        return refused
     sol = weakkam.weak_kam_family(H, grid=cfg.velocity_grid, dt=cfg.dt,
                                   num_tol=cfg.tolerances["num_tol"])
     n = sol.u.size
@@ -307,6 +316,9 @@ def _cmd_oracle(cfg):
 
 def _cmd_verify(cfg, suite):
     H = hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
+    refused = _refuse_non_tonelli(H)
+    if refused:
+        return refused
     checks = {}
 
     def check(name, value):
@@ -330,6 +342,11 @@ def _cmd_verify(cfg, suite):
             if fd.h.size and np.min(np.abs(fd.h - val)) > cfg.tolerances["snap_tol"]:
                 spectra_ok = False
         check("selector.tightness", spectra_ok)
+        # the paper's definition: at unflagged points the kernel minimax is
+        # the envelope, up to the kernel's discretization
+        gap = np.abs(selector.kernel_minimax(Lf, sf.q_grid.size) - sf.values)
+        check("selector.minimax_agrees",
+              np.all(gap[~sf.flags] <= cfg.tolerances["snap_radius"]))
     if suite in ("weakkam", "all"):
         sol = weakkam.weak_kam_family(H, grid=cfg.velocity_grid, dt=cfg.dt,
                                       num_tol=cfg.tolerances["num_tol"])

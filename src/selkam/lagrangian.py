@@ -618,6 +618,13 @@ def save_lagrangian(L, path):
 
 
 def load_lagrangian(path):
+    """Read a file written by ``save_lagrangian``.
+
+    Refuses what lies outside the setting: a dim-1 curve whose winding is
+    not +-1 (an embedded closed curve in the annulus winds 0 or +-1, and
+    one of winding 0 bounds a disc of positive area, so it is not exact),
+    and a dim-2 file whose row count is not a square grid.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "dim" or header[2] != "kind":
@@ -628,6 +635,9 @@ def load_lagrangian(path):
     if dim == 1:
         t, q, p, S = data.T
         lift, winding = unwrap_closed(q)
+        if abs(winding) != 1:
+            raise ValueError(f"curve has winding {winding}; an exact Lagrangian "
+                             "curve in T*T^1 winds +-1")
         return ExactLagrangian(
             dim=1, kind=kind, t=t, q=lift, p=p, S=S, s_offset=0.0,
             winding=winding,
@@ -638,6 +648,8 @@ def load_lagrangian(path):
     P = data[:, 3:5]
     S = data[:, 5]
     side = int(round(np.sqrt(t.size)))
+    if side * side != t.size:
+        raise ValueError(f"{t.size} rows do not form a square grid")
     return ExactLagrangian(
         dim=2, kind=kind, t=t, q=Q, p=P, S=S, s_offset=0.0, winding=0,
         lipschitz_bound=1.0, pmax=float(np.max(np.hypot(P[:, 0], P[:, 1]))),

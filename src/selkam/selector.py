@@ -1,17 +1,23 @@
-"""Graph selector construction via discrete-action minimax.
+"""Graph selectors of exact Lagrangian curves, and the minimax that defines them.
 
-The generating object is a two-point minimal-action kernel K_tau(a, b):
-the least action of Hamiltonian trajectories from base point a to base
-point b in time tau, built by integrating a momentum fan forward (no
-boundary-value solves) and inverting the endpoint map row by row.  Longer
-times compose kernels in the min-plus algebra; the composed kernel plus
+The selector at a base point is the paper's minimax (a spectral invariant)
+of a discrete action.  For a Tonelli H the minimax selector of a flowed
+graph is the Lax-Oleinik viscosity solution, and every minimizer of the
+Lax-Oleinik problem is an unbroken extremal starting on the graph of dv;
+so the selector is the lowest member of each fiber's spectrum, the lower
+envelope of the front.  ``graph_selector`` computes that envelope for every
+curve and records the selected sheet per grid point.
+
+The definition itself stays as the check.  A two-point minimal-action
+kernel K_tau(a, b), the least action of Hamiltonian trajectories from a to
+b in time tau, is built by integrating a momentum fan forward (no
+boundary-value solves) and inverting the endpoint map row by row; longer
+times compose kernels in the min-plus algebra.  The composed kernel plus
 the initial potential is the lattice function whose sublevel-set
-persistence selects the spectral value at every base point.  The selected
-class is the component class surviving to the full (connected) lattice,
-whose birth level realizes the minimax.
-
-Selector values are snapped to the front's spectrum (tightness) and their
-provenance (selected sheet) recorded per grid point.
+persistence selects the spectral value at every base point: the essential
+class, whose birth level realizes the minimax (``spectral_value``, with
+union-find persistence as the reference).  ``kernel_minimax`` reads that
+minimax on the grid, and ``selkam verify`` compares it with the envelope.
 """
 
 from dataclasses import dataclass, field, replace
@@ -36,7 +42,7 @@ __all__ = [
     "build_discrete_action",
     "spectral_value",
     "graph_selector",
-    "selector_from_front",
+    "kernel_minimax",
     "verify_selector",
     "convexify_fiber",
     "generalized_selector",
@@ -45,7 +51,6 @@ __all__ = [
 
 TAU_MAX = 0.25            # single-fan horizon: below the first conjugate time
 SNAP_TOL = 1e-4           # ambiguity scale for coinciding spectrum values
-SNAP_RADIUS = 5e-4        # acceptance radius for snapping minimax to spectrum
 CONV_TOL = 1e-3
 C_TOL = 1e-3
 COLLAR = 2                # grid steps excluded around caustics/Maxwell points
@@ -401,11 +406,10 @@ def _grad_scale(DA):
 class SelectorFunction:
     """Grid-sampled Lipschitz selector with per-point provenance.
 
-    ``provenance[j]`` is the index of the selected spectrum sheet at grid
-    point j (sorted by primitive value), or -1 at a flagged point: with no
-    spectrum value in reach the raw minimax value is kept; where several
-    coincide (a Maxwell or Cerf-irregular point) the lowest is taken, as
-    for Tonelli H the minimax selector is the front's lower envelope.
+    ``provenance[j]`` is the rank, in curve-parameter order, of the sheet
+    selected at grid point j, or -1 at a flagged point: one where the two
+    lowest spectrum members coincide to ``snap_tol`` (a Maxwell or
+    Cerf-irregular point), whose value is still the lowest member.
     """
 
     q_grid: np.ndarray
@@ -429,89 +433,69 @@ def _lipschitz_all_pairs(q_grid, values):
     return float(np.max(df[mask] / dq[mask]))
 
 
-def _snap_values(raw, spectra, snap_radius, snap_tol):
-    """Snap raw minimax values to the nearest spectrum member per point.
+def graph_selector(L, grid_size=512, snap_tol=SNAP_TOL):
+    """Selector of a 1-d exact Lagrangian: the lower envelope of its front.
 
-    Where members within ``snap_radius`` coincide to ``snap_tol`` the point
-    is flagged and takes the lowest of them.
+    The value at each grid point is the lowest member of the fiber spectrum,
+    in the anchored primitive frame; for a Tonelli H this is the minimax
+    selector (``kernel_minimax`` computes the minimax itself), so a flowed L
+    whose H fails ``hamcore.tonelli_check`` is refused.  A point where the
+    second-lowest member lies within ``snap_tol`` is flagged.  An envelope
+    that jumps raises.  The certified Lipschitz constant is the max over all
+    grid pairs in the flat-torus metric.
     """
-    n = raw.size
-    values = raw.copy()
-    provenance = np.full(n, -1, dtype=int)
-    flags = np.zeros(n, dtype=bool)
-    for j in range(n):
-        spec = spectra[j]
-        if spec.size == 0:
-            flags[j] = True
-            continue
-        d = np.abs(spec - raw[j])
-        order = np.argsort(d)
-        best = order[0]
-        if d[best] > snap_radius:
-            flags[j] = True
-            continue
-        if order.size > 1:
-            second = order[1]
-            if d[second] <= snap_radius and abs(spec[second] - spec[best]) <= snap_tol:
-                # sheets coincide here (Maxwell/Cerf-irregular): lowest one
-                flags[j] = True
-                close = (d <= snap_radius) & (np.abs(spec - spec[best]) <= snap_tol)
-                values[j] = spec[close].min()
-                continue
-        values[j] = spec[best]
-        provenance[j] = int(best)
-    return values, provenance, flags
+    if L.dim != 1:
+        raise NotImplementedError("the graph selector is one-dimensional")
+    if "H_source" in L.meta:
+        ton = hamcore.tonelli_check(hamcore.parse_hamiltonian(L.meta["H_source"], 1))
+        if not ton.ok:
+            raise ValueError("the front's lower envelope is the minimax selector only "
+                             "for Tonelli H; min fiber Hessian eigenvalue "
+                             f"{ton.min_hessian_eig:.6g}")
+    q_grid = np.arange(grid_size) / grid_size
+    fibers = fiber_sweep(L, q_grid)
+    if any(len(fd) == 0 for fd in fibers):
+        raise ValueError("front has empty fibers; not a closed front over the torus")
+    values = np.array([fd.h[0] for fd in fibers])
+    jumps = np.abs(np.diff(np.append(values, values[0])))
+    if np.max(jumps) > 3.0 * (L.pmax + 1.0) / grid_size:
+        raise RuntimeError("no continuous section through the computed front")
+    flags = np.array([fd.h.size > 1 and fd.h[1] - fd.h[0] <= snap_tol for fd in fibers])
+    # provenance as geometric sheet identity: rank in curve-parameter order,
+    # which is stable between folds (h-rank is not: the minimum is always 0)
+    provenance = np.array([-1 if flag else int(np.sum(fd.t < fd.t[0]))
+                           for fd, flag in zip(fibers, flags)])
+    return SelectorFunction(
+        q_grid=q_grid, values=values, provenance=provenance,
+        lipschitz_const=_lipschitz_all_pairs(q_grid, values),
+        anchor={"s_offset": L.s_offset, "frame": "anchored primitive (S=0 at t=0)"},
+        flags=flags, meta={"snapped": int(np.sum(~flags))})
 
 
-def graph_selector(L, grid_size=512, snap_radius=SNAP_RADIUS, snap_tol=SNAP_TOL):
-    """Selector for a flowed graph: per-point minimax over the action lattice.
+def kernel_minimax(L, grid_size):
+    """The minimax selector of a flowed graph, read off the action kernel.
 
-    Each grid point's discrete action is a column of the kernel lattice;
-    on that connected 1-d lattice the essential class is born at the
-    minimum, so the minimax is the column minimum (``spectral_value``'s
-    union-find persistence is the reference).  The value, shifted back to
-    the anchored primitive frame, is snapped to the fiber spectrum and the
-    selected sheet recorded.  The certified Lipschitz constant is the max
-    over all grid pairs in the flat-torus metric.
+    Each grid point's discrete action is a column of the kernel lattice
+    v(x) + K_T(x, q); on that connected 1-d lattice the essential class is
+    born at the minimum, so the minimax is the column minimum
+    (``spectral_value``'s union-find persistence is the reference).  Values
+    are shifted to the anchored primitive frame of ``graph_selector``, which
+    this checks.
     """
     if L.kind != "flowed" or "H_source" not in L.meta:
-        raise ValueError("graph selector needs a flow presentation (from_flow output)")
+        raise ValueError("the kernel minimax needs a flow presentation (from_flow output)")
     if grid_size < 256:
-        raise ValueError("selector grid must have at least 256 points per dimension")
-    H = hamcore.parse_hamiltonian(L.meta["H_source"], 1)
+        raise ValueError("kernel grid must have at least 256 points per dimension")
     v = L.meta["v_samples"]
     T = L.meta["T"]
     vf = SpectralFun(v)
-    q_grid = np.arange(grid_size) / grid_size
-
     if T == 0:
-        raw = vf(q_grid)
-    else:
-        n_steps = max(8, int(np.ceil(T / 5e-4)))
-        DA0 = build_discrete_action(H, v, T, n_steps, 0.0, xi_dim=1,
-                                    lattice_size=grid_size)
-        kernel = DA0.kernel
-        GM = vf(kernel.grid)[:, None] + kernel.K     # G columns per target q
-        raw = GM.min(axis=0)
-    f_raw = raw - L.s_offset
-
-    fibers = fiber_sweep(L, q_grid)
-    spectra = [fd.h for fd in fibers]
-    values, provenance, flags = _snap_values(f_raw, spectra, snap_radius, snap_tol)
-    # provenance as geometric sheet identity: rank in curve-parameter order,
-    # which is stable between folds (h-rank is not: the minimum is always 0)
-    for j in range(grid_size):
-        if provenance[j] >= 0:
-            t_order = np.argsort(np.argsort(fibers[j].t))
-            provenance[j] = int(t_order[provenance[j]])
-    lip = _lipschitz_all_pairs(q_grid, values)
-    return SelectorFunction(
-        q_grid=q_grid, values=values, provenance=provenance,
-        lipschitz_const=lip,
-        anchor={"s_offset": L.s_offset, "frame": "anchored primitive (S=0 at t=0)"},
-        flags=flags,
-        meta={"raw": f_raw, "pmax": L.pmax, "T": T, "snapped": int(np.sum(~flags)),
-              "momenta": [fd.p for fd in fibers]})
+        return vf(np.arange(grid_size) / grid_size) - L.s_offset
+    H = hamcore.parse_hamiltonian(L.meta["H_source"], 1)
+    DA = build_discrete_action(H, v, T, max(8, int(np.ceil(T / 5e-4))), 0.0, xi_dim=1,
+                               lattice_size=grid_size)
+    GM = vf(DA.kernel.grid)[:, None] + DA.kernel.K     # G columns per target q
+    return GM.min(axis=0) - L.s_offset
 
 
 # ---------------------------------------------------------------------------
@@ -588,72 +572,6 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
                           lipschitz_const=lip, lipschitz_bound=bound,
                           checked_points=int(np.sum(mask)),
                           excluded_points=int(np.sum(~mask)), ok=ok)
-
-
-# ---------------------------------------------------------------------------
-# front-based assembly
-
-
-def selector_from_front(L, grid_size=512):
-    """Assemble continuous selector candidates from the wavefront.
-
-    The canonical section is the lower envelope of the front (pointwise
-    minimal primitive), which on flowed graphs agrees with the minimax
-    selector.  When the sheet count is constant over the whole torus (no
-    folds) every global sheet is a candidate and all are reported; a
-    discontinuous envelope with no alternative raises.
-    """
-    if L.dim != 1:
-        raise NotImplementedError("front-based assembly is one-dimensional")
-    q_grid = np.arange(grid_size) / grid_size
-    fibers = fiber_sweep(L, q_grid)
-    counts = np.array([len(fd) for fd in fibers])
-    if np.any(counts == 0):
-        raise ValueError("front has empty fibers; not a closed front over the torus")
-
-    env = np.array([fd.h[0] for fd in fibers])
-    candidates = []
-    if np.all(counts == counts[0]) and counts[0] > 1:
-        # fold-free front: every continuity-tracked global sheet is a section
-        k = int(counts[0])
-        tracks_t = np.empty((k, grid_size))
-        tracks_h = np.empty((k, grid_size))
-        order0 = np.argsort(fibers[0].t)
-        tracks_t[:, 0] = fibers[0].t[order0]
-        tracks_h[:, 0] = fibers[0].h[order0]
-        good = True
-        for j in range(1, grid_size):
-            cand = fibers[j].t
-            d = np.abs(cand[None, :] - tracks_t[:, j - 1][:, None])
-            d = np.minimum(d, 1.0 - d)
-            choice = np.argmin(d, axis=1)
-            if len(set(choice.tolist())) != k:
-                good = False
-                break
-            tracks_t[:, j] = cand[choice]
-            tracks_h[:, j] = fibers[j].h[choice]
-        if good:
-            for i in range(k):
-                candidates.append(tracks_h[i])
-    # the envelope is always proposed; validate its continuity
-    lipb = L.pmax + 1.0
-    jumps = np.abs(np.diff(np.append(env, env[0])))
-    if np.max(jumps) > 3.0 * lipb / grid_size:
-        if not candidates:
-            raise RuntimeError("no continuous section through the computed front")
-    else:
-        candidates.insert(0, env)
-
-    chosen = candidates[0]
-    prov = np.array([int(np.argmin(np.abs(fd.h - c))) for fd, c in zip(fibers, chosen)])
-    sf = SelectorFunction(
-        q_grid=q_grid, values=chosen, provenance=prov,
-        lipschitz_const=_lipschitz_all_pairs(q_grid, chosen),
-        anchor={"s_offset": L.s_offset, "frame": "anchored primitive (S=0 at t=0)"},
-        flags=np.zeros(grid_size, dtype=bool),
-        meta={"candidates": candidates, "n_candidates": len(candidates),
-              "pmax": L.pmax, "momenta": [fd.p for fd in fibers]})
-    return sf
 
 
 # ---------------------------------------------------------------------------
@@ -746,19 +664,13 @@ class GeneralizedReport:
 def generalized_selector(seq, grid_size=512):
     """Limit of per-level selectors of an approximating sequence.
 
-    Each level contributes its front-based (or minimax) selector; the
-    sequence must be Cauchy at CONV_TOL.  The limit is verified
-    against the fiberwise convexification of the limit Lagrangian: the
-    selector's differential lies in the fiber hull at differentiability
-    points, and wherever it is extremal the selector value matches the
-    primitive there.
+    Each level contributes its graph selector; the sequence must be Cauchy
+    at CONV_TOL.  The limit is verified against the fiberwise
+    convexification of the limit Lagrangian: the selector's differential
+    lies in the fiber hull at differentiability points, and wherever it is
+    extremal the selector value matches the primitive there.
     """
-    sels = []
-    for entry in seq.entries:
-        if entry.kind == "flowed" and "H_source" in entry.meta:
-            sels.append(graph_selector(entry, grid_size))
-        else:
-            sels.append(selector_from_front(entry, grid_size))
+    sels = [graph_selector(entry, grid_size) for entry in seq.entries]
     sups = np.array([float(np.max(np.abs(sels[i + 1].values - sels[i].values)))
                      for i in range(len(sels) - 1)])
     if sups.size and sups[-1] > CONV_TOL:

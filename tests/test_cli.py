@@ -142,7 +142,8 @@ def test_verify_reads_tolerances_like_the_commands(tmp_path, monkeypatch, suite,
 
 def test_verify_all_builds_one_selector(tmp_path, monkeypatch):
     # max H on the graph of dv is 4.9e-4, inside the sublevel {H <= alpha + 1e-3},
-    # so the dynamics suite runs its pipeline on the selector suite's selector
+    # so the dynamics suite runs its pipeline on the selector suite's selector;
+    # the one kernel is the selector suite's minimax check
     calls = {"graph_selector": 0, "_build_kernel": 0}
     for name in calls:
         inner = getattr(selector, name)
@@ -157,6 +158,60 @@ def test_verify_all_builds_one_selector(tmp_path, monkeypatch):
     summary, _ = run("verify", load_config(p, out_dir=tmp_path / "v"), suite="all")
     assert summary["results"]["checks"]["dynamics.energy_pipeline"]
     assert calls == {"graph_selector": 1, "_build_kernel": 1}
+
+
+def _count_kernel_builds(monkeypatch):
+    calls = []
+    inner = selector._build_kernel
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(selector, "_build_kernel", spy)
+    return calls
+
+
+def test_selector_builds_no_kernel(fast_cfg, tmp_path, monkeypatch):
+    # the selector is the front's lower envelope; the kernel is only a check
+    calls = _count_kernel_builds(monkeypatch)
+    summary, status = run("selector", load_config(fast_cfg, out_dir=tmp_path / "s"))
+    assert status == 0 and summary["results"]["ok"]
+    assert calls == []
+
+
+def test_verify_selector_checks_the_minimax(fast_cfg, tmp_path, monkeypatch):
+    calls = _count_kernel_builds(monkeypatch)
+    summary, status = run("verify", load_config(fast_cfg, out_dir=tmp_path / "v"),
+                          suite="selector")
+    assert summary["results"]["checks"]["selector.minimax_agrees"] is True
+    assert status == 0 and len(calls) == 1
+
+
+def test_selector_refuses_non_tonelli(tmp_path):
+    p = tmp_path / "concave.cfg"
+    p.write_text(FAST_CFG.replace("expr = p^2/2", "expr = -p^2/2 + cos(2*pi*q)"))
+    out = tmp_path / "o"
+    assert main(["selector", "--config", str(p), "--out", str(out)]) == 1
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert results["ok"] is False and "Tonelli" in results["reason"]
+    assert results["min_hessian_eig"] < 0
+    assert not (out / "selector.txt").exists()
+
+
+def test_lagrangian_file_outside_the_setting_is_a_config_error(tmp_path):
+    # a contractible loop (winding 0) bounds area, so it is not exact
+    t = np.arange(64) / 64
+    rows = np.column_stack([t, 0.5 + 0.1 * np.cos(2 * np.pi * t),
+                            0.1 * np.sin(2 * np.pi * t), np.zeros(64)])
+    curve = tmp_path / "loop.dat"
+    np.savetxt(curve, rows, header="dim 1 kind parametric", comments="")
+    p = tmp_path / "loop.cfg"
+    p.write_text(FAST_CFG.replace("kind = flowed", f"kind = parametric\nfile = {curve}"))
+    with pytest.raises(ConfigError) as exc:
+        run("selector", load_config(p, out_dir=tmp_path / "o"))
+    assert exc.value.fieldpath == "lagrangian.file" and "winding 0" in str(exc.value)
+    assert main(["selector", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_summary_has_versions_and_hash(fast_cfg, tmp_path):

@@ -200,6 +200,24 @@ def test_save_load_roundtrip(tmp_path, whorl_mid):
     assert np.max(np.abs(L2.S - whorl_mid.S)) <= 1e-12
 
 
+def test_load_rejects_winding_other_than_one(tmp_path):
+    # a contractible loop: winding 0
+    t = np.arange(64) / 64
+    rows = np.column_stack([t, 0.5 + 0.1 * np.cos(2 * np.pi * t),
+                            0.1 * np.sin(2 * np.pi * t), np.zeros(64)])
+    path = tmp_path / "loop.dat"
+    np.savetxt(path, rows, header="dim 1 kind parametric", comments="")
+    with pytest.raises(ValueError, match="winding 0"):
+        load_lagrangian(path)
+
+
+def test_load_rejects_non_square_dim2_file(tmp_path):
+    path = tmp_path / "rows.dat"
+    np.savetxt(path, np.zeros((10, 6)), header="dim 2 kind graph", comments="")
+    with pytest.raises(ValueError, match="10 rows"):
+        load_lagrangian(path)
+
+
 def test_dim2_graph_exactness():
     g = np.arange(128) / 128
     v = 0.02 * np.outer(np.sin(2 * np.pi * g), np.cos(2 * np.pi * g))

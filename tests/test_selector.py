@@ -1,17 +1,19 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from selkam import selector
-from selkam.front import fiber_sweep, sheet_decomposition
+from selkam.front import FiberData, fiber_sweep, sheet_decomposition
+from selkam.hamcore import parse_hamiltonian
 from selkam.lagrangian import SpectralFun, from_flow, from_graph, mollify_sequence
 from selkam.persistence import connectivity_oracle, sublevel_persistence
 from selkam.selector import (ActionKernel, DiscreteAction, _argmin_on_edge,
-                             _snap_values, build_discrete_action,
-                             convexify_fiber, generalized_selector,
-                             graph_selector, selector_from_front,
-                             spectral_value, verify_selector, dump_selector)
+                             build_discrete_action, convexify_fiber,
+                             generalized_selector, graph_selector,
+                             kernel_minimax, spectral_value, verify_selector,
+                             dump_selector)
 
 GRID = np.arange(256) / 256
 
@@ -94,27 +96,40 @@ def test_spectral_value_independent_of_breakpoint_count(pendulum_actions):
 
 
 def test_graph_selector_column_minimum_is_persistence(pendulum, rand_v):
-    # the column minimum equals the union-find essential birth, bit for bit
+    # the kernel's column minimum equals the union-find essential birth, bit
+    # for bit
     L = from_flow(rand_v, pendulum, 0.5, steps=500)
-    sf = graph_selector(L, 256)
     DA = build_discrete_action(pendulum, rand_v, 0.5, 1000, 0.0, xi_dim=1,
                                lattice_size=256)
     GM = SpectralFun(rand_v)(DA.kernel.grid)[:, None] + DA.kernel.K
     births = np.array([sublevel_persistence(GM[:, j]).selected
                        for j in range(GM.shape[1])])
-    assert np.array_equal(sf.meta["raw"], births - L.s_offset)
+    assert np.array_equal(kernel_minimax(L, 256), births - L.s_offset)
 
 
-def test_snap_values_ambiguous_point_takes_lowest_sheet():
-    # two sheets 2e-8 apart near the raw value: flagged, lowest sheet taken
-    raw = np.array([-1.9110175, 0.30002])
-    spectra = [np.array([-1.91104035, -1.91104037, 0.5]),
-               np.array([0.1, 0.3])]
-    values, provenance, flags = _snap_values(raw, spectra, 5e-4, 1e-4)
-    assert values[0] == -1.91104037
-    assert flags.tolist() == [True, False]
-    assert provenance.tolist() == [-1, 1]
-    assert values[1] == 0.3
+def test_snap_values_ambiguous_point_takes_lowest_sheet(monkeypatch):
+    # point 0: the two lowest sheets 2e-8 apart, flagged, the lowest taken;
+    # point 1: well separated, the lowest taken, provenance its t-rank
+    spectra = [np.array([-1.91104037, -1.91104035, 0.5]), np.array([0.1, 0.3])]
+    params = [np.array([0.7, 0.2, 0.4]), np.array([0.9, 0.3])]
+    fibers = [FiberData(q=j / 2, t=t, p=np.zeros(t.size), h=h, transverse=True,
+                        cerf_regular=True, multiplicity_stable=True,
+                        uncertainty=np.zeros(t.size))
+              for j, (t, h) in enumerate(zip(params, spectra))]
+    monkeypatch.setattr(selector, "fiber_sweep", lambda L, q: fibers)
+    curve = SimpleNamespace(dim=1, meta={}, pmax=1.0, s_offset=0.0)
+    sf = graph_selector(curve, 2, snap_tol=1e-4)
+    assert sf.values.tolist() == [-1.91104037, 0.1]
+    assert sf.flags.tolist() == [True, False]
+    assert sf.provenance.tolist() == [-1, 1]
+
+
+def test_graph_selector_refuses_non_tonelli():
+    # the envelope is the minimax selector only for Tonelli H
+    H = parse_hamiltonian("-p^2/2 + cos(2*pi*q)", 1)
+    L = from_flow(0.1 * np.sin(2 * np.pi * GRID), H, 0.0, steps=1)
+    with pytest.raises(ValueError, match="Tonelli"):
+        graph_selector(L, 256)
 
 
 def test_spectral_refinement_validation(pendulum, rand_v):
@@ -226,16 +241,17 @@ def test_verify_selector_flags_corruption(whorl, whorl_selector):
 def test_selector_from_front_graph():
     v = 0.1 * np.sin(2 * np.pi * GRID)
     L = from_graph(v)
-    sf = selector_from_front(L, 512)
+    sf = graph_selector(L, 512)
     vf = SpectralFun(v)
     expected = vf(sf.q_grid) - vf(np.array([0.0]))[0]
     assert np.max(np.abs(sf.values - expected)) <= 1e-6
 
 
 def test_selector_from_front_matches_minimax(whorl, whorl_selector):
+    # the envelope is the kernel minimax wherever one sheet is lowest
     sf = whorl_selector
-    sff = selector_from_front(whorl, 512)
-    assert np.max(np.abs(sf.values - sff.values)) <= 1e-4
+    gap = np.abs(kernel_minimax(whorl, 512) - sf.values)
+    assert np.max(gap[~sf.flags]) <= 1e-4
 
 
 def test_convexify_fiber_interval():
