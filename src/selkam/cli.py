@@ -315,6 +315,10 @@ def _cmd_oracle(cfg):
 
 
 def _cmd_verify(cfg, suite):
+    if suite in ("selector", "all") and cfg.base_grid < selector.KERNEL_MIN_GRID:
+        raise ConfigError("grids.base", "the selector suite checks the kernel minimax, "
+                          f"which needs at least {selector.KERNEL_MIN_GRID} points, "
+                          f"got {cfg.base_grid}")
     H = hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
     refused = _refuse_non_tonelli(H)
     if refused:

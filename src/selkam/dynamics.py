@@ -6,6 +6,12 @@ backward and discarded on first exit from a tube around the seed locus.
 Horizon doubling certifies stabilization (the true object is an
 infinite-time intersection, so estimates are outer approximations and the
 reports carry the horizon).
+
+The trimming stops early at its fixed state, when every live seed is
+frozen at an equilibrium in both time directions.  The stop is exact:
+`alive` and `frozen` only ever change one way and a frozen state is
+restored on every chunk, so no later chunk can move a live state, its
+tube or recurrence distance, or `alive` itself.
 """
 
 from dataclasses import dataclass, field
@@ -93,6 +99,12 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
     orbit wanders further than the tube from its own starting point: it
     localizes the non-wandering core, removing shadowing arcs that the
     energy-band seeding cannot distinguish from true invariant points.
+
+    The loop leaves as soon as every live seed is frozen in both
+    directions (no seed alive is the empty case); the survivors, the
+    convergence flag and the reported horizon are those of the full run.
+    ``meta`` records ``steps_run``, the steps taken in each direction, and
+    ``stationary``, whether the loop ended at that fixed state.
     """
     points, dim = _as_points(L)
     vals = H.value(*_split(points, dim))
@@ -143,6 +155,7 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
     alive = np.ones(seeds.shape[0], dtype=bool)
     vanish_tol = 1e-5
     survivors_first = None
+    stationary = False
     done = 0
     while done < total:
         chunk = min(CHECK_EVERY, total - done)
@@ -178,7 +191,10 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
         done += chunk
         if done >= n_steps and survivors_first is None:
             survivors_first = seeds[alive].copy()
-        if not np.any(alive):
+        # fixed state: every live seed is frozen both ways, so no later
+        # chunk can move a state, a distance or `alive` (empty case included)
+        if np.all(frozen[+1.0][alive] & frozen[-1.0][alive]):
+            stationary = True
             if survivors_first is None:
                 survivors_first = seeds[alive].copy()
             break
@@ -196,7 +212,8 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
                                tube_radius=float(tube_radius),
                                converged=converged, n_seeds=int(seeds.shape[0]),
                                energy=float(a),
-                               meta={"e_tol": float(e_tol), "dt": dt})
+                               meta={"e_tol": float(e_tol), "dt": dt,
+                                     "steps_run": done, "stationary": stationary})
     # containment in L cap {|H - a| <= e_tol} holds by construction; check it
     if survivors.size:
         worst = float(np.max(np.abs(H.value(*_split(survivors, dim)) - a)))

@@ -58,6 +58,7 @@ LIP_MARGIN = 1e-2         # allowance of the Lipschitz check over max |p|
 DIST_TOL = 1e-3
 EDGE_FRACTION = 0.97      # momentum-fan edge flag threshold
 LARGE = 1e30
+KERNEL_MIN_GRID = 256     # fewest kernel grid points per dimension
 
 
 class SpectralStabilityError(RuntimeError):
@@ -331,7 +332,7 @@ def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,
         p_bound = max(3.0, pv + swing + 1.5, 0.8 / (tau / max(1, int(np.ceil(tau / TAU_MAX)))))
         # half-integer steps: potentials that differ by rounding get the same fan
         p_bound = 0.5 * np.ceil(2.0 * p_bound)
-    kernel_grid = max(n, 256) if xi_dim == 1 else 256
+    kernel_grid = max(n, KERNEL_MIN_GRID) if xi_dim == 1 else KERNEL_MIN_GRID
     kernel, m = _build_kernel(H, tau, kernel_grid, p_bound, -(-N_steps // xi_dim))
     return DiscreteAction(q=float(q), H=H, v_fun=vf, T=float(T),
                           N_steps=N_steps, xi_dim=xi_dim,
@@ -484,8 +485,9 @@ def kernel_minimax(L, grid_size):
     """
     if L.kind != "flowed" or "H_source" not in L.meta:
         raise ValueError("the kernel minimax needs a flow presentation (from_flow output)")
-    if grid_size < 256:
-        raise ValueError("kernel grid must have at least 256 points per dimension")
+    if grid_size < KERNEL_MIN_GRID:
+        raise ValueError(f"kernel grid must have at least {KERNEL_MIN_GRID} points "
+                         "per dimension")
     v = L.meta["v_samples"]
     T = L.meta["T"]
     vf = SpectralFun(v)

@@ -15,6 +15,7 @@ finite run samples finitely many subsolutions, which every report notes).
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .torus import wrap
 
@@ -102,15 +103,27 @@ def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     tab = table
     if tab is None:
         tab = LegendreTable(H, shifts * h / dt, q)
-    stack = np.empty((shifts.size, n))
     if direction == "descending":
         # u(q - k h) + dt*l(k h / dt, q)
-        for i, k in enumerate(shifts):
-            stack[i] = np.roll(u, k) + dt * tab.table[i]
+        stack = _shifted(u, shifts, 0)
+        stack += dt * tab.table
         return np.min(stack, axis=0)
-    for i, k in enumerate(shifts):
-        stack[i] = np.roll(u, -k) - dt * tab.table[i]
+    stack = _shifted(u, -shifts, 0)
+    stack -= dt * tab.table
     return np.max(stack, axis=0)
+
+
+def _shifted(u, shifts, axis):
+    """Stack whose row i is ``np.roll(u, shifts[i], axis)``, for |shifts| <= n.
+
+    One gather from the windows of u tiled three times along the axis: the
+    window starting at n - k is the roll by k.  Fancy indexing copies only
+    the selected windows (``np.take`` would copy the whole view).
+    """
+    n = u.shape[axis]
+    windows = sliding_window_view(np.concatenate([u, u, u], axis=axis), n, axis=axis)
+    windows = np.moveaxis(np.moveaxis(windows, axis, 0), -1, axis + 1)
+    return windows[n - np.asarray(shifts)]
 
 
 def _lo_step_mechanical(u, H, dt, direction, v_max):
@@ -122,9 +135,8 @@ def _lo_step_mechanical(u, H, dt, direction, v_max):
         K = min(int(np.ceil(v_max * dt / h)), n // 2)
         shifts = np.arange(-K, K + 1)
         quad = (shifts * h) ** 2 / (2 * dt)
-        stack = np.empty((shifts.size,) + u.shape)
-        for i, k in enumerate(shifts):
-            stack[i] = np.roll(out, k, axis=axis) + sign * quad[i]
+        stack = _shifted(out, shifts, axis)
+        stack += (sign * quad).reshape((-1,) + (1,) * u.ndim)
         out = np.min(stack, axis=0) if direction == "descending" else np.max(stack, axis=0)
     grids = np.meshgrid(*(np.arange(n) / n for n in u.shape), indexing="ij")
     Vg = H.potential(grids[0] if u.ndim == 1 else np.stack(grids, axis=-1))

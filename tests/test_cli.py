@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from selkam import selector, weakkam
+from selkam import hamcore, selector, weakkam
 from selkam.cli import ConfigError, load_config, main, run
 
 FAST_CFG = """[hamiltonian]
@@ -158,6 +158,25 @@ def test_verify_all_builds_one_selector(tmp_path, monkeypatch):
     summary, _ = run("verify", load_config(p, out_dir=tmp_path / "v"), suite="all")
     assert summary["results"]["checks"]["dynamics.energy_pipeline"]
     assert calls == {"graph_selector": 1, "_build_kernel": 1}
+
+
+@pytest.mark.parametrize("suite", ["selector", "all"])
+def test_verify_selector_suite_refuses_a_coarse_base_grid(tmp_path, monkeypatch, suite):
+    # the loader takes any power of two >= 64; the kernel minimax needs 256
+    p = tmp_path / "coarse.cfg"
+    p.write_text(FAST_CFG.replace("base = 256", "base = 128"))
+    cfg = load_config(p, out_dir=tmp_path / "v")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify did work before refusing the config")
+
+    monkeypatch.setattr(hamcore, "parse_hamiltonian", no_work)
+    with pytest.raises(ConfigError) as exc:
+        run("verify", cfg, suite=suite)
+    assert exc.value.fieldpath == "grids.base" and "128" in str(exc.value)
+    monkeypatch.undo()
+    assert main(["verify", "--config", str(p), "--out", str(tmp_path / "v"),
+                 "--suite", suite]) == 2
 
 
 def _count_kernel_builds(monkeypatch):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from selkam.dynamics import (energy_level_check, equivariance_check,
-                             graph_test, maximal_invariant_set,
+from selkam import hamcore
+from selkam.dynamics import (CHECK_EVERY, TRIM_DT, energy_level_check,
+                             equivariance_check, graph_test, maximal_invariant_set,
                              verify_theorem_1_5, verify_theorem_6_3,
                              dump_invariant_set)
 from selkam.lagrangian import from_graph, mollify_sequence
@@ -24,6 +25,58 @@ def test_zero_section_pendulum_level_one(pendulum):
     est = maximal_invariant_set(L, pendulum, 1.0, horizon=50.0)
     assert len(est) == 1
     assert np.allclose(est.samples[0], [0.0, 0.0])
+
+
+def _count_integrate_calls(monkeypatch):
+    calls = []
+    inner = hamcore.integrate
+
+    def spy(*args, **kwargs):
+        calls.append(args[4])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hamcore, "integrate", spy)
+    return calls
+
+
+def _full_run_calls(horizon):
+    """integrate calls of a doubled-horizon trimming that never stops early."""
+    total = 2 * int(np.ceil(horizon / TRIM_DT))
+    return 2 * -(-total // CHECK_EVERY)
+
+
+def test_trimming_stops_once_every_live_seed_is_at_rest(pendulum, monkeypatch):
+    # the only survivor is the hyperbolic equilibrium (0, 0), frozen both ways
+    calls = _count_integrate_calls(monkeypatch)
+    est = maximal_invariant_set(from_graph(np.zeros(512)), pendulum, 1.0, horizon=50.0)
+    assert est.meta["stationary"]
+    assert len(calls) == 2 * est.meta["steps_run"] // CHECK_EVERY
+    assert len(calls) * 100 <= _full_run_calls(50.0)
+    # the stop came inside the first horizon: the doubled run's report stands
+    assert est.converged and est.horizon == 100.0 and len(est) == 1
+
+
+def test_trimming_stop_waits_for_both_directions(pendulum):
+    # a seed on the stable branch of the equilibrium (0, 0) freezes forward
+    # within ~130 steps but leaves the tube backward only at ~220 steps
+    d = 1e-5
+    pts = np.array([[0.0, 0.0], [d, -np.sqrt(2.0 * (1.0 - np.cos(2 * np.pi * d)))]])
+    est = maximal_invariant_set(pts, pendulum, 1.0, horizon=5.0)
+    assert est.samples.tolist() == [[0.0, 0.0]]
+    assert est.meta["stationary"] and est.converged
+
+
+def test_trimming_runs_to_the_horizon_while_seeds_move(free, monkeypatch):
+    # (q, 0.5) under the free H is one invariant circle swept at speed 0.5:
+    # every seed stays in the tube and none ever freezes
+    q = np.arange(256) / 256
+    calls = _count_integrate_calls(monkeypatch)
+    est = maximal_invariant_set(np.column_stack([q, np.full(256, 0.5)]), free, 0.125,
+                                horizon=2.0)
+    assert len(calls) == _full_run_calls(2.0)
+    assert sum(calls) == 2 * est.meta["steps_run"] == 2 * 2 * int(np.ceil(2.0 / TRIM_DT))
+    assert not est.meta["stationary"]
+    assert len(est) == 256 and est.converged
 
 
 def test_empty_level_raises(pendulum):

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selkam.hamcore import parse_hamiltonian
-from selkam.weakkam import (critical_subsolution, critical_value,
-                            critical_value_infmax, lax_oleinik_step,
-                            subsolution_check, weak_kam_family)
+from selkam.weakkam import (LegendreTable, _shifted, critical_subsolution,
+                            critical_value, critical_value_infmax,
+                            lax_oleinik_step, subsolution_check, weak_kam_family)
+
+PENDULUM = parse_hamiltonian("p^2/2 + cos(2*pi*q)", 1)
+NONMECH = parse_hamiltonian("p^2/2 + 0.3*sin(2*pi*q)*p + 0.5*cos(2*pi*q)", 1)
+MECH2 = parse_hamiltonian("(p1^2 + p2^2)/2 + 0.3*cos(2*pi*q1) + 0.2*cos(2*pi*q2)", 2)
 
 
 def test_free_step_fixes_constants(free):
@@ -23,6 +28,56 @@ def test_step_monotone_nonexpansive_constants(free, pendulum):
         assert np.max(np.abs(sa - sb)) <= np.max(np.abs(a - b)) + 1e-12
         sc = lax_oleinik_step(a + 0.7, H, 0.1)
         assert np.max(np.abs(sc - (sa + 0.7))) <= 1e-12        # exact shift
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(1,), (2,), (7,), (16,), (3, 5), (8, 6), (6, 1)]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_shift_gather_is_a_stack_of_rolls(shape, seed, data):
+    u = np.random.default_rng(seed).normal(size=shape)
+    for axis, n in enumerate(shape):
+        k = n // 2
+        shifts = data.draw(st.lists(st.integers(-k, k), min_size=1, max_size=2 * k + 3))
+        want = np.stack([np.roll(u, s, axis) for s in shifts])
+        assert _shifted(u, shifts, axis).tobytes() == want.tobytes()
+
+
+def _rolled_step(u, H, dt, direction, v_max):
+    """The Lax-Oleinik step written with one np.roll per shift."""
+    if not H.is_mechanical:
+        n = u.size
+        h = 1.0 / n
+        K = min(int(np.ceil(v_max * dt / h)), n // 2)
+        shifts = np.arange(-K, K + 1)
+        tab = LegendreTable(H, shifts * h / dt, np.arange(n) / n).table
+        if direction == "descending":
+            return np.min([np.roll(u, k) + dt * tab[i] for i, k in enumerate(shifts)], axis=0)
+        return np.max([np.roll(u, -k) - dt * tab[i] for i, k in enumerate(shifts)], axis=0)
+    sign = 1.0 if direction == "descending" else -1.0
+    pick = np.min if direction == "descending" else np.max
+    out = u.copy()
+    for axis, n in enumerate(u.shape):
+        h = 1.0 / n
+        K = min(int(np.ceil(v_max * dt / h)), n // 2)
+        shifts = np.arange(-K, K + 1)
+        quad = (shifts * h) ** 2 / (2 * dt)
+        out = pick([np.roll(out, k, axis) + sign * quad[i] for i, k in enumerate(shifts)],
+                   axis=0)
+    grids = np.meshgrid(*(np.arange(n) / n for n in u.shape), indexing="ij")
+    return out - sign * dt * H.potential(grids[0] if u.ndim == 1 else np.stack(grids, -1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["pendulum", "nonmech", "mech2"]),
+       st.sampled_from([16, 64, 128]), st.sampled_from([0.01, 0.1, 0.5]),
+       st.sampled_from(["descending", "ascending"]), st.integers(0, 2 ** 32 - 1))
+def test_step_equals_the_rolled_reference(name, n, dt, direction, seed):
+    H = {"pendulum": PENDULUM, "nonmech": NONMECH, "mech2": MECH2}[name]
+    shape = (n,) if H.dim == 1 else (n // 4, n // 8)
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=shape)
+    v_max = 2.5
+    got = lax_oleinik_step(u, H, dt, direction=direction, v_max=v_max)
+    assert got.tobytes() == _rolled_step(u, H, dt, direction, v_max).tobytes()
 
 
 def test_step_rejects_bad_dt(free):
