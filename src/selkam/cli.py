@@ -139,6 +139,9 @@ def load_config(path, out_dir=None, seed=None):
         hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
     except hamcore.ExpressionError as exc:
         raise ConfigError("hamiltonian.expr", str(exc)) from exc
+    if dim == 2:
+        raise ConfigError("hamiltonian.dim", "the commands work over T^1; "
+                          "T^2 is available from the library only")
     return cfg
 
 
@@ -341,8 +344,7 @@ def _cmd_verify(cfg, suite):
         check("selector.graph_distance", rep.max_graph_distance <= cfg.tolerances["c_tol"])
         check("selector.value_match", rep.max_value_mismatch <= cfg.tolerances["c_tol"])
         spectra_ok = True
-        fibers = front.fiber_sweep(Lf, sf.q_grid)
-        for fd, val in zip(fibers, sf.values):
+        for fd, val in zip(sf.fibers, sf.values):
             if fd.h.size and np.min(np.abs(fd.h - val)) > cfg.tolerances["snap_tol"]:
                 spectra_ok = False
         check("selector.tightness", spectra_ok)
@@ -365,7 +367,9 @@ def _cmd_verify(cfg, suite):
             any(np.allclose(a, m, atol=2.0 / cfg.velocity_grid) for m in sol.mane_pts)
             for a in sol.aubry_pts) if sol.aubry_pts.size else True)
     if suite in ("dynamics", "all"):
-        a = weakkam.critical_value(H, grid=cfg.velocity_grid, dt=cfg.dt).alpha
+        # the weakkam suite's alpha is this same descending critical value
+        a = sol.alpha if suite == "all" else \
+            weakkam.critical_value(H, grid=cfg.velocity_grid, dt=cfg.dt).alpha
         try:
             if L.kind == "flowed" and "H_source" in L.meta:
                 # a smooth flowed L: its graph selector (the selector suite's,

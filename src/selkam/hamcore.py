@@ -393,14 +393,14 @@ class HamiltonianSpec:
         """Jacobian of the Hamiltonian vector field (dq/dt, dp/dt)."""
         args, shape = self._split(q, p)
         n = self.dim
-        blk = lambda tbl, i, j: np.broadcast_to(tbl[i][j](*args), shape)
+        qp, pp, qq = (self._impl[k] for k in ("d2Hdqdp", "d2Hdp2", "d2Hdq2"))
         J = np.zeros(shape + (2 * n, 2 * n))
         for i in range(n):
             for j in range(n):
-                J[..., i, j] = blk(self._impl["d2Hdqdp"], j, i)       # d(H_p)/dq
-                J[..., i, n + j] = blk(self._impl["d2Hdp2"], i, j)
-                J[..., n + i, j] = -blk(self._impl["d2Hdq2"], i, j)
-                J[..., n + i, n + j] = -blk(self._impl["d2Hdqdp"], i, j)
+                J[..., i, j] = qp[j][i](*args)       # d(H_p)/dq
+                J[..., i, n + j] = pp[i][j](*args)
+                J[..., n + i, j] = -qq[i][j](*args)
+                J[..., n + i, n + j] = -qp[i][j](*args)
         return J
 
     def _base_args(self, q):
@@ -622,33 +622,23 @@ def _implicit_midpoint(spec, Q, P, dt, nsteps, accumulate_action=False):
         g_prev = integrand(wrap(Q), P)
     eye = np.eye(2 * n)
     for _ in range(nsteps):
-        # Newton on z' = z + dt * X_H((z + z')/2)
-        Qn = Q + dt * spec.grad_p(wrap(Q), P)
-        Pn = P - dt * spec.grad_q(wrap(Q), P)
+        # Newton on z' = z + dt * X_H((z + z')/2), on (Q, P) rows of 2n unknowns
+        Qw = wrap(Q)
+        Qn = Q + dt * spec.grad_p(Qw, P)
+        Pn = P - dt * spec.grad_q(Qw, P)
         converged = False
         for _ in range(MIDPOINT_MAX_ITERS):
-            Qm, Pm = 0.5 * (Q + Qn), 0.5 * (P + Pn)
-            FQ = Qn - Q - dt * spec.grad_p(wrap(Qm), Pm)
-            FP = Pn - P + dt * spec.grad_q(wrap(Qm), Pm)
-            res = np.max(np.abs(np.concatenate([np.atleast_1d(FQ).ravel(),
-                                                np.atleast_1d(FP).ravel()])))
-            if res < MIDPOINT_TOL:
+            Qm, Pm = wrap(0.5 * (Q + Qn)), 0.5 * (P + Pn)
+            FQ = Qn - Q - dt * spec.grad_p(Qm, Pm)
+            FP = Pn - P + dt * spec.grad_q(Qm, Pm)
+            if np.maximum(np.max(np.abs(FQ)), np.max(np.abs(FP))) < MIDPOINT_TOL:
                 converged = True
                 break
-            J = spec._xh_jacobian(wrap(Qm), Pm)
-            A = eye - 0.5 * dt * J
-            if n == 1:
-                F = np.stack([np.atleast_1d(FQ), np.atleast_1d(FP)], axis=-1)
-                delta = np.linalg.solve(np.broadcast_to(A, F.shape[:-1] + (2, 2)).reshape(-1, 2, 2),
-                                        F.reshape(-1, 2, 1)).reshape(F.shape)
-                Qn = Qn - delta[..., 0].reshape(np.shape(Qn))
-                Pn = Pn - delta[..., 1].reshape(np.shape(Pn))
-            else:
-                F = np.concatenate([np.atleast_2d(FQ), np.atleast_2d(FP)], axis=-1)
-                delta = np.linalg.solve(A.reshape(-1, 2 * n, 2 * n),
-                                        F.reshape(-1, 2 * n, 1)).reshape(F.shape)
-                Qn = Qn - delta[..., :n].reshape(np.shape(Qn))
-                Pn = Pn - delta[..., n:].reshape(np.shape(Pn))
+            A = eye - 0.5 * dt * spec._xh_jacobian(Qm, Pm)
+            F = np.concatenate([FQ.reshape(-1, n), FP.reshape(-1, n)], axis=1)
+            delta = np.linalg.solve(A.reshape(-1, 2 * n, 2 * n), F[..., None])[..., 0]
+            Qn = Qn - delta[:, :n].reshape(Qn.shape)
+            Pn = Pn - delta[:, n:].reshape(Pn.shape)
         if not converged:
             raise IntegratorError(
                 f"implicit midpoint failed to reach {MIDPOINT_TOL} in {MIDPOINT_MAX_ITERS} iterations")

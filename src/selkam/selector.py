@@ -411,6 +411,7 @@ class SelectorFunction:
     selected at grid point j, or -1 at a flagged point: one where the two
     lowest spectrum members coincide to ``snap_tol`` (a Maxwell or
     Cerf-irregular point), whose value is still the lowest member.
+    ``fibers`` is the front's ``fiber_sweep`` over ``q_grid``.
     """
 
     q_grid: np.ndarray
@@ -419,6 +420,7 @@ class SelectorFunction:
     lipschitz_const: float
     anchor: dict
     flags: np.ndarray
+    fibers: list = field(repr=False)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -470,7 +472,7 @@ def graph_selector(L, grid_size=512, snap_tol=SNAP_TOL):
         q_grid=q_grid, values=values, provenance=provenance,
         lipschitz_const=_lipschitz_all_pairs(q_grid, values),
         anchor={"s_offset": L.s_offset, "frame": "anchored primitive (S=0 at t=0)"},
-        flags=flags, meta={"snapped": int(np.sum(~flags))})
+        flags=flags, fibers=fibers, meta={"snapped": int(np.sum(~flags))})
 
 
 def kernel_minimax(L, grid_size):
@@ -521,6 +523,7 @@ class SelectorReport:
 def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
     """Check the defining selector properties on the grid.
 
+    ``f`` must be L's selector: its ``fibers`` are read as L's fibers.
     At grid points outside collars around caustics, provenance changes and
     flagged points: (q, df(q)) must lie on L (fiber-vertical distance) and
     f(q) must equal the primitive at that point; the global Lipschitz
@@ -552,7 +555,7 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
             mask[(j + k) % n] = False
     mask &= ~f.flags
 
-    fibers = fiber_sweep(L, q[mask])
+    fibers = [fd for fd, keep in zip(f.fibers, mask) if keep]
     gd = []
     vm = []
     for fd, dfj, fj in zip(fibers, df[mask], vals[mask]):

@@ -21,7 +21,7 @@ from .torus import wrap
 
 __all__ = [
     "WeakKamSolution",
-    "LegendreTable",
+    "legendre_table",
     "lax_oleinik_step",
     "critical_value",
     "critical_value_infmax",
@@ -31,44 +31,33 @@ __all__ = [
 ]
 
 FP_TOL = 1e-10
+LO_MAX_ITERS = 4000       # Lax-Oleinik steps critical_value allows to reach FP_TOL
 NUM_TOL = 1e-3
 
 
-class LegendreTable:
-    """Cached fiberwise Legendre transform l(v, q) on a velocity grid.
+def legendre_table(H, velocities, q_grid):
+    """Fiberwise Legendre transform l(v, q) tabulated on velocities x q_grid.
 
-    Mechanical Hamiltonians use the closed form |v|^2/2 - V(q); otherwise
-    the supremum over p is solved by a safeguarded Newton iteration per
-    (velocity, base) pair and tabulated.
+    The supremum over p is found by a safeguarded Newton iteration on
+    H_p(q, p) = v, one per (velocity, base) pair, broadcast over the
+    velocity column and the base row.
     """
-
-    def __init__(self, H, velocities, q_grid):
-        self.H = H
-        self.velocities = np.asarray(velocities, dtype=float)
-        self.q_grid = np.asarray(q_grid, dtype=float)
-        if H.is_mechanical:
-            V = H.potential(self.q_grid)
-            self.table = 0.5 * self.velocities[:, None] ** 2 - V[None, :]
-        else:
-            self.table = self._solve_table()
-
-    def _solve_table(self):
-        V, Q = np.meshgrid(self.velocities, self.q_grid, indexing="ij")
-        P = V.copy()      # mechanical-like initial guess
-        for _ in range(80):
-            g = self.H.grad_p(Q, P) - V
-            hpp = np.maximum(self.H.hess_pp(Q, P)[..., 0, 0], 1e-9)
-            step = g / hpp
-            P = P - np.clip(step, -1.0, 1.0)
-            if np.max(np.abs(g)) < 1e-12:
-                break
-        else:
-            resid = float(np.max(np.abs(self.H.grad_p(Q, P) - V)))
-            if resid > 1e-8:
-                raise RuntimeError(
-                    f"Legendre transform did not converge (residual {resid:.2e}); "
-                    "is the Hamiltonian fiberwise convex?")
-        return P * V - self.H.value(Q, P)
+    V = np.asarray(velocities, dtype=float)[:, None]
+    Q = np.asarray(q_grid, dtype=float)[None, :]
+    P = V         # mechanical-like initial guess
+    for _ in range(80):
+        g = H.grad_p(Q, P) - V
+        hpp = np.maximum(H.hess_pp(Q, P)[..., 0, 0], 1e-9)
+        P = P - np.clip(g / hpp, -1.0, 1.0)
+        if np.max(np.abs(g)) < 1e-12:
+            break
+    else:
+        resid = float(np.max(np.abs(H.grad_p(Q, P) - V)))
+        if resid > 1e-8:
+            raise RuntimeError(
+                f"Legendre transform did not converge (residual {resid:.2e}); "
+                "is the Hamiltonian fiberwise convex?")
+    return P * V - H.value(Q, P)
 
 
 def _velocity_bound(H):
@@ -85,7 +74,9 @@ def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     """One Lax-Oleinik step on a periodic grid function.
 
     Mechanical H (dim 1 or 2): the quadratic cost separates into per-axis
-    passes.  Other H, dim 1 only: tabulated Legendre transform.
+    passes.  Other H, dim 1 only: the Legendre table of (H, u.size, dt,
+    v_max), which a caller stepping many times builds once and passes as
+    ``table``.
     """
     u = np.asarray(u, dtype=float)
     if not 0 < dt <= 0.5:
@@ -95,22 +86,34 @@ def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
         return _lo_step_mechanical(u, H, dt, direction, v_max)
     if u.ndim == 2:
         raise NotImplementedError("dim-2 steps need a mechanical Hamiltonian")
-    n = u.size
-    h = 1.0 / n
-    K = min(int(np.ceil(v_max * dt / h)), n // 2)
-    shifts = np.arange(-K, K + 1)
-    q = np.arange(n) / n
-    tab = table
-    if tab is None:
-        tab = LegendreTable(H, shifts * h / dt, q)
+    shifts = _shifts(u.size, v_max, dt)
+    if table is None:
+        table = _grid_table(H, u.size, dt, v_max)
     if direction == "descending":
         # u(q - k h) + dt*l(k h / dt, q)
         stack = _shifted(u, shifts, 0)
-        stack += dt * tab.table
+        stack += dt * table
         return np.min(stack, axis=0)
     stack = _shifted(u, -shifts, 0)
-    stack -= dt * tab.table
+    stack -= dt * table
     return np.max(stack, axis=0)
+
+
+def _shifts(n, v_max, dt):
+    """Grid shifts k of an n-point circle with |k| / n <= v_max dt, at most n // 2."""
+    h = 1.0 / n
+    K = min(int(np.ceil(v_max * dt / h)), n // 2)
+    return np.arange(-K, K + 1)
+
+
+def _grid_table(H, n, dt, v_max):
+    """The Legendre table a step of size dt reads on an n-point grid.
+
+    None for a mechanical or a dim-2 H, whose steps use no table.
+    """
+    if H.is_mechanical or H.dim != 1:
+        return None
+    return legendre_table(H, _shifts(n, v_max, dt) * (1.0 / n) / dt, np.arange(n) / n)
 
 
 def _shifted(u, shifts, axis):
@@ -131,10 +134,8 @@ def _lo_step_mechanical(u, H, dt, direction, v_max):
     out = u.copy()
     sign = 1.0 if direction == "descending" else -1.0
     for axis, n in enumerate(u.shape):
-        h = 1.0 / n
-        K = min(int(np.ceil(v_max * dt / h)), n // 2)
-        shifts = np.arange(-K, K + 1)
-        quad = (shifts * h) ** 2 / (2 * dt)
+        shifts = _shifts(n, v_max, dt)
+        quad = (shifts * (1.0 / n)) ** 2 / (2 * dt)
         stack = _shifted(out, shifts, axis)
         stack += (sign * quad).reshape((-1,) + (1,) * u.ndim)
         out = np.min(stack, axis=0) if direction == "descending" else np.max(stack, axis=0)
@@ -156,28 +157,26 @@ class WeakKamSolution:
     meta: dict = field(default_factory=dict)
 
 
-def critical_value(H, grid=1024, dt=0.1, max_iters=4000, direction="descending",
-                   seed=None):
+def critical_value(H, grid=1024, dt=0.1, direction="descending", seed=None,
+                   table=None):
     """Critical value by iterating the Lax-Oleinik operator to its fixed point.
 
     The per-step decrement converges to dt * alpha; alpha averages the
     last quarter of the decrements after the transient and the certificate
-    carries the critical solution and the fixed-point residual.
+    carries the critical solution and the fixed-point residual.  ``table``
+    is the Legendre table of (H, grid, dt), built here when not given.
     """
     q = np.arange(grid) / grid
     u = np.zeros((grid,) * H.dim)
     if seed is not None:
         u = u + np.random.default_rng(seed).uniform(-0.5, 0.5, size=u.shape)
     v_max = _velocity_bound(H)
-    table = None
-    if not H.is_mechanical and H.dim == 1:
-        h = 1.0 / grid
-        K = min(int(np.ceil(v_max * dt / h)), grid // 2)
-        table = LegendreTable(H, np.arange(-K, K + 1) * h / dt, q)
+    if table is None:
+        table = _grid_table(H, grid, dt, v_max)
     sign = 1.0 if direction == "descending" else -1.0
     alphas = []
     resid = np.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, LO_MAX_ITERS + 1):
         u_new = lax_oleinik_step(u, H, dt, direction=direction, v_max=v_max,
                                  table=table)
         dec = sign * (u - u_new)
@@ -190,7 +189,7 @@ def critical_value(H, grid=1024, dt=0.1, max_iters=4000, direction="descending",
     else:
         raise RuntimeError(
             f"Lax-Oleinik iteration did not reach residual {FP_TOL} in "
-            f"{max_iters} steps (residual {resid:.2e})")
+            f"{LO_MAX_ITERS} steps (residual {resid:.2e})")
     tail = alphas[-max(1, len(alphas) // 4):]
     return WeakKamSolution(u=u, alpha=float(np.mean(tail)), residual=resid,
                            grid=q, dt=dt, iterations=it,
@@ -251,21 +250,6 @@ def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
     return best[0], {"theta": best[1], "dv": dv_best, "modes": modes}
 
 
-def critical_subsolution(H, grid=1024, dt=0.05):
-    """Symmetrized critical subsolution: mean of the descending and
-    ascending fixed points.
-
-    Convexity of H in p makes any convex combination of critical
-    subsolutions a critical subsolution; numerically the two fixed points
-    carry opposite O(dt) derivative biases, so the mean is accurate to a
-    much smaller margin than either.  Returns (u, alpha).
-    """
-    sm = critical_value(H, grid=grid, dt=dt, max_iters=8000)
-    sp = critical_value(H, grid=grid, dt=dt, max_iters=8000, direction="ascending")
-    u = 0.5 * (sm.u + (sp.u - sp.u.min()))
-    return u - u.min(), 0.5 * (sm.alpha + sp.alpha)
-
-
 def subsolution_check(v, H, a, tol=1e-2):
     """Check H(q, dv(q)) <= a + tol at all grid points (centered differences).
 
@@ -299,10 +283,12 @@ def smooth_subsolution(u, H, s=0.05):
     out = np.asarray(u, dtype=float).copy()
     dt = 0.01
     steps = max(1, int(round(s / dt)))
-    for _ in range(steps):
-        out = lax_oleinik_step(out, H, dt, direction="descending")
-    for _ in range(steps):
-        out = lax_oleinik_step(out, H, dt, direction="ascending")
+    v_max = _velocity_bound(H)
+    table = _grid_table(H, out.size, dt, v_max)
+    for direction in ("descending", "ascending"):
+        for _ in range(steps):
+            out = lax_oleinik_step(out, H, dt, direction=direction, v_max=v_max,
+                                   table=table)
     return out
 
 
@@ -374,9 +360,10 @@ def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
     if H.dim != 1:
         raise NotImplementedError("Aubry/Mane assembly works over T^1; "
                                   "critical_value itself supports dim 2")
-    sol_minus = critical_value(H, grid=grid, dt=dt)
+    table = _grid_table(H, grid, dt, _velocity_bound(H))
+    sol_minus = critical_value(H, grid=grid, dt=dt, table=table)
     alpha = sol_minus.alpha
-    sol_plus = critical_value(H, grid=grid, dt=dt, direction="ascending")
+    sol_plus = critical_value(H, grid=grid, dt=dt, direction="ascending", table=table)
     family = [sol_minus.u, sol_plus.u,
               0.5 * (sol_minus.u + (sol_plus.u - sol_plus.u.min()))]
     equil = np.empty((0, 2))

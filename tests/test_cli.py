@@ -70,6 +70,20 @@ def test_config_rejects_non_periodic_hamiltonian(tmp_path, expr, dim):
     assert status == 2
 
 
+@pytest.mark.parametrize("command", ["selector", "front", "weakkam", "invariant",
+                                     "verify", "oracle"])
+def test_dim_2_is_a_config_error(tmp_path, command):
+    # T^2 is library-only: no command computes over it
+    p = tmp_path / "dim2.cfg"
+    p.write_text(FAST_CFG.replace("expr = p^2/2", "expr = (p1^2 + p2^2)/2 + cos(2*pi*q1)")
+                 .replace("dim = 1", "dim = 2"))
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    assert exc.value.fieldpath == "hamiltonian.dim"
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_tolerance_range(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text(FAST_CFG + "\n[tolerances]\nsnap_radius = 0.5\n")

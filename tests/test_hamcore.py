@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from selkam.hamcore import (CotangentPoint, ExpressionError, _leapfrog,
-                            flow_step, integrate, parse_hamiltonian,
-                            shift_momentum, tonelli_check)
+from selkam.hamcore import (MIDPOINT_MAX_ITERS, MIDPOINT_TOL, CotangentPoint,
+                            ExpressionError, _leapfrog, flow_step, integrate,
+                            parse_hamiltonian, shift_momentum, tonelli_check)
 from selkam.torus import wrap
 
 
@@ -221,3 +221,120 @@ def test_integrate_chains_bit_for_bit(dim, n1, n2):
     Q2, P2 = integrate(H, Q1, P1, 2e-3, n2)
     Qf, Pf = integrate(H, Q0, P0, 2e-3, n1 + n2)
     assert np.array_equal(Q2, Qf) and np.array_equal(P2, Pf)
+
+
+# ---------------------------------------------------------------------------
+# The implicit midpoint: one Newton form for dim 1 and dim 2
+
+
+def _two_branch_jacobian(spec, q, p):
+    """X_H Jacobian with every entry broadcast to the batch shape first."""
+    args, shape = spec._split(q, p)
+    n = spec.dim
+    blk = lambda name, i, j: np.broadcast_to(spec._impl[name][i][j](*args), shape)
+    J = np.zeros(shape + (2 * n, 2 * n))
+    for i in range(n):
+        for j in range(n):
+            J[..., i, j] = blk("d2Hdqdp", j, i)
+            J[..., i, n + j] = blk("d2Hdp2", i, j)
+            J[..., n + i, j] = -blk("d2Hdq2", i, j)
+            J[..., n + i, n + j] = -blk("d2Hdqdp", i, j)
+    return J
+
+
+def _two_branch_midpoint(spec, Q, P, dt, nsteps):
+    """Implicit midpoint with a dim-1 and a dim-2 Newton solve and three wraps."""
+    Q = np.array(Q, dtype=float)
+    P = np.array(P, dtype=float)
+    n = spec.dim
+
+    def integrand(q, p):
+        gp = spec.grad_p(q, p)
+        return (p * gp if n == 1 else np.sum(p * gp, axis=-1)) - spec.value(q, p)
+
+    act = np.zeros(np.shape(spec.value(wrap(Q), P)))
+    g_prev = integrand(wrap(Q), P)
+    eye = np.eye(2 * n)
+    for _ in range(nsteps):
+        Qn = Q + dt * spec.grad_p(wrap(Q), P)
+        Pn = P - dt * spec.grad_q(wrap(Q), P)
+        for _ in range(MIDPOINT_MAX_ITERS):
+            Qm, Pm = 0.5 * (Q + Qn), 0.5 * (P + Pn)
+            FQ = Qn - Q - dt * spec.grad_p(wrap(Qm), Pm)
+            FP = Pn - P + dt * spec.grad_q(wrap(Qm), Pm)
+            res = np.max(np.abs(np.concatenate([np.atleast_1d(FQ).ravel(),
+                                                np.atleast_1d(FP).ravel()])))
+            if res < MIDPOINT_TOL:
+                break
+            A = eye - 0.5 * dt * _two_branch_jacobian(spec, wrap(Qm), Pm)
+            if n == 1:
+                F = np.stack([np.atleast_1d(FQ), np.atleast_1d(FP)], axis=-1)
+                delta = np.linalg.solve(
+                    np.broadcast_to(A, F.shape[:-1] + (2, 2)).reshape(-1, 2, 2),
+                    F.reshape(-1, 2, 1)).reshape(F.shape)
+                Qn = Qn - delta[..., 0].reshape(np.shape(Qn))
+                Pn = Pn - delta[..., 1].reshape(np.shape(Pn))
+            else:
+                F = np.concatenate([np.atleast_2d(FQ), np.atleast_2d(FP)], axis=-1)
+                delta = np.linalg.solve(A.reshape(-1, 2 * n, 2 * n),
+                                        F.reshape(-1, 2 * n, 1)).reshape(F.shape)
+                Qn = Qn - delta[..., :n].reshape(np.shape(Qn))
+                Pn = Pn - delta[..., n:].reshape(np.shape(Pn))
+        else:
+            raise AssertionError("reference Newton did not converge")
+        Q, P = Qn, Pn
+        g = integrand(wrap(Q), P)
+        act += 0.5 * dt * (g_prev + g)
+        g_prev = g
+    return Q, P, act
+
+
+_MIDPOINT_CASES = {
+    1: "p^2/2 + 0.3*sin(2*pi*q)*p + 0.5*cos(2*pi*q) + p^4/12",
+    2: "(p1^2 + p2^2)/2 + 0.2*p1*p2 + 0.3*sin(2*pi*q1)*p2 "
+       "+ 0.1*cos(2*pi*q2)*p1^2 + 0.5*cos(2*pi*q1)",
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("batch", [(), (7,), (3, 4)], ids=["single", "row", "grid"])
+@pytest.mark.parametrize("accumulate_action", [False, True])
+def test_midpoint_matches_two_branch_reference(dim, batch, accumulate_action):
+    H = parse_hamiltonian(_MIDPOINT_CASES[dim], dim)
+    assert not H.is_mechanical
+    rng = np.random.default_rng(dim + len(batch))
+    shape = batch + ((2,) if dim == 2 else ())
+    Q0 = rng.uniform(-1.0, 2.0, shape)
+    P0 = rng.normal(size=shape)
+    for dt in (0.02, -0.05):
+        out = integrate(H, Q0, P0, dt, 25, accumulate_action=accumulate_action)
+        ref = _two_branch_midpoint(H, Q0, P0, dt, 25)
+        for got, want in zip(out, ref):
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_dim2_midpoint_energy_drift():
+    H = parse_hamiltonian(_MIDPOINT_CASES[2], 2)
+    assert tonelli_check(H).ok
+    rng = np.random.default_rng(5)
+    Q0 = rng.uniform(0.0, 1.0, (6, 2))
+    P0 = rng.normal(scale=0.7, size=(6, 2))
+    drift = []
+    for dt, nsteps in ((2e-3, 1000), (1e-3, 2000)):
+        Q, P = integrate(H, Q0, P0, dt, nsteps)
+        drift.append(np.max(np.abs(H.value(wrap(Q), P) - H.value(Q0, P0))))
+    # a symplectic second-order scheme: bounded energy error of order dt^2
+    assert drift[1] <= 5e-6
+    assert 3.0 <= drift[0] / drift[1] <= 5.0
+
+
+def test_dim2_midpoint_time_reversal():
+    H = parse_hamiltonian(_MIDPOINT_CASES[2], 2)
+    rng = np.random.default_rng(6)
+    Q0 = rng.uniform(0.0, 1.0, (6, 2))
+    P0 = rng.normal(scale=0.7, size=(6, 2))
+    Q1, P1 = integrate(H, Q0, P0, 0.01, 200)
+    assert np.max(np.abs(Q1 - Q0)) > 0.05
+    Q, P = integrate(H, Q1, P1, -0.01, 200)
+    assert np.max(np.abs(Q - Q0)) <= 1e-10 and np.max(np.abs(P - P0)) <= 1e-10

@@ -9,14 +9,20 @@ imports from accumulating.  Every mod-1 reduction goes through
 tolerance the CLI loader range-checks is read by a command, so no knob is
 accepted and then ignored.  No function keeps state in a module-level name,
 so one call cannot change what the next one computes.
+
+One check imports the package: the benchmark's traced run
+(`perfbench/tracing.py`, read here with `ast`) wraps named `selkam`
+functions and module attributes, and each of them must still exist.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "selkam"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "selkam"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -169,3 +175,29 @@ def _module_state_writes(tree):
 def test_no_module_state(path):
     writes = _module_state_writes(_tree(path))
     assert not writes, f"{path.name}: functions write module-level names at {writes}"
+
+
+def _tracing_lists():
+    """``TARGETS`` as (module, function) pairs and ``REQUIRED_ALIASES``."""
+    lists = {}
+    for node in _tree(ROOT / "perfbench" / "tracing.py").body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            lists[node.targets[0].id] = node.value
+    targets = [(t.elts[0].value, t.elts[1].value) for t in lists["TARGETS"].elts]
+    aliases = [a.value for a in lists["REQUIRED_ALIASES"].elts]
+    return targets, aliases
+
+
+def test_traced_names_exist():
+    targets, aliases = _tracing_lists()
+    assert targets and aliases
+    traced = []
+    for module, func in targets:
+        mod = importlib.import_module(f"selkam.{module}")
+        assert callable(getattr(mod, func, None)), f"selkam.{module}.{func} is gone"
+        traced.append(getattr(mod, func))
+    for alias in aliases:
+        modname, attr = alias.rsplit(".", 1)
+        value = getattr(importlib.import_module(modname), attr, None)
+        assert any(value is fn for fn in traced), \
+            f"{alias} no longer holds a traced function"

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from selkam import weakkam
 from selkam.hamcore import parse_hamiltonian
-from selkam.weakkam import (LegendreTable, _shifted, critical_subsolution,
-                            critical_value, critical_value_infmax,
-                            lax_oleinik_step, subsolution_check, weak_kam_family)
+from selkam.weakkam import (_shifted, critical_value, critical_value_infmax,
+                            lax_oleinik_step, legendre_table, smooth_subsolution,
+                            subsolution_check, weak_kam_family)
 
 PENDULUM = parse_hamiltonian("p^2/2 + cos(2*pi*q)", 1)
 NONMECH = parse_hamiltonian("p^2/2 + 0.3*sin(2*pi*q)*p + 0.5*cos(2*pi*q)", 1)
@@ -49,7 +50,7 @@ def _rolled_step(u, H, dt, direction, v_max):
         h = 1.0 / n
         K = min(int(np.ceil(v_max * dt / h)), n // 2)
         shifts = np.arange(-K, K + 1)
-        tab = LegendreTable(H, shifts * h / dt, np.arange(n) / n).table
+        tab = legendre_table(H, shifts * h / dt, np.arange(n) / n)
         if direction == "descending":
             return np.min([np.roll(u, k) + dt * tab[i] for i, k in enumerate(shifts)], axis=0)
         return np.max([np.roll(u, -k) - dt * tab[i] for i, k in enumerate(shifts)], axis=0)
@@ -140,7 +141,10 @@ def test_subsolution_checks(free, pendulum):
     ok2, bad2, _ = subsolution_check(big, free, 0.0)
     assert not ok2 and bad2.size > 0
     # the symmetrized critical solution is a subsolution away from kinks
-    u, alpha = critical_subsolution(pendulum, grid=1024, dt=0.05)
+    sm = critical_value(pendulum, grid=1024, dt=0.05)
+    sp = critical_value(pendulum, grid=1024, dt=0.05, direction="ascending")
+    u = 0.5 * (sm.u + (sp.u - sp.u.min()))
+    u, alpha = u - u.min(), 0.5 * (sm.alpha + sp.alpha)
     ok3, bad3, margin = subsolution_check(u, pendulum, alpha, tol=1e-2)
     n = 1024
     du = (np.roll(u, -1) - np.roll(u, 1)) * n / 2
@@ -180,5 +184,71 @@ def test_double_well_structure(double_well):
 
 def test_dim2_critical_value():
     H = parse_hamiltonian("(p1^2 + p2^2)/2 + 0.3*cos(2*pi*q1) + 0.2*cos(2*pi*q2)", 2)
-    sol = critical_value(H, grid=128, dt=0.1, max_iters=2000)
+    sol = critical_value(H, grid=128, dt=0.1)
     assert abs(sol.alpha - 0.5) <= 1e-3
+
+
+def _meshgrid_table(H, velocities, q_grid):
+    """The Legendre Newton solve on two full (velocity, base) meshgrids."""
+    V, Q = np.meshgrid(velocities, q_grid, indexing="ij")
+    P = V.copy()
+    for _ in range(80):
+        g = H.grad_p(Q, P) - V
+        hpp = np.maximum(H.hess_pp(Q, P)[..., 0, 0], 1e-9)
+        P = P - np.clip(g / hpp, -1.0, 1.0)
+        if np.max(np.abs(g)) < 1e-12:
+            break
+    else:
+        raise AssertionError("reference Legendre solve did not converge")
+    return P * V - H.value(Q, P)
+
+
+@pytest.mark.parametrize("expr", [
+    "p^2/2 + 0.3*sin(2*pi*q)*p + 0.5*cos(2*pi*q)",
+    "p^4/12 + p^2/2 + 0.3*cos(2*pi*q)*p + 0.2*sin(4*pi*q)",
+    "exp(p)/2 + exp(-p)/2 + 0.4*cos(2*pi*q)"])
+def test_legendre_table_matches_the_meshgrid_solve(expr):
+    H = parse_hamiltonian(expr, 1)
+    velocities = np.arange(-40, 41) * (1.0 / 256) / 0.1
+    q = np.arange(256) / 256
+    got = legendre_table(H, velocities, q)
+    assert got.tobytes() == _meshgrid_table(H, velocities, q).tobytes()
+    assert got.shape == (81, 256)
+
+
+def test_legendre_table_refuses_a_concave_hamiltonian():
+    H = parse_hamiltonian("-p^2/2 + cos(2*pi*q)", 1)
+    with pytest.raises(RuntimeError, match="fiberwise convex"):
+        legendre_table(H, np.linspace(-1.0, 1.0, 5), np.arange(16) / 16)
+
+
+def _count_tables(monkeypatch):
+    calls = []
+    inner = weakkam.legendre_table
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(weakkam, "legendre_table", spy)
+    return calls
+
+
+def test_weak_kam_family_builds_one_table(monkeypatch):
+    calls = _count_tables(monkeypatch)
+    sol = weak_kam_family(NONMECH, grid=256, dt=0.1, horizon=5.0)
+    assert len(calls) == 1
+    # both directions read it: the ascending solve agrees with a fresh one
+    monkeypatch.undo()
+    fresh = critical_value(NONMECH, grid=256, dt=0.1, direction="ascending")
+    assert sol.meta["alpha_ascending"] == fresh.alpha
+
+
+def test_smoothing_builds_one_table(monkeypatch):
+    u = 0.1 * np.sin(2 * np.pi * np.arange(128) / 128)
+    calls = _count_tables(monkeypatch)
+    smooth_subsolution(u, NONMECH, s=0.05)
+    assert len(calls) == 1
+    calls.clear()
+    smooth_subsolution(u, PENDULUM, s=0.05)
+    assert calls == []
