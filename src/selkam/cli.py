@@ -43,10 +43,9 @@ SAFE_TOLERANCES = {
 
 @dataclass
 class RunConfig:
-    hamiltonian: str
-    dim: int
-    kind: str                  # graph | flowed | parametric
-    v_expr: str
+    H: hamcore.HamiltonianSpec     # [hamiltonian] expr, parsed and validated
+    kind: str                      # graph | flowed | parametric
+    v: hamcore.PeriodicFunction    # [lagrangian] v, parsed and validated
     T: float
     steps: int
     lagrangian_file: str
@@ -116,11 +115,8 @@ def load_config(path, out_dir=None, seed=None):
                               f"{val} outside the safe range [{lo}, {hi}]")
         tolerances[name] = val
 
-    cfg = RunConfig(
-        hamiltonian=get("hamiltonian", "expr"),
-        dim=dim,
+    return RunConfig(
         kind=kind,
-        v_expr=get("lagrangian", "v", "0"),
         T=get("lagrangian", "T", 0.0, float),
         steps=get("lagrangian", "steps", 1000, int),
         lagrangian_file=lag_file,
@@ -134,36 +130,43 @@ def load_config(path, out_dir=None, seed=None):
         tolerances=tolerances,
         out_dir=Path(out_dir) if out_dir else Path(get("run", "out", "out")),
         raw_text=text,
+        # parsed last, so the checks above report first; T^2 is library-only
+        H=_parsed_hamiltonian(get("hamiltonian", "expr"), dim),
+        v=_parsed_field("lagrangian.v", hamcore.parse_periodic, get("lagrangian", "v", "0")),
     )
+
+
+def _parsed_field(fieldpath, parse, *args):
     try:
-        hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
+        return parse(*args)
     except hamcore.ExpressionError as exc:
-        raise ConfigError("hamiltonian.expr", str(exc)) from exc
+        raise ConfigError(fieldpath, str(exc)) from exc
+
+
+def _parsed_hamiltonian(expr, dim):
+    H = _parsed_field("hamiltonian.expr", hamcore.parse_hamiltonian, expr, dim)
     if dim == 2:
         raise ConfigError("hamiltonian.dim", "the commands work over T^1; "
                           "T^2 is available from the library only")
-    return cfg
+    return H
 
 
-def _eval_potential_expr(expr, n):
-    """Evaluate a q-only expression on the uniform grid via the grammar."""
-    spec = hamcore.parse_hamiltonian(expr, 1)
-    g = np.arange(n) / n
-    vals = spec.value(g, np.zeros(n))
-    return np.asarray(vals, dtype=float)
+def _v_samples(cfg, n):
+    """[lagrangian] v on the uniform n-point grid."""
+    return cfg.v(np.arange(n) / n)
 
 
-def _build_lagrangian(cfg, H):
-    v = _eval_potential_expr(cfg.v_expr, max(256, cfg.samples // 16))
+def _build_lagrangian(cfg):
+    if cfg.kind == "parametric":
+        try:
+            return lagrangian.load_lagrangian(cfg.lagrangian_file)
+        except ValueError as exc:
+            raise ConfigError("lagrangian.file", str(exc)) from exc
+    v = _v_samples(cfg, max(256, cfg.samples // 16))
     if cfg.kind == "graph":
         return lagrangian.from_graph(v)
-    if cfg.kind == "flowed":
-        return lagrangian.from_flow(v, H, cfg.T, steps=max(cfg.steps, 8),
-                                    initial_samples=cfg.samples)
-    try:
-        return lagrangian.load_lagrangian(cfg.lagrangian_file)
-    except ValueError as exc:
-        raise ConfigError("lagrangian.file", str(exc)) from exc
+    return lagrangian.from_flow(v, cfg.H, cfg.T, steps=max(cfg.steps, 8),
+                                initial_samples=cfg.samples)
 
 
 def _summary(cfg, command, results):
@@ -205,11 +208,10 @@ def _graph_selector(cfg, L):
 
 
 def _cmd_selector(cfg):
-    H = hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
-    refused = _refuse_non_tonelli(H)
+    refused = _refuse_non_tonelli(cfg.H)
     if refused:
         return refused
-    L = _build_lagrangian(cfg, H)
+    L = _build_lagrangian(cfg)
     sf = _graph_selector(cfg, L)
     rep = selector.verify_selector(sf, L, c_tol=cfg.tolerances["c_tol"])
     selector.dump_selector(sf, cfg.out_dir / "selector.txt")
@@ -233,8 +235,7 @@ def _cmd_selector(cfg):
 
 
 def _cmd_front(cfg):
-    H = hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
-    L = _build_lagrangian(cfg, H)
+    L = _build_lagrangian(cfg)
     q_grid = np.arange(cfg.base_grid) / cfg.base_grid
     front.dump_front(L, q_grid, cfg.out_dir / "front.txt")
     ca = front.caustics(L)
@@ -246,7 +247,7 @@ def _cmd_front(cfg):
 
 
 def _cmd_weakkam(cfg):
-    H = hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
+    H = cfg.H
     refused = _refuse_non_tonelli(H)
     if refused:
         return refused
@@ -272,8 +273,8 @@ def _cmd_weakkam(cfg):
 
 
 def _cmd_invariant(cfg):
-    H = hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
-    L = _build_lagrangian(cfg, H)
+    H = cfg.H
+    L = _build_lagrangian(cfg)
     a = cfg.level
     if np.isnan(a):
         a = weakkam.critical_value(H, grid=cfg.velocity_grid, dt=cfg.dt).alpha
@@ -322,7 +323,7 @@ def _cmd_verify(cfg, suite):
         raise ConfigError("grids.base", "the selector suite checks the kernel minimax, "
                           f"which needs at least {selector.KERNEL_MIN_GRID} points, "
                           f"got {cfg.base_grid}")
-    H = hamcore.parse_hamiltonian(cfg.hamiltonian, cfg.dim)
+    H = cfg.H
     refused = _refuse_non_tonelli(H)
     if refused:
         return refused
@@ -332,11 +333,11 @@ def _cmd_verify(cfg, suite):
         checks[name] = bool(value)
 
     if suite != "weakkam":
-        L = _build_lagrangian(cfg, H)
+        L = _build_lagrangian(cfg)
     sf = None
     if suite in ("selector", "all"):
         Lf = L if L.kind == "flowed" else lagrangian.from_flow(
-            _eval_potential_expr(cfg.v_expr, 256), H, cfg.T,
+            _v_samples(cfg, 256), H, cfg.T,
             steps=max(cfg.steps, 8), initial_samples=cfg.samples)
         sf = _graph_selector(cfg, Lf)
         rep = selector.verify_selector(sf, Lf, c_tol=cfg.tolerances["c_tol"])
@@ -371,7 +372,7 @@ def _cmd_verify(cfg, suite):
         a = sol.alpha if suite == "all" else \
             weakkam.critical_value(H, grid=cfg.velocity_grid, dt=cfg.dt).alpha
         try:
-            if L.kind == "flowed" and "H_source" in L.meta:
+            if L.kind == "flowed" and "H" in L.meta:
                 # a smooth flowed L: its graph selector (the selector suite's,
                 # when that ran) is already a generalized selector
                 f = sf if sf is not None else _graph_selector(cfg, L)
@@ -429,9 +430,6 @@ def main(argv=None):
         summary, status = run(args.command, cfg, suite=args.suite)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except hamcore.ExpressionError as exc:
-        print(f"expression error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(summary["results"], indent=2, sort_keys=True))
     return status

@@ -12,12 +12,16 @@ frozen at an equilibrium in both time directions.  The stop is exact:
 `alive` and `frozen` only ever change one way and a frozen state is
 restored on every chunk, so no later chunk can move a live state, its
 tube or recurrence distance, or `alive` itself.
+
+Nearest-neighbour distances come from a sorted search: candidates are the
+points whose first base coordinate lies within a bound of the query's, and
+a distance is the square root of the squared differences summed in column
+order.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import hamcore
 from .lagrangian import ExactLagrangian, SpectralFun, from_graph
@@ -41,6 +45,8 @@ TRIM_DT = 5e-3
 CHECK_EVERY = 10
 GRAPH_BINS = 256          # periodic base bins of graph_test
 SPREAD_TOL = 0.02         # momentum spread within one bin that breaks a graph
+WINDOW_PAD = 1e-9         # widening of a search window against rounding in q +- r
+PAIR_BLOCK = 1 << 16      # candidate pairs the neighbour search holds at once
 
 
 @dataclass
@@ -71,8 +77,8 @@ def _split(points, dim):
     return points[:, :dim], points[:, dim:]
 
 
-def _phase_tree(points, dim):
-    """KD-tree over phase points with base-coordinate images for the wrap."""
+def _phase_tiles(points, dim):
+    """Phase points and their base-coordinate images for the wrap, sorted on q_1."""
     q = points[:, :dim]
     p = points[:, dim:]
     shifts = [np.zeros(dim)]
@@ -83,8 +89,73 @@ def _phase_tree(points, dim):
     if dim == 2:
         shifts += [np.array([1.0, 1.0]), np.array([1.0, -1.0]),
                    np.array([-1.0, 1.0]), np.array([-1.0, -1.0])]
-    tiles = [np.column_stack([q + s, p]) for s in shifts]
-    return cKDTree(np.vstack(tiles))
+    tiles = np.vstack([np.column_stack([q + s, p]) for s in shifts])
+    return tiles[np.argsort(tiles[:, 0], kind="stable")]
+
+
+def _nearest_in_window(points, x, radius, skip=None):
+    """Distance from each row of x to the nearest of the sorted ``points``
+    whose first coordinate is within ``radius`` of its own (inf if none).
+
+    ``skip`` names one point per row to leave out.  Pairs are formed in
+    blocks of at most PAIR_BLOCK, one row at least.
+    """
+    keys = points[:, 0]
+    pad = radius * (1.0 + WINDOW_PAD) + WINDOW_PAD
+    lo = np.searchsorted(keys, x[:, 0] - pad, side="left")
+    counts = np.searchsorted(keys, x[:, 0] + pad, side="right") - lo
+    ends = np.cumsum(counts)
+    out = np.full(x.shape[0], np.inf)
+    start = 0
+    while start < x.shape[0]:
+        stop = max(int(np.searchsorted(ends, ends[start] - counts[start] + PAIR_BLOCK,
+                                       side="right")), start + 1)
+        c = counts[start:stop]
+        firsts = np.cumsum(c) - c
+        rows = np.repeat(np.arange(start, stop), c)
+        idx = np.arange(rows.size) + np.repeat(lo[start:stop] - firsts, c)
+        sq = np.zeros(rows.size)
+        for col in range(x.shape[1]):
+            d = x[:, col][rows] - points[:, col][idx]
+            sq += d * d
+        d = np.sqrt(sq)
+        if skip is not None:
+            d[idx == skip[rows]] = np.inf
+        filled = c > 0
+        out[start:stop][filled] = np.minimum.reduceat(d, firsts[filled])
+        start = stop
+    return out
+
+
+def _nearest(points, x, skip=None):
+    """Distance from each row of x to the nearest of the sorted ``points``.
+
+    A row's window in q_1 grows fourfold from a few point spacings until the
+    nearest point inside is within the window's half-width, which makes it
+    the nearest of all, or until the window holds every point.
+    """
+    keys = points[:, 0]
+    reach = max(keys[-1] - np.min(x[:, 0]), np.max(x[:, 0]) - keys[0])
+    radius = 8.0 * max(keys[-1] - keys[0], 1.0) / keys.size
+    out = np.full(x.shape[0], np.inf)
+    todo = np.arange(x.shape[0])
+    while todo.size:
+        d = _nearest_in_window(points, x[todo], radius,
+                               None if skip is None else skip[todo])
+        done = (d <= radius) | (radius >= reach)
+        out[todo[done]] = d[done]
+        todo = todo[~done]
+        radius *= 4.0
+    return out
+
+
+def _spacing(points):
+    """Distance from each point to its nearest other point (0 at a repeat)."""
+    order = np.argsort(points[:, 0], kind="stable")
+    pts = points[order]
+    out = np.empty(pts.shape[0])
+    out[order] = _nearest(pts, pts, skip=np.arange(pts.shape[0]))
+    return out
 
 
 def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True,
@@ -118,17 +189,12 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
     if seeds.shape[0] > 2:
         # nearest-neighbor spacing: transversal where the sampled set
         # stacks (tight tubes reject orbits sliding between sheets)
-        nn_tree = cKDTree(seeds)
-        d, _ = nn_tree.query(seeds, k=2)
-        local = float(np.median(d[:, 1]))
+        local = float(np.median(_spacing(seeds)))
     else:
         local = 0.0
     fallback = 3.0 / max(points.shape[0], 64)
     tube_radius = max(3.0 * local, fallback, 1e-4)
-    tree = _phase_tree(seeds, dim)
-
-    def embed(qs, ps):
-        return np.column_stack([wrap(qs), ps])
+    tiles = _phase_tiles(seeds, dim)
 
     # the projection level: when the requested level is the potential
     # maximum up to numerical noise, use the refined maximum itself, so
@@ -179,8 +245,11 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
                 speed = np.sum(speed, axis=-1)
             frozen[sgn] = frz | (speed <= vanish_tol)
             state[sgn] = (Qn, Pn)
-            dist, _ = tree.query(embed(Qn, Pn))
-            alive &= dist <= tube_radius
+            # a dead seed stays dead and a state frozen before this chunk has
+            # not moved since its own tube test, so only the others are tested
+            moved = alive & ~frz
+            x = np.column_stack([wrap(Qn[moved]), Pn[moved]])
+            alive[moved] = _nearest_in_window(tiles, x, tube_radius) <= tube_radius
             if recurrence_filter:
                 dq = np.abs(wrap(Qn) - seed_qp[0])
                 dq = np.minimum(dq, 1.0 - dq)
@@ -402,7 +471,7 @@ def verify_theorem_1_5(L, H, horizon=5.0):
     p_range = float(pts[:, 1].max() - pts[:, 1].min()) if pts.shape[0] > 1 else 0.0
     diam = float(np.hypot(0.5, p_range))
     inv_tol = INV_TOL_FRACTION * max(diam, 1.0)
-    tree = _phase_tree(pts, dim)
+    tiles = _phase_tiles(pts, dim)
     sub = pts[:: max(1, pts.shape[0] // 512)]
     defect = 0.0
     Q, P = sub[:, 0].copy(), sub[:, 1].copy()
@@ -411,7 +480,7 @@ def verify_theorem_1_5(L, H, horizon=5.0):
     per = int(np.ceil(horizon / n_check / dt))
     for _ in range(n_check):
         Q, P = hamcore.integrate(H, Q, P, dt, per)
-        dist, _ = tree.query(np.column_stack([wrap(Q), P]))
+        dist = _nearest(tiles, np.column_stack([wrap(Q), P]))
         defect = max(defect, float(np.max(dist)))
     invariant = defect <= inv_tol
     if not invariant:

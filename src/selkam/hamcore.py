@@ -27,8 +27,10 @@ __all__ = [
     "IntegratorError",
     "CotangentPoint",
     "HamiltonianSpec",
+    "PeriodicFunction",
     "TonelliReport",
     "parse_hamiltonian",
+    "parse_periodic",
     "tonelli_check",
     "flow_step",
     "shift_momentum",
@@ -101,18 +103,18 @@ class Call:
     arg: object
 
 
-def _ast_has_var(node, names=None):
-    """True if the tree holds a variable (one of ``names`` when given)."""
+def _ast_has_var(node):
+    """True if the tree holds a variable."""
     if isinstance(node, Var):
-        return names is None or node.name in names
+        return True
     if isinstance(node, Neg):
-        return _ast_has_var(node.arg, names)
+        return _ast_has_var(node.arg)
     if isinstance(node, Bin):
-        return _ast_has_var(node.lhs, names) or _ast_has_var(node.rhs, names)
+        return _ast_has_var(node.lhs) or _ast_has_var(node.rhs)
     if isinstance(node, PowInt):
-        return _ast_has_var(node.base, names)
+        return _ast_has_var(node.base)
     if isinstance(node, Call):
-        return _ast_has_var(node.arg, names)
+        return _ast_has_var(node.arg)
     return False
 
 
@@ -164,10 +166,13 @@ def _wrap_pow(node):
 
 
 class _Parser:
-    def __init__(self, src, dim):
+    """Recursive-descent parser; ``q_only`` admits the base coordinates only."""
+
+    def __init__(self, src, dim, q_only=False):
         self.src = src
-        self.dim = dim
         self.pos = 0
+        self.idents = _IDENTS[dim][:dim] if q_only else _IDENTS[dim]
+        self.scope = "a function of q only" if q_only else f"dim {dim}"
 
     def error(self, message, pos=None):
         raise ExpressionError(message, self.pos if pos is None else pos)
@@ -256,8 +261,8 @@ class _Parser:
                 self.pos += 1
                 return Call(name, arg)
             if name in _IDENTS[1] + _IDENTS[2]:
-                if name not in _IDENTS[self.dim]:
-                    self.error(f"identifier '{name}' invalid for dim {self.dim}", start)
+                if name not in self.idents:
+                    self.error(f"identifier '{name}' invalid for {self.scope}", start)
                 return Var(name)
             self.error(f"unknown identifier '{name}'", start)
         self.error("expected a number, identifier or '('")
@@ -434,7 +439,10 @@ def parse_hamiltonian(src, dim):
 
     V = expr.subs({s: 0 for s in psyms})
     kinetic = sum(s ** 2 for s in psyms) / 2
-    mechanical = sp.simplify(expr - V - kinetic) == 0
+    # expansion to zero proves H = |p|^2/2 + V; an H that reaches that form
+    # only through an identity (sin^2 + cos^2 = 1) takes the implicit
+    # midpoint, which serves every Tonelli H
+    mechanical = sp.expand(expr - V - kinetic) == 0
 
     impl = {
         "H": _lambdify(expr, syms),
@@ -447,30 +455,56 @@ def parse_hamiltonian(src, dim):
         "dVdq": [_lambdify(sp.diff(V, s), qsyms) for s in qsyms],
         "mechanical": bool(mechanical),
     }
-    _check_periodic(impl["H"], dim)
+    _check_periodic(impl["H"], dim, "Hamiltonian")
     return HamiltonianSpec(source=ast_to_text(ast), ast=ast, dim=dim, _impl=impl)
 
 
-def _check_periodic(H, dim):
-    """Raise ExpressionError unless H(q + e_i, p) = H(q, p) on sampled points.
+@dataclass(frozen=True)
+class PeriodicFunction:
+    """Parsed function of q on T^1, evaluated vectorized."""
 
-    The integrators wrap q to [0, 1) every step, which would silently turn
-    a non-periodic H into one with a discontinuous force.
+    source: str
+    _fn: object = field(repr=False)
+
+    def __call__(self, q):
+        return self._fn(np.asarray(q, dtype=float))
+
+
+def parse_periodic(src):
+    """Parse expression text in q alone into a 1-periodic function on T^1.
+
+    Raises ExpressionError with the source offset on malformed input and on
+    any identifier but q, and with offset 0 when the function is not
+    1-periodic.
+    """
+    ast = _Parser(src, 1, q_only=True).parse()
+    q = sp.Symbol("q", real=True)
+    fn = _lambdify(_ast_to_sympy(ast, {"q": q}), [q])
+    _check_periodic(fn, 1, "function", momenta=False)
+    return PeriodicFunction(source=ast_to_text(ast), _fn=fn)
+
+
+def _check_periodic(F, dim, what, momenta=True):
+    """Raise ExpressionError unless F(q + e_i, ...) = F(q, ...) on sampled points.
+
+    F takes the base coordinates, then the momenta when ``momenta``.  The
+    integrators wrap q to [0, 1) every step, which would silently turn a
+    non-periodic H into one with a discontinuous force.
     """
     n = PERIODIC_SAMPLES
     # golden-section offset: off the rationals where a wrong period's terms vanish
     q = (np.arange(n) + 0.381966) / n
     p = np.linspace(-2.0, 2.0, n)
-    grids = np.meshgrid(*([q] * dim + [p] * dim), indexing="ij")
-    base = H(*grids)
+    grids = np.meshgrid(*([q] * dim + ([p] * dim if momenta else [])), indexing="ij")
+    base = F(*grids)
     for i in range(dim):
         shifted = list(grids)
         shifted[i] = grids[i] + 1.0
-        diff = np.abs(H(*shifted) - base)
+        diff = np.abs(F(*shifted) - base)
         if np.any(diff > PERIODIC_TOL * (1.0 + np.abs(base))):
             name = _IDENTS[dim][i]
             raise ExpressionError(
-                f"Hamiltonian is not 1-periodic in {name}: H changes by up to "
+                f"{what} is not 1-periodic in {name}: it changes by up to "
                 f"{float(np.max(diff)):.3g} under {name} -> {name} + 1", 0)
 
 
@@ -478,21 +512,19 @@ def shift_momentum(spec, dw_src):
     """Pull back by the exact symplectomorphism (q, p) -> (q, p + dw(q)).
 
     ``dw_src`` is expression text in q only (one per momentum component for
-    dim 2, as a sequence).  Returns the HamiltonianSpec of H(q, p + dw(q)).
+    dim 2, as a sequence).  Returns the HamiltonianSpec of H(q, p + dw(q));
+    raises ExpressionError when a shift holds a momentum.
     """
-    names = _IDENTS[spec.dim]
+    momenta = _IDENTS[spec.dim][spec.dim:]
     if isinstance(dw_src, str):
         dw_src = (dw_src,)
     if len(dw_src) != spec.dim:
         raise ValueError("need one shift expression per momentum component")
-    for s in dw_src:
-        if _ast_has_var(_Parser(s, spec.dim).parse(), names[spec.dim:]):
-            raise ValueError("momentum shift must depend on q only")
+    shifts = [_Parser(s, spec.dim, q_only=True).parse() for s in dw_src]
 
     def substitute(node):
-        if isinstance(node, Var) and node.name in names[spec.dim:]:
-            idx = names[spec.dim:].index(node.name)
-            return Bin("+", node, _Parser(f"({dw_src[idx]})", spec.dim).parse())
+        if isinstance(node, Var) and node.name in momenta:
+            return Bin("+", node, shifts[momenta.index(node.name)])
         if isinstance(node, Neg):
             return Neg(substitute(node.arg))
         if isinstance(node, Bin):

@@ -204,6 +204,16 @@ def _lipschitz_of_samples(t, arrays, winding_jumps):
     return worst
 
 
+def _lipschitz_of_grid(p1, p2):
+    """Max difference quotient of dim-2 momenta along their own axes, at least 1.
+
+    ``p1`` and ``p2`` are (n1, n2) samples on the uniform grid of T^2.
+    """
+    n1, n2 = p1.shape
+    return max(float(np.max(np.abs(np.diff(p1, axis=0)))) * n1,
+               float(np.max(np.abs(np.diff(p2, axis=1)))) * n2, 1.0)
+
+
 def _as_curve_arrays(target):
     if isinstance(target, ExactLagrangian):
         return target.t, target.q, target.p, target.S, target.winding
@@ -248,8 +258,7 @@ def from_graph(v, dim=1):
     Q = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
     P = np.stack([p1, p2], axis=-1).reshape(-1, 2)
     S = (v - v[0, 0]).reshape(-1)
-    lip = max(float(np.max(np.abs(np.diff(p1, axis=0)))) * n1,
-              float(np.max(np.abs(np.diff(p2, axis=1)))) * n2, 1.0)
+    lip = _lipschitz_of_grid(p1, p2)
     return ExactLagrangian(
         dim=2, kind="graph", t=np.arange(Q.shape[0], dtype=float) / Q.shape[0],
         q=Q, p=P, S=S, s_offset=float(v[0, 0]), winding=0,
@@ -285,7 +294,7 @@ def from_flow(v, H, T, steps, initial_samples=4096):
             dim=1, kind="flowed", t=t, q=t.copy(), p=p, S=vf(t) - vf(0.0),
             s_offset=float(vf(np.array([0.0]))[0]), winding=1,
             lipschitz_bound=lip, pmax=float(np.max(np.abs(p))),
-            meta={"H_source": H.source, "T": 0.0, "steps": 0,
+            meta={"H": H, "T": 0.0, "steps": 0,
                   "v_samples": v.copy(), "transport_consistency": 0.0})
 
     dt = T / steps
@@ -359,7 +368,7 @@ def from_flow(v, H, T, steps, initial_samples=4096):
     return ExactLagrangian(
         dim=1, kind="flowed", t=t, q=Q, p=P, S=S, s_offset=float(raw[0]),
         winding=1, lipschitz_bound=lip, pmax=float(np.max(np.abs(P))),
-        meta={"H_source": H.source, "T": float(T), "steps": steps,
+        meta={"H": H, "T": float(T), "steps": steps,
               "v_samples": v.copy(), "loop_residual": loop,
               "transport_consistency": consistency})
 
@@ -623,7 +632,8 @@ def load_lagrangian(path):
     Refuses what lies outside the setting: a dim-1 curve whose winding is
     not +-1 (an embedded closed curve in the annulus winds 0 or +-1, and
     one of winding 0 bounds a disc of positive area, so it is not exact),
-    and a dim-2 file whose row count is not a square grid.
+    and a dim-2 file whose row count is not a square grid.  The dim-2
+    Lipschitz bound is read off the samples as ``from_graph`` computes it.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -650,7 +660,9 @@ def load_lagrangian(path):
     side = int(round(np.sqrt(t.size)))
     if side * side != t.size:
         raise ValueError(f"{t.size} rows do not form a square grid")
+    grid_p = P.reshape(side, side, 2)
     return ExactLagrangian(
         dim=2, kind=kind, t=t, q=Q, p=P, S=S, s_offset=0.0, winding=0,
-        lipschitz_bound=1.0, pmax=float(np.max(np.hypot(P[:, 0], P[:, 1]))),
+        lipschitz_bound=_lipschitz_of_grid(grid_p[..., 0], grid_p[..., 1]),
+        pmax=float(np.max(np.hypot(P[:, 0], P[:, 1]))),
         grid_shape=(side, side), meta={})

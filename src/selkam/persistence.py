@@ -17,7 +17,6 @@ the full complex.  Tests require the two implementations to agree exactly.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["PersistenceDiagram", "sublevel_persistence", "connectivity_oracle"]
 
@@ -111,6 +110,9 @@ def sublevel_persistence(values, periodic=True):
 
 def _label_periodic(mask, periodic):
     """Component labels of a mask, with wrap-around merging when periodic."""
+    # imported here: scipy.ndimage costs a cold start no command needs
+    from scipy import ndimage
+
     shape = mask.shape
     lab, num = ndimage.label(mask)
     if num == 0 or not periodic:

@@ -23,8 +23,6 @@ minimax on the grid, and ``selkam verify`` compares it with the envelope.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
-from scipy.spatial import ConvexHull
 
 from . import hamcore
 from .front import fiber_sweep, caustics
@@ -93,6 +91,9 @@ class ActionKernel:
     def spline(self):
         """Periodic bicubic spline of K, built on first use."""
         if self._spline is None:
+            # imported here: scipy.interpolate costs a cold start no command needs
+            from scipy.interpolate import RectBivariateSpline
+
             n = self.grid.size
             pad = 4
             idx = np.arange(-pad, n + pad) % n
@@ -449,8 +450,8 @@ def graph_selector(L, grid_size=512, snap_tol=SNAP_TOL):
     """
     if L.dim != 1:
         raise NotImplementedError("the graph selector is one-dimensional")
-    if "H_source" in L.meta:
-        ton = hamcore.tonelli_check(hamcore.parse_hamiltonian(L.meta["H_source"], 1))
+    if "H" in L.meta:
+        ton = hamcore.tonelli_check(L.meta["H"])
         if not ton.ok:
             raise ValueError("the front's lower envelope is the minimax selector only "
                              "for Tonelli H; min fiber Hessian eigenvalue "
@@ -485,7 +486,7 @@ def kernel_minimax(L, grid_size):
     are shifted to the anchored primitive frame of ``graph_selector``, which
     this checks.
     """
-    if L.kind != "flowed" or "H_source" not in L.meta:
+    if L.kind != "flowed" or "H" not in L.meta:
         raise ValueError("the kernel minimax needs a flow presentation (from_flow output)")
     if grid_size < KERNEL_MIN_GRID:
         raise ValueError(f"kernel grid must have at least {KERNEL_MIN_GRID} points "
@@ -495,9 +496,8 @@ def kernel_minimax(L, grid_size):
     vf = SpectralFun(v)
     if T == 0:
         return vf(np.arange(grid_size) / grid_size) - L.s_offset
-    H = hamcore.parse_hamiltonian(L.meta["H_source"], 1)
-    DA = build_discrete_action(H, v, T, max(8, int(np.ceil(T / 5e-4))), 0.0, xi_dim=1,
-                               lattice_size=grid_size)
+    DA = build_discrete_action(L.meta["H"], v, T, max(8, int(np.ceil(T / 5e-4))), 0.0,
+                               xi_dim=1, lattice_size=grid_size)
     GM = vf(DA.kernel.grid)[:, None] + DA.kernel.K     # G columns per target q
     return GM.min(axis=0) - L.s_offset
 
@@ -610,7 +610,9 @@ def convexify_fiber(points, q=None):
 
     1-d: the hull is the interval [min, max] and the extremal points are
     its endpoints.  2-d: planar hull (degenerate configurations reduce to
-    a point or a segment); a point is extremal iff it is a hull vertex.
+    a point or a segment), its vertices counter-clockwise; a point is
+    extremal iff it equals a hull vertex, so every copy of a repeated
+    vertex is.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -632,10 +634,32 @@ def convexify_fiber(points, q=None):
         extremal = (np.abs(proj - lo) < 1e-12) | (np.abs(proj - hi) < 1e-12)
         hull = np.stack([center + lo * vt[0], center + hi * vt[0]])
         return FiberHull(q=q, hull=hull, extremal=extremal, points=pts)
-    ch = ConvexHull(pts)
-    extremal = np.zeros(pts.shape[0], dtype=bool)
-    extremal[ch.vertices] = True
-    return FiberHull(q=q, hull=pts[ch.vertices], extremal=extremal, points=pts)
+    hull = pts[_monotone_chain(pts)]
+    extremal = np.any(np.all(pts[:, None, :] == hull[None, :, :], axis=-1), axis=1)
+    return FiberHull(q=q, hull=hull, extremal=extremal, points=pts)
+
+
+def _monotone_chain(pts):
+    """Indices of the planar hull's vertices, counter-clockwise (Andrew).
+
+    A point on an edge or repeating a vertex is not a vertex.
+    """
+    xy = pts.tolist()
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+
+    def turns_left(o, a, b):
+        (ox, oy), (ax, ay), (bx, by) = xy[o], xy[a], xy[b]
+        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0
+
+    chain = []
+    for sweep in (order, order[::-1]):       # lower hull, then upper hull
+        half = []
+        for i in sweep:
+            while len(half) >= 2 and not turns_left(half[-2], half[-1], i):
+                half.pop()
+            half.append(i)
+        chain += half[:-1]
+    return np.array(chain)
 
 
 def _dist_to_polygon(p, verts):

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from selkam import hamcore, selector, weakkam
 from selkam.cli import ConfigError, load_config, main, run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 FAST_CFG = """[hamiltonian]
 expr = p^2/2
@@ -82,6 +88,55 @@ def test_dim_2_is_a_config_error(tmp_path, command):
     assert exc.value.fieldpath == "hamiltonian.dim"
     assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("v, message", [
+    ("p*cos(2*pi*q)", "identifier 'p'"),
+    ("sin(", "expected a number"),
+    ("q", "not 1-periodic in q")], ids=["momentum", "syntax", "non-periodic"])
+def test_config_validates_the_initial_potential(tmp_path, v, message):
+    p = tmp_path / "bad.cfg"
+    p.write_text(FAST_CFG.replace("v = 0.02*sin(2*pi*q)", f"v = {v}"))
+    with pytest.raises(ConfigError) as exc:
+        load_config(p)
+    assert exc.value.fieldpath == "lagrangian.v" and message in str(exc.value)
+    assert "Hamiltonian" not in str(exc.value)
+    assert main(["selector", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_commands_reuse_the_validated_hamiltonian(fast_cfg, tmp_path, monkeypatch):
+    # load_config parses H once; a command reads the spec it kept
+    cfg = load_config(fast_cfg, out_dir=tmp_path / "o")
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("a command parsed H again")
+
+    monkeypatch.setattr(hamcore, "parse_hamiltonian", no_parse)
+    for command in ("weakkam", "front", "selector"):
+        _, status = run(command, cfg)
+        assert status == 0
+
+
+def test_no_heavy_import_on_the_workload_path(tmp_path):
+    # the workload commands load no scipy submodule beyond the version string
+    # and no sympy.physics (which sympy.simplify pulls in)
+    (tmp_path / "fast.cfg").write_text(FAST_CFG)
+    script = f"""
+import sys
+from selkam.cli import load_config, run
+for command in ("weakkam", "selector"):
+    cfg = load_config({str(tmp_path / "fast.cfg")!r}, out_dir={str(tmp_path)!r} + "/" + command)
+    assert run(command, cfg)[1] == 0
+heavy = ("scipy.sparse", "scipy.spatial", "scipy.interpolate", "scipy.ndimage",
+         "scipy.optimize", "sympy.physics")
+print(sorted(m for m in sys.modules if m.startswith(heavy)))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_config_tolerance_range(tmp_path):
@@ -185,6 +240,7 @@ def test_verify_selector_suite_refuses_a_coarse_base_grid(tmp_path, monkeypatch,
         raise AssertionError("verify did work before refusing the config")
 
     monkeypatch.setattr(hamcore, "parse_hamiltonian", no_work)
+    monkeypatch.setattr(hamcore, "tonelli_check", no_work)
     with pytest.raises(ConfigError) as exc:
         run("verify", cfg, suite=suite)
     assert exc.value.fieldpath == "grids.base" and "128" in str(exc.value)

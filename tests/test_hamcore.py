@@ -4,7 +4,8 @@ from hypothesis import example, given, strategies as st
 
 from selkam.hamcore import (MIDPOINT_MAX_ITERS, MIDPOINT_TOL, CotangentPoint,
                             ExpressionError, _leapfrog, flow_step, integrate,
-                            parse_hamiltonian, shift_momentum, tonelli_check)
+                            parse_hamiltonian, parse_periodic, shift_momentum,
+                            tonelli_check)
 from selkam.torus import wrap
 
 
@@ -54,6 +55,50 @@ def test_reserialization_idempotent():
 def test_parse_rejects_non_periodic(src, dim, name):
     with pytest.raises(ExpressionError, match=f"not 1-periodic in {name}:"):
         parse_hamiltonian(src, dim)
+
+
+@pytest.mark.parametrize("src, dim, mechanical", [
+    ("p^2/2 + cos(2*pi*q)", 1, True),
+    ("(p1^2 + p2^2)/2 + 0.3*cos(2*pi*q1) + 0.2*cos(2*pi*q2)", 2, True),
+    ("p^2/2 + 0.3*sin(2*pi*q)*p + 0.5*cos(2*pi*q)", 1, False),
+    # |p|^2/2 only through sin^2 + cos^2 = 1: expansion does not see it
+    ("p^2/2*(sin(2*pi*q)^2 + cos(2*pi*q)^2) + cos(2*pi*q)", 1, False),
+], ids=["pendulum", "dim-2 sum", "drift", "identity"])
+def test_is_mechanical(src, dim, mechanical):
+    assert parse_hamiltonian(src, dim).is_mechanical is mechanical
+
+
+def test_identity_hidden_mechanical_h_flows_like_the_pendulum(pendulum):
+    # the implicit midpoint serves the disguised pendulum: both schemes are
+    # second order, so the endpoints agree to O(dt^2)
+    H = parse_hamiltonian("p^2/2*(sin(2*pi*q)^2 + cos(2*pi*q)^2) + cos(2*pi*q)", 1)
+    Q0, P0 = np.array([0.1, 0.3, 0.7]), np.array([0.5, -1.2, 0.0])
+    Q, P = integrate(H, Q0, P0, 1e-3, 1000)
+    Qr, Pr = integrate(pendulum, Q0, P0, 1e-3, 1000)
+    assert np.max(np.abs(Q - Qr)) <= 1e-4 and np.max(np.abs(P - Pr)) <= 1e-4
+
+
+def test_parse_periodic_evaluates_q_only_text():
+    v = parse_periodic("0.02*sin(2*pi*q) + 0.5")
+    q = np.arange(8) / 8
+    assert np.array_equal(v(q), 0.02 * np.sin(2 * np.pi * q) + 0.5)
+    assert np.array_equal(parse_periodic("0")(q), np.zeros(8))
+
+
+@pytest.mark.parametrize("src, message, position", [
+    ("p*cos(2*pi*q)", "identifier 'p' invalid for a function of q only", 0),
+    ("sin(", "expected a number", 4),
+    ("q", "function is not 1-periodic in q", 0),
+])
+def test_parse_periodic_rejects(src, message, position):
+    with pytest.raises(ExpressionError, match=message) as exc:
+        parse_periodic(src)
+    assert exc.value.position == position and "Hamiltonian" not in str(exc.value)
+
+
+def test_shift_momentum_rejects_a_momentum_in_the_shift(pendulum):
+    with pytest.raises(ExpressionError, match="invalid for a function of q only"):
+        shift_momentum(pendulum, "0.1*p")
 
 
 def test_parse_accepts_periodic_with_large_values():

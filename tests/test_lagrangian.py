@@ -226,3 +226,14 @@ def test_dim2_graph_exactness():
     assert rep.ok
     r = line_integral_check(L, np.array([[0.1, 0.2], [0.4, 0.7], [0.8, 0.3]]))
     assert r <= 1e-5
+
+
+def test_load_dim2_lipschitz_bound_from_samples(tmp_path):
+    # the bound read back equals the one from_graph computed, not a constant
+    g = np.arange(64) / 64
+    v = 0.2 * np.outer(np.sin(2 * np.pi * g), np.cos(4 * np.pi * g))
+    L = from_graph(v, dim=2)
+    assert L.lipschitz_bound > 1.0
+    path = tmp_path / "graph2.dat"
+    save_lagrangian(L, path)
+    assert load_lagrangian(path).lipschitz_bound == L.lipschitz_bound

@@ -1,8 +1,11 @@
 from dataclasses import replace
 from types import SimpleNamespace
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selkam import selector
 from selkam.front import FiberData, fiber_sweep, sheet_decomposition
@@ -287,6 +290,60 @@ def test_convexify_fiber_planar_oracle():
                         interior = True
             if interior:
                 assert not fh.extremal[i]
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _in_hull_of(x, others):
+    """Exact on integer points: x is a point, on a segment or in a triangle of others."""
+    for a in others:
+        if a == x:
+            return True
+    for a, b in itertools.combinations(others, 2):
+        if _cross(a, b, x) == 0 and min(a[0], b[0]) <= x[0] <= max(a[0], b[0]) \
+                and min(a[1], b[1]) <= x[1] <= max(a[1], b[1]):
+            return True
+    for a, b, c in itertools.combinations(others, 3):
+        signs = {np.sign(_cross(a, b, x)), np.sign(_cross(b, c, x)),
+                 np.sign(_cross(c, a, x))}
+        if _cross(a, b, c) != 0 and not {-1, 1} <= signs:
+            return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=12))
+def test_convexify_fiber_vertices_exact(points):
+    # a small integer grid makes collinear and repeated points common; a point
+    # is extremal iff no other distinct points hold it in their hull
+    pts = np.array(points, dtype=float)
+    fh = convexify_fiber(pts)
+    want = [not _in_hull_of(x, [y for y in points if y != x]) for x in points]
+    assert fh.extremal.tolist() == want
+    corners = {x for x, w in zip(points, want) if w}
+    if len(corners) >= 3:
+        # a polygon: its input vertices, counter-clockwise with no straight angle
+        verts = [tuple(v) for v in fh.hull.tolist()]
+        assert set(verts) == corners and len(verts) == len(corners)
+        assert all(_cross(verts[i - 2], verts[i - 1], verts[i]) > 0
+                   for i in range(len(verts)))
+    else:
+        # a point or a segment, spanned along its principal direction
+        assert np.allclose(sorted(map(tuple, fh.hull.tolist())), sorted(corners),
+                           atol=1e-12)
+
+
+def test_convexify_fiber_collinear_and_repeated_points():
+    square = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]
+    pts = np.array(square + [[1.0, 0.0], [2.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    fh = convexify_fiber(pts)
+    # edge midpoints and the centre are not extremal; both copies of a vertex are
+    assert fh.extremal.tolist() == [True] * 4 + [False, False, True, False]
+    assert sorted(map(tuple, fh.hull.tolist())) == sorted(map(tuple, square))
+    assert fh.distance(np.array([1.0, 1.0])) == 0.0
+    assert fh.distance(np.array([3.0, 1.0])) == pytest.approx(1.0)
 
 
 def test_generalized_selector_graph_sequence(pendulum):
