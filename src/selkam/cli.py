@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import sympy
 
 from . import __version__, dynamics, front, hamcore, lagrangian, selector, weakkam
 from .persistence import connectivity_oracle, sublevel_persistence
@@ -175,7 +174,7 @@ def _summary(cfg, command, results):
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
         "versions": {"selkam": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__, "sympy": sympy.__version__},
+                     "scipy": scipy.__version__},
         "results": results,
     }
 
@@ -196,7 +195,7 @@ def _write_summary(cfg, command, results, wall):
 
 def _refuse_non_tonelli(H):
     """Results and exit status 1 for an H that fails the Tonelli check, else None."""
-    ton = hamcore.tonelli_check(H)
+    ton = H.tonelli
     if ton.ok:
         return None
     return {"ok": False, "reason": "Hamiltonian failed the Tonelli check",

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import hamcore
 from .lagrangian import ExactLagrangian, SpectralFun, from_graph
-from .torus import hausdorff, wrap
+from .torus import hausdorff, median, wrap
 from .weakkam import smooth_subsolution, subsolution_check
 
 __all__ = [
@@ -68,6 +68,13 @@ def _as_points(L):
         return L.phase_points(), L.dim
     pts = np.atleast_2d(np.asarray(L, dtype=float))
     return pts, pts.shape[1] // 2
+
+
+def _refuse_dim_2(L, H, name):
+    """The check reads phase points as (q, p) columns: refuse T^2 before any work."""
+    dim = L.dim if isinstance(L, ExactLagrangian) else _as_points(L)[1]
+    if H.dim != 1 or dim != 1:
+        raise NotImplementedError(f"{name} works over T^1 only, not dim 2")
 
 
 def _split(points, dim):
@@ -189,7 +196,7 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
     if seeds.shape[0] > 2:
         # nearest-neighbor spacing: transversal where the sampled set
         # stacks (tight tubes reject orbits sliding between sheets)
-        local = float(np.median(_spacing(seeds)))
+        local = float(median(_spacing(seeds)))
     else:
         local = 0.0
     fallback = 3.0 / max(points.shape[0], 64)
@@ -400,8 +407,10 @@ def verify_theorem_6_3(L, H, a, f, horizon=100.0):
     graph selector of a flowed L, else the limit selector of a mollification
     sequence.  Pipeline: subsolution check of f at level a -> double
     Lax-Oleinik smoothing -> graph of the smoothed differential ->
-    invariant-set comparison by trimming.
+    invariant-set comparison by trimming.  T^1 only: dim 2 raises
+    NotImplementedError.
     """
+    _refuse_dim_2(L, H, "verify_theorem_6_3")
     pts, dim = _as_points(L)
     vals = H.value(pts[:, 0], pts[:, 1])
     if float(np.max(vals)) > a + 1e-3 * max(1.0, abs(a)):
@@ -466,7 +475,9 @@ def verify_theorem_1_5(L, H, horizon=5.0):
     Measures the flow-invariance defect of L over the horizon; when it is
     below tolerance, asserts that H is constant on L and that the samples
     pass the graph test.  Large defects are reported without any claim.
+    T^1 only: dim 2 raises NotImplementedError.
     """
+    _refuse_dim_2(L, H, "verify_theorem_1_5")
     pts, dim = _as_points(L)
     p_range = float(pts[:, 1].max() - pts[:, 1].min()) if pts.shape[0] > 1 else 0.0
     diam = float(np.hypot(0.5, p_range))

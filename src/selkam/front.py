@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import wrap
+from .torus import median, wrap
 
 __all__ = [
     "FiberData",
@@ -238,7 +238,7 @@ def caustics(L):
     eps = 1e-6
     curv = (fq.derivative(t_fold + eps) - fq.derivative(t_fold - eps)) / (2 * eps)
     # degenerate folds are judged against the fold population's own scale
-    scale = max(float(np.median(np.abs(curv))), 1e-12)
+    scale = max(float(median(np.abs(curv))), 1e-12)
     kinds = ["cusp" if abs(c) < CUSP_TOL * scale else "fold" for c in curv]
     order = np.argsort(q_fold)
     qs = q_fold[order]

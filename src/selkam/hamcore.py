@@ -11,14 +11,16 @@ phase space:
     ident  := "q" | "p" | "q1" | "q2" | "p1" | "p2"
 
 Division is only allowed by constant subexpressions (no q- or p-dependence
-in a denominator).  Analytic partial derivatives come from sympy; fast
-vectorized evaluators are lambdified once at construction.
+in a denominator).  Partial derivatives are taken on the parse tree itself,
+with constants folded; each one is emitted as numpy source text and compiled
+once, at construction.  sympy is not used at run time: the tests use it as
+an oracle for these derivatives.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import sympy as sp
 
 from .torus import wrap
 
@@ -118,8 +120,33 @@ def _ast_has_var(node):
     return False
 
 
-def ast_to_text(node):
-    """Canonical re-serialization (idempotent under parse/serialize)."""
+# binding strength of each printed form, loosest first; a Neg is printed in
+# parentheses wherever a sum would be, since the grammar's unary minus only
+# opens an expression
+_SUM, _PRODUCT, _UNARY, _POWER, _ATOM = range(5)
+
+
+def _rank(node):
+    if isinstance(node, Neg) or (isinstance(node, Bin) and node.op in "+-"):
+        return _SUM
+    if isinstance(node, Bin):
+        return _PRODUCT
+    if isinstance(node, Num) and node.text.startswith("-"):
+        return _UNARY
+    return _POWER if isinstance(node, PowInt) else _ATOM
+
+
+def ast_to_text(node, python=False):
+    """Canonical re-serialization: parsing the text gives the same tree.
+
+    With ``python`` the text is Python source for a folded tree: ``**`` for
+    powers, and a coefficient written as the first factor of its product,
+    ``c*a*b``, which Python evaluates as ``(c*a)*b``.
+    """
+    def operand(child, rank):
+        text = ast_to_text(child, python)
+        return f"({text})" if _rank(child) < rank else text
+
     if isinstance(node, Num):
         return node.text
     if isinstance(node, Pi):
@@ -127,38 +154,17 @@ def ast_to_text(node):
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
-        return "-" + _wrap_term(node.arg)
+        return "-" + operand(node.arg, _PRODUCT)
     if isinstance(node, Bin):
-        lhs, rhs = node.lhs, node.rhs
-        if node.op in "+-":
-            rt = _wrap_term(rhs) if isinstance(rhs, Neg) else ast_to_text(rhs)
-            return f"{ast_to_text(lhs)} {node.op} {rt}"
-        lt = _wrap_add(lhs)
-        rt = _wrap_add(rhs)
-        return f"{lt}{node.op}{rt}"
+        rank = _rank(node)
+        op = f" {node.op} " if rank == _SUM else node.op
+        coefficient = python and node.op == "*" and isinstance(node.lhs, Num)
+        return operand(node.lhs, rank) + op + operand(node.rhs, rank + (not coefficient))
     if isinstance(node, PowInt):
-        return f"{_wrap_pow(node.base)}^{node.exponent}"
+        return f"{operand(node.base, _ATOM)}{'**' if python else '^'}{node.exponent}"
     if isinstance(node, Call):
-        return f"{node.func}({ast_to_text(node.arg)})"
+        return f"{node.func}({ast_to_text(node.arg, python)})"
     raise TypeError(f"unknown node {node!r}")
-
-
-def _wrap_add(node):
-    if isinstance(node, (Bin, Neg)) and (isinstance(node, Neg) or node.op in "+-"):
-        return f"({ast_to_text(node)})"
-    return ast_to_text(node)
-
-
-def _wrap_term(node):
-    if isinstance(node, Bin) and node.op in "+-":
-        return f"({ast_to_text(node)})"
-    return ast_to_text(node)
-
-
-def _wrap_pow(node):
-    if isinstance(node, (Num, Pi, Var, Call)):
-        return ast_to_text(node)
-    return f"({ast_to_text(node)})"
 
 
 # ---------------------------------------------------------------------------
@@ -297,24 +303,179 @@ class _Parser:
         return "".join(out)
 
 
-def _ast_to_sympy(node, symbols):
-    if isinstance(node, Num):
-        return sp.Float(node.value) if "." in node.text or "e" in node.text.lower() else sp.Integer(int(node.value))
-    if isinstance(node, Pi):
-        return sp.pi
+def _substitute(node, mapping):
+    """The tree with every variable named in ``mapping`` replaced by its tree."""
     if isinstance(node, Var):
-        return symbols[node.name]
+        return mapping.get(node.name, node)
     if isinstance(node, Neg):
-        return -_ast_to_sympy(node.arg, symbols)
+        return Neg(_substitute(node.arg, mapping))
     if isinstance(node, Bin):
-        lhs = _ast_to_sympy(node.lhs, symbols)
-        rhs = _ast_to_sympy(node.rhs, symbols)
-        return {"+": lhs + rhs, "-": lhs - rhs, "*": lhs * rhs, "/": lhs / rhs}[node.op]
+        return Bin(node.op, _substitute(node.lhs, mapping), _substitute(node.rhs, mapping))
     if isinstance(node, PowInt):
-        return _ast_to_sympy(node.base, symbols) ** node.exponent
+        return PowInt(_substitute(node.base, mapping), node.exponent)
     if isinstance(node, Call):
-        return {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp}[node.func](_ast_to_sympy(node.arg, symbols))
-    raise TypeError(node)
+        return Call(node.func, _substitute(node.arg, mapping))
+    return node
+
+
+# ---------------------------------------------------------------------------
+# Folding, differentiation and compilation to numpy source
+#
+# A folded tree is a parse tree with its constants folded left to right, as
+# Python evaluates them (2*pi*q is 6.283185307179586*q), with 0 and 1 terms
+# dropped, and with every product carrying one leading scalar coefficient:
+# Bin("*", Num(c), rest), or Neg(rest) for c = -1.  A division (always by a
+# constant) becomes part of that coefficient.  The smart constructors below
+# take folded trees to folded trees, so derivatives stay folded.
+
+
+def _num(value):
+    value = float(value)
+    return Num(value, repr(value))
+
+
+_ZERO, _ONE = _num(0.0), _num(1.0)
+_NUMPY = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+
+
+def _ieee(fn, *args):
+    """fn on float64 scalars with IEEE results (inf, nan) instead of exceptions."""
+    with np.errstate(all="ignore"):
+        return float(fn(*(np.float64(a) for a in args)))
+
+
+def _coefficient(node):
+    """(c, rest) with node = c * rest; rest is None for a constant."""
+    if isinstance(node, Num):
+        return node.value, None
+    if isinstance(node, Neg):
+        c, rest = _coefficient(node.arg)
+        return -c, rest
+    if isinstance(node, Bin) and node.op == "*" and isinstance(node.lhs, Num):
+        return node.lhs.value, node.rhs
+    return 1.0, node
+
+
+def _scale(c, rest):
+    if rest is None or c == 0:
+        return _num(c if rest is None else 0.0)
+    if c == 1:
+        return rest
+    return Neg(rest) if c == -1 else Bin("*", _num(c), rest)
+
+
+def _times(a, b):
+    """Product of two coefficient-free factors, associated to the left."""
+    if isinstance(b, Bin) and b.op == "*":
+        return Bin("*", _times(a, b.lhs), b.rhs)
+    return Bin("*", a, b)
+
+
+def _mul(a, b):
+    ca, ra = _coefficient(a)
+    cb, rb = _coefficient(b)
+    return _scale(ca * cb, rb if ra is None else ra if rb is None else _times(ra, rb))
+
+
+def _div(a, b):
+    ca, ra = _coefficient(a)
+    cb, rb = _coefficient(b)
+    if rb is not None:
+        raise ValueError("division by a non-constant expression")
+    return _scale(_ieee(np.true_divide, ca, cb), ra)
+
+
+def _neg(a):
+    c, rest = _coefficient(a)
+    return _scale(-c, rest)
+
+
+def _add(a, b, sign=1.0):
+    """a + sign*b; a negative term is subtracted, which costs no negation."""
+    if isinstance(a, Num) and isinstance(b, Num):
+        return _num(a.value + sign * b.value)
+    if isinstance(b, Num) and b.value == 0:
+        return a
+    if isinstance(a, Num) and a.value == 0:
+        return b if sign > 0 else _neg(b)
+    c, rest = _coefficient(b)
+    if sign * c < 0:
+        return Bin("-", a, _scale(-sign * c, rest))
+    return Bin("+", a, _scale(sign * c, rest))
+
+
+def _pow(a, n):
+    if n == 0:
+        return _ONE
+    c, rest = _coefficient(a)
+    cn = _ieee(np.power, c, n)
+    if rest is None:
+        return _num(cn)
+    return _scale(cn, rest if n == 1 else PowInt(rest, n))
+
+
+def _call(func, a):
+    return _num(_ieee(_NUMPY[func], a.value)) if isinstance(a, Num) else Call(func, a)
+
+
+def _fold(node):
+    """Folded tree of a parse tree."""
+    if isinstance(node, (Num, Pi)):
+        return _num(np.pi if isinstance(node, Pi) else node.value)
+    if isinstance(node, Neg):
+        return _neg(_fold(node.arg))
+    if isinstance(node, Bin):
+        lhs, rhs = _fold(node.lhs), _fold(node.rhs)
+        if node.op in "+-":
+            return _add(lhs, rhs, 1.0 if node.op == "+" else -1.0)
+        return _mul(lhs, rhs) if node.op == "*" else _div(lhs, rhs)
+    if isinstance(node, PowInt):
+        return _pow(_fold(node.base), node.exponent)
+    if isinstance(node, Call):
+        return _call(node.func, _fold(node.arg))
+    return node
+
+
+def _diff(node, name):
+    """Folded partial derivative in the variable ``name`` of a folded tree."""
+    if isinstance(node, Var):
+        return _ONE if node.name == name else _ZERO
+    if isinstance(node, Neg):
+        return _neg(_diff(node.arg, name))
+    if isinstance(node, Bin):
+        dl, dr = _diff(node.lhs, name), _diff(node.rhs, name)
+        if node.op in "+-":
+            return _add(dl, dr, 1.0 if node.op == "+" else -1.0)
+        # a folded tree divides nowhere: this is a product
+        return _add(_mul(dl, node.rhs), _mul(node.lhs, dr))
+    if isinstance(node, PowInt):
+        n = node.exponent
+        return _mul(_mul(_num(n), _pow(node.base, n - 1)), _diff(node.base, name))
+    if isinstance(node, Call):
+        outer = {"sin": Call("cos", node.arg), "cos": Neg(Call("sin", node.arg)),
+                 "exp": node}[node.func]
+        return _mul(outer, _diff(node.arg, name))
+    return _ZERO
+
+
+def _compile(node, names):
+    """One numpy function of the variables ``names`` evaluating a folded tree.
+
+    The body is generated Python source, compiled once, so a call costs the
+    numpy operations of the tree and nothing more.  A constant result is
+    broadcast to the arguments' shape.
+    """
+    namespace = {**_NUMPY, "inf": np.inf, "nan": np.nan}
+    exec(f"def f({', '.join(names)}):\n    return {ast_to_text(node, python=True)}\n",
+         namespace)
+    fn = namespace["f"]
+
+    def wrapped(*args):
+        out = fn(*args)
+        return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast(*args).shape).copy() \
+            if np.ndim(out) == 0 and any(np.ndim(a) for a in args) else np.asarray(out, dtype=float)
+
+    return wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -335,17 +496,6 @@ class CotangentPoint:
             raise ValueError("q and p must have matching shapes")
 
 
-def _lambdify(expr, syms):
-    fn = sp.lambdify(syms, expr, modules="numpy")
-
-    def wrapped(*args):
-        out = fn(*args)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast(*args).shape).copy() \
-            if np.ndim(out) == 0 and any(np.ndim(a) for a in args) else np.asarray(out, dtype=float)
-
-    return wrapped
-
-
 @dataclass
 class HamiltonianSpec:
     """Parsed Hamiltonian with vectorized evaluators and derivatives.
@@ -362,6 +512,11 @@ class HamiltonianSpec:
     @property
     def is_mechanical(self):
         return self._impl["mechanical"]
+
+    @cached_property
+    def tonelli(self):
+        """This H's ``tonelli_check`` report, computed once."""
+        return tonelli_check(self)
 
     def _split(self, q, p):
         q = np.asarray(q, dtype=float)
@@ -430,33 +585,54 @@ def parse_hamiltonian(src, dim):
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
     ast = _Parser(src, dim).parse()
+    trees, mechanical = _symbolic(ast, dim)
     names = _IDENTS[dim]
-    symbols = {name: sp.Symbol(name, real=True) for name in names}
-    expr = _ast_to_sympy(ast, symbols)
-    qsyms = [symbols[n] for n in names[: dim]]
-    psyms = [symbols[n] for n in names[dim:]]
-    syms = qsyms + psyms
 
-    V = expr.subs({s: 0 for s in psyms})
-    kinetic = sum(s ** 2 for s in psyms) / 2
-    # expansion to zero proves H = |p|^2/2 + V; an H that reaches that form
-    # only through an identity (sin^2 + cos^2 = 1) takes the implicit
-    # midpoint, which serves every Tonelli H
-    mechanical = sp.expand(expr - V - kinetic) == 0
+    def compiled(tree, args):
+        return [compiled(t, args) for t in tree] if isinstance(tree, list) else _compile(tree, args)
 
-    impl = {
-        "H": _lambdify(expr, syms),
-        "dHdq": [_lambdify(sp.diff(expr, s), syms) for s in qsyms],
-        "dHdp": [_lambdify(sp.diff(expr, s), syms) for s in psyms],
-        "d2Hdp2": [[_lambdify(sp.diff(expr, si, sj), syms) for sj in psyms] for si in psyms],
-        "d2Hdq2": [[_lambdify(sp.diff(expr, si, sj), syms) for sj in qsyms] for si in qsyms],
-        "d2Hdqdp": [[_lambdify(sp.diff(expr, si, sj), syms) for sj in psyms] for si in qsyms],
-        "V": _lambdify(V, qsyms),
-        "dVdq": [_lambdify(sp.diff(V, s), qsyms) for s in qsyms],
-        "mechanical": bool(mechanical),
-    }
+    impl = {key: compiled(tree, names[:dim] if key in ("V", "dVdq") else names)
+            for key, tree in trees.items()}
+    impl["mechanical"] = mechanical
     _check_periodic(impl["H"], dim, "Hamiltonian")
     return HamiltonianSpec(source=ast_to_text(ast), ast=ast, dim=dim, _impl=impl)
+
+
+def _symbolic(ast, dim):
+    """Folded trees of H, its partials to second order, V = H(q, 0) and V_q,
+    and whether H is mechanical.
+
+    H counts as mechanical, |p|^2/2 + V(q), when H_pp = I, H_qp = 0 and
+    H_p(q, 0) = 0 all fold to constants.  An H that reaches that form only
+    through an identity (sin^2 + cos^2 = 1) takes the implicit midpoint,
+    which serves every Tonelli H.
+    """
+    qs, ps = _IDENTS[dim][:dim], _IDENTS[dim][dim:]
+    H = _fold(ast)
+    at_rest = {name: _ZERO for name in ps}
+    V = _fold(_substitute(H, at_rest))
+    dHdq = [_diff(H, s) for s in qs]
+    dHdp = [_diff(H, s) for s in ps]
+    trees = {
+        "H": H,
+        "dHdq": dHdq,
+        "dHdp": dHdp,
+        "d2Hdp2": [[_diff(d, s) for s in ps] for d in dHdp],
+        "d2Hdq2": [[_diff(d, s) for s in qs] for d in dHdq],
+        "d2Hdqdp": [[_diff(d, s) for s in ps] for d in dHdq],
+        "V": V,
+        "dVdq": [_diff(V, s) for s in qs],
+    }
+    mechanical = (
+        all(_is_constant(t, i == j) for i, row in enumerate(trees["d2Hdp2"])
+            for j, t in enumerate(row))
+        and all(_is_constant(t, 0) for row in trees["d2Hdqdp"] for t in row)
+        and all(_is_constant(_fold(_substitute(d, at_rest)), 0) for d in dHdp))
+    return trees, mechanical
+
+
+def _is_constant(tree, value):
+    return isinstance(tree, Num) and tree.value == value
 
 
 @dataclass(frozen=True)
@@ -478,8 +654,7 @@ def parse_periodic(src):
     1-periodic.
     """
     ast = _Parser(src, 1, q_only=True).parse()
-    q = sp.Symbol("q", real=True)
-    fn = _lambdify(_ast_to_sympy(ast, {"q": q}), [q])
+    fn = _compile(_fold(ast), ("q",))
     _check_periodic(fn, 1, "function", momenta=False)
     return PeriodicFunction(source=ast_to_text(ast), _fn=fn)
 
@@ -520,22 +695,9 @@ def shift_momentum(spec, dw_src):
         dw_src = (dw_src,)
     if len(dw_src) != spec.dim:
         raise ValueError("need one shift expression per momentum component")
-    shifts = [_Parser(s, spec.dim, q_only=True).parse() for s in dw_src]
-
-    def substitute(node):
-        if isinstance(node, Var) and node.name in momenta:
-            return Bin("+", node, shifts[momenta.index(node.name)])
-        if isinstance(node, Neg):
-            return Neg(substitute(node.arg))
-        if isinstance(node, Bin):
-            return Bin(node.op, substitute(node.lhs), substitute(node.rhs))
-        if isinstance(node, PowInt):
-            return PowInt(substitute(node.base), node.exponent)
-        if isinstance(node, Call):
-            return Call(node.func, substitute(node.arg))
-        return node
-
-    return parse_hamiltonian(ast_to_text(substitute(spec.ast)), spec.dim)
+    shifted = {m: Bin("+", Var(m), _Parser(s, spec.dim, q_only=True).parse())
+               for m, s in zip(momenta, dw_src)}
+    return parse_hamiltonian(ast_to_text(_substitute(spec.ast, shifted)), spec.dim)
 
 
 # ---------------------------------------------------------------------------

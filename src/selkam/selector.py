@@ -28,7 +28,7 @@ from . import hamcore
 from .front import fiber_sweep, caustics
 from .lagrangian import ExactLagrangian, SpectralFun
 from .persistence import sublevel_persistence
-from .torus import hermite_basis, wrap
+from .torus import hermite_basis, median, wrap
 
 __all__ = [
     "ActionKernel",
@@ -443,15 +443,16 @@ def graph_selector(L, grid_size=512, snap_tol=SNAP_TOL):
     The value at each grid point is the lowest member of the fiber spectrum,
     in the anchored primitive frame; for a Tonelli H this is the minimax
     selector (``kernel_minimax`` computes the minimax itself), so a flowed L
-    whose H fails ``hamcore.tonelli_check`` is refused.  A point where the
-    second-lowest member lies within ``snap_tol`` is flagged.  An envelope
-    that jumps raises.  The certified Lipschitz constant is the max over all
-    grid pairs in the flat-torus metric.
+    whose H fails the Tonelli check (``HamiltonianSpec.tonelli``) is
+    refused.  A point where the second-lowest member lies within
+    ``snap_tol`` is flagged.  An envelope that jumps raises.  The certified
+    Lipschitz constant is the max over all grid pairs in the flat-torus
+    metric.
     """
     if L.dim != 1:
         raise NotImplementedError("the graph selector is one-dimensional")
     if "H" in L.meta:
-        ton = hamcore.tonelli_check(L.meta["H"])
+        ton = L.meta["H"].tonelli
         if not ton.ok:
             raise ValueError("the front's lower envelope is the minimax selector only "
                              "for Tonelli H; min fiber Hessian eigenvalue "
@@ -721,7 +722,7 @@ def generalized_selector(seq, grid_size=512):
     df = (np.roll(vals, -1) - np.roll(vals, 1)) / (2 * h)
     # differentiability points: exclude kinks, seen as second-difference spikes
     d2 = np.abs(np.roll(vals, -1) + np.roll(vals, 1) - 2 * vals) / h ** 2
-    smooth = d2 < 10.0 * np.median(d2) + 1e3 * h
+    smooth = d2 < 10.0 * median(d2) + 1e3 * h
     hull_d = 0.0
     gap = 0.0
     n_ext = 0

@@ -74,9 +74,9 @@ def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     """One Lax-Oleinik step on a periodic grid function.
 
     Mechanical H (dim 1 or 2): the quadratic cost separates into per-axis
-    passes.  Other H, dim 1 only: the Legendre table of (H, u.size, dt,
-    v_max), which a caller stepping many times builds once and passes as
-    ``table``.
+    passes.  Other H, dim 1 only: the step's cost table dt * l of (H,
+    u.size, dt, v_max), which a caller stepping many times builds once and
+    passes as ``table``.
     """
     u = np.asarray(u, dtype=float)
     if not 0 < dt <= 0.5:
@@ -92,10 +92,10 @@ def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     if direction == "descending":
         # u(q - k h) + dt*l(k h / dt, q)
         stack = _shifted(u, shifts, 0)
-        stack += dt * table
+        stack += table
         return np.min(stack, axis=0)
     stack = _shifted(u, -shifts, 0)
-    stack -= dt * table
+    stack -= table
     return np.max(stack, axis=0)
 
 
@@ -107,13 +107,14 @@ def _shifts(n, v_max, dt):
 
 
 def _grid_table(H, n, dt, v_max):
-    """The Legendre table a step of size dt reads on an n-point grid.
+    """The cost table dt * l a step of size dt adds on an n-point grid.
 
-    None for a mechanical or a dim-2 H, whose steps use no table.
+    None for a mechanical or a dim-2 H, whose steps use no table.  Scaled
+    once here, so a step allocates no second table-sized array.
     """
     if H.is_mechanical or H.dim != 1:
         return None
-    return legendre_table(H, _shifts(n, v_max, dt) * (1.0 / n) / dt, np.arange(n) / n)
+    return dt * legendre_table(H, _shifts(n, v_max, dt) * (1.0 / n) / dt, np.arange(n) / n)
 
 
 def _shifted(u, shifts, axis):
@@ -164,7 +165,7 @@ def critical_value(H, grid=1024, dt=0.1, direction="descending", seed=None,
     The per-step decrement converges to dt * alpha; alpha averages the
     last quarter of the decrements after the transient and the certificate
     carries the critical solution and the fixed-point residual.  ``table``
-    is the Legendre table of (H, grid, dt), built here when not given.
+    is the step's cost table of (H, grid, dt), built here when not given.
     """
     q = np.arange(grid) / grid
     u = np.zeros((grid,) * H.dim)

@@ -117,9 +117,25 @@ def test_commands_reuse_the_validated_hamiltonian(fast_cfg, tmp_path, monkeypatc
         assert status == 0
 
 
+def test_selector_checks_tonelli_once(fast_cfg, tmp_path, monkeypatch):
+    # the CLI's refusal and graph_selector's own read one report per H
+    calls = []
+    inner = hamcore.tonelli_check
+
+    def spy(spec):
+        calls.append(spec)
+        return inner(spec)
+
+    monkeypatch.setattr(hamcore, "tonelli_check", spy)
+    cfg = load_config(fast_cfg, out_dir=tmp_path / "o")
+    assert run("selector", cfg)[1] == 0
+    assert calls == [cfg.H]
+
+
 def test_no_heavy_import_on_the_workload_path(tmp_path):
-    # the workload commands load no scipy submodule beyond the version string
-    # and no sympy.physics (which sympy.simplify pulls in)
+    # the workload commands load no scipy submodule beyond the version string,
+    # no sympy (derivatives are compiled in-house) and no numpy.ma (which
+    # np.median's NaN check imports)
     (tmp_path / "fast.cfg").write_text(FAST_CFG)
     script = f"""
 import sys
@@ -128,8 +144,8 @@ for command in ("weakkam", "selector"):
     cfg = load_config({str(tmp_path / "fast.cfg")!r}, out_dir={str(tmp_path)!r} + "/" + command)
     assert run(command, cfg)[1] == 0
 heavy = ("scipy.sparse", "scipy.spatial", "scipy.interpolate", "scipy.ndimage",
-         "scipy.optimize", "sympy.physics")
-print(sorted(m for m in sys.modules if m.startswith(heavy)))
+         "scipy.optimize", "sympy", "numpy.ma")
+print(sorted(m for m in sys.modules if m in heavy or m.startswith(tuple(h + "." for h in heavy))))
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])

@@ -170,6 +170,20 @@ def test_theorem_1_5_non_invariant_cases(free, pendulum, whorl):
     assert rep2.invariance_defect > 1e-2
 
 
+def test_theorems_refuse_dim_2_by_name(monkeypatch):
+    L = from_graph(np.zeros((64, 64)), dim=2)
+    H = hamcore.parse_hamiltonian("(p1^2 + p2^2)/2", 2)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before refusing dim 2")
+
+    monkeypatch.setattr(hamcore, "integrate", no_work)
+    with pytest.raises(NotImplementedError, match="dim 2"):
+        verify_theorem_1_5(L, H)
+    with pytest.raises(NotImplementedError, match="dim 2"):
+        verify_theorem_6_3(L, H, 0.0, None)
+
+
 def test_equivariance_smoke(pendulum):
     w = 0.12 * np.sin(2 * np.pi * GRID) / (2 * np.pi)
     hd, i1, i2 = equivariance_check(np.zeros(256), w, "0.12*cos(2*pi*q)",

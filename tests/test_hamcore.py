@@ -1,11 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+import sympy as sp
+from hypothesis import assume, example, given, settings, strategies as st
 
-from selkam.hamcore import (MIDPOINT_MAX_ITERS, MIDPOINT_TOL, CotangentPoint,
-                            ExpressionError, _leapfrog, flow_step, integrate,
-                            parse_hamiltonian, parse_periodic, shift_momentum,
-                            tonelli_check)
+from selkam import hamcore
+from selkam.hamcore import (MIDPOINT_MAX_ITERS, MIDPOINT_TOL, Bin, Call, CotangentPoint,
+                            ExpressionError, Neg, Num, Pi, PowInt, Var, _leapfrog,
+                            ast_to_text, flow_step, integrate, parse_hamiltonian,
+                            parse_periodic, shift_momentum, tonelli_check)
 from selkam.torus import wrap
 
 
@@ -383,3 +386,173 @@ def test_dim2_midpoint_time_reversal():
     assert np.max(np.abs(Q1 - Q0)) > 0.05
     Q, P = integrate(H, Q1, P1, -0.01, 200)
     assert np.max(np.abs(Q - Q0)) <= 1e-10 and np.max(np.abs(P - P0)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# In-house derivatives against sympy, which serves as the test oracle only
+
+_SYMPY_FUNCS = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp}
+
+
+def _to_sympy(node, symbols):
+    if isinstance(node, Num):
+        return sp.Integer(int(node.value)) if node.value.is_integer() else sp.Float(node.value)
+    if isinstance(node, Pi):
+        return sp.pi
+    if isinstance(node, Var):
+        return symbols[node.name]
+    if isinstance(node, Neg):
+        return -_to_sympy(node.arg, symbols)
+    if isinstance(node, Bin):
+        lhs, rhs = _to_sympy(node.lhs, symbols), _to_sympy(node.rhs, symbols)
+        return {"+": lhs + rhs, "-": lhs - rhs, "*": lhs * rhs, "/": lhs / rhs}[node.op]
+    if isinstance(node, PowInt):
+        return _to_sympy(node.base, symbols) ** node.exponent
+    return _SYMPY_FUNCS[node.func](_to_sympy(node.arg, symbols))
+
+
+def _magnitude(node, env):
+    """Size of every term of a folded tree, summed: bounds its rounding error."""
+    if isinstance(node, Num):
+        return abs(node.value)
+    if isinstance(node, Var):
+        return np.abs(env[node.name])
+    if isinstance(node, Neg):
+        return _magnitude(node.arg, env)
+    if isinstance(node, Bin):
+        lhs, rhs = _magnitude(node.lhs, env), _magnitude(node.rhs, env)
+        return lhs + rhs if node.op in "+-" else lhs * rhs
+    if isinstance(node, PowInt):
+        return _magnitude(node.base, env) ** node.exponent
+    arg = _magnitude(node.arg, env)
+    return (1.0 + arg) * (np.exp(arg) if node.func == "exp" else 1.0)
+
+
+_CONSTANTS = st.sampled_from(["1", "2", "3", "0.5", "0.25", "1.5e-1"]).map(
+    lambda t: Num(float(t), t))
+
+
+def _expressions(dim):
+    """Grammar trees of a 1-periodic H: q enters through sin/cos(2 k pi q) only."""
+    qs, ps = hamcore._IDENTS[dim][:dim], hamcore._IDENTS[dim][dim:]
+    waves = st.builds(
+        lambda func, k, q: Call(func, Bin("*", Bin("*", Num(2.0 * k, str(2 * k)), Pi()), Var(q))),
+        st.sampled_from(["sin", "cos"]), st.integers(1, 2), st.sampled_from(qs))
+    leaves = st.one_of(waves, st.sampled_from(ps).map(Var), _CONSTANTS, st.just(Pi()))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        inner.map(Neg),
+        st.builds(Bin, st.sampled_from("+-*"), inner, inner),
+        st.builds(lambda a, c: Bin("/", a, c), inner, st.one_of(_CONSTANTS, st.just(Pi()))),
+        st.builds(PowInt, inner, st.integers(0, 3)),
+        st.builds(Call, st.sampled_from(["sin", "cos", "exp"]), inner),
+    ), max_leaves=8)
+
+
+def _oracle_pairs(spec, trees, expr, symbols):
+    """(compiled evaluator, folded tree, sympy expression, argument names)."""
+    n = spec.dim
+    names = hamcore._IDENTS[n]
+    qs, ps = [symbols[s] for s in names[:n]], [symbols[s] for s in names[n:]]
+    V = expr.subs({s: 0 for s in ps})
+    impl = spec._impl
+    yield impl["H"], trees["H"], expr, names
+    yield impl["V"], trees["V"], V, names[:n]
+    for i in range(n):
+        yield impl["dHdq"][i], trees["dHdq"][i], sp.diff(expr, qs[i]), names
+        yield impl["dHdp"][i], trees["dHdp"][i], sp.diff(expr, ps[i]), names
+        yield impl["dVdq"][i], trees["dVdq"][i], sp.diff(V, qs[i]), names[:n]
+        for j in range(n):
+            yield impl["d2Hdp2"][i][j], trees["d2Hdp2"][i][j], sp.diff(expr, ps[i], ps[j]), names
+            yield impl["d2Hdq2"][i][j], trees["d2Hdq2"][i][j], sp.diff(expr, qs[i], qs[j]), names
+            yield impl["d2Hdqdp"][i][j], trees["d2Hdqdp"][i][j], sp.diff(expr, qs[i], ps[j]), names
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_derivatives_match_sympy(dim, data):
+    # every evaluator against sympy.diff evaluated at 40 digits, within 1e-12
+    # of the size of the evaluated tree's terms
+    ast = data.draw(_expressions(dim))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    try:
+        spec = parse_hamiltonian(ast_to_text(ast), dim)
+    except ExpressionError:
+        # a tree whose rounding defeats the sampled periodicity check
+        assume(False)
+    names = hamcore._IDENTS[dim]
+    symbols = {s: sp.Symbol(s, real=True) for s in names}
+    expr = _to_sympy(ast, symbols)
+    rng = np.random.default_rng(seed)
+    env = {s: rng.uniform(0.0, 1.0, 6) if s.startswith("q") else rng.uniform(-1.5, 1.5, 6)
+           for s in names}
+    trees, mechanical = hamcore._symbolic(ast, dim)
+    for fn, tree, want, args in _oracle_pairs(spec, trees, expr, symbols):
+        got = fn(*(env[s] for s in args))
+        scale = 1.0 + _magnitude(tree, env)
+        assume(np.all(np.isfinite(got)) and np.all(scale < 1e100))
+        exact = sp.lambdify([symbols[s] for s in args], want, modules="mpmath")
+        with mpmath.workdps(40):
+            truth = np.array([float(exact(*(mpmath.mpf(float(env[s][k])) for s in args)))
+                              for k in range(6)])
+        assert np.all(np.abs(got - truth) <= 1e-12 * scale), (ast_to_text(tree, True), got, truth)
+    if mechanical:
+        kinetic = sum(symbols[s] ** 2 for s in names[dim:]) / 2
+        V = expr.subs({symbols[s]: 0 for s in names[dim:]})
+        assert sp.expand(expr - kinetic - V) == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_text_round_trip_keeps_the_derivatives(dim, data):
+    ast = data.draw(_expressions(dim))
+    text = ast_to_text(ast)
+    again = hamcore._Parser(text, dim).parse()
+    assert again == ast and ast_to_text(again) == text
+    trees, mechanical = hamcore._symbolic(ast, dim)
+    assert hamcore._symbolic(again, dim) == (trees, mechanical)
+    # a folded tree printed as grammar text folds back to itself
+    for tree in [trees["H"], trees["V"], *trees["dHdq"], *trees["dHdp"],
+                 *(t for row in trees["d2Hdp2"] + trees["d2Hdqdp"] for t in row)]:
+        assume(all(np.isfinite(n.value) for n in _nums(tree)))
+        assert hamcore._fold(hamcore._Parser(ast_to_text(tree), dim).parse()) == tree
+
+
+def _nums(node):
+    if isinstance(node, Num):
+        yield node
+    for child in (getattr(node, a) for a in ("arg", "lhs", "rhs", "base") if hasattr(node, a)):
+        yield from _nums(child)
+
+
+@pytest.mark.parametrize("src, dim", [
+    ("p^2/2 + cos(2*pi*q)", 1),
+    ("(p1^2 + p2^2)/2 + 0.3*cos(2*pi*q1) + 0.2*cos(2*pi*q2)", 2),
+], ids=["pendulum", "dim-2 sum"])
+def test_mechanical_evaluators_equal_sympy_lambdify(src, dim):
+    # these H flow on the leapfrog, whose floats the workloads pin: each
+    # evaluator gives lambdify's floats exactly
+    spec = parse_hamiltonian(src, dim)
+    names = hamcore._IDENTS[dim]
+    symbols = {s: sp.Symbol(s, real=True) for s in names}
+    expr = _to_sympy(spec.ast, symbols)
+    rng = np.random.default_rng(0)
+    env = {s: rng.uniform(-1.0, 2.0, 1000) for s in names}
+    trees, _ = hamcore._symbolic(spec.ast, dim)
+    for fn, _, want, args in _oracle_pairs(spec, trees, expr, symbols):
+        ref = sp.lambdify([symbols[s] for s in args], want, modules="numpy")
+        got = fn(*(env[s] for s in args))
+        assert np.array_equal(got, np.broadcast_to(ref(*(env[s] for s in args)), got.shape))
+
+
+@pytest.mark.parametrize("src", ["p^2/2 - (cos(2*pi*q) - 1)", "p^2/(2*pi) + cos(2*pi*q)",
+                                 "p^2/2 + (-cos(2*pi*q))", "-(-p^2)"])
+def test_shift_momentum_keeps_grouping(src):
+    # the shifted H is re-parsed from text, which must keep every grouping
+    H = parse_hamiltonian(src, 1)
+    shifted = shift_momentum(H, "0.3*cos(2*pi*q)")
+    q = np.linspace(0.0, 1.0, 9)
+    p = np.linspace(-1.0, 1.0, 9)
+    assert np.allclose(shifted.value(q, p), H.value(q, p + 0.3 * np.cos(2 * np.pi * q)),
+                       rtol=1e-12, atol=1e-12)
