@@ -1,9 +1,10 @@
-"""Wavefront analysis: fiber intersections, spectra, caustics, sheets.
+"""Wavefront analysis: fiber intersections, spectra and caustics.
 
-All queries are pure functions of a sampled Lagrangian.  Dim-1 curves get
-the full treatment (root bracketing on the interpolated lift, bisection
-refinement, sheet tracking); dim-2 graphs have single-point fibers and an
-empty caustic by construction.
+All queries are pure functions of a sampled dim-1 Lagrangian: roots are
+bracketed on the interpolated lift and refined by bisection.  The front's
+lower envelope is the graph selector (``selector.graph_selector``);
+``dump_front`` writes every sheet with its Cerf-regularity flag.  Dim 2
+raises NotImplementedError.
 """
 
 from dataclasses import dataclass
@@ -15,27 +16,28 @@ from .torus import median, wrap
 __all__ = [
     "FiberData",
     "CausticReport",
-    "SheetChart",
-    "fiber_intersections",
     "fiber_sweep",
-    "spectrum",
     "caustics",
-    "cerf_regular",
-    "sheet_decomposition",
     "dump_front",
 ]
 
 GAP_TOL = 1e-6
 MERGE_TOL = 1e-9           # parameter-space dedupe radius for roots
 TRANSVERSE_TOL = 1e-5      # |dQ/dt| below this (x speed scale) flags tangency
-DEGENERATE_TOL = 1e-10
 CUSP_TOL = 1e-3
-CAUSTIC_TOL = 1e-8         # base-point distance at which a query sits on the caustic
 
 
 @dataclass
 class FiberData:
-    """Intersections of a Lagrangian with one cotangent fiber."""
+    """All points of a Lagrangian over the cotangent fiber at q.
+
+    Momenta and primitives come sorted by primitive value, so ``h`` is the
+    fiber's spectrum.  Tangential intersections are reported with
+    ``transverse = False`` rather than dropped; multiplicity is certified
+    stable when re-detection at MERGE_TOL/2 finds the same count.
+    ``cerf_regular``: transverse, with primitive values separated by more
+    than GAP_TOL.
+    """
 
     q: float
     t: np.ndarray              # curve parameters, sorted by h
@@ -44,7 +46,6 @@ class FiberData:
     transverse: bool
     cerf_regular: bool
     multiplicity_stable: bool
-    uncertainty: np.ndarray
 
     def __len__(self):
         return self.t.size
@@ -60,22 +61,6 @@ class CausticReport:
 
     def __len__(self):
         return self.t.size
-
-
-@dataclass
-class SheetChart:
-    """Graph decomposition of the front over a caustic-free base interval."""
-
-    q_grid: np.ndarray
-    t: np.ndarray               # (k, m) tracked parameters
-    phi: np.ndarray             # (k, m) momenta per sheet
-    h: np.ndarray               # (k, m) primitive values per sheet
-    crossings: list             # (i, j, q_star, h_star)
-    identity_residual: float    # max |d(delta_ij) - (phi_i - phi_j)|
-
-    @property
-    def n_sheets(self):
-        return self.phi.shape[0]
 
 
 def _bisect_batch(fq, lo, hi, targets):
@@ -115,9 +100,9 @@ def _brackets_for_level(L, level):
 
 def fiber_sweep(L, q_values):
     """FiberData for many base points at once (shared vectorized refine)."""
+    if L.dim != 1:
+        raise NotImplementedError("fiber_sweep works over T^1 only, not dim 2")
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
-    if L.dim == 2:
-        return [_fiber_grid(L, qv) for qv in q_values]
     fq = L.interp_q()
     qmin, qmax = float(np.min(L.q)) - 1.0, float(np.max(L.q)) + 1.0
     all_lo, all_hi, all_tg, owner = [], [], [], []
@@ -166,7 +151,7 @@ def _assemble_fiber(L, qv, roots):
     if r1.size == 0:
         return FiberData(q=float(qv), t=r1, p=r1.copy(), h=r1.copy(),
                          transverse=True, cerf_regular=False,
-                         multiplicity_stable=stable, uncertainty=r1.copy())
+                         multiplicity_stable=stable)
     dq = fq.derivative(r1)
     dp = fp.derivative(r1)
     p = fp(r1)
@@ -174,45 +159,13 @@ def _assemble_fiber(L, qv, roots):
     # angle of the curve tangent against the fiber direction; ~0 means tangency
     cosine = np.abs(dq) / np.maximum(np.hypot(dq, dp), 1e-300)
     transverse = bool(np.all(cosine > TRANSVERSE_TOL))
-    unc = 1e-12 / np.maximum(cosine, 1e-12)
     order = np.argsort(h)
     h = h[order]
     gaps = np.diff(h)
     cerf = transverse and (gaps.size == 0 or bool(np.min(gaps) > GAP_TOL))
     return FiberData(q=float(qv), t=r1[order], p=p[order], h=h,
                      transverse=transverse, cerf_regular=cerf,
-                     multiplicity_stable=stable, uncertainty=unc[order])
-
-
-def _fiber_grid(L, qv):
-    v = L.meta["v_samples"]
-    n1, n2 = v.shape
-    k1 = np.fft.fftfreq(n1, d=1.0 / n1)
-    k2 = np.fft.fftfreq(n2, d=1.0 / n2)
-    vh = np.fft.fft2(v) / (n1 * n2)
-    ph = np.exp(2j * np.pi * (qv[0] * k1[:, None] + qv[1] * k2[None, :]))
-    val = float(np.real(np.sum(ph * vh)))
-    g1 = float(np.real(np.sum(ph * vh * (2j * np.pi * k1)[:, None])))
-    g2 = float(np.real(np.sum(ph * vh * (2j * np.pi * k2)[None, :])))
-    return FiberData(q=np.asarray(qv, dtype=float), t=np.zeros(1),
-                     p=np.array([[g1, g2]]), h=np.array([val - v[0, 0]]),
-                     transverse=True, cerf_regular=True,
-                     multiplicity_stable=True, uncertainty=np.zeros(1))
-
-
-def fiber_intersections(L, q):
-    """All points of L over the fiber at q, with momenta and primitives.
-
-    Tangential intersections are reported with ``transverse = False`` and a
-    widened uncertainty rather than dropped; multiplicity is certified
-    stable when re-detection at MERGE_TOL/2 finds the same count.
-    """
-    return fiber_sweep(L, [q])[0]
-
-
-def spectrum(L, q):
-    """Sorted primitive values over the fiber at q."""
-    return fiber_intersections(L, q).h
+                     multiplicity_stable=stable)
 
 
 def caustics(L):
@@ -223,9 +176,8 @@ def caustics(L):
     point.  Consecutive caustic values cut the torus into intervals whose
     fiber multiplicity is reported.
     """
-    if L.dim == 2:
-        return CausticReport(t=np.empty(0), q=np.empty(0), curvature=np.empty(0),
-                             kinds=[], intervals=[(0.0, 1.0, 1)])
+    if L.dim != 1:
+        raise NotImplementedError("caustics works over T^1 only, not dim 2")
     fq = L.interp_q()
     tc = np.append(L.t, L.t[0] + 1.0)
     dq = fq.derivative(tc)
@@ -253,125 +205,6 @@ def caustics(L):
     intervals = [(a, b, c) for (a, b), c in zip(intervals, counts)]
     return CausticReport(t=t_fold[order], q=qs, curvature=curv[order],
                          kinds=[kinds[i] for i in order], intervals=intervals)
-
-
-def cerf_regular(L, q, gap_tol=GAP_TOL):
-    """True iff the fiber's primitive values are separated by > gap_tol.
-
-    Raises for base points on (or numerically at) the caustic, where the
-    query is not defined.
-    """
-    caustic_q = caustics(L).q
-    if len(caustic_q):
-        d = np.abs(caustic_q - q)
-        if np.min(np.minimum(d, 1.0 - d)) <= CAUSTIC_TOL:
-            raise ValueError(f"base point {q} is not in the regular set (caustic)")
-    fd = fiber_intersections(L, q)
-    if not fd.transverse:
-        raise ValueError(f"base point {q} is not in the regular set (caustic)")
-    if len(fd) <= 1:
-        return True
-    return bool(np.min(np.diff(fd.h)) > gap_tol)
-
-
-def sheet_decomposition(L, interval, n_grid=257):
-    """Track the front's sheets over a caustic-free base interval.
-
-    Sheets are continued in q by Newton steps on the interpolated lift;
-    crossings of the pairwise primitive differences delta_ij are located by
-    bisection, and the identity d(delta_ij) = phi_i - phi_j is checked by
-    centered differences on the tracking grid.
-    """
-    q_lo, q_hi = float(interval[0]), float(interval[1])
-    if q_hi <= q_lo:
-        q_hi += 1.0
-    grid = np.linspace(q_lo, q_hi, n_grid)
-    fibers = fiber_sweep(L, wrap(grid))
-    counts = np.array([len(f) for f in fibers])
-    if counts[0] == 0:
-        raise ValueError("empty fiber at the interval start")
-    if np.any(counts != counts[0]):
-        bad = grid[np.argmax(counts != counts[0])]
-        raise ValueError(f"interval contains a caustic value near q = {wrap(bad):.6g}")
-    k = int(counts[0])
-    T = np.empty((k, n_grid))
-    order0 = np.argsort(fibers[0].t)
-    T[:, 0] = fibers[0].t[order0]
-    for j in range(1, n_grid):
-        T[:, j] = _match_sheets(L, T[:, j - 1], grid[j - 1], grid[j], fibers[j].t)
-    fp = L.interp_p()
-    phi = fp(T)
-    h = np.vstack([np.atleast_1d(L.primitive_at(T[i])) for i in range(k)])
-
-    crossings = []
-    worst_identity = 0.0
-    dq_grid = grid[1] - grid[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            delta = h[i] - h[j]
-            if np.max(np.abs(delta)) < DEGENERATE_TOL:
-                raise ValueError(
-                    f"degenerate front: sheets {i} and {j} carry identical primitives")
-            # identity from the primitive structure of the front
-            ddelta = np.gradient(delta, dq_grid)
-            worst_identity = max(worst_identity, float(
-                np.max(np.abs(ddelta[1:-1] - (phi[i] - phi[j])[1:-1]))))
-            sign_flips = np.nonzero(delta[:-1] * delta[1:] < 0)[0]
-            for s in sign_flips:
-                a, b = grid[s], grid[s + 1]
-                ta, tb = T[i, s], T[j, s]
-                da = float(delta[s])
-                for _ in range(60):
-                    m = 0.5 * (a + b)
-                    roots = fiber_sweep(L, [wrap(m)])[0].t
-                    tm_i = _nearest_root(roots, ta)
-                    tm_j = _nearest_root(roots, tb)
-                    dm = float(L.primitive_at(tm_i) - L.primitive_at(tm_j))
-                    if (dm < 0) == (da < 0):
-                        a, ta, tb, da = m, tm_i, tm_j, dm
-                    else:
-                        b = m
-                q_star = 0.5 * (a + b)
-                crossings.append((i, j, float(wrap(q_star)),
-                                  float(L.primitive_at(ta))))
-    return SheetChart(q_grid=grid, t=T, phi=phi, h=h, crossings=crossings,
-                      identity_residual=worst_identity)
-
-
-def _nearest_root(candidates, t_ref):
-    d = np.abs(candidates - t_ref)
-    d = np.minimum(d, 1.0 - d)
-    return float(candidates[np.argmin(d)])
-
-
-def _match_sheets(L, t_prev, q_prev, q_new, candidates, depth=0):
-    """Continue sheet parameters to the next base point by proximity.
-
-    Candidate roots at q_new are assigned to the previous parameters by
-    nearest circular distance; if the assignment is ambiguous the base step
-    is bisected (fresh fiber solve at the midpoint) up to a depth limit.
-    """
-    k = t_prev.size
-    if candidates.size != k:
-        raise ValueError(f"interval contains a caustic value near q = {wrap(q_new):.6g}")
-    d = np.abs(candidates[None, :] - t_prev[:, None])
-    d = np.minimum(d, 1.0 - d)
-    choice = np.argmin(d, axis=1)
-    ambiguous = len(set(choice.tolist())) != k
-    if not ambiguous and k > 1:
-        # a safe match must be clearly closer to its sheet than to any other
-        best = d[np.arange(k), choice]
-        d_masked = d.copy()
-        d_masked[np.arange(k), choice] = np.inf
-        ambiguous = bool(np.any(best > 0.5 * np.min(d_masked, axis=1)))
-    if ambiguous:
-        if depth >= 14:
-            raise RuntimeError(f"sheet tracking ambiguity near q = {wrap(q_new):.6g}")
-        mid = 0.5 * (q_prev + q_new)
-        t_mid = _match_sheets(L, t_prev, q_prev, mid,
-                              fiber_sweep(L, [wrap(mid)])[0].t, depth + 1)
-        return _match_sheets(L, t_mid, mid, q_new, candidates, depth + 1)
-    return candidates[choice]
 
 
 def dump_front(L, q_grid, path):

@@ -27,14 +27,12 @@ from .torus import wrap
 __all__ = [
     "ExpressionError",
     "IntegratorError",
-    "CotangentPoint",
     "HamiltonianSpec",
     "PeriodicFunction",
     "TonelliReport",
     "parse_hamiltonian",
     "parse_periodic",
     "tonelli_check",
-    "flow_step",
     "shift_momentum",
 ]
 
@@ -483,20 +481,6 @@ def _compile(node, names):
 
 
 @dataclass
-class CotangentPoint:
-    """Point of T*T^n; base coordinates stored reduced mod 1."""
-
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.q = wrap(np.atleast_1d(np.asarray(self.q, dtype=float)))
-        self.p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if self.q.shape != self.p.shape:
-            raise ValueError("q and p must have matching shapes")
-
-
-@dataclass
 class HamiltonianSpec:
     """Parsed Hamiltonian with vectorized evaluators and derivatives.
 
@@ -854,11 +838,3 @@ def integrate(spec, Q, P, dt, nsteps, accumulate_action=False):
     stepper = _leapfrog if spec.is_mechanical else _implicit_midpoint
     return stepper(spec, Q, P, dt, nsteps, accumulate_action)
 
-
-def flow_step(spec, x, dt):
-    """One symplectic-integrator step from a cotangent point (dt != 0)."""
-    if dt == 0:
-        raise ValueError("dt must be nonzero")
-    Q, P = integrate(spec, x.q if spec.dim > 1 else x.q[0],
-                     x.p if spec.dim > 1 else x.p[0], dt, 1)
-    return CotangentPoint(q=wrap(np.atleast_1d(Q)), p=np.atleast_1d(P))

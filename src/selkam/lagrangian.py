@@ -27,7 +27,6 @@ __all__ = [
     "verify_exactness",
     "mollify_sequence",
     "line_integral_check",
-    "resample_uniform_speed",
     "save_lagrangian",
     "load_lagrangian",
 ]
@@ -373,16 +372,30 @@ def from_flow(v, H, T, steps, initial_samples=4096):
               "transport_consistency": consistency})
 
 
+def _embedded_lift(q):
+    """Unwrapped lift and winding of a closed dim-1 curve that winds +-1.
+
+    An embedded closed curve in the annulus winds 0 or +-1, and one of
+    winding 0 bounds a disc of positive area, so it is not exact.
+    """
+    lift, winding = unwrap_closed(q)
+    if abs(winding) != 1:
+        raise ValueError(f"curve has winding {winding}; an exact Lagrangian "
+                         "curve in T*T^1 winds +-1")
+    return lift, winding
+
+
 def from_parametric(t, q, p):
     """Closed sampled curve (t, q(t), p(t)); primitive by line integration.
 
-    Rejects curves whose loop integral of p dq exceeds the exactness
-    tolerance (they carry no primitive).
+    Rejects curves whose winding is not +-1 (``_embedded_lift``) and curves
+    whose loop integral of p dq exceeds the exactness tolerance (they carry
+    no primitive).
     """
     t = np.asarray(t, dtype=float)
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    lift, winding = unwrap_closed(q)
+    lift, winding = _embedded_lift(q)
     dq = np.diff(np.append(lift, lift[0] + winding))
     dp = np.diff(np.append(p, p[0]))
     length = float(np.sum(np.hypot(dq, dp)))
@@ -591,26 +604,6 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
         widths=widths)
 
 
-def resample_uniform_speed(L, m=None):
-    """Reparametrize a dim-1 Lagrangian to uniform phase-space speed."""
-    m = m or L.t.size
-    dq = np.diff(np.append(L.q, L.q[0] + L.winding))
-    dp = np.diff(np.append(L.p, L.p[0]))
-    s = np.concatenate([[0.0], np.cumsum(np.hypot(dq, dp))])
-    s /= s[-1]
-    tc = np.append(L.t, L.t[0] + 1.0)
-    tnew = np.interp(np.arange(m) / m, s, tc)
-    fq, fp = L.interp_q(), L.interp_p()
-    q = fq(tnew)
-    p = fp(tnew)
-    S = np.atleast_1d(L.primitive_at(tnew))
-    tt = np.arange(m) / m
-    return ExactLagrangian(
-        dim=1, kind=L.kind, t=tt, q=q, p=p, S=S - S[0], s_offset=L.s_offset + float(S[0]),
-        winding=L.winding, lipschitz_bound=_lipschitz_of_samples(tt, [q, p], [float(L.winding), 0.0]),
-        pmax=L.pmax, meta=dict(L.meta))
-
-
 # ---------------------------------------------------------------------------
 # file format: header `dim n kind K`, rows `t q1 [q2] p1 [p2] S`
 
@@ -630,10 +623,9 @@ def load_lagrangian(path):
     """Read a file written by ``save_lagrangian``.
 
     Refuses what lies outside the setting: a dim-1 curve whose winding is
-    not +-1 (an embedded closed curve in the annulus winds 0 or +-1, and
-    one of winding 0 bounds a disc of positive area, so it is not exact),
-    and a dim-2 file whose row count is not a square grid.  The dim-2
-    Lipschitz bound is read off the samples as ``from_graph`` computes it.
+    not +-1 (``_embedded_lift``), and a dim-2 file whose row count is not a
+    square grid.  The dim-2 Lipschitz bound is read off the samples as
+    ``from_graph`` computes it.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -644,10 +636,7 @@ def load_lagrangian(path):
         data = np.loadtxt(fh, ndmin=2)
     if dim == 1:
         t, q, p, S = data.T
-        lift, winding = unwrap_closed(q)
-        if abs(winding) != 1:
-            raise ValueError(f"curve has winding {winding}; an exact Lagrangian "
-                             "curve in T*T^1 winds +-1")
+        lift, winding = _embedded_lift(q)
         return ExactLagrangian(
             dim=1, kind=kind, t=t, q=lift, p=p, S=S, s_offset=0.0,
             winding=winding,

@@ -587,96 +587,34 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
 @dataclass
 class FiberHull:
     q: object
-    hull: np.ndarray          # 1-d: [lo, hi]; 2-d: (k, 2) vertices (ccw)
+    hull: np.ndarray          # [lo, hi]
     extremal: np.ndarray      # flag per input point
     points: np.ndarray
 
     def distance(self, p):
         """Distance from a momentum to the hull (0 inside)."""
-        if self.hull.ndim == 1:
-            lo, hi = self.hull
-            return float(max(0.0, lo - p, p - hi))
-        return _dist_to_polygon(np.asarray(p, dtype=float), self.hull)
+        lo, hi = self.hull
+        return float(max(0.0, lo - p, p - hi))
 
     def extremal_distance(self, p):
         """Distance from a momentum to the nearest extremal point."""
-        pts = self.points[self.extremal]
-        if pts.ndim == 1:
-            return float(np.min(np.abs(pts - p)))
-        return float(np.min(np.hypot(*(pts - p).T)))
+        return float(np.min(np.abs(self.points[self.extremal] - p)))
 
 
 def convexify_fiber(points, q=None):
-    """Convex hull of fiber momenta with extremal-point flags.
+    """Convex hull of 1-d fiber momenta with extremal-point flags.
 
-    1-d: the hull is the interval [min, max] and the extremal points are
-    its endpoints.  2-d: planar hull (degenerate configurations reduce to
-    a point or a segment), its vertices counter-clockwise; a point is
-    extremal iff it equals a hull vertex, so every copy of a repeated
-    vertex is.
+    The hull is the interval [min, max] and the extremal points are its
+    endpoints.  Planar (dim-2) momenta raise NotImplementedError.
     """
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 1:
+        raise NotImplementedError("convexify_fiber works over T^1 only, not dim 2")
     if pts.size == 0:
         raise ValueError("empty fiber")
-    if pts.ndim == 1:
-        lo, hi = float(np.min(pts)), float(np.max(pts))
-        extremal = (pts == lo) | (pts == hi)
-        return FiberHull(q=q, hull=np.array([lo, hi]), extremal=extremal, points=pts)
-    center = pts.mean(axis=0)
-    spread = pts - center
-    if pts.shape[0] == 1 or np.max(np.abs(spread)) < 1e-14:
-        return FiberHull(q=q, hull=pts[:1].copy(),
-                         extremal=np.ones(pts.shape[0], dtype=bool), points=pts)
-    _, sv, vt = np.linalg.svd(spread, full_matrices=False)
-    if sv[-1] < 1e-12 * max(sv[0], 1.0):
-        # collinear: hull is a segment along the principal direction
-        proj = spread @ vt[0]
-        lo, hi = np.min(proj), np.max(proj)
-        extremal = (np.abs(proj - lo) < 1e-12) | (np.abs(proj - hi) < 1e-12)
-        hull = np.stack([center + lo * vt[0], center + hi * vt[0]])
-        return FiberHull(q=q, hull=hull, extremal=extremal, points=pts)
-    hull = pts[_monotone_chain(pts)]
-    extremal = np.any(np.all(pts[:, None, :] == hull[None, :, :], axis=-1), axis=1)
-    return FiberHull(q=q, hull=hull, extremal=extremal, points=pts)
-
-
-def _monotone_chain(pts):
-    """Indices of the planar hull's vertices, counter-clockwise (Andrew).
-
-    A point on an edge or repeating a vertex is not a vertex.
-    """
-    xy = pts.tolist()
-    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
-
-    def turns_left(o, a, b):
-        (ox, oy), (ax, ay), (bx, by) = xy[o], xy[a], xy[b]
-        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0
-
-    chain = []
-    for sweep in (order, order[::-1]):       # lower hull, then upper hull
-        half = []
-        for i in sweep:
-            while len(half) >= 2 and not turns_left(half[-2], half[-1], i):
-                half.pop()
-            half.append(i)
-        chain += half[:-1]
-    return np.array(chain)
-
-
-def _dist_to_polygon(p, verts):
-    d = np.inf
-    k = verts.shape[0]
-    inside = True
-    for i in range(k):
-        a, b = verts[i], verts[(i + 1) % k]
-        e = b - a
-        w = p - a
-        cross = e[0] * w[1] - e[1] * w[0]
-        if cross < 0:
-            inside = False
-        t = np.clip(np.dot(w, e) / max(np.dot(e, e), 1e-300), 0.0, 1.0)
-        d = min(d, float(np.hypot(*(w - t * e))))
-    return 0.0 if inside else d
+    lo, hi = float(np.min(pts)), float(np.max(pts))
+    extremal = (pts == lo) | (pts == hi)
+    return FiberHull(q=q, hull=np.array([lo, hi]), extremal=extremal, points=pts)
 
 
 @dataclass

@@ -74,21 +74,20 @@ def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     """One Lax-Oleinik step on a periodic grid function.
 
     Mechanical H (dim 1 or 2): the quadratic cost separates into per-axis
-    passes.  Other H, dim 1 only: the step's cost table dt * l of (H,
-    u.size, dt, v_max), which a caller stepping many times builds once and
-    passes as ``table``.
+    passes, then the potential term.  Other H, dim 1 only: one pass over
+    the cost table dt * l.  ``table`` is the step's table of (H, u.shape,
+    dt, v_max) from ``_grid_table``, which a caller stepping many times
+    builds once.
     """
     u = np.asarray(u, dtype=float)
     if not 0 < dt <= 0.5:
         raise ValueError("dt must lie in (0, 0.5]")
     v_max = v_max or _velocity_bound(H)
-    if H.is_mechanical:
-        return _lo_step_mechanical(u, H, dt, direction, v_max)
-    if u.ndim == 2:
-        raise NotImplementedError("dim-2 steps need a mechanical Hamiltonian")
-    shifts = _shifts(u.size, v_max, dt)
     if table is None:
-        table = _grid_table(H, u.size, dt, v_max)
+        table = _grid_table(H, u.shape, dt, v_max)
+    if H.is_mechanical:
+        return _lo_step_mechanical(u, dt, direction, v_max, table)
+    shifts = _shifts(u.size, v_max, dt)
     if direction == "descending":
         # u(q - k h) + dt*l(k h / dt, q)
         stack = _shifted(u, shifts, 0)
@@ -106,15 +105,21 @@ def _shifts(n, v_max, dt):
     return np.arange(-K, K + 1)
 
 
-def _grid_table(H, n, dt, v_max):
-    """The cost table dt * l a step of size dt adds on an n-point grid.
+def _grid_table(H, shape, dt, v_max):
+    """The table a step of size dt adds on a periodic grid of the given shape.
 
-    None for a mechanical or a dim-2 H, whose steps use no table.  Scaled
-    once here, so a step allocates no second table-sized array.
+    dt * V on the grid for a mechanical H; the cost table dt * l for other
+    H, dim 1 only.  Scaled once here, so a step allocates no second
+    table-sized array.
     """
-    if H.is_mechanical or H.dim != 1:
-        return None
-    return dt * legendre_table(H, _shifts(n, v_max, dt) * (1.0 / n) / dt, np.arange(n) / n)
+    axes = [np.arange(n) / n for n in shape]
+    if H.is_mechanical:
+        grids = np.meshgrid(*axes, indexing="ij")
+        return dt * H.potential(grids[0] if len(shape) == 1 else np.stack(grids, axis=-1))
+    if len(shape) != 1:
+        raise NotImplementedError("dim-2 steps need a mechanical Hamiltonian")
+    n = shape[0]
+    return dt * legendre_table(H, _shifts(n, v_max, dt) * (1.0 / n) / dt, axes[0])
 
 
 def _shifted(u, shifts, axis):
@@ -130,8 +135,8 @@ def _shifted(u, shifts, axis):
     return windows[n - np.asarray(shifts)]
 
 
-def _lo_step_mechanical(u, H, dt, direction, v_max):
-    """Quadratic kinetic cost: one min-plus pass per axis, then the potential."""
+def _lo_step_mechanical(u, dt, direction, v_max, table):
+    """Quadratic kinetic cost: one min-plus pass per axis, then the potential table dt * V."""
     out = u.copy()
     sign = 1.0 if direction == "descending" else -1.0
     for axis, n in enumerate(u.shape):
@@ -140,9 +145,7 @@ def _lo_step_mechanical(u, H, dt, direction, v_max):
         stack = _shifted(out, shifts, axis)
         stack += (sign * quad).reshape((-1,) + (1,) * u.ndim)
         out = np.min(stack, axis=0) if direction == "descending" else np.max(stack, axis=0)
-    grids = np.meshgrid(*(np.arange(n) / n for n in u.shape), indexing="ij")
-    Vg = H.potential(grids[0] if u.ndim == 1 else np.stack(grids, axis=-1))
-    return out - sign * dt * Vg
+    return out - sign * table
 
 
 @dataclass
@@ -165,7 +168,7 @@ def critical_value(H, grid=1024, dt=0.1, direction="descending", seed=None,
     The per-step decrement converges to dt * alpha; alpha averages the
     last quarter of the decrements after the transient and the certificate
     carries the critical solution and the fixed-point residual.  ``table``
-    is the step's cost table of (H, grid, dt), built here when not given.
+    is the step's table of (H, grid, dt), built here when not given.
     """
     q = np.arange(grid) / grid
     u = np.zeros((grid,) * H.dim)
@@ -173,7 +176,7 @@ def critical_value(H, grid=1024, dt=0.1, direction="descending", seed=None,
         u = u + np.random.default_rng(seed).uniform(-0.5, 0.5, size=u.shape)
     v_max = _velocity_bound(H)
     if table is None:
-        table = _grid_table(H, grid, dt, v_max)
+        table = _grid_table(H, (grid,) * H.dim, dt, v_max)
     sign = 1.0 if direction == "descending" else -1.0
     alphas = []
     resid = np.inf
@@ -285,7 +288,7 @@ def smooth_subsolution(u, H, s=0.05):
     dt = 0.01
     steps = max(1, int(round(s / dt)))
     v_max = _velocity_bound(H)
-    table = _grid_table(H, out.size, dt, v_max)
+    table = _grid_table(H, out.shape, dt, v_max)
     for direction in ("descending", "ascending"):
         for _ in range(steps):
             out = lax_oleinik_step(out, H, dt, direction=direction, v_max=v_max,
@@ -361,7 +364,7 @@ def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
     if H.dim != 1:
         raise NotImplementedError("Aubry/Mane assembly works over T^1; "
                                   "critical_value itself supports dim 2")
-    table = _grid_table(H, grid, dt, _velocity_bound(H))
+    table = _grid_table(H, (grid,), dt, _velocity_bound(H))
     sol_minus = critical_value(H, grid=grid, dt=dt, table=table)
     alpha = sol_minus.alpha
     sol_plus = critical_value(H, grid=grid, dt=dt, direction="ascending", table=table)

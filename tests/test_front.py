@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from selkam.front import (caustics, cerf_regular, dump_front,
-                          fiber_intersections, sheet_decomposition, spectrum)
+from selkam.front import caustics, dump_front, fiber_sweep
 from selkam.lagrangian import from_graph, from_parametric
 
 GRID = np.arange(256) / 256
@@ -35,17 +34,16 @@ def dense_scan_spectrum(L, q, n=2 ** 16):
 
 
 def test_zero_section_fiber():
-    fd = fiber_intersections(from_graph(np.zeros(128)), 0.37)
+    fd = fiber_sweep(from_graph(np.zeros(128)), [0.37])[0]
     assert len(fd) == 1
     assert fd.p[0] == 0.0 and fd.h[0] == 0.0
 
 
 def test_graph_fiber_value():
     L = from_graph(0.1 * np.sin(2 * np.pi * GRID))
-    fd = fiber_intersections(L, 0.25)
+    fd = fiber_sweep(L, [0.25])[0]
     assert len(fd) == 1
     assert fd.h[0] == pytest.approx(0.1, abs=1e-8)
-    assert spectrum(L, 0.25)[0] == pytest.approx(0.1, abs=1e-8)
 
 
 def test_graph_has_no_caustics():
@@ -55,7 +53,7 @@ def test_graph_has_no_caustics():
 
 
 def test_whorl_fold_region_fiber(whorl):
-    fd = fiber_intersections(whorl, 0.99)
+    fd = fiber_sweep(whorl, [0.99])[0]
     assert len(fd) == 3 and fd.multiplicity_stable
     assert np.all(np.diff(fd.h) > 0)
     oracle = dense_scan_spectrum(whorl, 0.99)
@@ -64,7 +62,7 @@ def test_whorl_fold_region_fiber(whorl):
 
 
 def test_whorl_spectrum_oracle_midband(whorl):
-    vals = spectrum(whorl, 0.42)
+    vals = fiber_sweep(whorl, [0.42])[0].h
     oracle = dense_scan_spectrum(whorl, 0.42)
     assert vals.size == oracle.size
     assert np.max(np.abs(vals - oracle)) <= 1e-8
@@ -86,66 +84,55 @@ def test_whorl_caustics_structure(whorl):
 
 
 def test_cerf_regular_flags(whorl):
+    # the cerf_flag column of front.txt: transverse, values separated by GAP_TOL
+    def cerf(L, q):
+        return fiber_sweep(L, [q])[0].cerf_regular
+
     # single sheet everywhere on a graph
-    assert cerf_regular(from_graph(0.1 * np.sin(2 * np.pi * GRID)), 0.3)
+    assert cerf(from_graph(0.1 * np.sin(2 * np.pi * GRID)), 0.3)
     # distinct values in the fold band
-    assert cerf_regular(whorl, 0.985, gap_tol=1e-6)
+    assert cerf(whorl, 0.985)
     # the symmetric point carries coinciding pairs (Maxwell point)
-    assert not cerf_regular(whorl, 0.5, gap_tol=1e-6)
-    with pytest.raises(ValueError, match="caustic"):
-        ca = caustics(whorl)
-        cerf_regular(whorl, float(ca.q[2]))
+    assert not cerf(whorl, 0.5)
 
 
 def test_cerf_regular_set_is_open(whorl):
     # a Cerf-regular point with value gap g stays regular in a neighborhood
-    fd = fiber_intersections(whorl, 0.985)
+    fd = fiber_sweep(whorl, [0.985])[0]
     g = float(np.min(np.diff(fd.h)))
-    assert cerf_regular(whorl, 0.985)
+    assert fd.cerf_regular
     radius = g / (2.0 * whorl.pmax * 50.0)  # conservative slope bound
-    for dq in (-radius, radius / 2, radius):
-        assert cerf_regular(whorl, 0.985 + dq)
+    fibers = fiber_sweep(whorl, 0.985 + np.array([-radius, radius / 2, radius]))
+    assert all(f.cerf_regular for f in fibers)
 
 
 def test_sheet_tracks_are_continuous(whorl):
-    chart = sheet_decomposition(whorl, (0.9895, 0.9995), n_grid=129)
-    dq = chart.q_grid[1] - chart.q_grid[0]
+    # over a caustic-free base interval without crossings the front is three
+    # sheets, ordered by value; each is Lipschitz and satisfies dh = p dq
+    grid = np.linspace(0.9895, 0.9995, 129)
+    fibers = fiber_sweep(whorl, grid)
+    assert {len(f) for f in fibers} == {3}
+    h = np.array([f.h for f in fibers]).T
+    p = np.array([f.p for f in fibers]).T
+    dq = grid[1] - grid[0]
     # no value jump along a track beyond a Lipschitz multiple of the step
-    jumps = np.abs(np.diff(chart.h, axis=1))
-    assert np.max(jumps) <= 3.0 * whorl.pmax * dq + 1e-9
-
-
-def test_sheet_decomposition_graph():
-    chart = sheet_decomposition(from_graph(0.1 * np.sin(2 * np.pi * GRID)),
-                                (0.1, 0.4), n_grid=65)
-    assert chart.n_sheets == 1 and not chart.crossings
-
-
-def test_sheet_decomposition_whorl_three_sheets(whorl):
-    chart = sheet_decomposition(whorl, (0.9895, 0.9995), n_grid=129)
-    assert chart.n_sheets == 3
-    assert chart.identity_residual <= 1e-4
-
-
-def test_sheet_decomposition_crossings_at_symmetric_point(whorl):
-    chart = sheet_decomposition(whorl, (0.42, 0.58), n_grid=513)
-    assert chart.n_sheets == 13
-    assert chart.identity_residual <= 1e-4
-    assert len(chart.crossings) >= 6
-    for i, j, q_star, h_star in chart.crossings:
-        assert abs(q_star - 0.5) <= 1e-6
-
-
-def test_sheet_decomposition_rejects_caustic_interval(whorl):
-    with pytest.raises(ValueError, match="caustic"):
-        sheet_decomposition(whorl, (0.98, 0.995), n_grid=65)
+    assert np.max(np.abs(np.diff(h, axis=1))) <= 3.0 * whorl.pmax * dq + 1e-9
+    assert np.max(np.abs(np.gradient(h, dq, axis=1) - p)[:, 1:-1]) <= 1e-4
 
 
 def test_degenerate_double_cover_rejected():
+    # a curve winding twice is not embedded: every sheet is covered twice
     t = np.arange(2048) / 2048
-    L = from_parametric(t, np.mod(2 * t, 1.0), 0.05 * np.sin(4 * np.pi * t))
-    with pytest.raises(ValueError, match="degenerate"):
-        sheet_decomposition(L, (0.1, 0.3), n_grid=65)
+    with pytest.raises(ValueError, match="winding 2"):
+        from_parametric(t, np.mod(2 * t, 1.0), 0.05 * np.sin(4 * np.pi * t))
+
+
+@pytest.mark.parametrize("query", [lambda L: fiber_sweep(L, [[0.1, 0.2]]), caustics],
+                         ids=["fiber_sweep", "caustics"])
+def test_front_refuses_dim_2(query):
+    L = from_graph(np.zeros((64, 64)), dim=2)
+    with pytest.raises(NotImplementedError, match="dim 2"):
+        query(L)
 
 
 def test_dump_front_roundtrip(tmp_path, whorl):

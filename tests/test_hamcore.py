@@ -5,10 +5,10 @@ import sympy as sp
 from hypothesis import assume, example, given, settings, strategies as st
 
 from selkam import hamcore
-from selkam.hamcore import (MIDPOINT_MAX_ITERS, MIDPOINT_TOL, Bin, Call, CotangentPoint,
-                            ExpressionError, Neg, Num, Pi, PowInt, Var, _leapfrog,
-                            ast_to_text, flow_step, integrate, parse_hamiltonian,
-                            parse_periodic, shift_momentum, tonelli_check)
+from selkam.hamcore import (MIDPOINT_MAX_ITERS, MIDPOINT_TOL, Bin, Call, ExpressionError,
+                            Neg, Num, Pi, PowInt, Var, _leapfrog, ast_to_text, integrate,
+                            parse_hamiltonian, parse_periodic, shift_momentum,
+                            tonelli_check)
 from selkam.torus import wrap
 
 
@@ -130,26 +130,32 @@ def test_gradients_match_finite_differences(pendulum):
         assert np.max(np.abs(H.grad_p(q, p) - fdp) / (1 + np.abs(fdp))) <= 1e-6
 
 
+# One step of the flow, integrate(..., nsteps=1), on both integrators: the
+# leapfrog for a mechanical H, the implicit midpoint for the others.
+
 def test_flow_step_free_motion(free):
-    y = flow_step(free, CotangentPoint(0.0, 1.0), 0.1)
-    assert y.q[0] == pytest.approx(0.1, abs=1e-15)
-    assert y.p[0] == pytest.approx(1.0, abs=1e-15)
+    # q' = H_p(p), p' = 0: both integrators are exact on a free motion
+    quartic = parse_hamiltonian("p^4/4 + p^2/2", 1)
+    assert free.is_mechanical and not quartic.is_mechanical
+    for H, speed in ((free, 1.0), (quartic, 2.0)):
+        Q, P = integrate(H, 0.0, 1.0, 0.1, 1)
+        assert Q == pytest.approx(0.1 * speed, abs=1e-15) and P == 1.0
 
 
 def test_flow_step_equilibrium(pendulum):
-    y = flow_step(pendulum, CotangentPoint(0.0, 0.0), 0.37)
-    assert y.q[0] == 0.0 and y.p[0] == 0.0
+    # (0, 0) for the pendulum; (0, -c(0)) for H(q, p + c(q)), where c' vanishes
+    Hn = shift_momentum(pendulum, "0.2*cos(2*pi*q)")
+    assert not Hn.is_mechanical
+    for H, p0 in ((pendulum, 0.0), (Hn, -0.2)):
+        Q, P = integrate(H, 0.0, p0, 0.37, 1)
+        assert Q == 0.0 and P == p0
 
 
 def test_flow_step_reversible(pendulum):
-    x = CotangentPoint(0.25, 0.3)
-    y = flow_step(pendulum, flow_step(pendulum, x, 0.01), -0.01)
-    assert abs(y.q[0] - 0.25) <= 1e-12 and abs(y.p[0] - 0.3) <= 1e-12
-    # implicit midpoint branch
     Hn = shift_momentum(pendulum, "0.2*cos(2*pi*q)")
-    assert not Hn.is_mechanical
-    y = flow_step(Hn, flow_step(Hn, x, 0.01), -0.01)
-    assert abs(y.q[0] - 0.25) <= 1e-12 and abs(y.p[0] - 0.3) <= 1e-12
+    for H in (pendulum, Hn):
+        Q, P = integrate(H, *integrate(H, 0.25, 0.3, 0.01, 1), -0.01, 1)
+        assert abs(Q - 0.25) <= 1e-12 and abs(P - 0.3) <= 1e-12
 
 
 def test_pendulum_energy_drift_and_reference(pendulum):

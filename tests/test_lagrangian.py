@@ -5,8 +5,7 @@ from selkam.hamcore import integrate
 from selkam.lagrangian import (ExactnessError, from_flow, from_graph,
                                from_parametric, line_integral_check,
                                load_lagrangian, mollify_sequence,
-                               resample_uniform_speed, save_lagrangian,
-                               verify_exactness)
+                               save_lagrangian, verify_exactness)
 
 GRID = np.arange(256) / 256
 
@@ -171,24 +170,26 @@ def test_line_integral_examples(whorl_mid):
     assert line_integral_check(whorl_mid, np.array([0.1, 0.6, 0.3, 0.8])) <= 1e-6
 
 
-def test_reparametrization_invariance(whorl_mid):
-    L2 = resample_uniform_speed(whorl_mid, 4096)
-    # geometric points must carry the same primitive value; the matching
-    # parameter on the uniform-speed curve is the arc-length fraction
-    dq = np.diff(np.append(whorl_mid.q, whorl_mid.q[0] + whorl_mid.winding))
-    dp = np.diff(np.append(whorl_mid.p, whorl_mid.p[0]))
-    s = np.concatenate([[0.0], np.cumsum(np.hypot(dq, dp))])
-    s /= s[-1]
-    tc = np.append(whorl_mid.t, whorl_mid.t[0] + 1.0)
-    t_match = np.interp(L2.t, s, tc)          # original params of L2's nodes
-    h1 = np.atleast_1d(whorl_mid.primitive_at(t_match))
-    shift = L2.s_offset - whorl_mid.s_offset
-    assert np.max(np.abs((L2.S + shift) - h1)) <= 1e-9
+def test_reparametrization_invariance():
+    # one graph curve p = v'(q), sampled at q = t and at q = t + 0.1 sin 2 pi t:
+    # a geometric point carries the primitive v(q) - v(0) under both
+    def v(q):
+        return 0.1 * np.sin(2 * np.pi * q) + 0.05 * np.cos(4 * np.pi * q)
+
+    def dv(q):
+        return 0.2 * np.pi * (np.cos(2 * np.pi * q) - np.sin(4 * np.pi * q))
+
+    t = np.arange(1024) / 1024
+    q2 = t + 0.1 * np.sin(2 * np.pi * t)
+    L1 = from_parametric(t, t, dv(t))
+    L2 = from_parametric(t, q2, dv(q2))
+    assert np.max(np.abs(L2.S - (v(q2) - v(0.0)))) <= 1e-9
+    assert np.max(np.abs(np.atleast_1d(L1.primitive_at(q2)) - L2.S)) <= 1e-9
     # between nodes the two discretizations agree to interpolation accuracy
-    mids = (L2.t[:-1] + L2.t[1:]) / 2
-    h2m = np.atleast_1d(L2.primitive_at(mids[::64]))
-    h1m = np.atleast_1d(whorl_mid.primitive_at(np.interp(mids[::64], s, tc)))
-    assert np.max(np.abs((h2m + shift) - h1m)) <= 1e-4
+    tm = t + 0.5 / t.size
+    qm = tm + 0.1 * np.sin(2 * np.pi * tm)
+    assert np.max(np.abs(np.atleast_1d(L1.primitive_at(qm))
+                         - np.atleast_1d(L2.primitive_at(tm)))) <= 1e-9
 
 
 def test_save_load_roundtrip(tmp_path, whorl_mid):

@@ -1,14 +1,11 @@
 from dataclasses import replace
 from types import SimpleNamespace
 
-import itertools
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from selkam import selector
-from selkam.front import FiberData, fiber_sweep, sheet_decomposition
+from selkam.front import FiberData, fiber_sweep
 from selkam.hamcore import parse_hamiltonian
 from selkam.lagrangian import SpectralFun, from_flow, from_graph, mollify_sequence
 from selkam.persistence import connectivity_oracle, sublevel_persistence
@@ -116,8 +113,7 @@ def test_snap_values_ambiguous_point_takes_lowest_sheet(monkeypatch):
     spectra = [np.array([-1.91104037, -1.91104035, 0.5]), np.array([0.1, 0.3])]
     params = [np.array([0.7, 0.2, 0.4]), np.array([0.9, 0.3])]
     fibers = [FiberData(q=j / 2, t=t, p=np.zeros(t.size), h=h, transverse=True,
-                        cerf_regular=True, multiplicity_stable=True,
-                        uncertainty=np.zeros(t.size))
+                        cerf_regular=True, multiplicity_stable=True)
               for j, (t, h) in enumerate(zip(params, spectra))]
     monkeypatch.setattr(selector, "fiber_sweep", lambda L, q: fibers)
     curve = SimpleNamespace(dim=1, meta={}, pmax=1.0, s_offset=0.0)
@@ -203,12 +199,14 @@ def test_whorl_selector_properties(whorl, whorl_selector):
     df = (np.roll(sf.values, -1) - np.roll(sf.values, 1)) * n / 2
     kinks = np.nonzero(np.abs(np.roll(df, -1) - df) > 0.25)[0]
     assert kinks.size > 0
-    chart = sheet_decomposition(whorl, (0.42, 0.58), n_grid=513)
-    cross_q = sorted({q for _, _, q, _ in chart.crossings})
+    # two sheets' slopes differ by at most 2 pmax, so within a grid step of a
+    # crossing the two lowest members differ by at most 2 pmax / n
+    gap = np.array([f.h[1] - f.h[0] if len(f) > 1 else np.inf for f in sf.fibers])
+    maxwell = np.nonzero(gap <= whorl.pmax / 256)[0]
+    assert maxwell.size > 0
     for j in kinks:
-        qj = sf.q_grid[j]
-        d = min(min(abs(qj - c), 1 - abs(qj - c)) for c in cross_q)
-        assert d <= 2.0 / 512
+        d = np.abs(j - maxwell)
+        assert np.min(np.minimum(d, n - d)) <= 2
     rep = verify_selector(sf, whorl)
     assert rep.ok
     assert rep.max_graph_distance <= 1e-3
@@ -265,85 +263,20 @@ def test_convexify_fiber_interval():
     assert single.extremal.all()
 
 
-def test_convexify_fiber_planar_oracle():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]])
-    fh = convexify_fiber(pts)
-    assert fh.extremal.tolist() == [True, True, True, False]
-    # brute-force pairwise-segment oracle on random sets
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        pts = rng.uniform(-1, 1, size=(rng.integers(3, 9), 2))
-        fh = convexify_fiber(pts)
-        for i, x in enumerate(pts):
-            interior = False
-            for a in range(len(pts)):
-                for b in range(len(pts)):
-                    if a == b or i in (a, b):
-                        continue
-                    e = pts[b] - pts[a]
-                    w = x - pts[a]
-                    L2 = float(e @ e)
-                    if L2 < 1e-14:
-                        continue
-                    t = float(w @ e) / L2
-                    if 1e-9 < t < 1 - 1e-9 and np.hypot(*(w - t * e)) < 1e-12:
-                        interior = True
-            if interior:
-                assert not fh.extremal[i]
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _in_hull_of(x, others):
-    """Exact on integer points: x is a point, on a segment or in a triangle of others."""
-    for a in others:
-        if a == x:
-            return True
-    for a, b in itertools.combinations(others, 2):
-        if _cross(a, b, x) == 0 and min(a[0], b[0]) <= x[0] <= max(a[0], b[0]) \
-                and min(a[1], b[1]) <= x[1] <= max(a[1], b[1]):
-            return True
-    for a, b, c in itertools.combinations(others, 3):
-        signs = {np.sign(_cross(a, b, x)), np.sign(_cross(b, c, x)),
-                 np.sign(_cross(c, a, x))}
-        if _cross(a, b, c) != 0 and not {-1, 1} <= signs:
-            return True
-    return False
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=12))
-def test_convexify_fiber_vertices_exact(points):
-    # a small integer grid makes collinear and repeated points common; a point
-    # is extremal iff no other distinct points hold it in their hull
-    pts = np.array(points, dtype=float)
-    fh = convexify_fiber(pts)
-    want = [not _in_hull_of(x, [y for y in points if y != x]) for x in points]
-    assert fh.extremal.tolist() == want
-    corners = {x for x, w in zip(points, want) if w}
-    if len(corners) >= 3:
-        # a polygon: its input vertices, counter-clockwise with no straight angle
-        verts = [tuple(v) for v in fh.hull.tolist()]
-        assert set(verts) == corners and len(verts) == len(corners)
-        assert all(_cross(verts[i - 2], verts[i - 1], verts[i]) > 0
-                   for i in range(len(verts)))
-    else:
-        # a point or a segment, spanned along its principal direction
-        assert np.allclose(sorted(map(tuple, fh.hull.tolist())), sorted(corners),
-                           atol=1e-12)
-
-
 def test_convexify_fiber_collinear_and_repeated_points():
-    square = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]
-    pts = np.array(square + [[1.0, 0.0], [2.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    # momenta on one fiber of T*T^1: every copy of an endpoint is extremal
+    pts = np.array([0.0, 2.0, 1.0, 2.0, 0.0, 1.5])
     fh = convexify_fiber(pts)
-    # edge midpoints and the centre are not extremal; both copies of a vertex are
-    assert fh.extremal.tolist() == [True] * 4 + [False, False, True, False]
-    assert sorted(map(tuple, fh.hull.tolist())) == sorted(map(tuple, square))
-    assert fh.distance(np.array([1.0, 1.0])) == 0.0
-    assert fh.distance(np.array([3.0, 1.0])) == pytest.approx(1.0)
+    assert fh.extremal.tolist() == [True, True, False, True, True, False]
+    assert fh.hull.tolist() == [0.0, 2.0]
+    assert fh.distance(1.0) == 0.0
+    assert fh.distance(3.0) == pytest.approx(1.0)
+    assert fh.extremal_distance(1.5) == pytest.approx(0.5)
+
+
+def test_convexify_fiber_refuses_dim_2():
+    with pytest.raises(NotImplementedError, match="dim 2"):
+        convexify_fiber(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_generalized_selector_graph_sequence(pendulum):

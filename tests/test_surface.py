@@ -8,7 +8,10 @@ imports from accumulating.  Every mod-1 reduction goes through
 (which `python -O` strips).  Every function parameter is read, and every
 tolerance the CLI loader range-checks is read by a command, so no knob is
 accepted and then ignored.  No function keeps state in a module-level name,
-so one call cannot change what the next one computes.
+so one call cannot change what the next one computes.  Every public
+function is called from somewhere other than its own body: the package,
+the benchmark or an acceptance criterion; the few kept without a caller
+are listed with their reasons, so the surface does not grow back.
 
 One check imports the package: the benchmark's traced run
 (`perfbench/tracing.py`, read here with `ast`) wraps named `selkam`
@@ -201,3 +204,48 @@ def test_traced_names_exist():
         value = getattr(importlib.import_module(modname), attr, None)
         assert any(value is fn for fn in traced), \
             f"{alias} no longer holds a traced function"
+
+
+# Public functions no command, benchmark or acceptance criterion reaches,
+# kept for the reason given.
+UNCALLED_BY_DESIGN = {
+    "from_parametric": "the parametric-curve constructor",
+    "save_lagrangian": "it pairs with load_lagrangian",
+    "verify_exactness": "the exactness check that belongs on the load path",
+    "spectral_value": "the paper's minimax by union-find persistence, the reference oracle",
+}
+
+
+def _references(tree):
+    """(name, enclosing top-level def) for every name a module reads.
+
+    A name is read as a variable, an attribute or a string constant (the
+    benchmark's traced run names functions by string); ``__all__`` is not
+    a reference.
+    """
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            continue
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.append((n.id, owner))
+            elif isinstance(n, ast.Attribute):
+                out.append((n.attr, owner))
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                out.append((n.value, owner))
+    return out
+
+
+def test_every_public_function_has_a_caller():
+    callers = MODULES + sorted((ROOT / "perfbench").glob("*.py")) \
+        + [ROOT / "tests" / "test_acceptance.py"]
+    read = {name for path in callers for name, owner in _references(_tree(path))
+            if name != owner}
+    public = {node.name for path in MODULES for node in _tree(path).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")}
+    uncalled = sorted(public - read - set(UNCALLED_BY_DESIGN))
+    assert not uncalled, f"public functions nothing calls: {uncalled}"

@@ -252,3 +252,23 @@ def test_smoothing_builds_one_table(monkeypatch):
     calls.clear()
     smooth_subsolution(u, PENDULUM, s=0.05)
     assert calls == []
+
+
+def test_mechanical_steps_share_one_potential_table(monkeypatch):
+    # the potential is sampled a fixed number of times per run, not per step
+    H = parse_hamiltonian("p^2/2 + cos(2*pi*q)", 1)
+    calls = []
+    inner = H.potential
+
+    def spy(q):
+        calls.append(q.shape)
+        return inner(q)
+
+    monkeypatch.setattr(H, "potential", spy)
+    counts = {}
+    for seed in (None, 0):
+        calls.clear()
+        sol = critical_value(H, grid=256, seed=seed)
+        counts[sol.iterations] = len(calls)
+    assert len(counts) == 2, "the two runs should take different iteration counts"
+    assert len(set(counts.values())) == 1, counts
