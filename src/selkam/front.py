@@ -32,11 +32,11 @@ class FiberData:
     """All points of a Lagrangian over the cotangent fiber at q.
 
     Momenta and primitives come sorted by primitive value, so ``h`` is the
-    fiber's spectrum.  Tangential intersections are reported with
-    ``transverse = False`` rather than dropped; multiplicity is certified
-    stable when re-detection at MERGE_TOL/2 finds the same count.
-    ``cerf_regular``: transverse, with primitive values separated by more
-    than GAP_TOL.
+    fiber's spectrum.  ``transverse`` is False when a found root meets the
+    fiber at a tangency; a double root with no sign change, as at a fold
+    value, is not found.  Multiplicity is certified stable when
+    re-detection at MERGE_TOL/2 finds the same count.  ``cerf_regular``:
+    transverse, with primitive values separated by more than GAP_TOL.
     """
 
     q: float
