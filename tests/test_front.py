@@ -106,17 +106,27 @@ def test_cerf_regular_set_is_open(whorl):
     assert all(f.cerf_regular for f in fibers)
 
 
-def test_sheet_tracks_are_continuous(whorl):
-    # over a caustic-free base interval without crossings the front is three
-    # sheets, ordered by value; each is Lipschitz and satisfies dh = p dq
+def whorl_sheets(whorl):
+    """The front over a caustic-free base interval without crossings, one row a sheet."""
     grid = np.linspace(0.9895, 0.9995, 129)
     fibers = fiber_sweep(whorl, grid)
     assert {len(f) for f in fibers} == {3}
     h = np.array([f.h for f in fibers]).T
     p = np.array([f.p for f in fibers]).T
-    dq = grid[1] - grid[0]
-    # no value jump along a track beyond a Lipschitz multiple of the step
+    return grid[1] - grid[0], h, p
+
+
+def test_sheet_tracks_are_continuous(whorl):
+    # sheets are ordered by value; no value jump along a track beyond a
+    # Lipschitz multiple of the step
+    dq, h, _ = whorl_sheets(whorl)
     assert np.max(np.abs(np.diff(h, axis=1))) <= 3.0 * whorl.pmax * dq + 1e-9
+
+
+def test_sheet_decomposition_whorl_three_sheets(whorl):
+    # the front splits into three sheets, each satisfying dh = p dq
+    dq, h, p = whorl_sheets(whorl)
+    assert h.shape[0] == 3
     assert np.max(np.abs(np.gradient(h, dq, axis=1) - p)[:, 1:-1]) <= 1e-4
 
 
