@@ -12,9 +12,11 @@ phase space:
 
 Division is only allowed by constant subexpressions (no q- or p-dependence
 in a denominator).  Partial derivatives are taken on the parse tree itself,
-with constants folded; each one is emitted as numpy source text and compiled
-once, at construction.  sympy is not used at run time: the tests use it as
-an oracle for these derivatives.
+with constants folded.  Each evaluator of a HamiltonianSpec is compiled
+whole, once, at parse time: one generated numpy function converts its
+arguments, unpacks the dim-2 trailing axis, and returns its trees stacked
+into one array.  sympy is not used at run time: the tests use it as an
+oracle for these derivatives.
 """
 
 from dataclasses import dataclass, field
@@ -456,24 +458,43 @@ def _diff(node, name):
     return _ZERO
 
 
-def _compile(node, names):
-    """One numpy function of the variables ``names`` evaluating a folded tree.
+_NAMESPACE = {**_NUMPY, "inf": np.inf, "nan": np.nan, "asarray": np.asarray,
+              "broadcast": np.broadcast, "empty": np.empty, "full": np.full}
 
-    The body is generated Python source, compiled once, so a call costs the
-    numpy operations of the tree and nothing more.  A constant result is
-    broadcast to the arguments' shape.
+
+def _compile(name, dim, size, entries, momenta=True):
+    """The numpy function ``name(q, p)``, or ``name(q)`` without ``momenta``,
+    returning the folded trees ``entries`` ({index: tree}) as one array of
+    the batch shape + ``size``.
+
+    The generated source converts each argument to a float array and, in
+    dim 2, unpacks its trailing axis, which must have size 2.  A lone
+    constant tree fills the batch shape; each entry of a larger array is
+    broadcast by its assignment.  The source is compiled once, so a call
+    costs its numpy operations and nothing more.
     """
-    namespace = {**_NUMPY, "inf": np.inf, "nan": np.nan}
-    exec(f"def f({', '.join(names)}):\n    return {ast_to_text(node, python=True)}\n",
-         namespace)
-    fn = namespace["f"]
-
-    def wrapped(*args):
-        out = fn(*args)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast(*args).shape).copy() \
-            if np.ndim(out) == 0 and any(np.ndim(a) for a in args) else np.asarray(out, dtype=float)
-
-    return wrapped
+    params = ("q", "p")[:1 + momenta]
+    names = _IDENTS[dim][:dim * len(params)]
+    lines = [f"{a} = asarray({a}, dtype=float)" for a in params]
+    if dim == 2:
+        lines += ["if " + " or ".join(f"{a}.shape[-1:] != (2,)" for a in params) + ":",
+                  '    raise ValueError("dim-2 Hamiltonian needs trailing axis of size 2")',
+                  ", ".join(names) + " = "
+                  + ", ".join(f"{a}[..., {i}]" for a in params for i in (0, 1))]
+    text = {index: ast_to_text(tree, python=True) for index, tree in entries.items()}
+    constant = not size and isinstance(entries[()], Num)
+    if size or constant:
+        # the first component of each argument (q, p or q1, p1) fixes the batch shape
+        lines.append(f"shape = broadcast({', '.join(names[::dim])}).shape")
+    if not size:
+        lines.append(f"return full(shape, {text[()]})" if constant else f"return {text[()]}")
+    else:
+        lines += [f"out = empty(shape + {size!r})",
+                  *(f"out[..., {', '.join(map(str, i))}] = {t}" for i, t in text.items()),
+                  "return out"]
+    namespace = dict(_NAMESPACE)
+    exec("\n    ".join([f"def {name}({', '.join(params)}):", *lines]) + "\n", namespace)
+    return namespace[name]
 
 
 # ---------------------------------------------------------------------------
@@ -482,81 +503,30 @@ def _compile(node, names):
 
 @dataclass
 class HamiltonianSpec:
-    """Parsed Hamiltonian with vectorized evaluators and derivatives.
+    """Parsed Hamiltonian with its vectorized evaluators and derivatives.
 
-    Immutable after construction; all evaluators are pure, so instances are
-    safe to share across workers.
+    Each evaluator is a function generated once by ``parse_hamiltonian``:
+    q and p broadcast to one batch shape, with a trailing axis of size 2 in
+    dim 2.  Immutable after construction; all evaluators are pure, so
+    instances are safe to share across workers.
     """
 
     source: str
     ast: object
     dim: int
-    _impl: dict = field(repr=False, default_factory=dict)
-
-    @property
-    def is_mechanical(self):
-        return self._impl["mechanical"]
+    is_mechanical: bool
+    value: object = field(repr=False)
+    grad_q: object = field(repr=False)
+    grad_p: object = field(repr=False)
+    hess_pp: object = field(repr=False)
+    xh_jacobian: object = field(repr=False)     # of the vector field (dq/dt, dp/dt)
+    potential: object = field(repr=False)       # V(q) = H(q, 0), for the splitting integrator
+    grad_potential: object = field(repr=False)
 
     @cached_property
     def tonelli(self):
         """This H's ``tonelli_check`` report, computed once."""
         return tonelli_check(self)
-
-    def _split(self, q, p):
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        if self.dim == 1:
-            return (q, p), np.broadcast(q, p).shape
-        if q.shape[-1:] != (2,) or p.shape[-1:] != (2,):
-            raise ValueError("dim-2 Hamiltonian needs trailing axis of size 2")
-        return (q[..., 0], q[..., 1], p[..., 0], p[..., 1]), np.broadcast(q[..., 0], p[..., 0]).shape
-
-    def value(self, q, p):
-        args, _ = self._split(q, p)
-        return self._impl["H"](*args)
-
-    def _vector(self, key, args):
-        """Evaluate the per-component table ``key``; trailing axis for dim 2."""
-        comps = [f(*args) for f in self._impl[key]]
-        return comps[0] if self.dim == 1 else np.stack(np.broadcast_arrays(*comps), axis=-1)
-
-    def grad_q(self, q, p):
-        return self._vector("dHdq", self._split(q, p)[0])
-
-    def grad_p(self, q, p):
-        return self._vector("dHdp", self._split(q, p)[0])
-
-    def hess_pp(self, q, p):
-        args, shape = self._split(q, p)
-        n = self.dim
-        rows = [[np.broadcast_to(self._impl["d2Hdp2"][i][j](*args), shape)
-                 for j in range(n)] for i in range(n)]
-        return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
-
-    def _xh_jacobian(self, q, p):
-        """Jacobian of the Hamiltonian vector field (dq/dt, dp/dt)."""
-        args, shape = self._split(q, p)
-        n = self.dim
-        qp, pp, qq = (self._impl[k] for k in ("d2Hdqdp", "d2Hdp2", "d2Hdq2"))
-        J = np.zeros(shape + (2 * n, 2 * n))
-        for i in range(n):
-            for j in range(n):
-                J[..., i, j] = qp[j][i](*args)       # d(H_p)/dq
-                J[..., i, n + j] = pp[i][j](*args)
-                J[..., n + i, j] = -qq[i][j](*args)
-                J[..., n + i, n + j] = -qp[i][j](*args)
-        return J
-
-    def _base_args(self, q):
-        q = np.asarray(q, dtype=float)
-        return (q,) if self.dim == 1 else (q[..., 0], q[..., 1])
-
-    def potential(self, q):
-        """V(q) = H(q, 0); used by the splitting integrator."""
-        return self._impl["V"](*self._base_args(q))
-
-    def grad_potential(self, q):
-        return self._vector("dVdq", self._base_args(q))
 
 
 def parse_hamiltonian(src, dim):
@@ -570,16 +540,27 @@ def parse_hamiltonian(src, dim):
         raise ValueError("dim must be 1 or 2")
     ast = _Parser(src, dim).parse()
     trees, mechanical = _symbolic(ast, dim)
-    names = _IDENTS[dim]
-
-    def compiled(tree, args):
-        return [compiled(t, args) for t in tree] if isinstance(tree, list) else _compile(tree, args)
-
-    impl = {key: compiled(tree, names[:dim] if key in ("V", "dVdq") else names)
-            for key, tree in trees.items()}
-    impl["mechanical"] = mechanical
-    _check_periodic(impl["H"], dim, "Hamiltonian")
-    return HamiltonianSpec(source=ast_to_text(ast), ast=ast, dim=dim, _impl=impl)
+    n = dim
+    pp, qq, qp = (trees[k] for k in ("d2Hdp2", "d2Hdq2", "d2Hdqdp"))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    vector = lambda comps: (((), {(): comps[0]}) if n == 1
+                            else ((n,), {(i,): c for i, c in enumerate(comps)}))
+    # row k holds the partials of X_H = (H_p, -H_q)'s k-th component, q first
+    jacobian = {}
+    for i, j in pairs:
+        jacobian.update({(i, j): qp[j][i], (i, n + j): pp[i][j],
+                         (n + i, j): _neg(qq[i][j]), (n + i, n + j): _neg(qp[i][j])})
+    spec = HamiltonianSpec(
+        source=ast_to_text(ast), ast=ast, dim=dim, is_mechanical=mechanical,
+        value=_compile("value", dim, (), {(): trees["H"]}),
+        grad_q=_compile("grad_q", dim, *vector(trees["dHdq"])),
+        grad_p=_compile("grad_p", dim, *vector(trees["dHdp"])),
+        hess_pp=_compile("hess_pp", dim, (n, n), {(i, j): pp[i][j] for i, j in pairs}),
+        xh_jacobian=_compile("xh_jacobian", dim, (2 * n, 2 * n), jacobian),
+        potential=_compile("potential", dim, (), {(): trees["V"]}, momenta=False),
+        grad_potential=_compile("grad_potential", dim, *vector(trees["dVdq"]), momenta=False))
+    _check_periodic(spec.value, dim, "Hamiltonian")
+    return spec
 
 
 def _symbolic(ast, dim):
@@ -627,7 +608,7 @@ class PeriodicFunction:
     _fn: object = field(repr=False)
 
     def __call__(self, q):
-        return self._fn(np.asarray(q, dtype=float))
+        return self._fn(q)
 
 
 def parse_periodic(src):
@@ -638,7 +619,7 @@ def parse_periodic(src):
     1-periodic.
     """
     ast = _Parser(src, 1, q_only=True).parse()
-    fn = _compile(_fold(ast), ("q",))
+    fn = _compile("periodic", 1, (), {(): _fold(ast)}, momenta=False)
     _check_periodic(fn, 1, "function", momenta=False)
     return PeriodicFunction(source=ast_to_text(ast), _fn=fn)
 
@@ -646,20 +627,22 @@ def parse_periodic(src):
 def _check_periodic(F, dim, what, momenta=True):
     """Raise ExpressionError unless F(q + e_i, ...) = F(q, ...) on sampled points.
 
-    F takes the base coordinates, then the momenta when ``momenta``.  The
-    integrators wrap q to [0, 1) every step, which would silently turn a
-    non-periodic H into one with a discontinuous force.
+    F is an evaluator: it takes q, then p when ``momenta``.  The integrators
+    wrap q to [0, 1) every step, which would silently turn a non-periodic H
+    into one with a discontinuous force.
     """
     n = PERIODIC_SAMPLES
     # golden-section offset: off the rationals where a wrong period's terms vanish
     q = (np.arange(n) + 0.381966) / n
     p = np.linspace(-2.0, 2.0, n)
     grids = np.meshgrid(*([q] * dim + ([p] * dim if momenta else [])), indexing="ij")
-    base = F(*grids)
+    layout = lambda g: [np.stack(g[k:k + dim], axis=-1) if dim == 2 else g[k]
+                        for k in range(0, len(g), dim)]
+    base = F(*layout(grids))
     for i in range(dim):
         shifted = list(grids)
         shifted[i] = grids[i] + 1.0
-        diff = np.abs(F(*shifted) - base)
+        diff = np.abs(F(*layout(shifted)) - base)
         if np.any(diff > PERIODIC_TOL * (1.0 + np.abs(base))):
             name = _IDENTS[dim][i]
             raise ExpressionError(
@@ -724,21 +707,14 @@ def tonelli_check(spec):
     eigs = np.linalg.eigvalsh(hess.reshape(-1, n, n))
     min_eig = float(np.min(eigs))
 
+    # growth along unit momenta, each broadcast over the base grid: +-1 in
+    # dim 1, 16 directions in dim 2
+    Qg = qs if n == 1 else np.stack(np.meshgrid(qs, qs, indexing="ij"), axis=-1)
+    th = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    dirs = np.array([[1.0], [-1.0]]) if n == 1 else np.stack([np.cos(th), np.sin(th)], axis=-1)
+
     def ratio(scale):
-        if n == 1:
-            dirs = np.array([[1.0], [-1.0]])
-        else:
-            th = np.linspace(0, 2 * np.pi, 16, endpoint=False)
-            dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        vals = []
-        for d in dirs:
-            pv = scale * d
-            if n == 1:
-                vals.append(np.min(spec.value(qs, np.full_like(qs, pv[0]))))
-            else:
-                Qg = np.stack(np.meshgrid(qs, qs, indexing="ij"), axis=-1)
-                vals.append(np.min(spec.value(Qg, np.broadcast_to(pv, Qg.shape))))
-        return float(np.min(vals) / scale)
+        return float(np.min([np.min(spec.value(Qg, scale * d)) for d in dirs]) / scale)
 
     r_half = ratio(TONELLI_P_MAX / 2)
     r_full = ratio(TONELLI_P_MAX)
@@ -812,7 +788,7 @@ def _implicit_midpoint(spec, Q, P, dt, nsteps, accumulate_action=False):
             if np.maximum(np.max(np.abs(FQ)), np.max(np.abs(FP))) < MIDPOINT_TOL:
                 converged = True
                 break
-            A = eye - 0.5 * dt * spec._xh_jacobian(Qm, Pm)
+            A = eye - 0.5 * dt * spec.xh_jacobian(Qm, Pm)
             F = np.concatenate([FQ.reshape(-1, n), FP.reshape(-1, n)], axis=1)
             delta = np.linalg.solve(A.reshape(-1, 2 * n, 2 * n), F[..., None])[..., 0]
             Qn = Qn - delta[:, :n].reshape(Qn.shape)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,3 +351,33 @@ def test_workers_flag_is_a_usage_error(fast_cfg, tmp_path):
         main(["weakkam", "--config", str(fast_cfg), "--out", str(tmp_path / "o"),
               "--workers", "2"])
     assert exc.value.code == 2
+
+
+def test_invariant_refuses_a_level_that_misses_the_curve(tmp_path):
+    # the pendulum's critical value meets no sample of the graph of dv:
+    # the command reports why, like a refusal, instead of a traceback
+    p = tmp_path / "graph.cfg"
+    p.write_text(FAST_CFG.replace("expr = p^2/2", "expr = p^2/2 + cos(2*pi*q)")
+                 .replace("kind = flowed", "kind = graph")
+                 .replace("v = 0.02*sin", "v = 0.05*sin"))
+    out = tmp_path / "o"
+    assert main(["invariant", "--config", str(p), "--out", str(out)]) == 1
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert results["ok"] is False
+    assert "does not meet the sampled set" in results["reason"]
+    assert not (out / "invariant.txt").exists()
+
+
+@pytest.mark.parametrize("mane_q, inside", [(0.99951171875, True), (0.5, False)],
+                         ids=["across-the-seam", "far"])
+def test_verify_matches_aubry_points_on_the_torus(tmp_path, monkeypatch, mane_q, inside):
+    # (0, 0) and (1 - 2^-11, 0) lie half a velocity-grid step apart on T*T^1
+    def family(*args, **kwargs):
+        return SimpleNamespace(alpha=0.0, aubry_pts=np.array([[0.0, 0.0]]),
+                               mane_pts=np.array([[0.25, 1.0], [mane_q, 0.0]]))
+
+    monkeypatch.setattr(weakkam, "weak_kam_family", family)
+    p = tmp_path / "seam.cfg"
+    p.write_text(FAST_CFG.replace("velocity = 256", "velocity = 1024"))
+    summary, _ = run("verify", load_config(p, out_dir=tmp_path / "v"), suite="weakkam")
+    assert summary["results"]["checks"]["weakkam.aubry_in_mane"] is inside

@@ -281,21 +281,6 @@ def test_integrate_chains_bit_for_bit(dim, n1, n2):
 # The implicit midpoint: one Newton form for dim 1 and dim 2
 
 
-def _two_branch_jacobian(spec, q, p):
-    """X_H Jacobian with every entry broadcast to the batch shape first."""
-    args, shape = spec._split(q, p)
-    n = spec.dim
-    blk = lambda name, i, j: np.broadcast_to(spec._impl[name][i][j](*args), shape)
-    J = np.zeros(shape + (2 * n, 2 * n))
-    for i in range(n):
-        for j in range(n):
-            J[..., i, j] = blk("d2Hdqdp", j, i)
-            J[..., i, n + j] = blk("d2Hdp2", i, j)
-            J[..., n + i, j] = -blk("d2Hdq2", i, j)
-            J[..., n + i, n + j] = -blk("d2Hdqdp", i, j)
-    return J
-
-
 def _two_branch_midpoint(spec, Q, P, dt, nsteps):
     """Implicit midpoint with a dim-1 and a dim-2 Newton solve and three wraps."""
     Q = np.array(Q, dtype=float)
@@ -320,7 +305,7 @@ def _two_branch_midpoint(spec, Q, P, dt, nsteps):
                                                 np.atleast_1d(FP).ravel()])))
             if res < MIDPOINT_TOL:
                 break
-            A = eye - 0.5 * dt * _two_branch_jacobian(spec, wrap(Qm), Pm)
+            A = eye - 0.5 * dt * spec.xh_jacobian(wrap(Qm), Pm)
             if n == 1:
                 F = np.stack([np.atleast_1d(FQ), np.atleast_1d(FP)], axis=-1)
                 delta = np.linalg.solve(
@@ -394,6 +379,19 @@ def test_dim2_midpoint_time_reversal():
     assert np.max(np.abs(Q - Q0)) <= 1e-10 and np.max(np.abs(P - P0)) <= 1e-10
 
 
+def test_dim2_evaluators_need_a_trailing_axis_of_two():
+    H = parse_hamiltonian(_MIDPOINT_CASES[2], 2)
+    good, bad = np.zeros((5, 2)), np.zeros((5, 3))
+    for f in (H.value, H.grad_q, H.grad_p, H.hess_pp, H.xh_jacobian):
+        for q, p in ((bad, good), (good, bad), (good[:, :1], good)):
+            with pytest.raises(ValueError, match="trailing axis of size 2"):
+                f(q, p)
+    for f in (H.potential, H.grad_potential):
+        for q in (bad, np.zeros(5)):
+            with pytest.raises(ValueError, match="trailing axis of size 2"):
+                f(q)
+
+
 # ---------------------------------------------------------------------------
 # In-house derivatives against sympy, which serves as the test oracle only
 
@@ -454,23 +452,37 @@ def _expressions(dim):
     ), max_leaves=8)
 
 
-def _oracle_pairs(spec, trees, expr, symbols):
-    """(compiled evaluator, folded tree, sympy expression, argument names)."""
+def _oracle_pairs(spec, trees, expr, symbols, env):
+    """(public evaluator component at env, folded tree, sympy expression,
+    argument names) for every tree the evaluators compile."""
     n = spec.dim
     names = hamcore._IDENTS[n]
     qs, ps = [symbols[s] for s in names[:n]], [symbols[s] for s in names[n:]]
     V = expr.subs({s: 0 for s in ps})
-    impl = spec._impl
-    yield impl["H"], trees["H"], expr, names
-    yield impl["V"], trees["V"], V, names[:n]
+    # the evaluators' layout: a trailing axis holds the components in dim 2
+    if n == 1:
+        q, p, part = env["q"], env["p"], (lambda x, i: x)
+    else:
+        q = np.stack([env["q1"], env["q2"]], axis=-1)
+        p = np.stack([env["p1"], env["p2"]], axis=-1)
+        part = lambda x, i: x[..., i]
+    dHdq, dHdp, dVdq = spec.grad_q(q, p), spec.grad_p(q, p), spec.grad_potential(q)
+    hess, jac = spec.hess_pp(q, p), spec.xh_jacobian(q, p)
+    yield spec.value(q, p), trees["H"], expr, names
+    yield spec.potential(q), trees["V"], V, names[:n]
     for i in range(n):
-        yield impl["dHdq"][i], trees["dHdq"][i], sp.diff(expr, qs[i]), names
-        yield impl["dHdp"][i], trees["dHdp"][i], sp.diff(expr, ps[i]), names
-        yield impl["dVdq"][i], trees["dVdq"][i], sp.diff(V, qs[i]), names[:n]
+        yield part(dHdq, i), trees["dHdq"][i], sp.diff(expr, qs[i]), names
+        yield part(dHdp, i), trees["dHdp"][i], sp.diff(expr, ps[i]), names
+        yield part(dVdq, i), trees["dVdq"][i], sp.diff(V, qs[i]), names[:n]
         for j in range(n):
-            yield impl["d2Hdp2"][i][j], trees["d2Hdp2"][i][j], sp.diff(expr, ps[i], ps[j]), names
-            yield impl["d2Hdq2"][i][j], trees["d2Hdq2"][i][j], sp.diff(expr, qs[i], qs[j]), names
-            yield impl["d2Hdqdp"][i][j], trees["d2Hdqdp"][i][j], sp.diff(expr, qs[i], ps[j]), names
+            H_pp = sp.diff(expr, ps[i], ps[j])
+            yield hess[..., i, j], trees["d2Hdp2"][i][j], H_pp, names
+            # X_H = (H_p, -H_q); its Jacobian's blocks, negation undone
+            yield jac[..., i, n + j], trees["d2Hdp2"][i][j], H_pp, names
+            yield -jac[..., n + i, j], trees["d2Hdq2"][i][j], sp.diff(expr, qs[i], qs[j]), names
+            yield jac[..., j, i], trees["d2Hdqdp"][i][j], sp.diff(expr, qs[i], ps[j]), names
+            yield -jac[..., n + i, n + j], trees["d2Hdqdp"][i][j], \
+                sp.diff(expr, qs[i], ps[j]), names
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -493,8 +505,7 @@ def test_derivatives_match_sympy(dim, data):
     env = {s: rng.uniform(0.0, 1.0, 6) if s.startswith("q") else rng.uniform(-1.5, 1.5, 6)
            for s in names}
     trees, mechanical = hamcore._symbolic(ast, dim)
-    for fn, tree, want, args in _oracle_pairs(spec, trees, expr, symbols):
-        got = fn(*(env[s] for s in args))
+    for got, tree, want, args in _oracle_pairs(spec, trees, expr, symbols, env):
         scale = 1.0 + _magnitude(tree, env)
         assume(np.all(np.isfinite(got)) and np.all(scale < 1e100))
         exact = sp.lambdify([symbols[s] for s in args], want, modules="mpmath")
@@ -546,9 +557,8 @@ def test_mechanical_evaluators_equal_sympy_lambdify(src, dim):
     rng = np.random.default_rng(0)
     env = {s: rng.uniform(-1.0, 2.0, 1000) for s in names}
     trees, _ = hamcore._symbolic(spec.ast, dim)
-    for fn, _, want, args in _oracle_pairs(spec, trees, expr, symbols):
+    for got, _, want, args in _oracle_pairs(spec, trees, expr, symbols, env):
         ref = sp.lambdify([symbols[s] for s in args], want, modules="numpy")
-        got = fn(*(env[s] for s in args))
         assert np.array_equal(got, np.broadcast_to(ref(*(env[s] for s in args)), got.shape))
 
 

@@ -63,6 +63,25 @@ def test_free_particle_zero_potential(free):
     assert spectral_value(DA) == pytest.approx(0.0, abs=5e-6)
 
 
+def test_kernel_build_retries_a_folded_fan_on_half_segments(monkeypatch):
+    # 5 cos(2 pi q) folds the tau = 0.25 fan (None: a non-monotone endpoint
+    # map); the build halves the segment and composes two tau = 0.125 fans
+    taus = []
+    inner = selector._fan_kernel
+
+    def spy(H, tau, *args):
+        out = inner(H, tau, *args)
+        taus.append((tau, out is not None))
+        return out
+
+    monkeypatch.setattr(selector, "_fan_kernel", spy)
+    H = parse_hamiltonian("p^2/2 + 5*cos(2*pi*q)", 1)
+    DA = build_discrete_action(H, np.zeros(256), 0.25, 250, 0.3, lattice_size=256)
+    assert taus == [(0.25, False), (0.125, True)]
+    assert DA.meta["segments"] == 2 and DA.kernel.tau == 0.25
+    assert np.all(np.isfinite(DA.kernel.K)) and np.all(DA.kernel.K < selector.LARGE)
+
+
 def test_discrete_action_gradient_fd(pendulum_actions):
     rng = np.random.default_rng(0)
     worst = 0.0
