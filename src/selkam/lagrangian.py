@@ -37,6 +37,8 @@ LOOP_TOL = 1e-8               # scaled by arc length, for closed-loop theta inte
 EPS_ARC_FRACTION = 1.0 / 1024
 RESAMPLE_MAX_ROUNDS = 48
 RESAMPLE_BUDGET = 400_000
+SPLIT_WIDTH = 4e-16           # narrowest parameter interval that is split
+SPECULATE_MAX_DEPTH = 6       # dyadic levels shot ahead per bad interval
 
 
 class ExactnessError(ValueError):
@@ -64,18 +66,22 @@ class SpectralFun:
         self.w = w
         self.n = n
 
+    # Sums over the mode axis rather than matrix products: `@` takes a dot
+    # for one point and gemv for several, which round differently, and a
+    # point's value must not depend on the batch it is evaluated in.
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         ph = 2 * np.pi * np.multiply.outer(x, self.k)
-        return (np.cos(ph) @ (self.w * self.c.real)
-                - np.sin(ph) @ (self.w * self.c.imag))
+        return np.sum(np.cos(ph) * (self.w * self.c.real)
+                      - np.sin(ph) * (self.w * self.c.imag), axis=-1)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
         ph = 2 * np.pi * np.multiply.outer(x, self.k)
         fac = 2 * np.pi * self.k
-        return (-np.sin(ph) @ (fac * self.w * self.c.real)
-                - np.cos(ph) @ (fac * self.w * self.c.imag))
+        return np.sum(-np.sin(ph) * (fac * self.w * self.c.real)
+                      - np.cos(ph) * (fac * self.w * self.c.imag), axis=-1)
 
 
 @dataclass
@@ -265,15 +271,62 @@ def from_graph(v, dim=1):
         grid_shape=(n1, n2), meta={"v_samples": v.copy()})
 
 
+def _shoot(H, vf, dt, steps, starts):
+    """Flow the graph of dv from the start parameters: (q, p, transported S).
+
+    Each row's floats depend on its own start only, never on its batchmates,
+    so a row shot in any batch is the row any other batch would give.
+    """
+    Q, P, act = hamcore.integrate(H, starts, vf.derivative(starts), dt, steps,
+                                  accumulate_action=True)
+    return Q, P, vf(starts) + act
+
+
+def _dyadic_points(lo, hi, depth):
+    """Midpoints of [lo, hi] and their dyadic descendants, ``depth`` levels deep.
+
+    Computed as the refinement computes them, one halving at a time, and
+    only inside intervals wider than SPLIT_WIDTH, which the refinement
+    would refuse to split.
+    """
+    levels = []
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        levels.append(mid)
+        deeper = depth > 1
+        lo = np.concatenate([lo[deeper], mid[deeper]])
+        hi = np.concatenate([mid[deeper], hi[deeper]])
+        depth = np.tile(depth[deeper] - 1, 2)
+        split = hi - lo > SPLIT_WIDTH
+        lo, hi, depth = lo[split], hi[split], depth[split]
+    return np.concatenate(levels)
+
+
 def from_flow(v, H, T, steps, initial_samples=4096):
     """Image of the graph of dv under the time-T Hamiltonian flow (dim 1).
 
     The primitive is transported along trajectories by accumulating
     p . H_p - H and cross-checked against re-integration of p dq along the
     final curve; the stored S is the curve integral (anchored), with the
-    transported value at the anchor kept as ``s_offset``.  Sampling is
-    refined adaptively until consecutive phase-space gaps are below
-    1/1024 of the total length.
+    transported value at the anchor kept as ``s_offset``.
+
+    Sampling is refined in rounds, each splitting every bad parameter
+    interval at its midpoint: a density pass until consecutive phase-space
+    gaps are below 1/1024 of the total length, then an exactness pass until
+    each interval's cubic and trapezoid p dq agree within a quarter of the
+    exactness budget.  The rounds shoot speculatively: a bad interval whose
+    midpoint has no trajectory yet is shot together with its dyadic
+    descendants, as deep as its miss predicts (at most SPECULATE_MAX_DEPTH
+    levels), in one ``integrate`` batch.  The rounds then read the
+    midpoints they ask for from those shots and drop the rest; since a
+    trajectory does not depend on its batchmates, samples, rounds and
+    errors are those of shooting the midpoints alone.  A pass that needs
+    more than RESAMPLE_MAX_ROUNDS rounds or more than RESAMPLE_BUDGET
+    samples raises, naming the pass and the limit.
+
+    ``meta`` records the rounds of each pass (``density_rounds``,
+    ``exactness_rounds``), the ``integrate_calls``, the ``rows_shot`` and
+    the ``rows_used`` (the samples, shot rows that were kept).
     """
     if H.dim != 1:
         raise NotImplementedError("flowed Lagrangians are built over T^1 only")
@@ -297,52 +350,59 @@ def from_flow(v, H, T, steps, initial_samples=4096):
                   "v_samples": v.copy(), "transport_consistency": 0.0})
 
     dt = T / steps
-
-    def shoot(params):
-        x0 = params
-        p0 = vf.derivative(params)
-        Q, P, act = hamcore.integrate(H, x0, p0, dt, steps, accumulate_action=True)
-        return Q, P, vf(params) + act
-
     t = np.arange(initial_samples) / initial_samples
-    Q, P, raw = shoot(t)
+    Q, P, raw = _shoot(H, vf, dt, steps, t)
+    stats = {"integrate_calls": 1, "rows_shot": t.size, "rows_used": t.size}
+    shot = {}                 # wrapped start parameter -> its (q, p, raw)
 
-    def refine(t, Q, P, raw, bad):
+    def refine(t, Q, P, raw, bad, depth, stage):
         tc = np.append(t, t[0] + 1.0)
-        widths = tc[bad + 1] - tc[bad]
-        splittable = widths > 4e-16
-        if not np.all(splittable):
+        lo, hi = tc[bad], tc[bad + 1]
+        if not np.all(hi - lo > SPLIT_WIDTH):
             # the hyperbolic stretching has outrun double precision: the
             # offending parameter intervals cannot be subdivided further
             raise RuntimeError(
                 "flowed curve cannot be resolved in double precision "
                 f"(exp stretching ~ e^(lambda T) too large for T = {T})")
-        mids = 0.5 * (tc[bad] + tc[bad + 1])
-        Qm, Pm, rawm = shoot(wrap(mids))
+        mids = 0.5 * (lo + hi)
+        starts = wrap(mids).tolist()
+        miss = np.array([s not in shot for s in starts])
+        if np.any(miss):
+            ahead = np.sort(wrap(_dyadic_points(
+                lo[miss], hi[miss], np.minimum(depth[miss], SPECULATE_MAX_DEPTH))))
+            # distinct starts by sort and diff (np.unique loads numpy.ma)
+            ahead = ahead[np.append(True, np.diff(ahead) > 0)]
+            ahead = ahead[[s not in shot for s in ahead.tolist()]]
+            shot.update(zip(ahead.tolist(), np.column_stack(
+                _shoot(H, vf, dt, steps, ahead)).tolist()))
+            stats["integrate_calls"] += 1
+            stats["rows_shot"] += ahead.size
+        Qm, Pm, rawm = np.array([shot[s] for s in starts]).T
+        stats["rows_used"] += len(starts)
         # lift continuity: a start wrapped past 1 shifts the branch by the winding
         Qm += np.floor(mids)
         t = np.concatenate([t, wrap(mids)])
         order = np.argsort(t)
         if t.size > RESAMPLE_BUDGET:
-            raise RuntimeError("resampling budget exceeded while resolving the flowed curve")
+            raise RuntimeError(
+                f"{stage} pass exceeded the sample budget RESAMPLE_BUDGET = "
+                f"{RESAMPLE_BUDGET} while resolving the flowed curve")
         return (t[order], np.concatenate([Q, Qm])[order],
                 np.concatenate([P, Pm])[order], np.concatenate([raw, rawm])[order])
 
-    # pass 1: uniform phase-space density at the arc-length bound
-    for _ in range(RESAMPLE_MAX_ROUNDS):
-        dq = np.diff(np.append(Q, Q[0] + 1.0))
-        dp = np.diff(np.append(P, P[0]))
-        ds = np.hypot(dq, dp)
+    # the two passes' criteria, read off the current samples t, Q, P:
+    # the bad intervals and how many halvings each is predicted to need
+
+    def density():
+        """Uniform phase-space density at the arc-length bound."""
+        ds = np.hypot(np.diff(np.append(Q, Q[0] + 1.0)), np.diff(np.append(P, P[0])))
         eps = EPS_ARC_FRACTION * float(np.sum(ds))
         bad = np.nonzero(ds > eps)[0]
-        if bad.size == 0:
-            break
-        t, Q, P, raw = refine(t, Q, P, raw, bad)
-    else:
-        raise RuntimeError("resampling budget exceeded while resolving the flowed curve")
+        # each halving halves the gap
+        return bad, np.ceil(np.log2(ds[bad] / eps)).astype(int) + 1
 
-    # pass 2: curvature control so the exactness budget holds per interval
-    for _ in range(RESAMPLE_MAX_ROUNDS):
+    def exactness():
+        """Curvature control so the exactness budget holds per interval."""
         length = float(np.sum(np.hypot(np.diff(np.append(Q, Q[0] + 1.0)),
                                        np.diff(np.append(P, P[0])))))
         budget = 0.25 * EXACTNESS_TOL * max(length, 1.0)
@@ -351,14 +411,23 @@ def from_flow(v, H, T, steps, initial_samples=4096):
         seg = _gauss3_segment_integral(fq, fp, t)
         qc = np.append(Q, Q[0] + 1.0)
         pc = np.append(P, P[0])
-        trap = 0.5 * (pc[1:] + pc[:-1]) * np.diff(qc)
-        bad = np.nonzero(np.abs(seg - trap) > budget)[0]
+        err = np.abs(seg - 0.5 * (pc[1:] + pc[:-1]) * np.diff(qc))
+        bad = np.nonzero(err > budget)[0]
         bad = bad[bad < t.size - 1]  # closing interval handled by density pass
-        if bad.size == 0:
-            break
-        t, Q, P, raw = refine(t, Q, P, raw, bad)
-    else:
-        raise RuntimeError("resampling budget exceeded while resolving the flowed curve")
+        # the quadrature gap shrinks with the cube of the width
+        return bad, np.ceil(np.log2(err[bad] / budget) / 3).astype(int) + 1
+
+    for stage, criterion in (("density", density), ("exactness", exactness)):
+        for rounds in range(RESAMPLE_MAX_ROUNDS):
+            bad, depth = criterion()
+            if bad.size == 0:
+                break
+            t, Q, P, raw = refine(t, Q, P, raw, bad, depth, stage)
+        else:
+            raise RuntimeError(
+                f"{stage} pass did not converge in RESAMPLE_MAX_ROUNDS = "
+                f"{RESAMPLE_MAX_ROUNDS} rounds while resolving the flowed curve")
+        stats[f"{stage}_rounds"] = rounds
 
     S, loop = _integrate_primitive(t, Q, P, winding=1)
     raw_anchored = raw - raw[0]
@@ -369,7 +438,7 @@ def from_flow(v, H, T, steps, initial_samples=4096):
         winding=1, lipschitz_bound=lip, pmax=float(np.max(np.abs(P))),
         meta={"H": H, "T": float(T), "steps": steps,
               "v_samples": v.copy(), "loop_residual": loop,
-              "transport_consistency": consistency})
+              "transport_consistency": consistency, **stats})
 
 
 def _embedded_lift(q):

@@ -277,6 +277,30 @@ def test_integrate_chains_bit_for_bit(dim, n1, n2):
     assert np.array_equal(Q2, Qf) and np.array_equal(P2, Pf)
 
 
+def _chunks(n, sizes=(1, 2, 3, 5, 8, 13, 1, 21, 1, 34)):
+    """Consecutive slices of range(n) in varied sizes, covering every row."""
+    start, k = 0, 0
+    while start < n:
+        yield slice(start, start + sizes[k % len(sizes)])
+        start += sizes[k % len(sizes)]
+        k += 1
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_leapfrog_rows_do_not_depend_on_their_batchmates(dim):
+    # integrate(batch)[i] == integrate(row i), action included, bit for bit
+    H = parse_hamiltonian(_LEAPFROG_CASES[dim], dim)
+    rng = np.random.default_rng(23)
+    shape = (150,) if dim == 1 else (150, 2)
+    Q0 = rng.uniform(-1.0, 2.0, shape)
+    P0 = rng.normal(scale=1.5, size=shape)
+    batch = integrate(H, Q0, P0, 1e-3, 400, accumulate_action=True)
+    for rows in _chunks(150):
+        part = integrate(H, Q0[rows], P0[rows], 1e-3, 400, accumulate_action=True)
+        for got, want in zip(part, batch):
+            assert got.tobytes() == want[rows].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The implicit midpoint: one Newton form for dim 1 and dim 2
 

@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from selkam import lagrangian
 from selkam.hamcore import integrate
-from selkam.lagrangian import (ExactnessError, from_flow, from_graph,
-                               from_parametric, line_integral_check,
+from selkam.lagrangian import (ExactnessError, SpectralFun, _shoot, from_flow,
+                               from_graph, from_parametric, line_integral_check,
                                load_lagrangian, mollify_sequence,
                                save_lagrangian, verify_exactness)
 
 GRID = np.arange(256) / 256
+
+
+def random_potential(rng, modes=3, amp=0.05):
+    """Criterion 1's initial potentials: Fourier modes uniform in +-amp/k."""
+    v = np.zeros(256)
+    for k in range(1, modes + 1):
+        a, b = rng.uniform(-amp, amp, 2) / k
+        v += a * np.cos(2 * np.pi * k * GRID) + b * np.sin(2 * np.pi * k * GRID)
+    return v
 
 
 def scan_multiplicity(L, q, n=4096):
@@ -129,6 +140,108 @@ def test_flow_composition(pendulum):
     assert np.max(np.abs(Q2 - Qf)) <= 1e-12
     assert np.max(np.abs(P2 - Pf)) <= 1e-12
     assert np.max(np.abs((A1 + A2) - Af)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([64, 256, 301, 1024]), modes=st.integers(1, 200),
+       size=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
+def test_spectral_fun_value_does_not_depend_on_the_batch(n, modes, size, seed):
+    # f(x)[i] == f(x[i:i+1])[0] bit for bit, for values and derivatives
+    rng = np.random.default_rng(seed)
+    g = np.arange(n) / n
+    v = sum(rng.normal() / k * np.cos(2 * np.pi * k * g + rng.uniform(0, 2 * np.pi))
+            for k in range(1, min(modes, n // 2) + 1))
+    f = SpectralFun(v)
+    x = rng.uniform(-1.0, 2.0, size)
+    for method in (f, f.derivative):
+        batch = method(x)
+        for i in range(size):
+            assert method(x[i:i + 1])[0].tobytes() == batch[i].tobytes()
+
+
+def test_shoot_rows_do_not_depend_on_their_batchmates(pendulum):
+    vf = SpectralFun(random_potential(np.random.default_rng(4)))
+    starts = np.random.default_rng(9).uniform(0.0, 1.0, 60)
+    batch = _shoot(pendulum, vf, 1e-3, 500, starts)
+    for lo, hi in ((0, 1), (1, 3), (3, 10), (10, 11), (11, 60)):
+        part = _shoot(pendulum, vf, 1e-3, 500, starts[lo:hi])
+        for got, want in zip(part, batch):
+            assert got.tobytes() == want[lo:hi].tobytes()
+
+
+_SPECULATION_COUNTS = ("integrate_calls", "rows_shot")
+
+
+def _assert_same_curve(got, want):
+    for name in ("t", "q", "p", "S"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.s_offset == want.s_offset
+    assert got.meta.keys() == want.meta.keys()
+    for key in got.meta.keys() - set(_SPECULATION_COUNTS):
+        assert got.meta[key] is want.meta[key] or np.array_equal(
+            got.meta[key], want.meta[key]), key
+
+
+@pytest.mark.parametrize("case", ["whorl", "criterion_1"])
+def test_speculative_refinement_equals_the_sequential_one(case, whorl, pendulum,
+                                                         monkeypatch):
+    # depth cap 1 shoots only the midpoints each round asks for: the
+    # sequential refinement the speculative rounds replay
+    if case == "whorl":
+        args = (np.zeros(256), pendulum, 3.0, 3000)
+        default = whorl
+    else:
+        # a draw on which a 1-ulp batch dependence of the start momenta
+        # (SpectralFun through a matrix product) breaks the equality
+        args = (random_potential(np.random.default_rng(5)), pendulum, 3.0, 3000)
+        default = from_flow(*args, initial_samples=4096)
+    monkeypatch.setattr(lagrangian, "SPECULATE_MAX_DEPTH", 1)
+    sequential = from_flow(*args, initial_samples=4096)
+    _assert_same_curve(default, sequential)
+    rounds = sequential.meta["density_rounds"] + sequential.meta["exactness_rounds"]
+    assert sequential.meta["integrate_calls"] == 1 + rounds
+    assert sequential.meta["rows_shot"] == sequential.t.size
+    # the default shot ahead: fewer calls, and rows the replay dropped
+    assert default.meta["integrate_calls"] < sequential.meta["integrate_calls"]
+    assert default.meta["rows_shot"] > default.meta["rows_used"]
+
+
+def test_from_flow_records_its_refinement(whorl):
+    meta = whorl.meta
+    assert meta["rows_used"] == whorl.t.size
+    assert meta["rows_shot"] >= meta["rows_used"]
+    assert meta["density_rounds"] > 0 and meta["exactness_rounds"] > 0
+    assert 1 < meta["integrate_calls"] <= 10
+
+
+def test_from_flow_names_the_density_pass_limits(pendulum, monkeypatch):
+    # the density pass needs several rounds and about 1000 more samples here
+    args = (np.zeros(256), pendulum, 1.5, 150)
+    monkeypatch.setattr(lagrangian, "RESAMPLE_MAX_ROUNDS", 2)
+    with pytest.raises(RuntimeError, match=r"^density pass did not converge in "
+                       r"RESAMPLE_MAX_ROUNDS = 2 rounds"):
+        from_flow(*args, initial_samples=256)
+    monkeypatch.setattr(lagrangian, "RESAMPLE_MAX_ROUNDS", 48)
+    monkeypatch.setattr(lagrangian, "RESAMPLE_BUDGET", 300)
+    with pytest.raises(RuntimeError, match=r"^density pass exceeded the sample budget "
+                       r"RESAMPLE_BUDGET = 300"):
+        from_flow(*args, initial_samples=256)
+
+
+def test_from_flow_names_the_exactness_pass_limits(pendulum, monkeypatch):
+    # 2048 samples of a short flow pass the density check at once; a tight
+    # exactness tolerance then leaves most intervals to the exactness pass
+    args = (np.zeros(256), pendulum, 0.1, 20)
+    monkeypatch.setattr(lagrangian, "EXACTNESS_TOL", 1e-10)
+    monkeypatch.setattr(lagrangian, "RESAMPLE_MAX_ROUNDS", 1)
+    with pytest.raises(RuntimeError, match=r"^exactness pass did not converge in "
+                       r"RESAMPLE_MAX_ROUNDS = 1 rounds"):
+        from_flow(*args, initial_samples=2048)
+    monkeypatch.setattr(lagrangian, "RESAMPLE_MAX_ROUNDS", 48)
+    monkeypatch.setattr(lagrangian, "RESAMPLE_BUDGET", 2048)
+    with pytest.raises(RuntimeError, match=r"^exactness pass exceeded the sample budget "
+                       r"RESAMPLE_BUDGET = 2048"):
+        from_flow(*args, initial_samples=2048)
 
 
 def test_mollify_tent_halves_per_level():
