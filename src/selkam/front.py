@@ -34,9 +34,12 @@ class FiberData:
     Momenta and primitives come sorted by primitive value, so ``h`` is the
     fiber's spectrum.  ``transverse`` is False when a found root meets the
     fiber at a tangency; a double root with no sign change, as at a fold
-    value, is not found.  Multiplicity is certified stable when
-    re-detection at MERGE_TOL/2 finds the same count.  ``cerf_regular``:
-    transverse, with primitive values separated by more than GAP_TOL.
+    value, is not found.  A root within MERGE_TOL of the previous one
+    merges into it; multiplicity is certified stable when merging at
+    MERGE_TOL/2 keeps the same count.  ``cerf_regular``: transverse, with
+    primitive values separated by more than GAP_TOL.  ``fiber_sweep``
+    computes all fibers in one pass, but each depends only on its own q,
+    not on the other queries of the batch.
     """
 
     q: float
@@ -89,83 +92,75 @@ def _bisect_batch(fq, lo, hi, targets):
     return out
 
 
-def _brackets_for_level(L, level):
-    """Sample intervals of the lift crossing (or touching) the given level."""
-    Qc = np.append(L.q, L.q[0] + L.winding)
-    tc = np.append(L.t, L.t[0] + 1.0)
-    d = Qc - level
-    hit = (d[:-1] * d[1:] < 0) | (d[:-1] == 0) | (d[1:] == 0)
-    return tc, Qc, np.nonzero(hit)[0]
+def _merged(r, own, tol):
+    """Mask of the sorted roots ``r`` (grouped by ``own``) kept at merge radius tol.
+
+    A root within tol of its predecessor merges into it; the last kept root
+    of a query merges into the first across the closing wrap.
+    """
+    keep = np.ones(r.size, dtype=bool)
+    keep[1:] = (own[1:] != own[:-1]) | (np.diff(r) > tol)
+    idx = np.nonzero(keep)[0]
+    cut = np.diff(own[idx], prepend=-1, append=-1) != 0
+    first, last = idx[cut[:-1]], idx[cut[1:]]
+    keep[last[(first != last) & (r[first] + 1.0 - r[last] <= tol)]] = False
+    return keep
 
 
 def fiber_sweep(L, q_values):
-    """FiberData for many base points at once (shared vectorized refine)."""
+    """FiberData for many base points in one array pass.
+
+    Every level q + k the lift can reach is tabulated, sorted; each sample
+    interval of the lift brackets the levels between its end values
+    (touching ones included), and all brackets are bisected together.  The
+    roots are sorted and merged per query, and the interpolants and the
+    primitive are evaluated once on all kept roots.  Every step is
+    elementwise or per query, so a query's fiber does not depend on the
+    other queries of the batch.
+    """
     if L.dim != 1:
         raise NotImplementedError("fiber_sweep works over T^1 only, not dim 2")
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
-    fq = L.interp_q()
-    qmin, qmax = float(np.min(L.q)) - 1.0, float(np.max(L.q)) + 1.0
-    all_lo, all_hi, all_tg, owner = [], [], [], []
-    for idx, qv in enumerate(q_values):
-        for k in range(int(np.floor(qmin - qv)), int(np.ceil(qmax - qv)) + 1):
-            level = qv + k
-            tc, Qc, hits = _brackets_for_level(L, level)
-            if hits.size:
-                all_lo.append(tc[hits])
-                all_hi.append(tc[hits + 1])
-                all_tg.append(np.full(hits.size, level))
-                owner.append(np.full(hits.size, idx))
-    if all_lo:
-        lo = np.concatenate(all_lo)
-        hi = np.concatenate(all_hi)
-        tg = np.concatenate(all_tg)
-        own = np.concatenate(owner)
-        roots = _bisect_batch(fq, lo, hi, tg)
-    else:
-        roots = np.empty(0)
-        own = np.empty(0, dtype=int)
-    out = []
-    for idx, qv in enumerate(q_values):
-        r = roots[own == idx]
-        out.append(_assemble_fiber(L, qv, np.sort(wrap(r))))
-    return out
-
-
-def _assemble_fiber(L, qv, roots):
-    def dedupe(rr, tol):
-        if rr.size == 0:
-            return rr
-        keep = [rr[0]]
-        for x in rr[1:]:
-            if x - keep[-1] > tol:
-                keep.append(x)
-        # closing wrap
-        if len(keep) > 1 and (keep[0] + 1.0 - keep[-1]) <= tol:
-            keep.pop()
-        return np.asarray(keep)
-
-    r1 = dedupe(roots, MERGE_TOL)
-    r2 = dedupe(roots, MERGE_TOL / 2)
-    stable = r1.size == r2.size
+    n = q_values.size
     fq, fp = L.interp_q(), L.interp_p()
-    if r1.size == 0:
-        return FiberData(q=float(qv), t=r1, p=r1.copy(), h=r1.copy(),
-                         transverse=True, cerf_regular=False,
-                         multiplicity_stable=stable)
-    dq = fq.derivative(r1)
-    dp = fp.derivative(r1)
-    p = fp(r1)
-    h = np.atleast_1d(L.primitive_at(r1))
+    qmin, qmax = float(np.min(L.q)) - 1.0, float(np.max(L.q)) + 1.0
+    # initial=0 only widens the k range, so an empty query list needs no guard
+    k = np.arange(np.floor(qmin - q_values.max(initial=0.0)),
+                  np.ceil(qmax - q_values.min(initial=0.0)) + 1)
+    levels = (q_values[:, None] + k).ravel()
+    order = np.argsort(levels)
+    levels, owner = levels[order], order // k.size
+    Qc = np.append(L.q, L.q[0] + L.winding)
+    tc = np.append(L.t, L.t[0] + 1.0)
+    first = np.searchsorted(levels, np.minimum(Qc[:-1], Qc[1:]), side="left")
+    count = np.searchsorted(levels, np.maximum(Qc[:-1], Qc[1:]), side="right") - first
+    interval = np.repeat(np.arange(count.size), count)
+    level = np.arange(interval.size) + np.repeat(first - np.cumsum(count) + count, count)
+    roots = wrap(_bisect_batch(fq, tc[interval], tc[interval + 1], levels[level]))
+    own = owner[level]
+    order = np.lexsort((roots, own))
+    roots, own = roots[order], own[order]
+    keep = _merged(roots, own, MERGE_TOL)
+    stable = (np.bincount(own[keep], minlength=n)
+              == np.bincount(own[_merged(roots, own, MERGE_TOL / 2)], minlength=n))
+    t, own = roots[keep], own[keep]
+    dq, dp = fq.derivative(t), fp.derivative(t)
+    p = fp(t)
+    h = np.atleast_1d(L.primitive_at(t))
     # angle of the curve tangent against the fiber direction; ~0 means tangency
     cosine = np.abs(dq) / np.maximum(np.hypot(dq, dp), 1e-300)
-    transverse = bool(np.all(cosine > TRANSVERSE_TOL))
-    order = np.argsort(h)
-    h = h[order]
-    gaps = np.diff(h)
-    cerf = transverse and (gaps.size == 0 or bool(np.min(gaps) > GAP_TOL))
-    return FiberData(q=float(qv), t=r1[order], p=p[order], h=h,
-                     transverse=transverse, cerf_regular=cerf,
-                     multiplicity_stable=stable)
+    transverse = np.bincount(own, weights=~(cosine > TRANSVERSE_TOL), minlength=n) == 0
+    sizes = np.bincount(own, minlength=n)
+    order = np.lexsort((h, own))
+    t, p, h, own = t[order], p[order], h[order], own[order]
+    close = (own[1:] == own[:-1]) & ~(np.diff(h) > GAP_TOL)
+    cerf = transverse & (sizes > 0) & (np.bincount(own[1:][close], minlength=n) == 0)
+    cuts = np.cumsum(sizes)[:-1]
+    return [FiberData(q=float(qv), t=tj, p=pj, h=hj, transverse=bool(tr),
+                      cerf_regular=bool(ce), multiplicity_stable=bool(st))
+            for qv, tj, pj, hj, tr, ce, st in zip(
+                q_values, np.split(t, cuts), np.split(p, cuts), np.split(h, cuts),
+                transverse, cerf, stable)]
 
 
 def caustics(L):

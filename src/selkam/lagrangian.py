@@ -129,7 +129,7 @@ class ExactLagrangian:
         idx = np.clip(idx, 0, self.t.size - 1)
         out = self.S[idx].copy()
         _gauss3_add(out, self.interp_q(), self.interp_p(), self.t[idx], smod)
-        return out if out.size > 1 else float(out[0])
+        return out if out.size != 1 else float(out[0])
 
     def phase_points(self):
         """Samples as an (m, 2n) array [q (wrapped), p]."""

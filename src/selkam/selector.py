@@ -474,7 +474,7 @@ def graph_selector(L, grid_size=512, snap_tol=SNAP_TOL):
         q_grid=q_grid, values=values, provenance=provenance,
         lipschitz_const=_lipschitz_all_pairs(q_grid, values),
         anchor={"s_offset": L.s_offset, "frame": "anchored primitive (S=0 at t=0)"},
-        flags=flags, fibers=fibers, meta={"snapped": int(np.sum(~flags))})
+        flags=flags, fibers=fibers, meta={"snapped": int(np.sum(flags))})
 
 
 def kernel_minimax(L, grid_size):
@@ -536,25 +536,18 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
     vals = f.values
     df = (np.roll(vals, -1) - np.roll(vals, 1)) / (2 * h)
 
-    mask = np.ones(n, dtype=bool)
+    centres = []
     if L.dim == 1 and L.kind != "graph":
-        ca = caustics(L)
-        for qc in ca.q:
-            j = int(np.round(qc * n)) % n
-            for k in range(-collar, collar + 1):
-                mask[(j + k) % n] = False
+        centres.append(np.round(caustics(L).q * n).astype(int))
     switches = np.nonzero(np.roll(f.provenance, -1) != f.provenance)[0]
-    for j in switches:
-        for k in range(-collar, collar + 1):
-            mask[(j + k) % n] = False
-            mask[(j + 1 + k) % n] = False
+    centres += [switches, switches + 1]
     # derivative kinks (value crossings the provenance may have missed)
     kink = np.abs(np.roll(vals, -1) + np.roll(vals, 1) - 2 * vals) / h
-    kink_pts = np.nonzero(kink > 0.1 * max(1.0, L.pmax))[0]
-    for j in kink_pts:
-        for k in range(-collar, collar + 1):
-            mask[(j + k) % n] = False
-    mask &= ~f.flags
+    centres.append(np.nonzero(kink > 0.1 * max(1.0, L.pmax))[0])
+    idx = np.concatenate(centres)
+    mask = np.ones(n, dtype=bool)
+    mask[(idx[:, None] + np.arange(-collar, collar + 1)) % n] = False
+    mask[f.flags] = False
 
     fibers = [fd for fd, keep in zip(f.fibers, mask) if keep]
     gd = []

@@ -197,6 +197,20 @@ def test_selector_front_invariant_and_oracle_roundtrip(fast_cfg, tmp_path):
             "oracle.txt"} <= set(reparsed)
 
 
+def test_selector_reports_the_flagged_points_as_snapped(tmp_path):
+    # T = 0.5 is past the first fold of the free flow of v: one Maxwell point
+    cfg_path = tmp_path / "fold.cfg"
+    cfg_path.write_text(FAST_CFG.replace("v = 0.02*sin", "v = 0.1*sin")
+                        .replace("T = 0.2", "T = 0.5"))
+    cfg = load_config(cfg_path, out_dir=tmp_path / "out")
+    summary, status = run("selector", cfg)
+    assert status == 0
+    rows = (tmp_path / "out" / "selector.jsonl").read_text().splitlines()[:-1]
+    flagged = sum(json.loads(row)["provenance"] == -1 for row in rows)
+    assert flagged > 0
+    assert summary["results"]["snapped"] == flagged
+
+
 def test_verify_suite_exit_status(fast_cfg, tmp_path):
     cfg = load_config(fast_cfg, out_dir=tmp_path / "v")
     summary, status = run("verify", cfg, suite="weakkam")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from selkam.front import caustics, dump_front, fiber_sweep
+from selkam.front import MERGE_TOL, _bisect_batch, caustics, dump_front, fiber_sweep
 from selkam.lagrangian import from_graph, from_parametric
+from selkam.torus import wrap
 
 GRID = np.arange(256) / 256
 
@@ -135,6 +136,67 @@ def test_degenerate_double_cover_rejected():
     t = np.arange(2048) / 2048
     with pytest.raises(ValueError, match="winding 2"):
         from_parametric(t, np.mod(2 * t, 1.0), 0.05 * np.sin(4 * np.pi * t))
+
+
+def _batch_case(name, request):
+    """A curve and the queries to sweep it at, one batch per case."""
+    if name == "whorl":
+        return request.getfixturevalue("whorl"), np.append(np.arange(48) / 48, [0.985, 0.99])
+    if name == "graph_nodes":
+        # each query sits on a sample node, so its brackets only touch the level
+        L = from_graph(0.1 * np.sin(2 * np.pi * GRID))
+        return L, L.q[::4].copy()
+    # dq/dt = -1 + 0.4 pi cos(4 pi t) changes sign: the curve folds, up to 3 sheets
+    t = np.arange(1024) / 1024
+    L = from_parametric(t, np.mod(-t + 0.1 * np.sin(4 * np.pi * t), 1.0),
+                        0.2 * np.sin(2 * np.pi * t))
+    assert L.winding == -1
+    return L, np.arange(48) / 48
+
+
+@pytest.mark.parametrize("case", ["whorl", "graph_nodes", "winding_minus_one"])
+def test_fiber_does_not_depend_on_its_batchmates(case, request):
+    L, qs = _batch_case(case, request)
+    batch = fiber_sweep(L, qs)
+    assert len(batch) == qs.size
+    for q, fd in zip(qs, batch):
+        alone = fiber_sweep(L, [q])[0]
+        for name in ("q", "t", "p", "h", "transverse", "cerf_regular",
+                     "multiplicity_stable"):
+            assert np.array_equal(getattr(fd, name), getattr(alone, name)), (q, name)
+
+
+def loop_fiber(L, q):
+    """Reference: one query, level by level; roots merge greedily into the last kept one."""
+    tc = np.append(L.t, L.t[0] + 1.0)
+    Qc = np.append(L.q, L.q[0] + L.winding)
+    roots = []
+    for k in range(int(np.floor(Qc.min() - q)), int(np.ceil(Qc.max() - q)) + 1):
+        d = Qc - (q + k)
+        hits = np.nonzero((d[:-1] * d[1:] < 0) | (d[:-1] == 0) | (d[1:] == 0))[0]
+        roots.extend(_bisect_batch(L.interp_q(), tc[hits], tc[hits + 1], q + k))
+    kept = []
+    for r in np.sort(wrap(np.array(roots))):
+        if not kept or r - kept[-1] > MERGE_TOL:
+            kept.append(r)
+    if len(kept) > 1 and kept[0] + 1.0 - kept[-1] <= MERGE_TOL:
+        kept.pop()
+    t = np.array(kept)
+    h = np.atleast_1d(L.primitive_at(t))
+    order = np.argsort(h, kind="stable")
+    return t[order], L.interp_p()(t)[order], h[order]
+
+
+@pytest.mark.parametrize("case", ["whorl", "graph_nodes", "winding_minus_one"])
+def test_fiber_sweep_equals_the_per_level_loop(case, request):
+    L, qs = _batch_case(case, request)
+    for q, fd in zip(qs, fiber_sweep(L, qs)):
+        t, p, h = loop_fiber(L, q)
+        assert np.array_equal(fd.t, t) and np.array_equal(fd.p, p) and np.array_equal(fd.h, h)
+
+
+def test_fiber_sweep_of_no_queries_is_empty():
+    assert fiber_sweep(from_graph(np.zeros(128)), []) == []
 
 
 @pytest.mark.parametrize("query", [lambda L: fiber_sweep(L, [[0.1, 0.2]]), caustics],
