@@ -347,11 +347,6 @@ def _cmd_verify(cfg, suite):
         check("selector.lipschitz", rep.lipschitz_const <= rep.lipschitz_bound)
         check("selector.graph_distance", rep.max_graph_distance <= cfg.tolerances["c_tol"])
         check("selector.value_match", rep.max_value_mismatch <= cfg.tolerances["c_tol"])
-        spectra_ok = True
-        for fd, val in zip(sf.fibers, sf.values):
-            if fd.h.size and np.min(np.abs(fd.h - val)) > cfg.tolerances["snap_tol"]:
-                spectra_ok = False
-        check("selector.tightness", spectra_ok)
         # the paper's definition: at unflagged points the kernel minimax is
         # the envelope, up to the kernel's discretization
         gap = np.abs(selector.kernel_minimax(Lf, sf.q_grid.size) - sf.values)

@@ -421,11 +421,10 @@ def verify_theorem_6_3(L, H, a, f, horizon=100.0):
     if not ok_sub:
         # exclude two-step collars around derivative kinks before declaring failure
         kink = np.abs(np.roll(f.values, -1) + np.roll(f.values, 1) - 2 * f.values) * n
+        idx = np.nonzero(kink > 0.1 * max(1.0, float(np.max(np.abs(f.values)))))[0]
         kmask = np.zeros(n, dtype=bool)
-        for j in np.nonzero(kink > 0.1 * max(1.0, float(np.max(np.abs(f.values)))))[0]:
-            for k in range(-2, 3):
-                kmask[(j + k) % n] = True
-        bad = np.array([j for j in bad if not kmask[j]])
+        kmask[(idx[:, None] + np.arange(-2, 3)) % n] = True
+        bad = bad[~kmask[bad]]
         ok_sub = bad.size == 0
 
     g = smooth_subsolution(f.values, H, s=0.05)

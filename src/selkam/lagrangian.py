@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 MIN_GRID = 64
-EXACTNESS_TOL = 1e-6          # scaled by arc length
-LOOP_TOL = 1e-8               # scaled by arc length, for closed-loop theta integral
+EXACTNESS_TOL = 1e-6          # from_flow's refinement budget, scaled by arc length
 EPS_ARC_FRACTION = 1.0 / 1024
 RESAMPLE_MAX_ROUNDS = 48
 RESAMPLE_BUDGET = 400_000
@@ -113,9 +112,7 @@ class ExactLagrangian:
         return self._cache["p"]
 
     def arc_length(self):
-        dq = np.diff(np.append(self.q, self.q[0] + self.winding))
-        dp = np.diff(np.append(self.p, self.p[0]))
-        return float(np.sum(np.hypot(dq, dp)))
+        return float(np.sum(_phase_gaps(self.q, self.p, self.winding)))
 
     def primitive_at(self, s):
         """Primitive at arbitrary parameters, quadrature-consistent with S.
@@ -150,9 +147,17 @@ class ApproxSequence:
 
 @dataclass
 class ExactnessReport:
+    """The exactness measure (``verify_exactness``); ok = residual <= budget.
+
+    Dim 1: residual = sum r_i, budget = sum e_i + rounding floor,
+    max_interval_residual = max r_i, loop_residual = |sum G_i|.
+    """
+
     max_interval_residual: float
     loop_residual: float
     arc_length: float
+    residual: float
+    budget: float
     ok: bool
 
     def __bool__(self):
@@ -175,28 +180,50 @@ def _gauss3_add(out, fq, fp, t0, t1):
         out += 0.5 * h * w * fp(s) * fq.derivative(s)
 
 
-def _gauss3_segment_integral(fq, fp, t):
-    """Integral of p dq per parameter interval, the closing one last."""
-    out = np.zeros(t.size)
-    _gauss3_add(out[:-1], fq, fp, t[:-1], t[1:])
-    _gauss3_add(out[-1:], fq, fp, t[-1:], t[:1] + 1.0)
-    return out
+def _phase_gaps(q, p, winding):
+    """Phase-space distances of consecutive samples, the closing pair last."""
+    return np.hypot(np.diff(np.append(q, q[0] + winding)), np.diff(np.append(p, p[0])))
+
+
+def _segments(t, q, p, winding):
+    """(G, e) per parameter interval, the closing one last.
+
+    G is int p dq by Gauss-3 on the interpolants, the rule defining S; the
+    sample resolution e = |G - T| compares it with the trapezoid value T.
+    """
+    fq = PeriodicCubic(t, q, jump=float(winding))
+    fp = PeriodicCubic(t, p)
+    G = np.zeros(t.size)
+    _gauss3_add(G[:-1], fq, fp, t[:-1], t[1:])
+    _gauss3_add(G[-1:], fq, fp, t[-1:], t[:1] + 1.0)
+    return G, np.abs(G - 0.5 * (p + np.roll(p, -1)) * np.diff(np.append(q, q[0] + winding)))
 
 
 def _integrate_primitive(t, q, p, winding):
-    """Anchored primitive S(t) = int p dq along the curve, cubic quadrature."""
-    fq = PeriodicCubic(t, q, jump=float(winding))
-    fp = PeriodicCubic(t, p)
-    seg = _gauss3_segment_integral(fq, fp, t)
-    S = np.concatenate([[0.0], np.cumsum(seg[:-1])])
-    loop = float(np.sum(seg))
-    return S, loop
+    """Anchored primitive S(t) = int p dq along the curve, with its segments (G, e)."""
+    G, e = _segments(t, q, p, winding)
+    return np.concatenate([[0.0], np.cumsum(G[:-1])]), G, e
 
 
-def _loop_integral_trapz(q, p, winding):
-    dq = np.diff(np.append(q, q[0] + winding))
-    pm = 0.5 * (p + np.roll(p, -1))
-    return float(np.sum(pm * dq))
+def _exactness(S, G, e, arc_length):
+    """The exactness measure (``verify_exactness``) of primitive S on segments (G, e).
+
+    The rounding floor is four ulps of sum (|S| + |G|): each r_i is read off
+    two stored S values and a G, each rounded once at least.
+    """
+    r = np.abs(np.diff(np.append(S, S[0])) - G)
+    residual = float(np.sum(r))
+    budget = float(np.sum(e) + 4 * np.finfo(float).eps * (np.sum(np.abs(S)) + np.sum(np.abs(G))))
+    return ExactnessReport(
+        max_interval_residual=float(np.max(r)), loop_residual=abs(float(np.sum(G))),
+        arc_length=arc_length, residual=residual, budget=budget, ok=residual <= budget)
+
+
+def _require_exact(rep, what):
+    """Raise ExactnessError naming ``what`` and both sums unless ``rep`` passes."""
+    if not rep.ok:
+        raise ExactnessError(f"{what} is not exact: sum |dS - G| exceeds its budget "
+                             f"sum |G - T| + rounding = {rep.budget:.3e}", rep.residual)
 
 
 def _lipschitz_of_samples(t, arrays, winding_jumps):
@@ -322,7 +349,9 @@ def from_flow(v, H, T, steps, initial_samples=4096):
     trajectory does not depend on its batchmates, samples, rounds and
     errors are those of shooting the midpoints alone.  A pass that needs
     more than RESAMPLE_MAX_ROUNDS rounds or more than RESAMPLE_BUDGET
-    samples raises, naming the pass and the limit.
+    samples raises, naming the pass and the limit.  A flowed curve that
+    fails the exactness measure (``verify_exactness``) raises
+    ExactnessError; ``transport_consistency`` is recorded, not bounded.
 
     ``meta`` records the rounds of each pass (``density_rounds``,
     ``exactness_rounds``), the ``integrate_calls``, the ``rows_shot`` and
@@ -395,7 +424,7 @@ def from_flow(v, H, T, steps, initial_samples=4096):
 
     def density():
         """Uniform phase-space density at the arc-length bound."""
-        ds = np.hypot(np.diff(np.append(Q, Q[0] + 1.0)), np.diff(np.append(P, P[0])))
+        ds = _phase_gaps(Q, P, 1)
         eps = EPS_ARC_FRACTION * float(np.sum(ds))
         bad = np.nonzero(ds > eps)[0]
         # each halving halves the gap
@@ -403,15 +432,8 @@ def from_flow(v, H, T, steps, initial_samples=4096):
 
     def exactness():
         """Curvature control so the exactness budget holds per interval."""
-        length = float(np.sum(np.hypot(np.diff(np.append(Q, Q[0] + 1.0)),
-                                       np.diff(np.append(P, P[0])))))
-        budget = 0.25 * EXACTNESS_TOL * max(length, 1.0)
-        fq = PeriodicCubic(t, Q, jump=1.0)
-        fp = PeriodicCubic(t, P)
-        seg = _gauss3_segment_integral(fq, fp, t)
-        qc = np.append(Q, Q[0] + 1.0)
-        pc = np.append(P, P[0])
-        err = np.abs(seg - 0.5 * (pc[1:] + pc[:-1]) * np.diff(qc))
+        budget = 0.25 * EXACTNESS_TOL * max(float(np.sum(_phase_gaps(Q, P, 1))), 1.0)
+        err = _segments(t, Q, P, 1)[1]
         bad = np.nonzero(err > budget)[0]
         bad = bad[bad < t.size - 1]  # closing interval handled by density pass
         # the quadrature gap shrinks with the cube of the width
@@ -429,54 +451,49 @@ def from_flow(v, H, T, steps, initial_samples=4096):
                 f"{RESAMPLE_MAX_ROUNDS} rounds while resolving the flowed curve")
         stats[f"{stage}_rounds"] = rounds
 
-    S, loop = _integrate_primitive(t, Q, P, winding=1)
-    raw_anchored = raw - raw[0]
-    consistency = float(np.max(np.abs(S - raw_anchored)))
+    S, G, e = _integrate_primitive(t, Q, P, 1)
+    consistency = float(np.max(np.abs(S - (raw - raw[0]))))
     lip = _lipschitz_of_samples(t, [Q, P], [1.0, 0.0])
-    return ExactLagrangian(
+    L = ExactLagrangian(
         dim=1, kind="flowed", t=t, q=Q, p=P, S=S, s_offset=float(raw[0]),
         winding=1, lipschitz_bound=lip, pmax=float(np.max(np.abs(P))),
         meta={"H": H, "T": float(T), "steps": steps,
-              "v_samples": v.copy(), "loop_residual": loop,
+              "v_samples": v.copy(), "loop_residual": float(np.sum(G)),
               "transport_consistency": consistency, **stats})
+    _require_exact(_exactness(S, G, e, L.arc_length()), "flowed curve")
+    return L
 
 
-def _embedded_lift(q):
-    """Unwrapped lift and winding of a closed dim-1 curve that winds +-1.
+def _closed_curve(kind, t, q, p, S=None, what="curve"):
+    """Dim-1 curve of closed samples, refused unless it winds +-1 and is exact.
 
     An embedded closed curve in the annulus winds 0 or +-1, and one of
-    winding 0 bounds a disc of positive area, so it is not exact.
+    winding 0 bounds a disc of positive area, so it is not exact.  Without
+    ``S`` the primitive is integrated along the curve.
     """
     lift, winding = unwrap_closed(q)
     if abs(winding) != 1:
         raise ValueError(f"curve has winding {winding}; an exact Lagrangian "
                          "curve in T*T^1 winds +-1")
-    return lift, winding
+    if S is None:
+        S = _integrate_primitive(t, lift, p, winding)[0]
+    L = ExactLagrangian(
+        dim=1, kind=kind, t=t, q=lift, p=p, S=S, s_offset=0.0, winding=winding,
+        lipschitz_bound=_lipschitz_of_samples(t, [lift, p], [float(winding), 0.0]),
+        pmax=float(np.max(np.abs(p))), meta={})
+    _require_exact(verify_exactness(L), what)
+    return L
 
 
 def from_parametric(t, q, p):
     """Closed sampled curve (t, q(t), p(t)); primitive by line integration.
 
-    Rejects curves whose winding is not +-1 (``_embedded_lift``) and curves
-    whose loop integral of p dq exceeds the exactness tolerance (they carry
-    no primitive).
+    Rejects curves whose winding is not +-1 (``_closed_curve``) and, with
+    ExactnessError, curves that fail the exactness measure
+    (``verify_exactness``): S sums the Gauss-3 segments, so this bounds the
+    loop integral of p dq by the sample resolution.
     """
-    t = np.asarray(t, dtype=float)
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    lift, winding = _embedded_lift(q)
-    dq = np.diff(np.append(lift, lift[0] + winding))
-    dp = np.diff(np.append(p, p[0]))
-    length = float(np.sum(np.hypot(dq, dp)))
-    loop = _loop_integral_trapz(lift, p, winding)
-    if abs(loop) > max(EXACTNESS_TOL * length, 1e-12):
-        raise ExactnessError("curve is not exact: nonzero loop integral of p dq", abs(loop))
-    S, _ = _integrate_primitive(t, lift, p, winding)
-    lip = _lipschitz_of_samples(t, [lift, p], [float(winding), 0.0])
-    return ExactLagrangian(
-        dim=1, kind="parametric", t=t, q=lift, p=p, S=S, s_offset=0.0,
-        winding=winding, lipschitz_bound=lip,
-        pmax=float(np.max(np.abs(p))), meta={})
+    return _closed_curve("parametric", *(np.asarray(a, dtype=float) for a in (t, q, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,26 +501,20 @@ def from_parametric(t, q, p):
 
 
 def verify_exactness(L):
-    """Residuals of dS = p dq on the samples.
+    """ExactnessReport of dS = p dq on the samples.
 
-    Per-interval: |Delta S - trapz(p dq)| maximized over consecutive sample
-    pairs (including the closing pair); plus the full loop integral of
-    p dq.  The report passes when both are below the exactness budget
-    scaled by arc length.
+    Dim 1, the measure the constructors, ``mollify_sequence`` and
+    ``load_lagrangian`` apply: per parameter interval i, the closing one
+    included, r_i = |Delta S_i - G_i| with G_i the Gauss-3 int p dq on the
+    interpolants (the rule defining S), and the sample resolution
+    e_i = |G_i - T_i| against the trapezoid value.  The curve passes when
+    sum r_i <= sum e_i plus a rounding floor.  A shifted S node fails, and
+    so does a loop integral of p dq above sum e_i; a smaller one cannot be
+    resolved.  Dim-2 grids keep their own trapezoid check.
     """
     if L.dim == 2:
         return _verify_exactness_grid(L)
-    qc = np.append(L.q, L.q[0] + L.winding)
-    pc = np.append(L.p, L.p[0])
-    Sc = np.append(L.S, L.S[0])
-    seg = 0.5 * (pc[1:] + pc[:-1]) * np.diff(qc)
-    resid = float(np.max(np.abs(np.diff(Sc) - seg)))
-    # loop residual from the interpolated curve (same quadrature order as S)
-    loop = abs(_integrate_primitive(L.t, L.q, L.p, L.winding)[1])
-    length = L.arc_length()
-    ok = resid <= EXACTNESS_TOL * max(length, 1.0) and loop <= max(LOOP_TOL * length, 1e-12)
-    return ExactnessReport(max_interval_residual=resid, loop_residual=loop,
-                           arc_length=length, ok=ok)
+    return _exactness(L.S, *_segments(L.t, L.q, L.p, L.winding), L.arc_length())
 
 
 def _verify_exactness_grid(L):
@@ -520,9 +531,10 @@ def _verify_exactness_grid(L):
     loop = max(float(np.max(np.abs(np.sum(P[..., 0], axis=0) * h1))),
                float(np.max(np.abs(np.sum(P[..., 1], axis=1) * h2))))
     length = float(n1 * h1 + n2 * h2)
-    ok = resid <= EXACTNESS_TOL * max(length, 1.0) and loop <= 1e-8
+    budget = EXACTNESS_TOL * max(length, 1.0)
     return ExactnessReport(max_interval_residual=resid, loop_residual=loop,
-                           arc_length=length, ok=ok)
+                           arc_length=length, residual=resid, budget=budget,
+                           ok=resid <= budget and loop <= 1e-8)
 
 
 def _theta_integral(L, a, b):
@@ -605,22 +617,21 @@ def _smooth_periodic(values, width):
 def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
     """Equi-Lipschitz smoothings of a Lipschitz curve, widths halving per level.
 
-    Each level smooths the parametrization with a periodic kernel, restores
-    exactness with an O(width^2) momentum correction, and re-integrates the
-    primitive.  Certification fails if the per-level Lipschitz constants
-    grow by more than a factor 2 over the target's.
+    A target that fails the exactness measure (``verify_exactness``) raises
+    ExactnessError.  Each level smooths the parametrization with a periodic
+    kernel, restores exactness with an O(width^2) momentum correction that
+    cancels the loop integral of p dq, and re-integrates the primitive.
+    Certification fails if the per-level Lipschitz constants grow by more
+    than a factor 2 over the target's.
     """
     t, q, p, S, winding = _as_curve_arrays(target)
-    dq = np.diff(np.append(q, q[0] + winding))
-    dp = np.diff(np.append(p, p[0]))
-    length = float(np.sum(np.hypot(dq, dp)))
-    loop = _loop_integral_trapz(q, p, winding)
-    if abs(loop) > max(EXACTNESS_TOL * length, 1e-12):
-        raise ExactnessError("mollification target is not exact", abs(loop))
+    ds = _phase_gaps(q, p, winding)
+    _require_exact(_exactness(S, *_segments(t, q, p, winding), float(np.sum(ds))),
+                   "mollification target")
 
     # resample at uniform phase-space speed: kernel widths then have a
     # parametrization-independent meaning and the Lipschitz constant is tame
-    s = np.concatenate([[0.0], np.cumsum(np.hypot(dq, dp))])
+    s = np.concatenate([[0.0], np.cumsum(ds)])
     s /= s[-1]
     tu = np.arange(resample) / resample
     tsrc = np.interp(tu, s, np.append(t, t[0] + 1.0))
@@ -639,15 +650,13 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
     for w in widths:
         qk = winding * tu + _smooth_periodic(qper, w)
         pk = _smooth_periodic(pu, w)
-        # exactness correction: remove the loop residual along dq
-        dqk = PeriodicCubic(tu, qk, jump=float(winding))
-        resid = _loop_integral_trapz(qk, pk, winding)
-        slope = dqk.derivative(tu)
+        # exactness correction: remove the loop integral along dq
+        loop = float(np.sum(_segments(tu, qk, pk, winding)[0]))
+        slope = PeriodicCubic(tu, qk, jump=float(winding)).derivative(tu)
         denom = float(np.mean(slope * slope))
         if denom > 1e-12:
-            pk = pk - resid * slope / denom
-        Sk, _ = _integrate_primitive(tu, qk, pk, winding)
-        Sk = Sk - Sk[0]
+            pk = pk - loop * slope / denom
+        Sk = _integrate_primitive(tu, qk, pk, winding)[0]
         lipk = _lipschitz_of_samples(tu, [qk, pk, Sk], [float(winding), 0.0, 0.0])
         if lipk > 2.0 * max(lip0, 1e-12):
             raise RuntimeError(
@@ -692,9 +701,10 @@ def load_lagrangian(path):
     """Read a file written by ``save_lagrangian``.
 
     Refuses what lies outside the setting: a dim-1 curve whose winding is
-    not +-1 (``_embedded_lift``), and a dim-2 file whose row count is not a
-    square grid.  The dim-2 Lipschitz bound is read off the samples as
-    ``from_graph`` computes it.
+    not +-1 (``_closed_curve``) or, with ExactnessError, that fails the
+    exactness measure (``verify_exactness``), and a dim-2 file whose row
+    count is not a square grid.  The dim-2 Lipschitz bound is read off the
+    samples as ``from_graph`` computes it.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -705,12 +715,7 @@ def load_lagrangian(path):
         data = np.loadtxt(fh, ndmin=2)
     if dim == 1:
         t, q, p, S = data.T
-        lift, winding = _embedded_lift(q)
-        return ExactLagrangian(
-            dim=1, kind=kind, t=t, q=lift, p=p, S=S, s_offset=0.0,
-            winding=winding,
-            lipschitz_bound=_lipschitz_of_samples(t, [lift, p], [float(winding), 0.0]),
-            pmax=float(np.max(np.abs(p))), meta={})
+        return _closed_curve(kind, t, q, p, S, what=f"curve in {path}")
     t = data[:, 0]
     Q = data[:, 1:3]
     P = data[:, 3:5]

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from selkam import hamcore, selector, weakkam
+from selkam import hamcore, lagrangian, selector, weakkam
 from selkam.cli import ConfigError, load_config, main, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -331,6 +331,22 @@ def test_lagrangian_file_outside_the_setting_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError) as exc:
         run("selector", load_config(p, out_dir=tmp_path / "o"))
     assert exc.value.fieldpath == "lagrangian.file" and "winding 0" in str(exc.value)
+    assert main(["selector", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_lagrangian_file_with_a_shifted_primitive_is_a_config_error(tmp_path):
+    t = np.arange(64) / 64
+    L = lagrangian.from_graph(0.05 * np.sin(2 * np.pi * t))
+    S = L.S.copy()
+    S[20] += 1e-3
+    curve = tmp_path / "shifted.dat"
+    np.savetxt(curve, np.column_stack([t, t, L.p, S]), header="dim 1 kind parametric",
+               comments="")
+    p = tmp_path / "shifted.cfg"
+    p.write_text(FAST_CFG.replace("kind = flowed", f"kind = parametric\nfile = {curve}"))
+    with pytest.raises(ConfigError) as exc:
+        run("selector", load_config(p, out_dir=tmp_path / "o"))
+    assert exc.value.fieldpath == "lagrangian.file" and "not exact" in str(exc.value)
     assert main(["selector", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 

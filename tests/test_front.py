@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from selkam.front import MERGE_TOL, _bisect_batch, caustics, dump_front, fiber_sweep
+from selkam.front import (MERGE_TOL, _bisect_batch, _merged, caustics, dump_front,
+                          fiber_sweep)
 from selkam.lagrangian import from_graph, from_parametric
 from selkam.torus import wrap
 
@@ -193,6 +194,16 @@ def test_fiber_sweep_equals_the_per_level_loop(case, request):
     for q, fd in zip(qs, fiber_sweep(L, qs)):
         t, p, h = loop_fiber(L, q)
         assert np.array_equal(fd.t, t) and np.array_equal(fd.p, p) and np.array_equal(fd.h, h)
+
+
+def test_merged_closes_each_query_across_the_wrap():
+    # query 0: the last root lies 5e-10 before the first across t = 0 and
+    # merges into it; query 1: its ends are 0.2 apart across the wrap and
+    # stay, its inner pair merges; query 2: a lone root is never merged away
+    r = np.array([2e-10, 0.5, 1 - 3e-10, 0.1, 0.3, 0.3 + 5e-10, 0.9, 1 - 2e-10])
+    own = np.array([0, 0, 0, 1, 1, 1, 1, 2])
+    assert _merged(r, own, 1e-9).tolist() == [True, True, False,
+                                             True, True, False, True, True]
 
 
 def test_fiber_sweep_of_no_queries_is_empty():

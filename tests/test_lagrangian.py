@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +121,31 @@ def test_exactness_flags_corrupted_primitive(whorl):
     rep = verify_exactness(L)
     assert not rep.ok
     assert rep.max_interval_residual == pytest.approx(0.1, rel=0.05)
+
+
+def test_exactness_passes_a_flowed_draw_and_its_mollification(pendulum):
+    # criterion 1's draw 2 flowed for T = 3: its Gauss-3 loop integral is
+    # 6.0e-6, above a bound of 1e-8 x arc length and far below the
+    # resolution sum |G - T|; the target check of mollify_sequence passes too
+    L = from_flow(random_potential(np.random.default_rng(2)), pendulum, 3.0, 3000)
+    rep = verify_exactness(L)
+    assert rep.ok and rep.loop_residual > 1e-8 * rep.arc_length
+    assert rep.residual <= 0.01 * rep.budget
+    for entry in mollify_sequence(L, base_width=1.0 / 64, resample=8192).entries:
+        assert verify_exactness(entry).ok
+
+
+def test_from_flow_refuses_a_curve_that_fails_the_measure(pendulum, monkeypatch):
+    def shifted(*args):
+        S, G, e = original(*args)
+        S[S.size // 2] += 1e-3
+        return S, G, e
+
+    original = lagrangian._integrate_primitive
+    monkeypatch.setattr(lagrangian, "_integrate_primitive", shifted)
+    with pytest.raises(ExactnessError, match="flowed curve is not exact") as exc:
+        from_flow(np.zeros(256), pendulum, 0.2, steps=200, initial_samples=1024)
+    assert exc.value.residual == pytest.approx(2e-3, rel=1e-3)
 
 
 def test_transport_consistency_scales_with_dt(pendulum):
@@ -325,6 +352,20 @@ def test_load_rejects_winding_other_than_one(tmp_path):
         load_lagrangian(path)
 
 
+def test_load_refuses_a_shifted_primitive_node(tmp_path):
+    t = np.arange(64) / 64
+    # the resolution sum |G - T| is 1.6e-4 here; the shift adds 2e-3 of residual
+    L = from_graph(0.05 * np.sin(2 * np.pi * t))
+    path = tmp_path / "graph.dat"
+    save_lagrangian(L, path)
+    assert np.array_equal(load_lagrangian(path).S, L.S)
+    rows = np.column_stack([t, t, L.p, L.S])
+    rows[20, 3] += 1e-3
+    np.savetxt(path, rows, header="dim 1 kind graph", comments="")
+    with pytest.raises(ExactnessError, match="graph.dat is not exact"):
+        load_lagrangian(path)
+
+
 def test_load_rejects_non_square_dim2_file(tmp_path):
     path = tmp_path / "rows.dat"
     np.savetxt(path, np.zeros((10, 6)), header="dim 2 kind graph", comments="")
@@ -351,3 +392,79 @@ def test_load_dim2_lipschitz_bound_from_samples(tmp_path):
     path = tmp_path / "graph2.dat"
     save_lagrangian(L, path)
     assert load_lagrangian(path).lipschitz_bound == L.lipschitz_bound
+
+
+# The exactness measure (verify_exactness) as properties: the curves of
+# every dim-1 constructor pass at every grid they accept, and a shifted S
+# node or a constant added to p, which adds a loop integral, fails once the
+# change is 100 times the budget (sum |G - T| plus the rounding floor).
+
+@st.composite
+def trig_potentials(draw):
+    """Coefficients (a_k, b_k) of v = sum a_k cos 2 pi k q + b_k sin 2 pi k q."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    modes = draw(st.integers(1, 6))
+    amp = draw(st.floats(0.005, 0.2))
+    k = np.arange(1, modes + 1)
+    return k, amp * rng.uniform(-1, 1, modes) / k, amp * rng.uniform(-1, 1, modes) / k
+
+
+def _v(coef, q):
+    k, a, b = coef
+    ph = 2 * np.pi * np.multiply.outer(q, k)
+    return np.cos(ph) @ a + np.sin(ph) @ b
+
+
+def _dv(coef, q):
+    k, a, b = coef
+    ph = 2 * np.pi * np.multiply.outer(q, k)
+    return (np.cos(ph) * b - np.sin(ph) * a) @ (2 * np.pi * k)
+
+
+_GRIDS = st.integers(64, 1024)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coef=trig_potentials(), n=_GRIDS)
+def test_graphs_pass_the_exactness_measure(coef, n):
+    assert verify_exactness(from_graph(_v(coef, np.arange(n) / n))).ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(coef=trig_potentials(), n=_GRIDS, a=st.floats(-0.9, 0.9))
+def test_reparametrized_graphs_pass_the_exactness_measure(coef, n, a):
+    t = np.arange(n) / n
+    q = t + a * np.sin(2 * np.pi * t) / (2 * np.pi)   # dq/dt >= 1 - |a| > 0
+    assert verify_exactness(from_parametric(t, q, _dv(coef, q))).ok
+
+
+@settings(max_examples=15, deadline=None)
+@given(coef=trig_potentials(), n=_GRIDS)
+def test_mollified_entries_pass_the_exactness_measure(coef, n):
+    L = from_graph(_v(coef, np.arange(n) / n))
+    seq = mollify_sequence(L, levels=2, base_width=1.0 / 32, resample=1024)
+    assert all(verify_exactness(entry).ok for entry in seq.entries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coef=trig_potentials(), n=_GRIDS, factor=st.floats(100, 1e4),
+       sign=st.sampled_from([-1.0, 1.0]), node=st.floats(0, 1, exclude_max=True))
+def test_a_shifted_primitive_node_fails_the_exactness_measure(coef, n, factor, sign,
+                                                              node):
+    L = from_graph(_v(coef, np.arange(n) / n))
+    S = L.S.copy()
+    S[int(node * n)] += sign * factor * verify_exactness(L).budget
+    assert not verify_exactness(dataclasses.replace(L, S=S, _cache={})).ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(coef=trig_potentials(), n=_GRIDS, factor=st.floats(100, 1e4),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_a_loop_integral_fails_the_exactness_measure(coef, n, factor, sign):
+    L = from_graph(_v(coef, np.arange(n) / n))
+    c = sign * factor * verify_exactness(L).budget
+    rep = verify_exactness(dataclasses.replace(L, p=L.p + c, _cache={}))
+    assert rep.loop_residual == pytest.approx(abs(c), rel=0.02)
+    assert not rep.ok
+    with pytest.raises(ExactnessError):
+        from_parametric(L.t, L.q, L.p + c)

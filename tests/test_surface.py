@@ -211,7 +211,6 @@ def test_traced_names_exist():
 UNCALLED_BY_DESIGN = {
     "from_parametric": "the parametric-curve constructor",
     "save_lagrangian": "it pairs with load_lagrangian",
-    "verify_exactness": "the exactness check that belongs on the load path",
     "spectral_value": "the paper's minimax by union-find persistence, the reference oracle",
 }
 
