@@ -4,8 +4,9 @@ A dim-1 Lagrangian is a closed sampled curve t -> (q(t), p(t)) in T*T^1 with
 an unwrapped base lift and a primitive S satisfying dS = p dq along the
 curve; dim-2 objects are restricted to graphs dv over a periodic grid.  The
 stored primitive is anchored to S = 0 at the first sample; ``s_offset``
-records the raw (transport or potential) value there so selector pipelines
-can undo the normalization.
+records the raw value there (the potential, or for a flowed curve the
+action transported along the anchor's trajectory) so selector pipelines can
+undo the normalization.
 """
 
 from dataclasses import dataclass, field
@@ -199,10 +200,9 @@ def _segments(t, q, p, winding):
     return G, np.abs(G - 0.5 * (p + np.roll(p, -1)) * np.diff(np.append(q, q[0] + winding)))
 
 
-def _integrate_primitive(t, q, p, winding):
-    """Anchored primitive S(t) = int p dq along the curve, with its segments (G, e)."""
-    G, e = _segments(t, q, p, winding)
-    return np.concatenate([[0.0], np.cumsum(G[:-1])]), G, e
+def _integrate_primitive(G):
+    """Anchored primitive S(t) = int p dq along the curve from its Gauss-3 segments G."""
+    return np.concatenate([[0.0], np.cumsum(G[:-1])])
 
 
 def _exactness(S, G, e, arc_length):
@@ -299,14 +299,12 @@ def from_graph(v, dim=1):
 
 
 def _shoot(H, vf, dt, steps, starts):
-    """Flow the graph of dv from the start parameters: (q, p, transported S).
+    """Flow the graph of dv from the start parameters: (q, p).
 
     Each row's floats depend on its own start only, never on its batchmates,
     so a row shot in any batch is the row any other batch would give.
     """
-    Q, P, act = hamcore.integrate(H, starts, vf.derivative(starts), dt, steps,
-                                  accumulate_action=True)
-    return Q, P, vf(starts) + act
+    return hamcore.integrate(H, starts, vf.derivative(starts), dt, steps)
 
 
 def _dyadic_points(lo, hi, depth):
@@ -332,10 +330,9 @@ def _dyadic_points(lo, hi, depth):
 def from_flow(v, H, T, steps, initial_samples=4096):
     """Image of the graph of dv under the time-T Hamiltonian flow (dim 1).
 
-    The primitive is transported along trajectories by accumulating
-    p . H_p - H and cross-checked against re-integration of p dq along the
-    final curve; the stored S is the curve integral (anchored), with the
-    transported value at the anchor kept as ``s_offset``.
+    The stored S is the curve integral of p dq along the final samples
+    (anchored).  The action p . H_p - H is accumulated along the anchor's
+    trajectory only: v(0) plus that action is kept as ``s_offset``.
 
     Sampling is refined in rounds, each splitting every bad parameter
     interval at its midpoint: a density pass until consecutive phase-space
@@ -351,11 +348,12 @@ def from_flow(v, H, T, steps, initial_samples=4096):
     more than RESAMPLE_MAX_ROUNDS rounds or more than RESAMPLE_BUDGET
     samples raises, naming the pass and the limit.  A flowed curve that
     fails the exactness measure (``verify_exactness``) raises
-    ExactnessError; ``transport_consistency`` is recorded, not bounded.
+    ExactnessError.
 
     ``meta`` records the rounds of each pass (``density_rounds``,
-    ``exactness_rounds``), the ``integrate_calls``, the ``rows_shot`` and
-    the ``rows_used`` (the samples, shot rows that were kept).
+    ``exactness_rounds``), the ``integrate_calls`` (the anchor's included),
+    the ``rows_shot`` and the ``rows_used`` (the samples, curve rows that
+    were kept).
     """
     if H.dim != 1:
         raise NotImplementedError("flowed Lagrangians are built over T^1 only")
@@ -375,16 +373,19 @@ def from_flow(v, H, T, steps, initial_samples=4096):
             dim=1, kind="flowed", t=t, q=t.copy(), p=p, S=vf(t) - vf(0.0),
             s_offset=float(vf(np.array([0.0]))[0]), winding=1,
             lipschitz_bound=lip, pmax=float(np.max(np.abs(p))),
-            meta={"H": H, "T": 0.0, "steps": 0,
-                  "v_samples": v.copy(), "transport_consistency": 0.0})
+            meta={"H": H, "T": 0.0, "steps": 0, "v_samples": v.copy()})
 
     dt = T / steps
     t = np.arange(initial_samples) / initial_samples
-    Q, P, raw = _shoot(H, vf, dt, steps, t)
-    stats = {"integrate_calls": 1, "rows_shot": t.size, "rows_used": t.size}
-    shot = {}                 # wrapped start parameter -> its (q, p, raw)
+    Q, P = _shoot(H, vf, dt, steps, t)
+    # the action is needed along the anchor's trajectory only, from t = 0
+    act = hamcore.integrate(H, t[:1], vf.derivative(t[:1]), dt, steps,
+                            accumulate_action=True)[2]
+    s_offset = float(vf(t[:1])[0] + act[0])
+    stats = {"integrate_calls": 2, "rows_shot": t.size, "rows_used": t.size}
+    shot = {}                 # wrapped start parameter -> its (q, p)
 
-    def refine(t, Q, P, raw, bad, depth, stage):
+    def refine(t, Q, P, bad, depth, stage):
         tc = np.append(t, t[0] + 1.0)
         lo, hi = tc[bad], tc[bad + 1]
         if not np.all(hi - lo > SPLIT_WIDTH):
@@ -406,7 +407,7 @@ def from_flow(v, H, T, steps, initial_samples=4096):
                 _shoot(H, vf, dt, steps, ahead)).tolist()))
             stats["integrate_calls"] += 1
             stats["rows_shot"] += ahead.size
-        Qm, Pm, rawm = np.array([shot[s] for s in starts]).T
+        Qm, Pm = np.array([shot[s] for s in starts]).T
         stats["rows_used"] += len(starts)
         # lift continuity: a start wrapped past 1 shifts the branch by the winding
         Qm += np.floor(mids)
@@ -416,8 +417,7 @@ def from_flow(v, H, T, steps, initial_samples=4096):
             raise RuntimeError(
                 f"{stage} pass exceeded the sample budget RESAMPLE_BUDGET = "
                 f"{RESAMPLE_BUDGET} while resolving the flowed curve")
-        return (t[order], np.concatenate([Q, Qm])[order],
-                np.concatenate([P, Pm])[order], np.concatenate([raw, rawm])[order])
+        return t[order], np.concatenate([Q, Qm])[order], np.concatenate([P, Pm])[order]
 
     # the two passes' criteria, read off the current samples t, Q, P:
     # the bad intervals and how many halvings each is predicted to need
@@ -432,34 +432,34 @@ def from_flow(v, H, T, steps, initial_samples=4096):
 
     def exactness():
         """Curvature control so the exactness budget holds per interval."""
+        nonlocal G, e
         budget = 0.25 * EXACTNESS_TOL * max(float(np.sum(_phase_gaps(Q, P, 1))), 1.0)
-        err = _segments(t, Q, P, 1)[1]
-        bad = np.nonzero(err > budget)[0]
+        G, e = _segments(t, Q, P, 1)
+        bad = np.nonzero(e > budget)[0]
         bad = bad[bad < t.size - 1]  # closing interval handled by density pass
         # the quadrature gap shrinks with the cube of the width
-        return bad, np.ceil(np.log2(err[bad] / budget) / 3).astype(int) + 1
+        return bad, np.ceil(np.log2(e[bad] / budget) / 3).astype(int) + 1
 
+    G = e = None              # the exactness criterion's segments of the current samples
     for stage, criterion in (("density", density), ("exactness", exactness)):
         for rounds in range(RESAMPLE_MAX_ROUNDS):
             bad, depth = criterion()
             if bad.size == 0:
                 break
-            t, Q, P, raw = refine(t, Q, P, raw, bad, depth, stage)
+            t, Q, P = refine(t, Q, P, bad, depth, stage)
         else:
             raise RuntimeError(
                 f"{stage} pass did not converge in RESAMPLE_MAX_ROUNDS = "
                 f"{RESAMPLE_MAX_ROUNDS} rounds while resolving the flowed curve")
         stats[f"{stage}_rounds"] = rounds
 
-    S, G, e = _integrate_primitive(t, Q, P, 1)
-    consistency = float(np.max(np.abs(S - (raw - raw[0]))))
+    S = _integrate_primitive(G)
     lip = _lipschitz_of_samples(t, [Q, P], [1.0, 0.0])
     L = ExactLagrangian(
-        dim=1, kind="flowed", t=t, q=Q, p=P, S=S, s_offset=float(raw[0]),
+        dim=1, kind="flowed", t=t, q=Q, p=P, S=S, s_offset=s_offset,
         winding=1, lipschitz_bound=lip, pmax=float(np.max(np.abs(P))),
         meta={"H": H, "T": float(T), "steps": steps,
-              "v_samples": v.copy(), "loop_residual": float(np.sum(G)),
-              "transport_consistency": consistency, **stats})
+              "v_samples": v.copy(), "loop_residual": float(np.sum(G)), **stats})
     _require_exact(_exactness(S, G, e, L.arc_length()), "flowed curve")
     return L
 
@@ -476,7 +476,7 @@ def _closed_curve(kind, t, q, p, S=None, what="curve"):
         raise ValueError(f"curve has winding {winding}; an exact Lagrangian "
                          "curve in T*T^1 winds +-1")
     if S is None:
-        S = _integrate_primitive(t, lift, p, winding)[0]
+        S = _integrate_primitive(_segments(t, lift, p, winding)[0])
     L = ExactLagrangian(
         dim=1, kind=kind, t=t, q=lift, p=p, S=S, s_offset=0.0, winding=winding,
         lipschitz_bound=_lipschitz_of_samples(t, [lift, p], [float(winding), 0.0]),
@@ -656,7 +656,7 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
         denom = float(np.mean(slope * slope))
         if denom > 1e-12:
             pk = pk - loop * slope / denom
-        Sk = _integrate_primitive(tu, qk, pk, winding)[0]
+        Sk = _integrate_primitive(_segments(tu, qk, pk, winding)[0])
         lipk = _lipschitz_of_samples(tu, [qk, pk, Sk], [float(winding), 0.0, 0.0])
         if lipk > 2.0 * max(lip0, 1e-12):
             raise RuntimeError(

@@ -377,6 +377,23 @@ def test_midpoint_matches_two_branch_reference(dim, batch, accumulate_action):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cases", [_LEAPFROG_CASES, _MIDPOINT_CASES],
+                         ids=["leapfrog", "midpoint"])
+def test_integrate_states_do_not_depend_on_accumulate_action(cases, dim):
+    # the action rides along: the states are the same floats without it
+    H = parse_hamiltonian(cases[dim], dim)
+    rng = np.random.default_rng(31 + dim)
+    shape = (40,) if dim == 1 else (40, 2)
+    Q0 = rng.uniform(-1.0, 2.0, shape)
+    P0 = rng.normal(size=shape)
+    plain = integrate(H, Q0, P0, 2e-3, 200)
+    with_action = integrate(H, Q0, P0, 2e-3, 200, accumulate_action=True)
+    assert len(plain) == 2 and len(with_action) == 3
+    for got, want in zip(with_action, plain):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_dim2_midpoint_energy_drift():
     H = parse_hamiltonian(_MIDPOINT_CASES[2], 2)
     assert tonelli_check(H).ok

@@ -136,10 +136,10 @@ def test_exactness_passes_a_flowed_draw_and_its_mollification(pendulum):
 
 
 def test_from_flow_refuses_a_curve_that_fails_the_measure(pendulum, monkeypatch):
-    def shifted(*args):
-        S, G, e = original(*args)
+    def shifted(G):
+        S = original(G)
         S[S.size // 2] += 1e-3
-        return S, G, e
+        return S
 
     original = lagrangian._integrate_primitive
     monkeypatch.setattr(lagrangian, "_integrate_primitive", shifted)
@@ -149,11 +149,18 @@ def test_from_flow_refuses_a_curve_that_fails_the_measure(pendulum, monkeypatch)
 
 
 def test_transport_consistency_scales_with_dt(pendulum):
+    # the action transported along every sample's trajectory agrees with
+    # the curve integral S up to the integrator's error
     v = 0.05 * np.sin(2 * np.pi * GRID)
-    c1 = from_flow(v, pendulum, 0.5, steps=250, initial_samples=1024).meta[
-        "transport_consistency"]
-    c2 = from_flow(v, pendulum, 0.5, steps=500, initial_samples=1024).meta[
-        "transport_consistency"]
+    vf = SpectralFun(v)
+    gaps = []
+    for steps in (250, 500):
+        L = from_flow(v, pendulum, 0.5, steps=steps, initial_samples=1024)
+        act = integrate(pendulum, L.t, vf.derivative(L.t), 0.5 / steps, steps,
+                        accumulate_action=True)[2]
+        raw = vf(L.t) + act
+        gaps.append(float(np.max(np.abs(L.S - (raw - raw[0])))))
+    c1, c2 = gaps
     assert c2 <= c1 / 2.5  # second-order transport accumulation
 
 
@@ -226,11 +233,28 @@ def test_speculative_refinement_equals_the_sequential_one(case, whorl, pendulum,
     sequential = from_flow(*args, initial_samples=4096)
     _assert_same_curve(default, sequential)
     rounds = sequential.meta["density_rounds"] + sequential.meta["exactness_rounds"]
-    assert sequential.meta["integrate_calls"] == 1 + rounds
+    # one call per round, plus the initial grid's and the anchor's
+    assert sequential.meta["integrate_calls"] == 2 + rounds
     assert sequential.meta["rows_shot"] == sequential.t.size
     # the default shot ahead: fewer calls, and rows the replay dropped
     assert default.meta["integrate_calls"] < sequential.meta["integrate_calls"]
     assert default.meta["rows_shot"] > default.meta["rows_used"]
+
+
+@pytest.mark.parametrize("case", ["whorl", "criterion_1"])
+def test_s_offset_is_the_batched_transport_at_the_anchor(case, whorl, pendulum):
+    # the 1-row anchor shot gives the action a batch over the initial grid
+    # would give at t = 0, bit for bit
+    if case == "whorl":
+        v, L = np.zeros(256), whorl
+    else:
+        v = random_potential(np.random.default_rng(5))
+        L = from_flow(v, pendulum, 3.0, 3000, initial_samples=4096)
+    vf = SpectralFun(v)
+    t = np.arange(4096) / 4096
+    act = integrate(pendulum, t, vf.derivative(t), 3.0 / 3000, 3000,
+                    accumulate_action=True)[2]
+    assert L.s_offset == vf(t)[0] + act[0]
 
 
 def test_from_flow_records_its_refinement(whorl):
