@@ -362,11 +362,11 @@ def _cmd_verify(cfg, suite):
                                                  seed=cfg.seed)
         check("weakkam.infmax_bracket",
               sol.alpha - 1e-3 <= a_hat <= sol.alpha + 1e-2)
-        # every Aubry point within two grid steps of a Mane point on T*T^n
+        # every Aubry point within two grid steps of a Mane point on T*T^1
         # (distances across the q seam through the tiled copies)
         aubry_in_mane = not sol.aubry_pts.size
         if sol.aubry_pts.size and sol.mane_pts.size:
-            dist = dynamics._nearest(dynamics._phase_tiles(sol.mane_pts, H.dim),
+            dist = dynamics._nearest(dynamics._phase_tiles(sol.mane_pts),
                                      np.atleast_2d(sol.aubry_pts))
             aubry_in_mane = np.all(dist <= 2.0 / cfg.velocity_grid)
         check("weakkam.aubry_in_mane", aubry_in_mane)
@@ -384,7 +384,7 @@ def _cmd_verify(cfg, suite):
                 f, _ = selector.generalized_selector(seq, cfg.base_grid)
             rep63 = dynamics.verify_theorem_6_3(L, H, a, f, horizon=cfg.horizon)
             check("dynamics.energy_pipeline", rep63.ok)
-        except ValueError as exc:
+        except ValueError:
             checks["dynamics.energy_pipeline"] = False
         rep15 = dynamics.verify_theorem_1_5(L, H, horizon=5.0)
         check("dynamics.invariant_graph", rep15.ok)

@@ -5,7 +5,8 @@ estimated by trimming: seeds on the level are integrated forward and
 backward and discarded on first exit from a tube around the seed locus.
 Horizon doubling certifies stabilization (the true object is an
 infinite-time intersection, so estimates are outer approximations and the
-reports carry the horizon).
+reports carry the horizon).  The layer works over T^1: every public
+function raises NotImplementedError on dim 2 before any work.
 
 The trimming stops early at its fixed state, when every live seed is
 frozen at an equilibrium in both time directions.  The stop is exact:
@@ -51,7 +52,7 @@ PAIR_BLOCK = 1 << 16      # candidate pairs the neighbour search holds at once
 
 @dataclass
 class InvariantSetEstimate:
-    samples: np.ndarray        # (k, 2n) phase points surviving the trimming
+    samples: np.ndarray        # (k, 2) phase points (q, p) surviving the trimming
     horizon: float
     tube_radius: float
     converged: bool            # survivor bins unchanged under horizon doubling
@@ -63,40 +64,20 @@ class InvariantSetEstimate:
         return 0 if self.samples is None else self.samples.shape[0]
 
 
-def _as_points(L):
-    if isinstance(L, ExactLagrangian):
-        return L.phase_points(), L.dim
-    pts = np.atleast_2d(np.asarray(L, dtype=float))
-    return pts, pts.shape[1] // 2
-
-
-def _refuse_dim_2(L, H, name):
-    """The check reads phase points as (q, p) columns: refuse T^2 before any work."""
-    dim = L.dim if isinstance(L, ExactLagrangian) else _as_points(L)[1]
-    if H.dim != 1 or dim != 1:
+def _as_points(L, H, name):
+    """(k, 2) phase points [q, p] of L or of a point array; T^2 in L or in H
+    (None for a check without one) is refused before any flow or search."""
+    points = L.phase_points() if isinstance(L, ExactLagrangian) else \
+        np.atleast_2d(np.asarray(L, dtype=float))
+    if points.shape[1] != 2 or (H is not None and H.dim != 1):
         raise NotImplementedError(f"{name} works over T^1 only, not dim 2")
+    return points
 
 
-def _split(points, dim):
-    """Base and momentum columns of (k, 2 dim) phase points; 1-d columns for dim 1."""
-    if dim == 1:
-        return points[:, 0], points[:, 1]
-    return points[:, :dim], points[:, dim:]
-
-
-def _phase_tiles(points, dim):
-    """Phase points and their base-coordinate images for the wrap, sorted on q_1."""
-    q = points[:, :dim]
-    p = points[:, dim:]
-    shifts = [np.zeros(dim)]
-    for ax in range(dim):
-        e = np.zeros(dim)
-        e[ax] = 1.0
-        shifts += [e, -e]
-    if dim == 2:
-        shifts += [np.array([1.0, 1.0]), np.array([1.0, -1.0]),
-                   np.array([-1.0, 1.0]), np.array([-1.0, -1.0])]
-    tiles = np.vstack([np.column_stack([q + s, p]) for s in shifts])
+def _phase_tiles(points):
+    """Phase points and their images at q + 1 and q - 1, sorted on q."""
+    tiles = np.vstack([np.column_stack([points[:, 0] + s, points[:, 1]])
+                       for s in (0.0, 1.0, -1.0)])
     return tiles[np.argsort(tiles[:, 0], kind="stable")]
 
 
@@ -165,17 +146,16 @@ def _spacing(points):
     return out
 
 
-def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True,
-                          recurrence_filter=False):
+def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, recurrence_filter=False):
     """Trimmed estimate of the maximal invariant subset of L on {H = a}.
 
     Seeds are the samples of L within e_tol of the level; each is
-    integrated to +-horizon and discarded on first exit from the tube
-    around the seed locus.  With ``double_horizon`` the trimming continues
-    to 2x horizon and the convergence flag records whether the survivor
-    bins changed.  ``recurrence_filter`` additionally discards seeds whose
-    orbit wanders further than the tube from its own starting point: it
-    localizes the non-wandering core, removing shadowing arcs that the
+    integrated to +-2 horizon and discarded on first exit from the tube
+    around the seed locus.  The convergence flag records whether the
+    survivor bins changed between the horizon and its double, which is the
+    horizon reported.  ``recurrence_filter`` additionally discards seeds
+    whose orbit wanders further than the tube from its own starting point:
+    it localizes the non-wandering core, removing shadowing arcs that the
     energy-band seeding cannot distinguish from true invariant points.
 
     The loop leaves as soon as every live seed is frozen in both
@@ -184,8 +164,8 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
     ``meta`` records ``steps_run``, the steps taken in each direction, and
     ``stationary``, whether the loop ended at that fixed state.
     """
-    points, dim = _as_points(L)
-    vals = H.value(*_split(points, dim))
+    points = _as_points(L, H, "maximal_invariant_set")
+    vals = H.value(points[:, 0], points[:, 1])
     if e_tol is None:
         e_tol = max(E_TOL_FRACTION * float(vals.max() - vals.min()), 1e-9)
     mask = np.abs(vals - a) <= e_tol
@@ -201,7 +181,7 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
         local = 0.0
     fallback = 3.0 / max(points.shape[0], 64)
     tube_radius = max(3.0 * local, fallback, 1e-4)
-    tiles = _phase_tiles(seeds, dim)
+    tiles = _phase_tiles(seeds)
 
     # the projection level: when the requested level is the potential
     # maximum up to numerical noise, use the refined maximum itself, so
@@ -209,22 +189,16 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
     # leaking past them on a level displaced by one ulp
     a_proj = a
     if H.is_mechanical:
-        fine = np.arange(8192) / 8192
-        vmax = float(np.max(H.potential(fine if dim == 1 else
-                                        np.stack(np.meshgrid(fine[::32], fine[::32],
-                                                             indexing="ij"), axis=-1))))
+        vmax = float(np.max(H.potential(np.arange(8192) / 8192)))
         if abs(a - vmax) <= max(10.0 * e_tol, 1e-4):
             a_proj = vmax
 
     dt = TRIM_DT
     n_steps = int(np.ceil(horizon / dt))
-    total = 2 * n_steps if double_horizon else n_steps
-    seed_qp = _split(seeds, dim)
-    state = {}
-    frozen = {}
-    for sgn in (+1.0, -1.0):
-        state[sgn] = tuple(x.copy() for x in seed_qp)
-        frozen[sgn] = np.zeros(seeds.shape[0], dtype=bool)
+    total = 2 * n_steps
+    q0, p0 = seeds[:, 0], seeds[:, 1]
+    state = {sgn: (q0.copy(), p0.copy()) for sgn in (+1.0, -1.0)}
+    frozen = {sgn: np.zeros(seeds.shape[0], dtype=bool) for sgn in (+1.0, -1.0)}
     alive = np.ones(seeds.shape[0], dtype=bool)
     vanish_tol = 1e-5
     survivors_first = None
@@ -238,18 +212,15 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
             # the intersection lives on {H = a}: remove the integrator's
             # secular energy drift by re-projecting momenta onto the shell
             # (asymptotic orbits would otherwise slide off within ~1/lambda)
-            Pn = _project_energy(H, Qn, Pn, a_proj, dim)
+            Pn = _project_energy(H, Qn, Pn, a_proj)
             # states with vanishing vector field sit at an equilibrium to
             # numerical resolution: freeze them (finite steps would tunnel
             # through the fixed point and amplify one-ulp noise)
             frz = frozen[sgn]
             if np.any(frz):
-                fz = frz if dim == 1 else frz[:, None]
-                Qn = np.where(fz, Q, Qn)
-                Pn = np.where(fz, P, Pn)
+                Qn = np.where(frz, Q, Qn)
+                Pn = np.where(frz, P, Pn)
             speed = np.abs(H.grad_p(wrap(Qn), Pn)) + np.abs(H.grad_q(wrap(Qn), Pn))
-            if dim == 2:
-                speed = np.sum(speed, axis=-1)
             frozen[sgn] = frz | (speed <= vanish_tol)
             state[sgn] = (Qn, Pn)
             # a dead seed stays dead and a state frozen before this chunk has
@@ -258,12 +229,9 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
             x = np.column_stack([wrap(Qn[moved]), Pn[moved]])
             alive[moved] = _nearest_in_window(tiles, x, tube_radius) <= tube_radius
             if recurrence_filter:
-                dq = np.abs(wrap(Qn) - seed_qp[0])
+                dq = np.abs(wrap(Qn) - q0)
                 dq = np.minimum(dq, 1.0 - dq)
-                dp = Pn - seed_qp[1]
-                own = np.hypot(dq, dp) if dim == 1 else \
-                    np.sqrt(np.sum(dq * dq, axis=-1) + np.sum(dp * dp, axis=-1))
-                alive &= own <= tube_radius
+                alive &= np.hypot(dq, Pn - p0) <= tube_radius
         done += chunk
         if done >= n_steps and survivors_first is None:
             survivors_first = seeds[alive].copy()
@@ -275,24 +243,17 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
                 survivors_first = seeds[alive].copy()
             break
     survivors = seeds[alive]
-    if double_horizon:
-        bin_r = tube_radius
-        b1 = {tuple(np.round(x / bin_r).astype(int)) for x in np.atleast_2d(survivors_first)}
-        b2 = {tuple(np.round(x / bin_r).astype(int)) for x in np.atleast_2d(survivors)}
-        converged = b1 == b2
-        hor = 2 * horizon
-    else:
-        converged = False
-        hor = horizon
-    est = InvariantSetEstimate(samples=survivors, horizon=hor,
+    b1 = {tuple(np.round(x / tube_radius).astype(int)) for x in np.atleast_2d(survivors_first)}
+    b2 = {tuple(np.round(x / tube_radius).astype(int)) for x in np.atleast_2d(survivors)}
+    est = InvariantSetEstimate(samples=survivors, horizon=2 * horizon,
                                tube_radius=float(tube_radius),
-                               converged=converged, n_seeds=int(seeds.shape[0]),
+                               converged=b1 == b2, n_seeds=int(seeds.shape[0]),
                                energy=float(a),
                                meta={"e_tol": float(e_tol), "dt": dt,
                                      "steps_run": done, "stationary": stationary})
     # containment in L cap {|H - a| <= e_tol} holds by construction; check it
     if survivors.size:
-        worst = float(np.max(np.abs(H.value(*_split(survivors, dim)) - a)))
+        worst = float(np.max(np.abs(H.value(survivors[:, 0], survivors[:, 1]) - a)))
         if not worst <= e_tol + 1e-12:
             raise RuntimeError(
                 "maximal_invariant_set: survivors left the energy band: "
@@ -300,22 +261,16 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, double_horizon=True
     return est
 
 
-def _project_energy(H, Q, P, a, dim):
+def _project_energy(H, Q, P, a):
     """Rescale momenta onto {H = a} (radial in the fiber, mechanical exact)."""
     if H.is_mechanical:
         V = H.potential(wrap(Q))
-        r2 = np.maximum(2.0 * (a - V), 0.0)
-        if dim == 1:
-            return np.where(P >= 0, 1.0, -1.0) * np.sqrt(r2)
-        norm = np.linalg.norm(P, axis=-1, keepdims=True)
-        unit = np.where(norm > 1e-12, P / np.maximum(norm, 1e-12), P)
-        return unit * np.sqrt(r2)[..., None]
+        return np.where(P >= 0, 1.0, -1.0) * np.sqrt(np.maximum(2.0 * (a - V), 0.0))
     scale = np.ones(np.shape(P))
     for _ in range(5):
         Pn = scale * P
         g = H.value(wrap(Q), Pn) - a
-        dg = P * H.grad_p(wrap(Q), Pn) if dim == 1 else \
-            np.sum(P * H.grad_p(wrap(Q), Pn), axis=-1)
+        dg = P * H.grad_p(wrap(Q), Pn)
         step = np.where(np.abs(dg) > 1e-12, g / np.where(np.abs(dg) > 1e-12, dg, 1.0), 0.0)
         scale = scale - np.clip(step, -0.2, 0.2)
     return scale * P
@@ -323,8 +278,8 @@ def _project_energy(H, Q, P, a, dim):
 
 def energy_level_check(L, H, tol=1e-6):
     """Mean energy if H is constant on L within tol, else None with profile."""
-    points, dim = _as_points(L)
-    vals = H.value(*_split(points, dim))
+    points = _as_points(L, H, "energy_level_check")
+    vals = H.value(points[:, 0], points[:, 1])
     e = float(np.mean(vals))
     dev = float(np.max(np.abs(vals - e)))
     if dev <= tol:
@@ -340,41 +295,24 @@ def graph_test(points):
     the flag and the max difference quotient between neighboring occupied
     bins.
     """
-    pts, dim = _as_points(points)
+    pts = _as_points(points, None, "graph_test")
     if pts.shape[0] == 0:
         raise ValueError("empty point set")
     grid = GRAPH_BINS
-    if dim == 1:
-        bins = np.mod(np.round(pts[:, 0] * grid).astype(int), grid)
-        pmin = np.full(grid, np.inf)
-        pmax = np.full(grid, -np.inf)
-        np.minimum.at(pmin, bins, pts[:, 1])
-        np.maximum.at(pmax, bins, pts[:, 1])
-        occupied = np.isfinite(pmin)
-        single = bool(np.all((pmax - pmin)[occupied] <= SPREAD_TOL))
-        occ_idx = np.nonzero(occupied)[0]
-        quot = 0.0
-        if occ_idx.size > 1:
-            pm = 0.5 * (pmin + pmax)
-            dq = np.diff(np.append(occ_idx, occ_idx[0] + grid)) / grid
-            dp = np.diff(np.append(pm[occ_idx], pm[occ_idx[0]]))
-            quot = float(np.max(np.abs(dp) / np.maximum(dq, 1e-12)))
-        return single, quot
-    bins = np.mod(np.round(pts[:, :2] * grid).astype(int), grid)
-    flat = bins[:, 0] * grid + bins[:, 1]
-    order = np.argsort(flat)
-    single = True
+    bins = np.mod(np.round(pts[:, 0] * grid).astype(int), grid)
+    pmin = np.full(grid, np.inf)
+    pmax = np.full(grid, -np.inf)
+    np.minimum.at(pmin, bins, pts[:, 1])
+    np.maximum.at(pmax, bins, pts[:, 1])
+    occupied = np.isfinite(pmin)
+    single = bool(np.all((pmax - pmin)[occupied] <= SPREAD_TOL))
+    occ_idx = np.nonzero(occupied)[0]
     quot = 0.0
-    start = 0
-    flat_sorted = flat[order]
-    for i in range(1, len(flat_sorted) + 1):
-        if i == len(flat_sorted) or flat_sorted[i] != flat_sorted[start]:
-            grp = pts[order[start:i], 2:]
-            if grp.shape[0] > 1:
-                spread = np.max(np.linalg.norm(grp - grp.mean(axis=0), axis=1))
-                if spread > SPREAD_TOL:
-                    single = False
-            start = i
+    if occ_idx.size > 1:
+        pm = 0.5 * (pmin + pmax)
+        dq = np.diff(np.append(occ_idx, occ_idx[0] + grid)) / grid
+        dp = np.diff(np.append(pm[occ_idx], pm[occ_idx[0]]))
+        quot = float(np.max(np.abs(dp) / np.maximum(dq, 1e-12)))
     return single, quot
 
 
@@ -410,8 +348,7 @@ def verify_theorem_6_3(L, H, a, f, horizon=100.0):
     invariant-set comparison by trimming.  T^1 only: dim 2 raises
     NotImplementedError.
     """
-    _refuse_dim_2(L, H, "verify_theorem_6_3")
-    pts, dim = _as_points(L)
+    pts = _as_points(L, H, "verify_theorem_6_3")
     vals = H.value(pts[:, 0], pts[:, 1])
     if float(np.max(vals)) > a + 1e-3 * max(1.0, abs(a)):
         raise ValueError(f"input set is not contained in the energy sublevel "
@@ -447,7 +384,7 @@ def verify_theorem_6_3(L, H, a, f, horizon=100.0):
     if len(inv_L) == 0 and len(inv_G) == 0:
         hd = 0.0
     else:
-        hd = hausdorff(inv_L.samples, inv_G.samples, q_cols=1)
+        hd = hausdorff(inv_L.samples, inv_G.samples)
     ok = ok_sub and hd <= 2.0 * h and inv_L.converged and inv_G.converged
     return EnergyPipelineReport(alpha=float(a), subsolution_ok=ok_sub,
                                 violations=bad, hausdorff_distance=float(hd),
@@ -476,12 +413,11 @@ def verify_theorem_1_5(L, H, horizon=5.0):
     pass the graph test.  Large defects are reported without any claim.
     T^1 only: dim 2 raises NotImplementedError.
     """
-    _refuse_dim_2(L, H, "verify_theorem_1_5")
-    pts, dim = _as_points(L)
+    pts = _as_points(L, H, "verify_theorem_1_5")
     p_range = float(pts[:, 1].max() - pts[:, 1].min()) if pts.shape[0] > 1 else 0.0
     diam = float(np.hypot(0.5, p_range))
     inv_tol = INV_TOL_FRACTION * max(diam, 1.0)
-    tiles = _phase_tiles(pts, dim)
+    tiles = _phase_tiles(pts)
     sub = pts[:: max(1, pts.shape[0] // 512)]
     defect = 0.0
     Q, P = sub[:, 0].copy(), sub[:, 1].copy()
@@ -515,15 +451,19 @@ def equivariance_check(v_samples, w_samples, dw_src, H, a=None, horizon=50.0):
     set of (phi^{-1} Gamma_dv, H o phi) within resolution.  Returns the
     Hausdorff distance between the pulled-back sets.
     """
+    v = np.asarray(v_samples, dtype=float)
+    w = np.asarray(w_samples, dtype=float)
+    if H.dim != 1 or v.ndim != 1 or w.ndim != 1:
+        raise NotImplementedError("equivariance_check works over T^1 only, not dim 2")
     # resample densely so the energy band around the level is populated
     fine = np.arange(4096) / 4096
-    vf = SpectralFun(np.asarray(v_samples, dtype=float))
-    wf = SpectralFun(np.asarray(w_samples, dtype=float))
+    vf = SpectralFun(v)
+    wf = SpectralFun(w)
     L1 = from_graph(vf(fine))
     L2 = from_graph(vf(fine) - wf(fine))
     H2 = hamcore.shift_momentum(H, dw_src)
     if a is None:
-        pts, _ = _as_points(L1)
+        pts = L1.phase_points()
         a = float(np.max(H.value(pts[:, 0], pts[:, 1])))
     inv1 = maximal_invariant_set(L1, H, a, horizon=horizon)
     inv2 = maximal_invariant_set(L2, H2, a, horizon=horizon)
@@ -533,7 +473,7 @@ def equivariance_check(v_samples, w_samples, dw_src, H, a=None, horizon=50.0):
         s1[:, 1] -= wf.derivative(s1[:, 0])
     if s1.size == 0 and inv2.samples.size == 0:
         return 0.0, inv1, inv2
-    hd = hausdorff(s1, inv2.samples, q_cols=1)
+    hd = hausdorff(s1, inv2.samples)
     return hd, inv1, inv2
 
 

@@ -140,7 +140,7 @@ class ApproxSequence:
 
     entries: list
     equilip_const: float
-    limit: dict                   # arrays t, q, p, S of the target
+    limit: dict                   # arrays t, q, p, S of the resampled target
     sup_dists: np.ndarray         # per level, distance to the limit
     consecutive_dists: np.ndarray
     widths: np.ndarray
@@ -622,8 +622,13 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
     kernel, restores exactness with an O(width^2) momentum correction that
     cancels the loop integral of p dq, and re-integrates the primitive.
     Certification fails if the per-level Lipschitz constants grow by more
-    than a factor 2 over the target's.
+    than a factor 2 over the target's.  The limit is the target resampled,
+    its primitive integrated along the resampled curve, so it passes the
+    measure too.  T^1 only: a dim-2 target raises NotImplementedError.
     """
+    dim = target.dim if isinstance(target, ExactLagrangian) else np.ndim(target[1])
+    if dim != 1:
+        raise NotImplementedError("mollify_sequence works over T^1 only, not dim 2")
     t, q, p, S, winding = _as_curve_arrays(target)
     ds = _phase_gaps(q, p, winding)
     _require_exact(_exactness(S, *_segments(t, q, p, winding), float(np.sum(ds))),
@@ -637,10 +642,9 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
     tsrc = np.interp(tu, s, np.append(t, t[0] + 1.0))
     fq = PeriodicCubic(t, q, jump=float(winding))
     fp = PeriodicCubic(t, p)
-    fS = PeriodicCubic(t, S)
     qu = fq(tsrc)
     pu = fp(tsrc)
-    Su = fS(tsrc)
+    Su = _integrate_primitive(_segments(tu, qu, pu, winding)[0])
     qper = qu - winding * tu
 
     lip0 = _lipschitz_of_samples(tu, [qu, pu, Su], [float(winding), 0.0, 0.0])
@@ -669,7 +673,7 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
         entries.append(entry)
         sup_dists.append(max(float(np.max(np.abs(qk - qu))),
                              float(np.max(np.abs(pk - pu))),
-                             float(np.max(np.abs(Sk - (Su - Su[0]))))))
+                             float(np.max(np.abs(Sk - Su)))))
 
     consec = [max(float(np.max(np.abs(entries[i + 1].q - entries[i].q))),
                   float(np.max(np.abs(entries[i + 1].p - entries[i].p))))
@@ -677,7 +681,7 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
     lips = [e.lipschitz_bound for e in entries]
     return ApproxSequence(
         entries=entries, equilip_const=float(max(lips + [lip0])),
-        limit={"t": tu, "q": qu, "p": pu, "S": Su - Su[0], "winding": winding},
+        limit={"t": tu, "q": qu, "p": pu, "S": Su, "winding": winding},
         sup_dists=np.asarray(sup_dists), consecutive_dists=np.asarray(consec),
         widths=widths)
 

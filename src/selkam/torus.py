@@ -133,22 +133,20 @@ class PeriodicCubic:
         return d00 * y0 + d10 * m0 + d01 * y1 + d11 * m1
 
 
-def hausdorff(a, b, q_cols):
-    """Hausdorff distance between point sets in T*M (torus metric in q).
-
-    ``a``, ``b`` are (k, m) arrays whose first ``q_cols`` columns are base
-    coordinates; the rest are momenta (Euclidean).
-    """
+def hausdorff(a, b):
+    """Hausdorff distance between (k, 2) sets of rows (q, p) in T*T^1, torus
+    metric in q; rows of T*T^2 raise NotImplementedError."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         return np.inf
+    if a.shape[1] != 2 or b.shape[1] != 2:
+        raise NotImplementedError("hausdorff works over T^1 only, not dim 2")
 
     def one_sided(x, y):
-        dq = np.abs(x[:, None, :q_cols] - y[None, :, :q_cols])
+        dq = np.abs(x[:, None, 0] - y[None, :, 0])
         dq = np.minimum(dq, 1.0 - dq)
-        dp = x[:, None, q_cols:] - y[None, :, q_cols:]
-        d2 = np.sum(dq * dq, axis=-1) + np.sum(dp * dp, axis=-1)
-        return np.max(np.min(np.sqrt(d2), axis=1))
+        dp = x[:, None, 1] - y[None, :, 1]
+        return np.max(np.min(np.sqrt(dq * dq + dp * dp), axis=1))
 
     return max(one_sided(a, b), one_sided(b, a))

@@ -207,18 +207,18 @@ def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
     The family is the set of exact graphs with truncated-trigonometric
     derivative (zero mean); coordinate descent with golden-section line
     searches plus seeded random restarts.  Returns the smallest max seen,
-    an upper bound for the critical value by construction.
+    an upper bound for the critical value by construction.  T^1 only: dim 2
+    raises NotImplementedError.
     """
+    if H.dim != 1:
+        raise NotImplementedError("critical_value_infmax works over T^1 only, not dim 2")
     q = np.arange(grid) / grid
     modes = [(k, trig) for k in range(1, n_params) for trig in ("c", "s")][:n_params]
     basis = np.stack([np.cos(2 * np.pi * k * q) if trig == "c"
                       else np.sin(2 * np.pi * k * q) for k, trig in modes])
 
     def objective(theta):
-        dv = theta @ basis
-        if H.dim == 1:
-            return float(np.max(H.value(q, dv)))
-        raise NotImplementedError("inf-max families are one-dimensional")
+        return float(np.max(H.value(q, theta @ basis)))
 
     rng = np.random.default_rng(seed)
     gr = (np.sqrt(5.0) - 1) / 2
@@ -257,24 +257,17 @@ def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
 def subsolution_check(v, H, a, tol=1e-2):
     """Check H(q, dv(q)) <= a + tol at all grid points (centered differences).
 
-    Returns (flag, violating indices, margin array H(q, dv) - a).
+    Returns (flag, violating indices, margin array H(q, dv) - a).  T^1
+    only: dim 2 raises NotImplementedError.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        n = v.size
-        h = 1.0 / n
-        dv = (np.roll(v, -1) - np.roll(v, 1)) / (2 * h)
-        vals = H.value(np.arange(n) / n, dv)
-    else:
-        n1, n2 = v.shape
-        dv1 = (np.roll(v, -1, 0) - np.roll(v, 1, 0)) * (n1 / 2.0)
-        dv2 = (np.roll(v, -1, 1) - np.roll(v, 1, 1)) * (n2 / 2.0)
-        g1 = np.arange(n1) / n1
-        g2 = np.arange(n2) / n2
-        Q = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1)
-        vals = H.value(Q, np.stack([dv1, dv2], axis=-1))
-    margin = vals - a
-    bad = np.nonzero(margin.reshape(-1) > tol)[0]
+    if H.dim != 1 or v.ndim != 1:
+        raise NotImplementedError("subsolution_check works over T^1 only, not dim 2")
+    n = v.size
+    h = 1.0 / n
+    dv = (np.roll(v, -1) - np.roll(v, 1)) / (2 * h)
+    margin = H.value(np.arange(n) / n, dv) - a
+    bad = np.nonzero(margin > tol)[0]
     return bad.size == 0, bad, margin
 
 
@@ -371,7 +364,7 @@ def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
     family = [sol_minus.u, sol_plus.u,
               0.5 * (sol_minus.u + (sol_plus.u - sol_plus.u.min()))]
     equil = np.empty((0, 2))
-    if H.is_mechanical and H.dim == 1:
+    if H.is_mechanical:
         cal, _ = _calibrated_solutions(H, alpha, grid)
         family.extend(cal)
         qs = _equilibria(H)

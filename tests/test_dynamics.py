@@ -11,7 +11,8 @@ from selkam.dynamics import (CHECK_EVERY, TRIM_DT, _nearest, _nearest_in_window,
                              dump_invariant_set)
 from selkam.lagrangian import from_graph, mollify_sequence
 from selkam.selector import generalized_selector
-from selkam.weakkam import critical_value
+from selkam.torus import hausdorff
+from selkam.weakkam import critical_value, critical_value_infmax, subsolution_check
 
 GRID = np.arange(256) / 256
 
@@ -101,10 +102,8 @@ def test_whorl_invariant_core(whorl, pendulum):
 
 def test_horizon_monotonicity(whorl, pendulum):
     alpha = critical_value(pendulum, grid=1024, dt=0.1).alpha
-    e1 = maximal_invariant_set(whorl, pendulum, alpha, horizon=5.0,
-                               double_horizon=False)
-    e2 = maximal_invariant_set(whorl, pendulum, alpha, horizon=10.0,
-                               double_horizon=False)
+    e1 = maximal_invariant_set(whorl, pendulum, alpha, horizon=5.0)
+    e2 = maximal_invariant_set(whorl, pendulum, alpha, horizon=10.0)
     # survivors at the longer horizon form a subset (same seed order)
     s1 = {tuple(x) for x in np.round(e1.samples, 12)}
     s2 = {tuple(x) for x in np.round(e2.samples, 12)}
@@ -170,8 +169,28 @@ def test_theorem_1_5_non_invariant_cases(free, pendulum, whorl):
     assert rep2.invariance_defect > 1e-2
 
 
-def test_theorems_refuse_dim_2_by_name(monkeypatch):
-    L = from_graph(np.zeros((64, 64)), dim=2)
+# Each public function of the T^1-only layer on a dim-2 input: L and H of
+# dim 2, a dim-2 point array or potential, or a dim-1 L with a dim-2 H.
+DIM_2_CALLS = {
+    "maximal_invariant_set": lambda L, H, v: maximal_invariant_set(L, H, 0.0),
+    "maximal_invariant_set-H": lambda L, H, v:
+        maximal_invariant_set(from_graph(np.zeros(64)), H, 0.0),
+    "energy_level_check": lambda L, H, v: energy_level_check(L, H),
+    "graph_test": lambda L, H, v: graph_test(L.phase_points()),
+    "equivariance_check": lambda L, H, v: equivariance_check(v, v, "0", H, a=0.0),
+    "hausdorff": lambda L, H, v: hausdorff(L.phase_points(), L.phase_points()),
+    "subsolution_check": lambda L, H, v: subsolution_check(v, H, 0.0),
+    "critical_value_infmax": lambda L, H, v: critical_value_infmax(H),
+    "mollify_sequence": lambda L, H, v: mollify_sequence(L),
+    "verify_theorem_1_5": lambda L, H, v: verify_theorem_1_5(L, H),
+    "verify_theorem_6_3": lambda L, H, v: verify_theorem_6_3(L, H, 0.0, None),
+}
+
+
+@pytest.mark.parametrize("call", DIM_2_CALLS.values(), ids=DIM_2_CALLS.keys())
+def test_refuses_dim_2_by_name(call, monkeypatch):
+    v = np.zeros((64, 64))
+    L = from_graph(v, dim=2)
     H = hamcore.parse_hamiltonian("(p1^2 + p2^2)/2", 2)
 
     def no_work(*args, **kwargs):
@@ -179,9 +198,7 @@ def test_theorems_refuse_dim_2_by_name(monkeypatch):
 
     monkeypatch.setattr(hamcore, "integrate", no_work)
     with pytest.raises(NotImplementedError, match="dim 2"):
-        verify_theorem_1_5(L, H)
-    with pytest.raises(NotImplementedError, match="dim 2"):
-        verify_theorem_6_3(L, H, 0.0, None)
+        call(L, H, v)
 
 
 def test_equivariance_smoke(pendulum):
@@ -204,6 +221,7 @@ def test_dump_invariant_set(tmp_path, free):
 # The neighbour search against cKDTree, kept here as the oracle.  Both sum the
 # squared differences in column order, so dim-1 distances agree bit for bit;
 # dim-2 distances may differ by rounding if the tree's build contracts sums.
+# The search reads any number of columns, so the spacing check keeps dim 2.
 
 def _phase_cloud(seed, dim, n, repeats):
     """n phase points on T^dim x R^dim, the first ``repeats`` copying the last."""
@@ -237,19 +255,17 @@ def test_spacing_matches_kdtree(seed, n, repeats, dim):
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 150), dim=st.sampled_from([1, 2]),
-       radius=st.floats(1e-4, 0.5))
-def test_tube_and_nearest_match_kdtree(seed, n, dim, radius):
-    pts = _phase_cloud(seed, dim, n, 0)
-    tiles = _phase_tiles(pts, dim)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 150), radius=st.floats(1e-4, 0.5))
+def test_tube_and_nearest_match_kdtree(seed, n, radius):
+    pts = _phase_cloud(seed, 1, n, 0)
+    tiles = _phase_tiles(pts)
     tree = cKDTree(tiles)
     rng = np.random.default_rng(seed + 1)
-    x = np.column_stack([rng.uniform(0.0, 1.0, (64, dim)), rng.normal(size=(64, dim))])
+    x = np.column_stack([rng.uniform(0.0, 1.0, 64), rng.normal(size=64)])
     want, _ = tree.query(x)
-    _assert_distances(_nearest(tiles, x), want, dim)
-    # the tube predicate; in dim 1 also at radii that are query distances
-    ties = (float(np.median(want)), float(np.min(want))) if dim == 1 else ()
-    for r in (radius,) + ties:
+    assert _nearest(tiles, x).tobytes() == want.tobytes()
+    # the tube predicate, also at radii that are query distances
+    for r in (radius, float(np.median(want)), float(np.min(want))):
         got = _nearest_in_window(tiles, x, r) <= r
         assert np.array_equal(got, want <= r)
 
@@ -257,7 +273,7 @@ def test_tube_and_nearest_match_kdtree(seed, n, dim, radius):
 def test_nearest_in_window_blocks_agree(monkeypatch):
     # splitting the candidate pairs into blocks does not change a distance
     pts = _phase_cloud(3, 1, 400, 0)
-    tiles = _phase_tiles(pts, 1)
+    tiles = _phase_tiles(pts)
     x = _phase_cloud(4, 1, 50, 0)
     whole = _nearest(tiles, x)
     monkeypatch.setattr("selkam.dynamics.PAIR_BLOCK", 7)

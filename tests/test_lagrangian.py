@@ -316,6 +316,21 @@ def test_mollify_smooth_target_stays_close():
     assert seq.equilip_const <= 2.0 * max(L.lipschitz_bound, 1.0)
 
 
+def test_mollify_limit_passes_the_measure():
+    # the limit's primitive is integrated along the resampled curve: it
+    # passes the measure its levels pass and stays on the target's primitive
+    v = lambda q: 0.2 * np.sin(2 * np.pi * q)
+    seq = mollify_sequence(from_graph(v(np.arange(64) / 64)), base_width=1.0 / 64,
+                           resample=8192)
+    lim = seq.limit
+    limit = lagrangian.ExactLagrangian(
+        dim=1, kind="parametric", t=lim["t"], q=lim["q"], p=lim["p"], S=lim["S"],
+        s_offset=0.0, winding=lim["winding"], lipschitz_bound=seq.equilip_const,
+        pmax=float(np.max(np.abs(lim["p"]))))
+    assert verify_exactness(limit).ok
+    assert np.max(np.abs(lim["S"] - v(lim["q"]))) <= 1e-6
+
+
 def test_mollify_rejects_nonexact():
     n = 2048
     g = np.arange(n) / n

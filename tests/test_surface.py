@@ -5,13 +5,14 @@ module may import a name it never uses (the package `__init__` re-exports
 its submodules, so it is exempt).  This keeps dead helpers and their
 imports from accumulating.  Every mod-1 reduction goes through
 `torus.wrap`, and invariants are checked by raising, never by `assert`
-(which `python -O` strips).  Every function parameter is read, and every
-tolerance the CLI loader range-checks is read by a command, so no knob is
-accepted and then ignored.  No function keeps state in a module-level name,
-so one call cannot change what the next one computes.  Every public
-function is called from somewhere other than its own body: the package,
-the benchmark or an acceptance criterion; the few kept without a caller
-are listed with their reasons, so the surface does not grow back.
+(which `python -O` strips).  Every function parameter and every name an
+`except` clause binds is read, and every tolerance the CLI loader
+range-checks is read by a command, so no knob is accepted and then
+ignored.  No function keeps state in a module-level name, so one call
+cannot change what the next one computes.  Every public function is
+called from somewhere other than its own body: the package, the benchmark
+or an acceptance criterion; the few kept without a caller are listed with
+their reasons, so the surface does not grow back.
 
 One check imports the package: the benchmark's traced run
 (`perfbench/tracing.py`, read here with `ast`) wraps named `selkam`
@@ -125,6 +126,24 @@ def _unread_parameters(tree):
 def test_every_parameter_is_read(path):
     unread = _unread_parameters(_tree(path))
     assert not unread, f"{path.name}: parameters never read: {unread}"
+
+
+def _unread_exception_bindings(tree):
+    out = []
+    for handler in ast.walk(tree):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+        read = {n.id for stmt in handler.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if handler.name not in read:
+            out.append(f"line {handler.lineno}: {handler.name}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_exception_binding_is_read(path):
+    unread = _unread_exception_bindings(_tree(path))
+    assert not unread, f"{path.name}: exceptions bound but never read: {unread}"
 
 
 def test_every_safe_tolerance_is_read():
