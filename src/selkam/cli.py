@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, dynamics, front, hamcore, lagrangian, selector, weakkam
+from . import __version__, dynamics, front, hamcore, lagrangian, selector, torus, weakkam
 from .persistence import connectivity_oracle, sublevel_persistence
 
 __all__ = ["RunConfig", "load_config", "run", "main", "ConfigError"]
@@ -264,7 +264,7 @@ def _cmd_weakkam(cfg):
                "iterations": sol.iterations,
                "aubry_count": int(len(sol.aubry_pts)),
                "mane_count": int(len(sol.mane_pts)),
-               "aubry": [[float(a) for a in row] for row in np.atleast_2d(sol.aubry_pts)] if sol.aubry_pts.size else [],
+               "aubry": sol.aubry_pts.tolist(),
                "family_size": sol.meta["family_size"],
                "outer_approximation": sol.meta["outer_approximation"],
                "ok": True}
@@ -273,6 +273,9 @@ def _cmd_weakkam(cfg):
 
 def _cmd_invariant(cfg):
     H = cfg.H
+    refused = _refuse_non_tonelli(H)
+    if refused:
+        return refused
     L = _build_lagrangian(cfg)
     a = cfg.level
     if np.isnan(a):
@@ -364,12 +367,8 @@ def _cmd_verify(cfg, suite):
               sol.alpha - 1e-3 <= a_hat <= sol.alpha + 1e-2)
         # every Aubry point within two grid steps of a Mane point on T*T^1
         # (distances across the q seam through the tiled copies)
-        aubry_in_mane = not sol.aubry_pts.size
-        if sol.aubry_pts.size and sol.mane_pts.size:
-            dist = dynamics._nearest(dynamics._phase_tiles(sol.mane_pts),
-                                     np.atleast_2d(sol.aubry_pts))
-            aubry_in_mane = np.all(dist <= 2.0 / cfg.velocity_grid)
-        check("weakkam.aubry_in_mane", aubry_in_mane)
+        dist = torus.nearest(torus.phase_tiles(sol.mane_pts), sol.aubry_pts)
+        check("weakkam.aubry_in_mane", np.all(dist <= 2.0 / cfg.velocity_grid))
     if suite in ("dynamics", "all"):
         # the weakkam suite's alpha is this same descending critical value
         a = sol.alpha if suite == "all" else \

@@ -13,11 +13,6 @@ frozen at an equilibrium in both time directions.  The stop is exact:
 `alive` and `frozen` only ever change one way and a frozen state is
 restored on every chunk, so no later chunk can move a live state, its
 tube or recurrence distance, or `alive` itself.
-
-Nearest-neighbour distances come from a sorted search: candidates are the
-points whose first base coordinate lies within a bound of the query's, and
-a distance is the square root of the squared differences summed in column
-order.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +21,7 @@ import numpy as np
 
 from . import hamcore
 from .lagrangian import ExactLagrangian, SpectralFun, from_graph
-from .torus import hausdorff, median, wrap
+from .torus import hausdorff, median, nearest, nearest_in_window, phase_tiles, spacing, wrap
 from .weakkam import smooth_subsolution, subsolution_check
 
 __all__ = [
@@ -46,8 +41,6 @@ TRIM_DT = 5e-3
 CHECK_EVERY = 10
 GRAPH_BINS = 256          # periodic base bins of graph_test
 SPREAD_TOL = 0.02         # momentum spread within one bin that breaks a graph
-WINDOW_PAD = 1e-9         # widening of a search window against rounding in q +- r
-PAIR_BLOCK = 1 << 16      # candidate pairs the neighbour search holds at once
 
 
 @dataclass
@@ -61,7 +54,7 @@ class InvariantSetEstimate:
     meta: dict = field(default_factory=dict)
 
     def __len__(self):
-        return 0 if self.samples is None else self.samples.shape[0]
+        return self.samples.shape[0]
 
 
 def _as_points(L, H, name):
@@ -72,78 +65,6 @@ def _as_points(L, H, name):
     if points.shape[1] != 2 or (H is not None and H.dim != 1):
         raise NotImplementedError(f"{name} works over T^1 only, not dim 2")
     return points
-
-
-def _phase_tiles(points):
-    """Phase points and their images at q + 1 and q - 1, sorted on q."""
-    tiles = np.vstack([np.column_stack([points[:, 0] + s, points[:, 1]])
-                       for s in (0.0, 1.0, -1.0)])
-    return tiles[np.argsort(tiles[:, 0], kind="stable")]
-
-
-def _nearest_in_window(points, x, radius, skip=None):
-    """Distance from each row of x to the nearest of the sorted ``points``
-    whose first coordinate is within ``radius`` of its own (inf if none).
-
-    ``skip`` names one point per row to leave out.  Pairs are formed in
-    blocks of at most PAIR_BLOCK, one row at least.
-    """
-    keys = points[:, 0]
-    pad = radius * (1.0 + WINDOW_PAD) + WINDOW_PAD
-    lo = np.searchsorted(keys, x[:, 0] - pad, side="left")
-    counts = np.searchsorted(keys, x[:, 0] + pad, side="right") - lo
-    ends = np.cumsum(counts)
-    out = np.full(x.shape[0], np.inf)
-    start = 0
-    while start < x.shape[0]:
-        stop = max(int(np.searchsorted(ends, ends[start] - counts[start] + PAIR_BLOCK,
-                                       side="right")), start + 1)
-        c = counts[start:stop]
-        firsts = np.cumsum(c) - c
-        rows = np.repeat(np.arange(start, stop), c)
-        idx = np.arange(rows.size) + np.repeat(lo[start:stop] - firsts, c)
-        sq = np.zeros(rows.size)
-        for col in range(x.shape[1]):
-            d = x[:, col][rows] - points[:, col][idx]
-            sq += d * d
-        d = np.sqrt(sq)
-        if skip is not None:
-            d[idx == skip[rows]] = np.inf
-        filled = c > 0
-        out[start:stop][filled] = np.minimum.reduceat(d, firsts[filled])
-        start = stop
-    return out
-
-
-def _nearest(points, x, skip=None):
-    """Distance from each row of x to the nearest of the sorted ``points``.
-
-    A row's window in q_1 grows fourfold from a few point spacings until the
-    nearest point inside is within the window's half-width, which makes it
-    the nearest of all, or until the window holds every point.
-    """
-    keys = points[:, 0]
-    reach = max(keys[-1] - np.min(x[:, 0]), np.max(x[:, 0]) - keys[0])
-    radius = 8.0 * max(keys[-1] - keys[0], 1.0) / keys.size
-    out = np.full(x.shape[0], np.inf)
-    todo = np.arange(x.shape[0])
-    while todo.size:
-        d = _nearest_in_window(points, x[todo], radius,
-                               None if skip is None else skip[todo])
-        done = (d <= radius) | (radius >= reach)
-        out[todo[done]] = d[done]
-        todo = todo[~done]
-        radius *= 4.0
-    return out
-
-
-def _spacing(points):
-    """Distance from each point to its nearest other point (0 at a repeat)."""
-    order = np.argsort(points[:, 0], kind="stable")
-    pts = points[order]
-    out = np.empty(pts.shape[0])
-    out[order] = _nearest(pts, pts, skip=np.arange(pts.shape[0]))
-    return out
 
 
 def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, recurrence_filter=False):
@@ -176,12 +97,12 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, recurrence_filter=F
     if seeds.shape[0] > 2:
         # nearest-neighbor spacing: transversal where the sampled set
         # stacks (tight tubes reject orbits sliding between sheets)
-        local = float(median(_spacing(seeds)))
+        local = float(median(spacing(seeds)))
     else:
         local = 0.0
     fallback = 3.0 / max(points.shape[0], 64)
     tube_radius = max(3.0 * local, fallback, 1e-4)
-    tiles = _phase_tiles(seeds)
+    tiles = phase_tiles(seeds)
 
     # the projection level: when the requested level is the potential
     # maximum up to numerical noise, use the refined maximum itself, so
@@ -227,7 +148,7 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, recurrence_filter=F
             # not moved since its own tube test, so only the others are tested
             moved = alive & ~frz
             x = np.column_stack([wrap(Qn[moved]), Pn[moved]])
-            alive[moved] = _nearest_in_window(tiles, x, tube_radius) <= tube_radius
+            alive[moved] = nearest_in_window(tiles, x, tube_radius) <= tube_radius
             if recurrence_filter:
                 dq = np.abs(wrap(Qn) - q0)
                 dq = np.minimum(dq, 1.0 - dq)
@@ -243,8 +164,8 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, recurrence_filter=F
                 survivors_first = seeds[alive].copy()
             break
     survivors = seeds[alive]
-    b1 = {tuple(np.round(x / tube_radius).astype(int)) for x in np.atleast_2d(survivors_first)}
-    b2 = {tuple(np.round(x / tube_radius).astype(int)) for x in np.atleast_2d(survivors)}
+    b1 = {tuple(np.round(x / tube_radius).astype(int)) for x in survivors_first}
+    b2 = {tuple(np.round(x / tube_radius).astype(int)) for x in survivors}
     est = InvariantSetEstimate(samples=survivors, horizon=2 * horizon,
                                tube_radius=float(tube_radius),
                                converged=b1 == b2, n_seeds=int(seeds.shape[0]),
@@ -381,10 +302,7 @@ def verify_theorem_6_3(L, H, a, f, horizon=100.0):
 
     inv_L = trimmed(L)
     inv_G = trimmed(graph_pts)
-    if len(inv_L) == 0 and len(inv_G) == 0:
-        hd = 0.0
-    else:
-        hd = hausdorff(inv_L.samples, inv_G.samples)
+    hd = hausdorff(inv_L.samples, inv_G.samples)
     ok = ok_sub and hd <= 2.0 * h and inv_L.converged and inv_G.converged
     return EnergyPipelineReport(alpha=float(a), subsolution_ok=ok_sub,
                                 violations=bad, hausdorff_distance=float(hd),
@@ -417,7 +335,7 @@ def verify_theorem_1_5(L, H, horizon=5.0):
     p_range = float(pts[:, 1].max() - pts[:, 1].min()) if pts.shape[0] > 1 else 0.0
     diam = float(np.hypot(0.5, p_range))
     inv_tol = INV_TOL_FRACTION * max(diam, 1.0)
-    tiles = _phase_tiles(pts)
+    tiles = phase_tiles(pts)
     sub = pts[:: max(1, pts.shape[0] // 512)]
     defect = 0.0
     Q, P = sub[:, 0].copy(), sub[:, 1].copy()
@@ -426,7 +344,7 @@ def verify_theorem_1_5(L, H, horizon=5.0):
     per = int(np.ceil(horizon / n_check / dt))
     for _ in range(n_check):
         Q, P = hamcore.integrate(H, Q, P, dt, per)
-        dist = _nearest(tiles, np.column_stack([wrap(Q), P]))
+        dist = nearest(tiles, np.column_stack([wrap(Q), P]))
         defect = max(defect, float(np.max(dist)))
     invariant = defect <= inv_tol
     if not invariant:
@@ -469,10 +387,7 @@ def equivariance_check(v_samples, w_samples, dw_src, H, a=None, horizon=50.0):
     inv2 = maximal_invariant_set(L2, H2, a, horizon=horizon)
     # pull the first set back through phi^{-1}: p -> p - dw(q)
     s1 = inv1.samples.copy()
-    if s1.size:
-        s1[:, 1] -= wf.derivative(s1[:, 0])
-    if s1.size == 0 and inv2.samples.size == 0:
-        return 0.0, inv1, inv2
+    s1[:, 1] -= wf.derivative(s1[:, 0])
     hd = hausdorff(s1, inv2.samples)
     return hd, inv1, inv2
 
@@ -481,8 +396,6 @@ def dump_invariant_set(est, path):
     """Write rows `q p survived_horizon` as decimal text."""
     with open(path, "w") as fh:
         fh.write("# q p survived_horizon\n")
-        for row in np.atleast_2d(est.samples):
-            if row.size == 0:
-                continue
+        for row in est.samples:
             cols = " ".join(f"{x:.12g}" for x in row)
             fh.write(f"{cols} {est.horizon:.6g}\n")

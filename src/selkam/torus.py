@@ -3,9 +3,19 @@
 Base coordinates live on the unit torus (period 1 per dimension).  Sampled
 curves keep an unwrapped lift of the base coordinate so winding is explicit;
 wrapping happens only at interfaces that need a fundamental-domain value.
+
+Distances on T*T^1 come from one windowed search over the tiles q - 1, q,
+q + 1 of a point set, sorted on q: candidates are the tiles whose first
+coordinate lies within a bound of the query's, and a distance is the
+square root of the squared differences summed in column order.  The
+trimming's tube test, the Aubry/Mane assembly, `hausdorff` and `verify`
+all use it.
 """
 
 import numpy as np
+
+WINDOW_PAD = 1e-9         # widening of a search window against rounding in q +- r
+PAIR_BLOCK = 1 << 16      # candidate pairs the neighbour search holds at once
 
 
 def wrap(q):
@@ -133,20 +143,100 @@ class PeriodicCubic:
         return d00 * y0 + d10 * m0 + d01 * y1 + d11 * m1
 
 
+def phase_tiles(points):
+    """Phase points and their images at q + 1 and q - 1, sorted on q.
+
+    Columns after the first are carried along unchanged.
+    """
+    tiles = np.vstack([np.column_stack([points[:, 0] + s, points[:, 1:]])
+                       for s in (0.0, 1.0, -1.0)])
+    return tiles[np.argsort(tiles[:, 0], kind="stable")]
+
+
+def window_pairs(points, x, radius):
+    """Pairs (rows, idx, d): each row of x with every sorted ``points`` row
+    whose first coordinate is within ``radius`` of its own, at distance d
+    over x's columns.  Yielded in blocks of at most PAIR_BLOCK pairs (one
+    row at least), rows ascending.
+    """
+    keys = points[:, 0]
+    pad = radius * (1.0 + WINDOW_PAD) + WINDOW_PAD
+    lo = np.searchsorted(keys, x[:, 0] - pad, side="left")
+    counts = np.searchsorted(keys, x[:, 0] + pad, side="right") - lo
+    ends = np.cumsum(counts)
+    start = 0
+    while start < x.shape[0]:
+        stop = max(int(np.searchsorted(ends, ends[start] - counts[start] + PAIR_BLOCK,
+                                       side="right")), start + 1)
+        c = counts[start:stop]
+        firsts = np.cumsum(c) - c
+        rows = np.repeat(np.arange(start, stop), c)
+        idx = np.arange(rows.size) + np.repeat(lo[start:stop] - firsts, c)
+        sq = np.zeros(rows.size)
+        for col in range(x.shape[1]):
+            d = x[:, col][rows] - points[:, col][idx]
+            sq += d * d
+        yield rows, idx, np.sqrt(sq)
+        start = stop
+
+
+def nearest_in_window(points, x, radius, skip=None):
+    """Distance from each row of x to the nearest of the sorted ``points``
+    whose first coordinate is within ``radius`` of its own (inf if none).
+
+    ``skip`` names one point per row to leave out.
+    """
+    out = np.full(x.shape[0], np.inf)
+    for rows, idx, d in window_pairs(points, x, radius):
+        if skip is not None:
+            d[idx == skip[rows]] = np.inf
+        firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[firsts]] = np.minimum.reduceat(d, firsts)
+    return out
+
+
+def nearest(points, x, skip=None):
+    """Distance from each row of x to the nearest of the sorted ``points``
+    (inf if there are none).
+
+    A row's window in q_1 grows fourfold from a few point spacings until the
+    nearest point inside is within the window's half-width, which makes it
+    the nearest of all, or until the window holds every point.
+    """
+    keys = points[:, 0]
+    out = np.full(x.shape[0], np.inf)
+    if keys.size == 0 or out.size == 0:
+        return out
+    reach = max(keys[-1] - np.min(x[:, 0]), np.max(x[:, 0]) - keys[0])
+    radius = 8.0 * max(keys[-1] - keys[0], 1.0) / keys.size
+    todo = np.arange(x.shape[0])
+    while todo.size:
+        d = nearest_in_window(points, x[todo], radius,
+                              None if skip is None else skip[todo])
+        done = (d <= radius) | (radius >= reach)
+        out[todo[done]] = d[done]
+        todo = todo[~done]
+        radius *= 4.0
+    return out
+
+
+def spacing(points):
+    """Distance from each point to its nearest other point (0 at a repeat)."""
+    order = np.argsort(points[:, 0], kind="stable")
+    pts = points[order]
+    out = np.empty(pts.shape[0])
+    out[order] = nearest(pts, pts, skip=np.arange(pts.shape[0]))
+    return out
+
+
 def hausdorff(a, b):
     """Hausdorff distance between (k, 2) sets of rows (q, p) in T*T^1, torus
-    metric in q; rows of T*T^2 raise NotImplementedError."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        return np.inf
+    metric in q; rows of T*T^2 raise NotImplementedError.
+
+    Two empty sets are 0.0 apart, an empty and a non-empty set inf.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape[1] != 2 or b.shape[1] != 2:
         raise NotImplementedError("hausdorff works over T^1 only, not dim 2")
-
-    def one_sided(x, y):
-        dq = np.abs(x[:, None, 0] - y[None, :, 0])
-        dq = np.minimum(dq, 1.0 - dq)
-        dp = x[:, None, 1] - y[None, :, 1]
-        return np.max(np.min(np.sqrt(dq * dq + dp * dp), axis=1))
-
-    return max(one_sided(a, b), one_sided(b, a))
+    return max(np.max(nearest(phase_tiles(b), a), initial=0.0),
+               np.max(nearest(phase_tiles(a), b), initial=0.0))

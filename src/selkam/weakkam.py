@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .torus import wrap
+from .torus import nearest, phase_tiles, window_pairs, wrap
 
 __all__ = [
     "WeakKamSolution",
@@ -393,22 +393,13 @@ def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
     bin_r = 2.0 * h
     aubry = inv_sets[0]
     for s in inv_sets[1:]:
-        aubry = _intersect_points(aubry, s, bin_r)
-    aubry = _dedupe_points(np.atleast_2d(aubry), bin_r) if aubry.size else aubry
-    mane = np.vstack([s for s in inv_sets if s.size]) if any(s.size for s in inv_sets) \
-        else np.empty((0, 2))
-    mane = _dedupe_points(mane, 0.5 * h)
+        aubry = aubry[nearest(phase_tiles(s), aubry) <= bin_r]
+    aubry = _dedupe_points(aubry, bin_r)
+    mane = _dedupe_points(np.vstack(inv_sets), 0.5 * h)
     # clip to the critical shell
-    def on_shell(pts):
-        if pts.size == 0:
-            return pts
-        vals = H.value(pts[:, 0], pts[:, 1])
-        return pts[np.abs(vals - alpha) <= num_tol]
-
-    aubry = on_shell(np.atleast_2d(aubry)) if aubry.size else aubry
-    mane = on_shell(mane)
-    sol_minus.aubry_pts = aubry
-    sol_minus.mane_pts = mane
+    sol_minus.aubry_pts, sol_minus.mane_pts = (
+        pts[np.abs(H.value(pts[:, 0], pts[:, 1]) - alpha) <= num_tol]
+        for pts in (aubry, mane))
     sol_minus.meta.update({
         "family_size": len(kept),
         "single_subsolution": len(kept) == 1,
@@ -418,31 +409,17 @@ def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
     return sol_minus
 
 
-def _intersect_points(a, b, radius):
-    if a.size == 0 or b.size == 0:
-        return np.empty((0, 2))
-    keep = []
-    for x in np.atleast_2d(a):
-        dq = np.abs(b[:, 0] - x[0])
-        dq = np.minimum(dq, 1.0 - dq)
-        d = np.hypot(dq, b[:, 1] - x[1])
-        if np.min(d) <= radius:
-            keep.append(x)
-    return np.asarray(keep) if keep else np.empty((0, 2))
-
-
 def _dedupe_points(pts, radius):
-    if pts.size == 0:
-        return pts
-    kept = []
-    for x in np.atleast_2d(pts):
-        ok = True
-        for y in kept:
-            dq = min(abs(x[0] - y[0]), 1.0 - abs(x[0] - y[0]))
-            if np.hypot(dq, x[1] - y[1]) <= radius:
-                ok = False
-                break
-        if ok:
-            kept.append(x)
-    return np.asarray(kept)
-
+    """The points of a (k, 2) set, in order, further than radius (across the
+    q seam) from every earlier point kept; the tiles carry their row, so the
+    greedy pass reads only the pairs within radius of an earlier point.
+    """
+    tiles = phase_tiles(np.column_stack([pts, np.arange(pts.shape[0])]))
+    keep = np.ones(pts.shape[0], dtype=bool)
+    for rows, idx, d in window_pairs(tiles, pts, radius):
+        earlier = tiles[idx, 2].astype(int)
+        close = (earlier < rows) & (d <= radius)
+        for i, j in zip(rows[close], earlier[close]):
+            if keep[j]:
+                keep[i] = False
+    return pts[keep]

@@ -308,15 +308,17 @@ def test_verify_selector_checks_the_minimax(fast_cfg, tmp_path, monkeypatch):
     assert status == 0 and len(calls) == 1
 
 
-def test_selector_refuses_non_tonelli(tmp_path):
+@pytest.mark.parametrize("command", ["selector", "weakkam", "invariant", "verify"])
+def test_refuses_non_tonelli(tmp_path, command):
+    # `invariant` without a level would otherwise fail in the Legendre transform
     p = tmp_path / "concave.cfg"
     p.write_text(FAST_CFG.replace("expr = p^2/2", "expr = -p^2/2 + cos(2*pi*q)"))
     out = tmp_path / "o"
-    assert main(["selector", "--config", str(p), "--out", str(out)]) == 1
+    assert main([command, "--config", str(p), "--out", str(out)]) == 1
     results = json.loads((out / "summary.json").read_text())["results"]
     assert results["ok"] is False and "Tonelli" in results["reason"]
     assert results["min_hessian_eig"] < 0
-    assert not (out / "selector.txt").exists()
+    assert sorted(f.name for f in out.iterdir()) == ["meta.json", "summary.json"]
 
 
 def test_lagrangian_file_outside_the_setting_is_a_config_error(tmp_path):

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.spatial import cKDTree
 
 from selkam import hamcore
-from selkam.dynamics import (CHECK_EVERY, TRIM_DT, _nearest, _nearest_in_window,
-                             _phase_tiles, _spacing, energy_level_check,
+from selkam.dynamics import (CHECK_EVERY, TRIM_DT, energy_level_check,
                              equivariance_check, graph_test, maximal_invariant_set,
                              verify_theorem_1_5, verify_theorem_6_3,
                              dump_invariant_set)
@@ -216,65 +213,3 @@ def test_dump_invariant_set(tmp_path, free):
     dump_invariant_set(est, path)
     data = np.loadtxt(path, ndmin=2)
     assert data.shape == (256, 3)
-
-
-# The neighbour search against cKDTree, kept here as the oracle.  Both sum the
-# squared differences in column order, so dim-1 distances agree bit for bit;
-# dim-2 distances may differ by rounding if the tree's build contracts sums.
-# The search reads any number of columns, so the spacing check keeps dim 2.
-
-def _phase_cloud(seed, dim, n, repeats):
-    """n phase points on T^dim x R^dim, the first ``repeats`` copying the last."""
-    rng = np.random.default_rng(seed)
-    pts = np.column_stack([rng.uniform(0.0, 1.0, (n, dim)),
-                           rng.normal(scale=0.5, size=(n, dim))])
-    if repeats:
-        pts[:repeats] = pts[n - repeats:]
-    return pts
-
-
-def _assert_distances(got, want, dim):
-    if dim == 1:
-        assert got.tobytes() == want.tobytes()
-    else:
-        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 150), repeats=st.integers(0, 60),
-       dim=st.sampled_from([1, 2]))
-def test_spacing_matches_kdtree(seed, n, repeats, dim):
-    # cKDTree's k = 2 query from the points themselves: the nearest other point
-    # (0 where a point is repeated)
-    repeats = min(repeats, n // 2)
-    pts = _phase_cloud(seed, dim, n, repeats)
-    want, _ = cKDTree(pts).query(pts, k=2)
-    got = _spacing(pts)
-    _assert_distances(got, want[:, 1], dim)
-    assert np.all(got[:repeats] == 0.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 150), radius=st.floats(1e-4, 0.5))
-def test_tube_and_nearest_match_kdtree(seed, n, radius):
-    pts = _phase_cloud(seed, 1, n, 0)
-    tiles = _phase_tiles(pts)
-    tree = cKDTree(tiles)
-    rng = np.random.default_rng(seed + 1)
-    x = np.column_stack([rng.uniform(0.0, 1.0, 64), rng.normal(size=64)])
-    want, _ = tree.query(x)
-    assert _nearest(tiles, x).tobytes() == want.tobytes()
-    # the tube predicate, also at radii that are query distances
-    for r in (radius, float(np.median(want)), float(np.min(want))):
-        got = _nearest_in_window(tiles, x, r) <= r
-        assert np.array_equal(got, want <= r)
-
-
-def test_nearest_in_window_blocks_agree(monkeypatch):
-    # splitting the candidate pairs into blocks does not change a distance
-    pts = _phase_cloud(3, 1, 400, 0)
-    tiles = _phase_tiles(pts)
-    x = _phase_cloud(4, 1, 50, 0)
-    whole = _nearest(tiles, x)
-    monkeypatch.setattr("selkam.dynamics.PAIR_BLOCK", 7)
-    assert _nearest(tiles, x).tobytes() == whole.tobytes()

@@ -12,7 +12,8 @@ ignored.  No function keeps state in a module-level name, so one call
 cannot change what the next one computes.  Every public function is
 called from somewhere other than its own body: the package, the benchmark
 or an acceptance criterion; the few kept without a caller are listed with
-their reasons, so the surface does not grow back.
+their reasons, so the surface does not grow back.  No module reads another
+module's private names: what another module needs is public.
 
 One check imports the package: the benchmark's traced run
 (`perfbench/tracing.py`, read here with `ast`) wraps named `selkam`
@@ -157,6 +158,35 @@ def test_every_safe_tolerance_is_read():
             and isinstance(n.value, ast.Attribute) and n.value.attr == "tolerances"
             and isinstance(n.slice, ast.Constant)}
     assert keys <= read, f"tolerances checked but never read: {sorted(keys - read)}"
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_reads(tree):
+    """Reads of another module's private name: ``module._name`` on a name an
+    import binds, and relative ``from . import _name`` imports (dunders are
+    public)."""
+    modules = {name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for name in _bound_names(node)}
+    modules |= {name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+                for name in _bound_names(node)}
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) \
+                and n.value.id in modules and _is_private(n.attr):
+            out.append(f"line {n.lineno}: {n.value.id}.{n.attr}")
+        elif isinstance(n, ast.ImportFrom) and n.level:
+            out += [f"line {n.lineno}: import {a.name}" for a in n.names if _is_private(a.name)]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_reads_another_modules_private_names(path):
+    reads = _private_reads(_tree(path))
+    assert not reads, f"{path.name}: private names of another module read at {reads}"
 
 
 MUTATING_METHODS = {"pop", "popitem", "update", "append", "extend", "insert",
