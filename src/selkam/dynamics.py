@@ -58,8 +58,9 @@ class InvariantSetEstimate:
 
 
 def _as_points(L, H, name):
-    """(k, 2) phase points [q, p] of L or of a point array; T^2 in L or in H
-    (None for a check without one) is refused before any flow or search."""
+    """(k, 2) phase points [q, p] of L or of a point array; a point array
+    without 2 columns or a dim-2 H (None for a check without one) is
+    refused before any flow or search."""
     points = L.phase_points() if isinstance(L, ExactLagrangian) else \
         np.atleast_2d(np.asarray(L, dtype=float))
     if points.shape[1] != 2 or (H is not None and H.dim != 1):

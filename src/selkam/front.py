@@ -1,10 +1,9 @@
 """Wavefront analysis: fiber intersections, spectra and caustics.
 
-All queries are pure functions of a sampled dim-1 Lagrangian: roots are
+All queries are pure functions of a sampled Lagrangian curve: roots are
 bracketed on the interpolated lift and refined by bisection.  The front's
 lower envelope is the graph selector (``selector.graph_selector``);
-``dump_front`` writes every sheet with its Cerf-regularity flag.  Dim 2
-raises NotImplementedError.
+``dump_front`` writes every sheet with its Cerf-regularity flag.
 """
 
 from dataclasses import dataclass
@@ -118,8 +117,6 @@ def fiber_sweep(L, q_values):
     elementwise or per query, so a query's fiber does not depend on the
     other queries of the batch.
     """
-    if L.dim != 1:
-        raise NotImplementedError("fiber_sweep works over T^1 only, not dim 2")
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
     n = q_values.size
     fq, fp = L.interp_q(), L.interp_p()
@@ -171,8 +168,6 @@ def caustics(L):
     point.  Consecutive caustic values cut the torus into intervals whose
     fiber multiplicity is reported.
     """
-    if L.dim != 1:
-        raise NotImplementedError("caustics works over T^1 only, not dim 2")
     fq = L.interp_q()
     tc = np.append(L.t, L.t[0] + 1.0)
     dq = fq.derivative(tc)

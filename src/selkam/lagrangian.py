@@ -1,12 +1,11 @@
 """Exact Lagrangian representations with Liouville primitives.
 
-A dim-1 Lagrangian is a closed sampled curve t -> (q(t), p(t)) in T*T^1 with
-an unwrapped base lift and a primitive S satisfying dS = p dq along the
-curve; dim-2 objects are restricted to graphs dv over a periodic grid.  The
-stored primitive is anchored to S = 0 at the first sample; ``s_offset``
-records the raw value there (the potential, or for a flowed curve the
-action transported along the anchor's trajectory) so selector pipelines can
-undo the normalization.
+An exact Lagrangian is a closed sampled curve t -> (q(t), p(t)) in T*T^1
+with an unwrapped base lift and a primitive S satisfying dS = p dq along the
+curve; there is no T^2 representation.  The stored primitive is anchored
+to S = 0 at the first sample; ``s_offset`` records the raw value there (the
+potential, or for a flowed curve the action transported along the anchor's
+trajectory) so selector pipelines can undo the normalization.
 """
 
 from dataclasses import dataclass, field
@@ -88,17 +87,15 @@ class SpectralFun:
 class ExactLagrangian:
     """Sampled exact Lagrangian with anchored Liouville primitive."""
 
-    dim: int
     kind: str                     # graph | parametric | flowed
     t: np.ndarray                 # (m,) parameters in [0, 1)
-    q: np.ndarray                 # (m,) unwrapped lift (dim 1) or (m, 2) grid
+    q: np.ndarray                 # (m,) unwrapped lift
     p: np.ndarray
     S: np.ndarray                 # anchored: S[0] = 0
     s_offset: float
     winding: int
     lipschitz_bound: float
     pmax: float
-    grid_shape: tuple = None
     meta: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -130,7 +127,7 @@ class ExactLagrangian:
         return out if out.size != 1 else float(out[0])
 
     def phase_points(self):
-        """Samples as an (m, 2n) array [q (wrapped), p]."""
+        """Samples as an (m, 2) array [q (wrapped), p]."""
         return np.column_stack([wrap(self.q), self.p])
 
 
@@ -150,7 +147,7 @@ class ApproxSequence:
 class ExactnessReport:
     """The exactness measure (``verify_exactness``); ok = residual <= budget.
 
-    Dim 1: residual = sum r_i, budget = sum e_i + rounding floor,
+    residual = sum r_i, budget = sum e_i + rounding floor,
     max_interval_residual = max r_i, loop_residual = |sum G_i|.
     """
 
@@ -236,16 +233,6 @@ def _lipschitz_of_samples(t, arrays, winding_jumps):
     return worst
 
 
-def _lipschitz_of_grid(p1, p2):
-    """Max difference quotient of dim-2 momenta along their own axes, at least 1.
-
-    ``p1`` and ``p2`` are (n1, n2) samples on the uniform grid of T^2.
-    """
-    n1, n2 = p1.shape
-    return max(float(np.max(np.abs(np.diff(p1, axis=0)))) * n1,
-               float(np.max(np.abs(np.diff(p2, axis=1)))) * n2, 1.0)
-
-
 def _as_curve_arrays(target):
     if isinstance(target, ExactLagrangian):
         return target.t, target.q, target.p, target.S, target.winding
@@ -258,44 +245,25 @@ def _as_curve_arrays(target):
 # constructors
 
 
-def from_graph(v, dim=1):
-    """Graph of dv over the torus with primitive v (anchored).
+def from_graph(v):
+    """Graph of dv over T^1 with primitive v (anchored).
 
-    ``v`` is a uniform periodic sample array: (N,) for dim 1 (N >= 64) or
-    (N1, N2) for dim 2.
+    ``v`` is a uniform periodic sample array of N >= 64 values; a 2-d array
+    (a graph over T^2) raises NotImplementedError.
     """
     v = np.asarray(v, dtype=float)
-    if dim == 1:
-        if v.ndim != 1 or v.size < MIN_GRID:
-            raise ValueError(f"need at least {MIN_GRID} samples per dimension")
-        n = v.size
-        t = np.arange(n) / n
-        vf = SpectralFun(v)
-        p = vf.derivative(t)
-        lip = _lipschitz_of_samples(t, [t, p], [1.0, 0.0])
-        return ExactLagrangian(
-            dim=1, kind="graph", t=t, q=t.copy(), p=p, S=v - v[0],
-            s_offset=float(v[0]), winding=1, lipschitz_bound=lip,
-            pmax=float(np.max(np.abs(p))), meta={"v_samples": v.copy()})
-    if v.ndim != 2 or min(v.shape) < MIN_GRID:
-        raise ValueError(f"need at least {MIN_GRID} samples per dimension")
-    n1, n2 = v.shape
-    g1 = np.arange(n1) / n1
-    g2 = np.arange(n2) / n2
-    k1 = np.fft.fftfreq(n1, d=1.0 / n1)
-    k2 = np.fft.fftfreq(n2, d=1.0 / n2)
-    vh = np.fft.fft2(v)
-    p1 = np.real(np.fft.ifft2(vh * (2j * np.pi * k1)[:, None]))
-    p2 = np.real(np.fft.ifft2(vh * (2j * np.pi * k2)[None, :]))
-    Q = np.stack(np.meshgrid(g1, g2, indexing="ij"), axis=-1).reshape(-1, 2)
-    P = np.stack([p1, p2], axis=-1).reshape(-1, 2)
-    S = (v - v[0, 0]).reshape(-1)
-    lip = _lipschitz_of_grid(p1, p2)
+    if v.ndim == 2:
+        raise NotImplementedError("from_graph builds graphs over T^1 only, not dim 2")
+    if v.ndim != 1 or v.size < MIN_GRID:
+        raise ValueError(f"need at least {MIN_GRID} samples")
+    n = v.size
+    t = np.arange(n) / n
+    p = SpectralFun(v).derivative(t)
+    lip = _lipschitz_of_samples(t, [t, p], [1.0, 0.0])
     return ExactLagrangian(
-        dim=2, kind="graph", t=np.arange(Q.shape[0], dtype=float) / Q.shape[0],
-        q=Q, p=P, S=S, s_offset=float(v[0, 0]), winding=0,
-        lipschitz_bound=lip, pmax=float(np.max(np.hypot(P[:, 0], P[:, 1]))),
-        grid_shape=(n1, n2), meta={"v_samples": v.copy()})
+        kind="graph", t=t, q=t.copy(), p=p, S=v - v[0],
+        s_offset=float(v[0]), winding=1, lipschitz_bound=lip,
+        pmax=float(np.max(np.abs(p))), meta={"v_samples": v.copy()})
 
 
 def _shoot(H, vf, dt, steps, starts):
@@ -370,7 +338,7 @@ def from_flow(v, H, T, steps, initial_samples=4096):
         p = vf.derivative(t)
         lip = _lipschitz_of_samples(t, [t, p], [1.0, 0.0])
         return ExactLagrangian(
-            dim=1, kind="flowed", t=t, q=t.copy(), p=p, S=vf(t) - vf(0.0),
+            kind="flowed", t=t, q=t.copy(), p=p, S=vf(t) - vf(0.0),
             s_offset=float(vf(np.array([0.0]))[0]), winding=1,
             lipschitz_bound=lip, pmax=float(np.max(np.abs(p))),
             meta={"H": H, "T": 0.0, "steps": 0, "v_samples": v.copy()})
@@ -456,7 +424,7 @@ def from_flow(v, H, T, steps, initial_samples=4096):
     S = _integrate_primitive(G)
     lip = _lipschitz_of_samples(t, [Q, P], [1.0, 0.0])
     L = ExactLagrangian(
-        dim=1, kind="flowed", t=t, q=Q, p=P, S=S, s_offset=s_offset,
+        kind="flowed", t=t, q=Q, p=P, S=S, s_offset=s_offset,
         winding=1, lipschitz_bound=lip, pmax=float(np.max(np.abs(P))),
         meta={"H": H, "T": float(T), "steps": steps,
               "v_samples": v.copy(), "loop_residual": float(np.sum(G)), **stats})
@@ -465,7 +433,7 @@ def from_flow(v, H, T, steps, initial_samples=4096):
 
 
 def _closed_curve(kind, t, q, p, S=None, what="curve"):
-    """Dim-1 curve of closed samples, refused unless it winds +-1 and is exact.
+    """Curve of closed samples, refused unless it winds +-1 and is exact.
 
     An embedded closed curve in the annulus winds 0 or +-1, and one of
     winding 0 bounds a disc of positive area, so it is not exact.  Without
@@ -478,7 +446,7 @@ def _closed_curve(kind, t, q, p, S=None, what="curve"):
     if S is None:
         S = _integrate_primitive(_segments(t, lift, p, winding)[0])
     L = ExactLagrangian(
-        dim=1, kind=kind, t=t, q=lift, p=p, S=S, s_offset=0.0, winding=winding,
+        kind=kind, t=t, q=lift, p=p, S=S, s_offset=0.0, winding=winding,
         lipschitz_bound=_lipschitz_of_samples(t, [lift, p], [float(winding), 0.0]),
         pmax=float(np.max(np.abs(p))), meta={})
     _require_exact(verify_exactness(L), what)
@@ -510,31 +478,9 @@ def verify_exactness(L):
     e_i = |G_i - T_i| against the trapezoid value.  The curve passes when
     sum r_i <= sum e_i plus a rounding floor.  A shifted S node fails, and
     so does a loop integral of p dq above sum e_i; a smaller one cannot be
-    resolved.  Dim-2 grids keep their own trapezoid check.
+    resolved.
     """
-    if L.dim == 2:
-        return _verify_exactness_grid(L)
     return _exactness(L.S, *_segments(L.t, L.q, L.p, L.winding), L.arc_length())
-
-
-def _verify_exactness_grid(L):
-    n1, n2 = L.grid_shape
-    P = L.p.reshape(n1, n2, 2)
-    S = L.S.reshape(n1, n2)
-    h1, h2 = 1.0 / n1, 1.0 / n2
-    # dS vs p dq along both grid directions, periodic closure included
-    d1 = np.roll(S, -1, axis=0) - S
-    d2 = np.roll(S, -1, axis=1) - S
-    m1 = 0.5 * (P[..., 0] + np.roll(P[..., 0], -1, axis=0)) * h1
-    m2 = 0.5 * (P[..., 1] + np.roll(P[..., 1], -1, axis=1)) * h2
-    resid = max(float(np.max(np.abs(d1 - m1))), float(np.max(np.abs(d2 - m2))))
-    loop = max(float(np.max(np.abs(np.sum(P[..., 0], axis=0) * h1))),
-               float(np.max(np.abs(np.sum(P[..., 1], axis=1) * h2))))
-    length = float(n1 * h1 + n2 * h2)
-    budget = EXACTNESS_TOL * max(length, 1.0)
-    return ExactnessReport(max_interval_residual=resid, loop_residual=loop,
-                           arc_length=length, residual=resid, budget=budget,
-                           ok=resid <= budget and loop <= 1e-8)
 
 
 def _theta_integral(L, a, b):
@@ -569,36 +515,12 @@ def _theta_integral(L, a, b):
 def line_integral_check(L, curve):
     """|int_{iota(c)} p dq - (S(c_1) - S(c_0))| for a parameter-space path.
 
-    ``curve`` is an array of parameter waypoints (dim 1, piecewise linear
-    path, possibly non-monotone) or base points (dim 2, graphs).
+    ``curve`` is an array of parameter waypoints (a piecewise linear path,
+    possibly non-monotone).
     """
-    if L.dim == 2:
-        return _line_integral_check_grid(L, curve)
     c = np.asarray(curve, dtype=float)
     theta = sum(_theta_integral(L, c[i], c[i + 1]) for i in range(c.size - 1))
     dS = float(L.primitive_at(c[-1]) - L.primitive_at(c[0]))
-    return abs(theta - dS)
-
-
-def _line_integral_check_grid(L, curve):
-    c = np.asarray(curve, dtype=float)
-    v = L.meta["v_samples"]
-    n1, n2 = v.shape
-    # spectral evaluation of v and its gradient along the path
-    k1 = np.fft.fftfreq(n1, d=1.0 / n1)
-    k2 = np.fft.fftfreq(n2, d=1.0 / n2)
-    vh = np.fft.fft2(v) / (n1 * n2)
-    s = np.linspace(0.0, 1.0, 128 * (c.shape[0] - 1) + 1)
-    path = np.stack([np.interp(s, np.linspace(0, 1, c.shape[0]), c[:, j])
-                     for j in range(2)], axis=-1)
-    ph = np.exp(2j * np.pi * (np.multiply.outer(path[:, 0], k1)[:, :, None]
-                              + np.multiply.outer(path[:, 1], k2)[:, None, :]))
-    vv = np.real(np.tensordot(ph, vh, axes=([1, 2], [0, 1])))
-    g1 = np.real(np.tensordot(ph, vh * (2j * np.pi * k1)[:, None], axes=([1, 2], [0, 1])))
-    g2 = np.real(np.tensordot(ph, vh * (2j * np.pi * k2)[None, :], axes=([1, 2], [0, 1])))
-    dq = np.diff(path, axis=0)
-    theta = float(np.sum(0.5 * ((g1[1:] + g1[:-1]) * dq[:, 0] + (g2[1:] + g2[:-1]) * dq[:, 1])))
-    dS = float(vv[-1] - vv[0])
     return abs(theta - dS)
 
 
@@ -624,10 +546,10 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
     Certification fails if the per-level Lipschitz constants grow by more
     than a factor 2 over the target's.  The limit is the target resampled,
     its primitive integrated along the resampled curve, so it passes the
-    measure too.  T^1 only: a dim-2 target raises NotImplementedError.
+    measure too.  T^1 only: a target of 2-d sample arrays raises
+    NotImplementedError.
     """
-    dim = target.dim if isinstance(target, ExactLagrangian) else np.ndim(target[1])
-    if dim != 1:
+    if not isinstance(target, ExactLagrangian) and np.ndim(target[1]) != 1:
         raise NotImplementedError("mollify_sequence works over T^1 only, not dim 2")
     t, q, p, S, winding = _as_curve_arrays(target)
     ds = _phase_gaps(q, p, winding)
@@ -667,7 +589,7 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
                 f"equi-Lipschitz certification failed: level constant {lipk:.3g} "
                 f"exceeds twice the target's {lip0:.3g}")
         entry = ExactLagrangian(
-            dim=1, kind="parametric", t=tu, q=qk, p=pk, S=Sk, s_offset=0.0,
+            kind="parametric", t=tu, q=qk, p=pk, S=Sk, s_offset=0.0,
             winding=winding, lipschitz_bound=lipk,
             pmax=float(np.max(np.abs(pk))), meta={"width": float(w)})
         entries.append(entry)
@@ -687,49 +609,40 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
 
 
 # ---------------------------------------------------------------------------
-# file format: header `dim n kind K`, rows `t q1 [q2] p1 [p2] S`
+# file format: header `dim 1 kind K`, rows `t q p S`
 
 
 def save_lagrangian(L, path):
     with open(path, "w") as fh:
-        fh.write(f"dim {L.dim} kind {L.kind}\n")
-        if L.dim == 1:
-            for row in zip(L.t, wrap(L.q), L.p, L.S):
-                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-        else:
-            for row in zip(L.t, L.q[:, 0], L.q[:, 1], L.p[:, 0], L.p[:, 1], L.S):
-                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write(f"dim 1 kind {L.kind}\n")
+        for row in zip(L.t, wrap(L.q), L.p, L.S):
+            fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
 
 
 def load_lagrangian(path):
     """Read a file written by ``save_lagrangian``.
 
-    Refuses what lies outside the setting: a dim-1 curve whose winding is
-    not +-1 (``_closed_curve``) or, with ExactnessError, that fails the
-    exactness measure (``verify_exactness``), and a dim-2 file whose row
-    count is not a square grid.  The dim-2 Lipschitz bound is read off the
-    samples as ``from_graph`` computes it.
+    Refuses, naming the file, what lies outside the setting: a header whose
+    dim is not 1 (a dim-2 file is refused by name), an unknown kind, rows
+    that are not the four columns `t q p S`, a curve whose winding is not
+    +-1 (``_closed_curve``) and, with ExactnessError, a curve that fails the
+    exactness measure (``verify_exactness``).  A ``flowed`` curve comes
+    back as ``parametric``: the file holds its samples, not its flow.
     """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "dim" or header[2] != "kind":
-            raise ValueError("malformed Lagrangian file header")
-        dim = int(header[1])
+            raise ValueError(f"{path}: malformed Lagrangian file header")
+        if header[1] != "1":
+            raise ValueError(f"{path} holds a dim {header[1]} Lagrangian; only "
+                             "curves in T*T^1 (dim 1) are read")
         kind = header[3]
+        if kind not in ("graph", "parametric", "flowed"):
+            raise ValueError(f"{path}: unknown kind {kind!r}; expected graph, "
+                             "parametric or flowed")
         data = np.loadtxt(fh, ndmin=2)
-    if dim == 1:
-        t, q, p, S = data.T
-        return _closed_curve(kind, t, q, p, S, what=f"curve in {path}")
-    t = data[:, 0]
-    Q = data[:, 1:3]
-    P = data[:, 3:5]
-    S = data[:, 5]
-    side = int(round(np.sqrt(t.size)))
-    if side * side != t.size:
-        raise ValueError(f"{t.size} rows do not form a square grid")
-    grid_p = P.reshape(side, side, 2)
-    return ExactLagrangian(
-        dim=2, kind=kind, t=t, q=Q, p=P, S=S, s_offset=0.0, winding=0,
-        lipschitz_bound=_lipschitz_of_grid(grid_p[..., 0], grid_p[..., 1]),
-        pmax=float(np.max(np.hypot(P[:, 0], P[:, 1]))),
-        grid_shape=(side, side), meta={})
+    if data.shape[1] != 4:
+        raise ValueError(f"{path} has {data.shape[1]} columns; expected 4: t q p S")
+    t, q, p, S = data.T
+    return _closed_curve("parametric" if kind == "flowed" else kind, t, q, p, S,
+                         what=f"curve in {path}")

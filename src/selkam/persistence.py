@@ -33,22 +33,15 @@ class PersistenceDiagram:
         return min(self.essential_births)
 
 
-def _neighbors(shape, periodic):
-    """Edges of the axis-adjacency graph as flat index pairs."""
+def _neighbors(shape):
+    """Edges of the periodic axis-adjacency graph as flat index pairs."""
     idx = np.arange(int(np.prod(shape))).reshape(shape)
     edges = []
     for ax in range(len(shape)):
         rolled = np.roll(idx, -1, axis=ax)
         a = idx.reshape(-1)
         b = rolled.reshape(-1)
-        if not periodic:
-            keep = np.ones(shape, dtype=bool)
-            sl = [slice(None)] * len(shape)
-            sl[ax] = shape[ax] - 1
-            keep[tuple(sl)] = False
-            a = a[keep.reshape(-1)]
-            b = b[keep.reshape(-1)]
-        if shape[ax] == 2 and periodic:
+        if shape[ax] == 2:
             # avoid the doubled edge on a 2-cycle
             keep = np.ones(shape, dtype=bool)
             sl = [slice(None)] * len(shape)
@@ -60,10 +53,10 @@ def _neighbors(shape, periodic):
     return np.concatenate(edges, axis=0)
 
 
-def sublevel_persistence(values, periodic=True):
+def sublevel_persistence(values):
     """H0 persistence pairs of the sublevel filtration of a lattice function.
 
-    ``values`` is an nd array; cells enter at their value, edges when both
+    ``values`` is an nd array on a periodic lattice; cells enter at their value, edges when both
     endpoints are present.  Ties are broken by flat index, and merges keep
     the older component (smaller (birth value, birth index)).
     """
@@ -71,7 +64,7 @@ def sublevel_persistence(values, periodic=True):
     shape = values.shape
     flat = values.reshape(-1)
     n = flat.size
-    edges = _neighbors(shape, periodic)
+    edges = _neighbors(shape)
     # edge activation value and deterministic processing order
     ev = np.maximum(flat[edges[:, 0]], flat[edges[:, 1]])
     et = np.maximum(edges[:, 0], edges[:, 1])
@@ -108,14 +101,14 @@ def sublevel_persistence(values, periodic=True):
                               argmin_index=arg)
 
 
-def _label_periodic(mask, periodic):
-    """Component labels of a mask, with wrap-around merging when periodic."""
+def _label_periodic(mask):
+    """Component labels of a mask on a periodic lattice, wrap-around merged."""
     # imported here: scipy.ndimage costs a cold start no command needs
     from scipy import ndimage
 
     shape = mask.shape
     lab, num = ndimage.label(mask)
-    if num == 0 or not periodic:
+    if num == 0:
         return lab.reshape(-1)
     lut = np.arange(num + 1)
 
@@ -138,11 +131,11 @@ def _label_periodic(mask, periodic):
     return lut[lab.reshape(-1)]
 
 
-def connectivity_oracle(values, periodic=True):
+def connectivity_oracle(values):
     """Brute-force H0 diagram: relabel the sublevel set at every threshold.
 
     Independent of the union-find path: uses scipy.ndimage component
-    labeling (with explicit wrap-merging for periodic lattices) at each
+    labeling (with explicit wrap-merging) at each
     distinct value of the filtration and diffs consecutive labelings.
     """
     values = np.asarray(values, dtype=float)
@@ -155,7 +148,7 @@ def connectivity_oracle(values, periodic=True):
     pairs = []
     prev_reps = np.empty(0, dtype=int)   # birth cells of live components
     for lam in thresholds:
-        labels = _label_periodic(values <= lam, periodic)
+        labels = _label_periodic(values <= lam)
         in_order = order[flat[order] <= lam]
         _, first = np.unique(labels[in_order], return_index=True)
         cur_reps = in_order[np.sort(first)]

@@ -438,19 +438,20 @@ def _lipschitz_all_pairs(q_grid, values):
 
 
 def graph_selector(L, grid_size=512, snap_tol=SNAP_TOL):
-    """Selector of a 1-d exact Lagrangian: the lower envelope of its front.
+    """Selector of an exact Lagrangian curve: the lower envelope of its front.
 
     The value at each grid point is the lowest member of the fiber spectrum,
-    in the anchored primitive frame; for a Tonelli H this is the minimax
-    selector (``kernel_minimax`` computes the minimax itself), so a flowed L
-    whose H fails the Tonelli check (``HamiltonianSpec.tonelli``) is
-    refused.  A point where the second-lowest member lies within
-    ``snap_tol`` is flagged.  An envelope that jumps raises.  The certified
-    Lipschitz constant is the max over all grid pairs in the flat-torus
-    metric.
+    in the anchored primitive frame.  For a flowed L of a Tonelli H this is
+    the minimax selector (``kernel_minimax`` computes the minimax itself),
+    so a flowed L whose H fails the Tonelli check
+    (``HamiltonianSpec.tonelli``) is refused.  For a graph or parametric
+    curve a continuous envelope is *a* graph selector, but not necessarily
+    Oh's spectral one; an envelope that jumps raises "no continuous
+    section", although the paper proves that a selector exists.  A point
+    where the second-lowest member lies within ``snap_tol`` is flagged.
+    The certified Lipschitz constant is the max over all grid pairs in the
+    flat-torus metric.
     """
-    if L.dim != 1:
-        raise NotImplementedError("the graph selector is one-dimensional")
     if "H" in L.meta:
         ton = L.meta["H"].tonelli
         if not ton.ok:
@@ -537,7 +538,7 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
     df = (np.roll(vals, -1) - np.roll(vals, 1)) / (2 * h)
 
     centres = []
-    if L.dim == 1 and L.kind != "graph":
+    if L.kind != "graph":
         centres.append(np.round(caustics(L).q * n).astype(int))
     switches = np.nonzero(np.roll(f.provenance, -1) != f.provenance)[0]
     centres += [switches, switches + 1]
@@ -640,7 +641,7 @@ def generalized_selector(seq, grid_size=512):
 
     f = sels[-1]
     limit = ExactLagrangian(
-        dim=1, kind="parametric", t=seq.limit["t"], q=seq.limit["q"],
+        kind="parametric", t=seq.limit["t"], q=seq.limit["q"],
         p=seq.limit["p"], S=seq.limit["S"], s_offset=0.0,
         winding=int(seq.limit["winding"]),
         lipschitz_bound=seq.equilip_const,

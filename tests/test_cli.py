@@ -352,6 +352,30 @@ def test_lagrangian_file_with_a_shifted_primitive_is_a_config_error(tmp_path):
     assert main(["selector", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", ["selector", "front"])
+def test_a_dim_2_lagrangian_file_is_a_config_error(tmp_path, capsys, command):
+    curve = tmp_path / "grid.dat"
+    np.savetxt(curve, np.zeros((16, 6)), header="dim 2 kind graph", comments="")
+    p = tmp_path / "grid.cfg"
+    p.write_text(FAST_CFG.replace("kind = flowed", f"kind = parametric\nfile = {curve}"))
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "lagrangian.file" in err and "dim 2" in err
+
+
+def test_verify_selector_reads_a_saved_flowed_curve_as_parametric(tmp_path):
+    # the file carries no flow: the suite flows the config's v itself
+    curve = tmp_path / "flowed.dat"
+    lagrangian.save_lagrangian(lagrangian.from_flow(
+        0.02 * np.sin(2 * np.pi * np.arange(256) / 256), hamcore.parse_hamiltonian("p^2/2", 1),
+        0.2, steps=200, initial_samples=1024), curve)
+    p = tmp_path / "flowed.cfg"
+    p.write_text(FAST_CFG.replace("kind = flowed", f"kind = parametric\nfile = {curve}"))
+    summary, status = run("verify", load_config(p, out_dir=tmp_path / "o"), suite="selector")
+    assert status == 0 and summary["results"]["checks"]["selector.minimax_agrees"]
+    assert (tmp_path / "o" / "summary.json").exists()
+
+
 def test_summary_has_versions_and_hash(fast_cfg, tmp_path):
     cfg = load_config(fast_cfg, out_dir=tmp_path / "out")
     run("weakkam", cfg)

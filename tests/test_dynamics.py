@@ -166,28 +166,27 @@ def test_theorem_1_5_non_invariant_cases(free, pendulum, whorl):
     assert rep2.invariance_defect > 1e-2
 
 
-# Each public function of the T^1-only layer on a dim-2 input: L and H of
-# dim 2, a dim-2 point array or potential, or a dim-1 L with a dim-2 H.
+# Each public function of the T^1-only layer on a dim-2 input: a dim-2 H
+# with a (k, 4) point array or a (dim-1) curve L, a (k, 4) point array
+# alone, or 2-d sample arrays.  There is no dim-2 L to give them.
 DIM_2_CALLS = {
-    "maximal_invariant_set": lambda L, H, v: maximal_invariant_set(L, H, 0.0),
-    "maximal_invariant_set-H": lambda L, H, v:
-        maximal_invariant_set(from_graph(np.zeros(64)), H, 0.0),
-    "energy_level_check": lambda L, H, v: energy_level_check(L, H),
-    "graph_test": lambda L, H, v: graph_test(L.phase_points()),
-    "equivariance_check": lambda L, H, v: equivariance_check(v, v, "0", H, a=0.0),
-    "hausdorff": lambda L, H, v: hausdorff(L.phase_points(), L.phase_points()),
-    "subsolution_check": lambda L, H, v: subsolution_check(v, H, 0.0),
-    "critical_value_infmax": lambda L, H, v: critical_value_infmax(H),
-    "mollify_sequence": lambda L, H, v: mollify_sequence(L),
-    "verify_theorem_1_5": lambda L, H, v: verify_theorem_1_5(L, H),
-    "verify_theorem_6_3": lambda L, H, v: verify_theorem_6_3(L, H, 0.0, None),
+    "maximal_invariant_set": lambda L, H, pts, v: maximal_invariant_set(pts, H, 0.0),
+    "maximal_invariant_set-H": lambda L, H, pts, v: maximal_invariant_set(L, H, 0.0),
+    "energy_level_check": lambda L, H, pts, v: energy_level_check(L, H),
+    "graph_test": lambda L, H, pts, v: graph_test(pts),
+    "equivariance_check": lambda L, H, pts, v: equivariance_check(v, v, "0", H, a=0.0),
+    "hausdorff": lambda L, H, pts, v: hausdorff(pts, pts),
+    "subsolution_check": lambda L, H, pts, v: subsolution_check(v, H, 0.0),
+    "critical_value_infmax": lambda L, H, pts, v: critical_value_infmax(H),
+    "mollify_sequence": lambda L, H, pts, v: mollify_sequence((v, v, v, v)),
+    "verify_theorem_1_5": lambda L, H, pts, v: verify_theorem_1_5(L, H),
+    "verify_theorem_6_3": lambda L, H, pts, v: verify_theorem_6_3(L, H, 0.0, None),
 }
 
 
 @pytest.mark.parametrize("call", DIM_2_CALLS.values(), ids=DIM_2_CALLS.keys())
 def test_refuses_dim_2_by_name(call, monkeypatch):
-    v = np.zeros((64, 64))
-    L = from_graph(v, dim=2)
+    L = from_graph(np.zeros(64))
     H = hamcore.parse_hamiltonian("(p1^2 + p2^2)/2", 2)
 
     def no_work(*args, **kwargs):
@@ -195,7 +194,7 @@ def test_refuses_dim_2_by_name(call, monkeypatch):
 
     monkeypatch.setattr(hamcore, "integrate", no_work)
     with pytest.raises(NotImplementedError, match="dim 2"):
-        call(L, H, v)
+        call(L, H, np.zeros((8, 4)), np.zeros((64, 64)))
 
 
 def test_equivariance_smoke(pendulum):

@@ -324,7 +324,7 @@ def test_mollify_limit_passes_the_measure():
                            resample=8192)
     lim = seq.limit
     limit = lagrangian.ExactLagrangian(
-        dim=1, kind="parametric", t=lim["t"], q=lim["q"], p=lim["p"], S=lim["S"],
+        kind="parametric", t=lim["t"], q=lim["q"], p=lim["p"], S=lim["S"],
         s_offset=0.0, winding=lim["winding"], lipschitz_bound=seq.equilip_const,
         pmax=float(np.max(np.abs(lim["p"]))))
     assert verify_exactness(limit).ok
@@ -375,7 +375,7 @@ def test_save_load_roundtrip(tmp_path, whorl_mid):
     path = tmp_path / "L.dat"
     save_lagrangian(whorl_mid, path)
     L2 = load_lagrangian(path)
-    assert L2.winding == 1 and L2.dim == 1
+    assert L2.winding == 1
     assert np.max(np.abs(L2.q - whorl_mid.q)) <= 1e-12
     assert np.max(np.abs(L2.S - whorl_mid.S)) <= 1e-12
 
@@ -405,32 +405,37 @@ def test_load_refuses_a_shifted_primitive_node(tmp_path):
         load_lagrangian(path)
 
 
-def test_load_rejects_non_square_dim2_file(tmp_path):
-    path = tmp_path / "rows.dat"
+def test_load_refuses_a_dim_2_file(tmp_path):
+    # exact Lagrangians are curves in T*T^1: a file over T^2 is refused by name
+    path = tmp_path / "grid.dat"
     np.savetxt(path, np.zeros((10, 6)), header="dim 2 kind graph", comments="")
-    with pytest.raises(ValueError, match="10 rows"):
+    with pytest.raises(ValueError, match=r"grid\.dat holds a dim 2"):
         load_lagrangian(path)
 
 
-def test_dim2_graph_exactness():
-    g = np.arange(128) / 128
-    v = 0.02 * np.outer(np.sin(2 * np.pi * g), np.cos(2 * np.pi * g))
-    L = from_graph(v, dim=2)
-    rep = verify_exactness(L)
-    assert rep.ok
-    r = line_integral_check(L, np.array([[0.1, 0.2], [0.4, 0.7], [0.8, 0.3]]))
-    assert r <= 1e-5
+def test_load_returns_a_flowed_curve_as_parametric(tmp_path, whorl_mid):
+    # the file holds the samples, not the flow: kernel_minimax must not take
+    # the loaded curve for a flow presentation
+    path = tmp_path / "flowed.dat"
+    save_lagrangian(whorl_mid, path)
+    assert path.read_text().startswith("dim 1 kind flowed\n")
+    L = load_lagrangian(path)
+    assert L.kind == "parametric" and "H" not in L.meta
 
 
-def test_load_dim2_lipschitz_bound_from_samples(tmp_path):
-    # the bound read back equals the one from_graph computed, not a constant
-    g = np.arange(64) / 64
-    v = 0.2 * np.outer(np.sin(2 * np.pi * g), np.cos(4 * np.pi * g))
-    L = from_graph(v, dim=2)
-    assert L.lipschitz_bound > 1.0
-    path = tmp_path / "graph2.dat"
-    save_lagrangian(L, path)
-    assert load_lagrangian(path).lipschitz_bound == L.lipschitz_bound
+def test_load_refuses_an_unknown_kind(tmp_path):
+    path = tmp_path / "odd.dat"
+    save_lagrangian(from_graph(np.zeros(64)), path)
+    path.write_text(path.read_text().replace("kind graph", "kind spiral", 1))
+    with pytest.raises(ValueError, match="unknown kind 'spiral'"):
+        load_lagrangian(path)
+
+
+def test_load_names_the_column_count(tmp_path):
+    path = tmp_path / "wide.dat"
+    np.savetxt(path, np.zeros((64, 6)), header="dim 1 kind graph", comments="")
+    with pytest.raises(ValueError, match="6 columns; expected 4: t q p S"):
+        load_lagrangian(path)
 
 
 # The exactness measure (verify_exactness) as properties: the curves of

@@ -6,7 +6,7 @@ from selkam.persistence import connectivity_oracle, sublevel_persistence
 def test_single_minimum_quadratic():
     x = np.linspace(-1, 1, 65)
     G = x * x + 0.3
-    diag = sublevel_persistence(G, periodic=False)
+    diag = sublevel_persistence(G)
     assert diag.selected == G.min() == 0.3
     assert not diag.pairs
 
@@ -33,14 +33,6 @@ def test_union_find_matches_oracle_random():
         assert a.selected == b.selected
         assert a.pairs == b.pairs
         assert a.essential_births == b.essential_births
-
-
-def test_oracle_nonperiodic_agreement():
-    rng = np.random.default_rng(7)
-    vals = rng.normal(size=(9, 9))
-    a = sublevel_persistence(vals, periodic=False)
-    b = connectivity_oracle(vals, periodic=False)
-    assert a.selected == b.selected and a.pairs == b.pairs
 
 
 def test_argmin_index_consistent():

@@ -7,13 +7,15 @@ import pytest
 from selkam import selector
 from selkam.front import FiberData, fiber_sweep
 from selkam.hamcore import parse_hamiltonian
-from selkam.lagrangian import SpectralFun, from_flow, from_graph, mollify_sequence
+from selkam.lagrangian import (SpectralFun, from_flow, from_graph, from_parametric,
+                               mollify_sequence)
 from selkam.persistence import connectivity_oracle, sublevel_persistence
 from selkam.selector import (ActionKernel, DiscreteAction, _argmin_on_edge,
                              build_discrete_action, convexify_fiber,
                              generalized_selector, graph_selector,
                              kernel_minimax, spectral_value, verify_selector,
                              dump_selector)
+from selkam.torus import wrap
 
 GRID = np.arange(256) / 256
 
@@ -135,7 +137,7 @@ def test_snap_values_ambiguous_point_takes_lowest_sheet(monkeypatch):
                         cerf_regular=True, multiplicity_stable=True)
               for j, (t, h) in enumerate(zip(params, spectra))]
     monkeypatch.setattr(selector, "fiber_sweep", lambda L, q: fibers)
-    curve = SimpleNamespace(dim=1, meta={}, pmax=1.0, s_offset=0.0)
+    curve = SimpleNamespace(meta={}, pmax=1.0, s_offset=0.0)
     sf = graph_selector(curve, 2, snap_tol=1e-4)
     assert sf.values.tolist() == [-1.91104037, 0.1]
     assert sf.flags.tolist() == [True, False]
@@ -148,6 +150,17 @@ def test_graph_selector_refuses_non_tonelli():
     L = from_flow(0.1 * np.sin(2 * np.pi * GRID), H, 0.0, steps=1)
     with pytest.raises(ValueError, match="Tonelli"):
         graph_selector(L, 256)
+
+
+def test_graph_selector_names_a_jumping_envelope_off_tonelli_images():
+    # the free flow's image with p reversed is the image of the graph of -dv
+    # under the concave H = -p^2/2: exact, but no Tonelli image.  Its lower
+    # envelope jumps, although the paper proves that a selector exists
+    free = parse_hamiltonian("p^2/2", 1)
+    L = from_flow(0.1 * np.sin(2 * np.pi * GRID), free, 1.0, steps=200)
+    R = from_parametric(L.t, wrap(L.q), -L.p)
+    with pytest.raises(RuntimeError, match="no continuous section"):
+        graph_selector(R, 256)
 
 
 def test_spectral_refinement_validation(pendulum, rand_v):

@@ -12,8 +12,9 @@ ignored.  No function keeps state in a module-level name, so one call
 cannot change what the next one computes.  Every public function is
 called from somewhere other than its own body: the package, the benchmark
 or an acceptance criterion; the few kept without a caller are listed with
-their reasons, so the surface does not grow back.  No module reads another
-module's private names: what another module needs is public.
+their reasons, so the surface does not grow back, and each listed one must
+still exist and still lack a caller.  No module reads another module's
+private names: what another module needs is public.
 
 One check imports the package: the benchmark's traced run
 (`perfbench/tracing.py`, read here with `ast`) wraps named `selkam`
@@ -287,13 +288,28 @@ def _references(tree):
     return out
 
 
-def test_every_public_function_has_a_caller():
+def _caller_reads():
+    """Names read by the package, the benchmark and the acceptance criteria."""
     callers = MODULES + sorted((ROOT / "perfbench").glob("*.py")) \
         + [ROOT / "tests" / "test_acceptance.py"]
-    read = {name for path in callers for name, owner in _references(_tree(path))
+    return {name for path in callers for name, owner in _references(_tree(path))
             if name != owner}
-    public = {node.name for path in MODULES for node in _tree(path).body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-              and not node.name.startswith("_")}
-    uncalled = sorted(public - read - set(UNCALLED_BY_DESIGN))
+
+
+def _public_functions():
+    return {node.name for path in MODULES for node in _tree(path).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
+def test_every_public_function_has_a_caller():
+    uncalled = sorted(_public_functions() - _caller_reads() - set(UNCALLED_BY_DESIGN))
     assert not uncalled, f"public functions nothing calls: {uncalled}"
+
+
+def test_uncalled_by_design_is_current():
+    # an exemption outlives neither its function nor its lack of a caller
+    public, read = _public_functions(), _caller_reads()
+    stale = {name: "no longer a public function" if name not in public else "now called"
+             for name in UNCALLED_BY_DESIGN if name not in public or name in read}
+    assert not stale, f"stale UNCALLED_BY_DESIGN entries: {stale}"
