@@ -623,11 +623,11 @@ def load_lagrangian(path):
     """Read a file written by ``save_lagrangian``.
 
     Refuses, naming the file, what lies outside the setting: a header whose
-    dim is not 1 (a dim-2 file is refused by name), an unknown kind, rows
-    that are not the four columns `t q p S`, a curve whose winding is not
-    +-1 (``_closed_curve``) and, with ExactnessError, a curve that fails the
-    exactness measure (``verify_exactness``).  A ``flowed`` curve comes
-    back as ``parametric``: the file holds its samples, not its flow.
+    dim is not 1 (a dim-2 file is refused by name), an unknown kind, no rows
+    or rows that are not the four columns `t q p S`, a curve whose winding
+    is not +-1 (``_closed_curve``) and, with ExactnessError, a curve that
+    fails the exactness measure (``verify_exactness``).  A ``flowed`` curve
+    comes back as ``parametric``: the file holds its samples, not its flow.
     """
     with open(path) as fh:
         header = fh.readline().split()
@@ -640,7 +640,10 @@ def load_lagrangian(path):
         if kind not in ("graph", "parametric", "flowed"):
             raise ValueError(f"{path}: unknown kind {kind!r}; expected graph, "
                              "parametric or flowed")
-        data = np.loadtxt(fh, ndmin=2)
+        rows = [line for line in fh if line.split("#")[0].strip()]
+    if not rows:
+        raise ValueError(f"{path} has no rows after its header; expected rows t q p S")
+    data = np.loadtxt(rows, ndmin=2)
     if data.shape[1] != 4:
         raise ValueError(f"{path} has {data.shape[1]} columns; expected 4: t q p S")
     t, q, p, S = data.T

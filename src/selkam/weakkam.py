@@ -73,20 +73,23 @@ def _velocity_bound(H):
 def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     """One Lax-Oleinik step on a periodic grid function.
 
-    Mechanical H (dim 1 or 2): the quadratic cost separates into per-axis
-    passes, then the potential term.  Other H, dim 1 only: one pass over
-    the cost table dt * l.  ``table`` is the step's table of (H, u.shape,
-    dt, v_max) from ``_grid_table``, which a caller stepping many times
-    builds once.
+    Mechanical H (dim 1 or 2): per-axis quadratic passes (``_argmin_quadratic``),
+    then the potential term.  Other H, dim 1 only: the full shift stack plus
+    dt * l, which is Monge only where l_vv / dt + l_vq >= 0 (p^2/2 + 2 sin(2 pi
+    q) p + 0.5 cos(2 pi q), grid 1024, dt 0.1: mixed differences up to +2.4e-6).
+    ``table`` is ``_grid_table(H, u.shape, dt, v_max)``; a caller stepping often builds it once.
     """
     u = np.asarray(u, dtype=float)
+    if direction not in ("descending", "ascending"):
+        raise ValueError(f"direction must be 'descending' or 'ascending', not {direction!r}")
+    sign = 1.0 if direction == "descending" else -1.0
     if not 0 < dt <= 0.5:
         raise ValueError("dt must lie in (0, 0.5]")
     v_max = v_max or _velocity_bound(H)
     if table is None:
         table = _grid_table(H, u.shape, dt, v_max)
     if H.is_mechanical:
-        return _lo_step_mechanical(u, dt, direction, v_max, table)
+        return _lo_step_mechanical(u, dt, sign, v_max, table)
     shifts = _shifts(u.size, v_max, dt)
     if direction == "descending":
         # u(q - k h) + dt*l(k h / dt, q)
@@ -135,17 +138,49 @@ def _shifted(u, shifts, axis):
     return windows[n - np.asarray(shifts)]
 
 
-def _lo_step_mechanical(u, dt, direction, v_max, table):
-    """Quadratic kinetic cost: one min-plus pass per axis, then the potential table dt * V."""
-    out = u.copy()
-    sign = 1.0 if direction == "descending" else -1.0
+def _lo_step_mechanical(u, dt, sign, v_max, table):
+    """Per axis, the stack's u + sign * c at the leftmost argmin of sign * u + c; then dt * V."""
     for axis, n in enumerate(u.shape):
         shifts = _shifts(n, v_max, dt)
         quad = (shifts * (1.0 / n)) ** 2 / (2 * dt)
-        stack = _shifted(out, shifts, axis)
-        stack += (sign * quad).reshape((-1,) + (1,) * u.ndim)
-        out = np.min(stack, axis=0) if direction == "descending" else np.max(stack, axis=0)
-    return out - sign * table
+        lines = np.moveaxis(u, axis, -1)
+        j = _argmin_quadratic((sign * lines).reshape(-1, n), quad).reshape(lines.shape)
+        lines = np.take_along_axis(lines, j % n, -1) + (sign * quad)[np.arange(n) - j + shifts[-1]]
+        u = np.moveaxis(lines, -1, axis)
+    return u - sign * table
+
+
+def _argmin_quadratic(w, quad):
+    """Leftmost argmin J(q) over j in [q - K, q + K] of w[:, j % n] + quad[q - j + K].
+
+    O(n log n) candidates, not the stack's (2K + 1) n.  The cost is Monge
+    (mixed difference -h^2/dt), so J is nondecreasing, band edges included,
+    and J(n) = J(0) + n.  The rows at multiples of a stride 4^L <= 2K + 1 are
+    searched in full; then, stride by stride down to 1, each row m between
+    known rows a < m < b searches [max(J(a), m - K), min(J(b), m + K)].  Exact
+    while 4 ulps of max(|w| + quad) stay below h^2/dt (9.5e-6 at n = 1024, dt = 0.1).
+    """
+    (B, n), K = w.shape, quad.size // 2
+    # full search at stride 4^top: the largest power of 4 <= 2K + 1, capped at the first >= n
+    top = min(((n - 1).bit_length() + 1) // 2, ((2 * K + 1).bit_length() - 1) // 2)
+    pad = np.concatenate([w[:, n - K:], w, w[:, :K]], axis=1)   # pad[:, j + K] = w[:, j % n]
+    J = np.empty((B, n + 1), dtype=np.intp)
+    r = np.arange(0, n, 4 ** top)
+    J[:, r] = np.argmin(pad[:, r[:, None] + np.arange(2 * K + 1)] + quad[::-1], axis=2) + r - K
+    J[:, n] = J[:, 0] + n
+    pad, line = pad.ravel(), np.arange(B)[:, None] * (n + 2 * K) + K
+    for s in 4 ** np.arange(top, 0, -1):
+        m = np.arange(s // 4, n, s // 4)
+        m = m[m % s > 0]
+        a = m - m % s                               # known rows a < m < b = min(a + s, n)
+        lo = np.maximum(J[:, a], m - K)
+        lens = (np.minimum(J[:, np.minimum(a + s, n)], m + K) - lo + 1).ravel()
+        start = np.cumsum(lens) - lens
+        idx = np.arange(lens.sum()) + np.repeat((lo + line).ravel() - start, lens)  # j + line
+        vals = pad[idx] + quad[np.repeat((m + K + line).ravel(), lens) - idx]
+        hits = np.flatnonzero(vals == np.repeat(np.minimum.reduceat(vals, start), lens))
+        J[:, m] = idx[hits[np.searchsorted(hits, start)]].reshape(B, -1) - line
+    return J[:, :n]
 
 
 @dataclass

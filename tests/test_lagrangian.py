@@ -438,6 +438,15 @@ def test_load_names_the_column_count(tmp_path):
         load_lagrangian(path)
 
 
+@pytest.mark.filterwarnings("error")
+def test_load_names_a_file_without_rows(tmp_path):
+    # a valid header and nothing after it: no numpy warning, the file named
+    path = tmp_path / "empty.dat"
+    path.write_text("dim 1 kind graph\n\n")
+    with pytest.raises(ValueError, match=r"empty\.dat has no rows"):
+        load_lagrangian(path)
+
+
 # The exactness measure (verify_exactness) as properties: the curves of
 # every dim-1 constructor pass at every grid they accept, and a shifted S
 # node or a constant added to p, which adds a loop integral, fails once the

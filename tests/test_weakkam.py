@@ -81,6 +81,56 @@ def test_step_equals_the_rolled_reference(name, n, dt, direction, seed):
     assert got.tobytes() == _rolled_step(u, H, dt, direction, v_max).tobytes()
 
 
+def _stacked_step(u, H, dt, direction, v_max):
+    """The mechanical step as the minimum (maximum) of the shift stack.
+
+    The stack is taken in chunks of at most 256 shifts, so a 4096-point
+    line at K = 2048 does not hold 4097 rows at once.
+    """
+    sign = 1.0 if direction == "descending" else -1.0
+    pick = np.min if direction == "descending" else np.max
+    out = u.copy()
+    for axis, n in enumerate(u.shape):
+        shifts = weakkam._shifts(n, v_max, dt)
+        quad = (shifts * (1.0 / n)) ** 2 / (2 * dt)
+        out = pick([pick(_shifted(out, shifts[i:i + 256], axis)
+                         + (sign * quad[i:i + 256]).reshape((-1,) + (1,) * u.ndim), axis=0)
+                    for i in range(0, shifts.size, 256)], axis=0)
+    grids = np.meshgrid(*(np.arange(n) / n for n in u.shape), indexing="ij")
+    return out - sign * dt * H.potential(grids[0] if u.ndim == 1 else np.stack(grids, -1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([(1,), (2,), (3,), (7,), (100,), (1000,), (1024,), (4096,),
+                        (3, 4), (5, 8), (9, 2), (1, 6), (7, 1), (33, 64)]),
+       st.sampled_from([0.01, 0.1, 0.5]), st.sampled_from([2.5, 3.7, 40.0]),
+       st.sampled_from(["random", "constant", "blocks", "zero"]),
+       st.sampled_from([1e-3, 1.0, 1e3]),
+       st.sampled_from(["descending", "ascending"]), st.integers(0, 2 ** 32 - 1))
+def test_quadratic_pass_equals_the_stack(shape, dt, v_max, kind, scale, direction, seed):
+    # v_max 40 or dt 0.5 caps the window at K = n // 2; constant, zero and
+    # repeated-block u give exact ties between candidates
+    rng = np.random.default_rng(seed)
+    H = PENDULUM if len(shape) == 1 else MECH2
+    u = {"random": lambda: rng.uniform(-1.0, 1.0, size=shape),
+         "constant": lambda: np.full(shape, rng.uniform(-1.0, 1.0)),
+         "blocks": lambda: np.resize(np.repeat(rng.integers(-2, 3, size=8), 4),
+                                     shape[::-1]).T.astype(float),
+         "zero": lambda: np.zeros(shape)}[kind]() * scale
+    got = lax_oleinik_step(u, H, dt, direction=direction, v_max=v_max)
+    assert got.tobytes() == _stacked_step(u, H, dt, direction, v_max).tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lax_oleinik_step(np.zeros(64), PENDULUM, 0.1, direction="ascend"),
+    lambda: lax_oleinik_step(np.zeros(64), NONMECH, 0.1, direction="ascend"),
+    lambda: critical_value(PENDULUM, grid=64, direction="ascend")],
+    ids=["quadratic-step", "table-step", "critical-value"])
+def test_unknown_direction_is_refused_by_name(call):
+    with pytest.raises(ValueError, match="'ascend'"):
+        call()
+
+
 def test_step_rejects_bad_dt(free):
     with pytest.raises(ValueError):
         lax_oleinik_step(np.zeros(64), free, 0.7)
