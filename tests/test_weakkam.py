@@ -11,6 +11,8 @@ from selkam.weakkam import (_shifted, critical_value, critical_value_infmax,
 PENDULUM = parse_hamiltonian("p^2/2 + cos(2*pi*q)", 1)
 NONMECH = parse_hamiltonian("p^2/2 + 0.3*sin(2*pi*q)*p + 0.5*cos(2*pi*q)", 1)
 MECH2 = parse_hamiltonian("(p1^2 + p2^2)/2 + 0.3*cos(2*pi*q1) + 0.2*cos(2*pi*q2)", 2)
+SINE = parse_hamiltonian("p^2/2 - 0.3*sin(2*pi*q)", 1)
+SINE2 = parse_hamiltonian("(p1^2 + p2^2)/2 - 0.3*sin(2*pi*q1)*sin(2*pi*q2)", 2)
 
 
 def test_free_step_fixes_constants(free):
@@ -106,12 +108,15 @@ def _stacked_step(u, H, dt, direction, v_max):
        st.sampled_from([0.01, 0.1, 0.5]), st.sampled_from([2.5, 3.7, 40.0]),
        st.sampled_from(["random", "constant", "blocks", "zero"]),
        st.sampled_from([1e-3, 1.0, 1e3]),
-       st.sampled_from(["descending", "ascending"]), st.integers(0, 2 ** 32 - 1))
-def test_quadratic_pass_equals_the_stack(shape, dt, v_max, kind, scale, direction, seed):
+       st.sampled_from(["descending", "ascending"]), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_quadratic_pass_equals_the_stack(shape, dt, v_max, kind, scale, direction, sine, seed):
     # v_max 40 or dt 0.5 caps the window at K = n // 2; constant, zero and
-    # repeated-block u give exact ties between candidates
+    # repeated-block u give exact ties between candidates; a sine potential
+    # puts -0.0 in the potential table, where the sign of a zero pass value
+    # shows in the step
     rng = np.random.default_rng(seed)
-    H = PENDULUM if len(shape) == 1 else MECH2
+    H = [[PENDULUM, MECH2], [SINE, SINE2]][sine][len(shape) - 1]
     u = {"random": lambda: rng.uniform(-1.0, 1.0, size=shape),
          "constant": lambda: np.full(shape, rng.uniform(-1.0, 1.0)),
          "blocks": lambda: np.resize(np.repeat(rng.integers(-2, 3, size=8), 4),
