@@ -255,11 +255,11 @@ def _cmd_weakkam(cfg):
     n = sol.u.size
     h = 1.0 / n
     du = (np.roll(sol.u, -1) - np.roll(sol.u, 1)) / (2 * h)
+    Hdu = H.value(sol.grid, du)
     with open(cfg.out_dir / "solution.txt", "w") as fh:
         fh.write("# q u du H(q,du)\n")
         for j in range(n):
-            fh.write(f"{sol.grid[j]:.12g} {sol.u[j]:.17g} {du[j]:.12g} "
-                     f"{H.value(sol.grid[j], du[j]):.12g}\n")
+            fh.write(f"{sol.grid[j]:.12g} {sol.u[j]:.17g} {du[j]:.12g} {Hdu[j]:.12g}\n")
     results = {"alpha": sol.alpha, "residual": sol.residual,
                "iterations": sol.iterations,
                "aubry_count": int(len(sol.aubry_pts)),

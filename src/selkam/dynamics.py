@@ -8,11 +8,17 @@ infinite-time intersection, so estimates are outer approximations and the
 reports carry the horizon).  The layer works over T^1: every public
 function raises NotImplementedError on dim 2 before any work.
 
-The trimming stops early at its fixed state, when every live seed is
-frozen at an equilibrium in both time directions.  The stop is exact:
-`alive` and `frozen` only ever change one way and a frozen state is
-restored on every chunk, so no later chunk can move a live state, its
-tube or recurrence distance, or `alive` itself.
+Several sets on one level are trimmed in one batch
+(`maximal_invariant_sets`; `maximal_invariant_set` is its one-set case).
+Each chunk makes one `integrate` call on the rows still to step, forward
+rows with +TRIM_DT and backward rows with -TRIM_DT, and each set stops
+early at its own fixed state, when every live seed is frozen at an
+equilibrium in both time directions (a stopped set has no row left to
+step).  Stepping only the live, unfrozen rows gives the estimates of
+trimming each set alone over all its rows: `alive` and `frozen` only ever
+change one way and a frozen state never moves, so no later chunk can move
+a live state, its tube or recurrence distance, or `alive` itself; and a
+row's floats do not depend on its batchmates (see `hamcore.integrate`).
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +33,7 @@ from .weakkam import smooth_subsolution, subsolution_check
 __all__ = [
     "InvariantSetEstimate",
     "maximal_invariant_set",
+    "maximal_invariant_sets",
     "energy_level_check",
     "graph_test",
     "verify_theorem_6_3",
@@ -83,15 +90,22 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, recurrence_filter=F
     The loop leaves as soon as every live seed is frozen in both
     directions (no seed alive is the empty case); the survivors, the
     convergence flag and the reported horizon are those of the full run.
-    ``meta`` records ``steps_run``, the steps taken in each direction, and
-    ``stationary``, whether the loop ended at that fixed state.
+    ``meta`` records ``steps_run``, the steps taken in each direction,
+    ``stationary``, whether the loop ended at that fixed state, and
+    ``traj_steps``, the trajectory-steps integrated (rows times steps).
+    This is the one-set case of `maximal_invariant_sets`.
     """
+    return maximal_invariant_sets([L], H, a, horizon=horizon, e_tol=e_tol,
+                                  recurrence_filter=recurrence_filter)[0]
+
+
+def _trimming_seeds(L, H, a, e_tol):
+    """Seeds, e_tol, tube radius, seed tiles and projection level of one set."""
     points = _as_points(L, H, "maximal_invariant_set")
     vals = H.value(points[:, 0], points[:, 1])
     if e_tol is None:
         e_tol = max(E_TOL_FRACTION * float(vals.max() - vals.min()), 1e-9)
-    mask = np.abs(vals - a) <= e_tol
-    seeds = points[mask]
+    seeds = points[np.abs(vals - a) <= e_tol]
     if seeds.shape[0] == 0:
         raise ValueError(f"energy level {a} does not meet the sampled set "
                          f"(H range [{vals.min():.6g}, {vals.max():.6g}], e_tol {e_tol:.2e})")
@@ -103,8 +117,6 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, recurrence_filter=F
         local = 0.0
     fallback = 3.0 / max(points.shape[0], 64)
     tube_radius = max(3.0 * local, fallback, 1e-4)
-    tiles = phase_tiles(seeds)
-
     # the projection level: when the requested level is the potential
     # maximum up to numerical noise, use the refined maximum itself, so
     # that separatrix orbits asymptote to the equilibria instead of
@@ -114,73 +126,103 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, recurrence_filter=F
         vmax = float(np.max(H.potential(np.arange(8192) / 8192)))
         if abs(a - vmax) <= max(10.0 * e_tol, 1e-4):
             a_proj = vmax
+    return seeds, e_tol, tube_radius, phase_tiles(seeds), a_proj
 
-    dt = TRIM_DT
-    n_steps = int(np.ceil(horizon / dt))
+
+def maximal_invariant_sets(sets, H, a, horizon=50.0, e_tol=None, recurrence_filter=False):
+    """`maximal_invariant_set` of each of ``sets`` on {H = a}, trimmed in one batch.
+
+    Each set keeps its own seeds, e_tol (from its own H range when None),
+    tube, projection level, stop and ``meta``, and its estimate is the one
+    the one-set call gives: the rows of all sets and both time directions
+    step together, but a row's floats do not depend on its batchmates.  A
+    set whose level misses its samples raises the one-set ValueError before
+    any flow.
+    """
+    own_seeds, e_tols, tubes, tiles, levels = zip(
+        *(_trimming_seeds(L, H, a, e_tol) for L in sets))
+    n_sets = len(own_seeds)
+    seeds = np.vstack(own_seeds)
+    n = seeds.shape[0]
+    set_of = np.repeat(np.arange(n_sets), [x.shape[0] for x in own_seeds])
+    tube = np.array(tubes)
+    # rows 0..n-1 step forward in time, rows n..2n-1 backward, one per seed
+    seed_of = np.tile(np.arange(n), 2)
+    row_set = set_of[seed_of]
+    dt_row = np.repeat([TRIM_DT, -TRIM_DT], n)
+    a_row = np.array(levels)[row_set]
+    q0, p0 = seeds[seed_of, 0], seeds[seed_of, 1]
+    Q, P = q0.copy(), p0.copy()
+    n_steps = int(np.ceil(horizon / TRIM_DT))
     total = 2 * n_steps
-    q0, p0 = seeds[:, 0], seeds[:, 1]
-    state = {sgn: (q0.copy(), p0.copy()) for sgn in (+1.0, -1.0)}
-    frozen = {sgn: np.zeros(seeds.shape[0], dtype=bool) for sgn in (+1.0, -1.0)}
-    alive = np.ones(seeds.shape[0], dtype=bool)
+    frozen = np.zeros(2 * n, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    stopped = np.zeros(n_sets, dtype=bool)
+    steps_run = np.zeros(n_sets, dtype=int)
+    traj_steps = np.zeros(n_sets, dtype=int)
+    survivors_first = [None] * n_sets
     vanish_tol = 1e-5
-    survivors_first = None
-    stationary = False
     done = 0
-    while done < total:
+    while done < total and not stopped.all():
         chunk = min(CHECK_EVERY, total - done)
-        for sgn in (+1.0, -1.0):
-            Q, P = state[sgn]
-            Qn, Pn = hamcore.integrate(H, Q, P, sgn * dt, chunk)
-            # the intersection lives on {H = a}: remove the integrator's
-            # secular energy drift by re-projecting momenta onto the shell
-            # (asymptotic orbits would otherwise slide off within ~1/lambda)
-            Pn = _project_energy(H, Qn, Pn, a_proj)
-            # states with vanishing vector field sit at an equilibrium to
-            # numerical resolution: freeze them (finite steps would tunnel
-            # through the fixed point and amplify one-ulp noise)
-            frz = frozen[sgn]
-            if np.any(frz):
-                Qn = np.where(frz, Q, Qn)
-                Pn = np.where(frz, P, Pn)
-            speed = np.abs(H.grad_p(wrap(Qn), Pn)) + np.abs(H.grad_q(wrap(Qn), Pn))
-            frozen[sgn] = frz | (speed <= vanish_tol)
-            state[sgn] = (Qn, Pn)
-            # a dead seed stays dead and a state frozen before this chunk has
-            # not moved since its own tube test, so only the others are tested
-            moved = alive & ~frz
-            x = np.column_stack([wrap(Qn[moved]), Pn[moved]])
-            alive[moved] = nearest_in_window(tiles, x, tube_radius) <= tube_radius
-            if recurrence_filter:
-                dq = np.abs(wrap(Qn) - q0)
-                dq = np.minimum(dq, 1.0 - dq)
-                alive &= np.hypot(dq, Pn - p0) <= tube_radius
+        # a dead seed stays dead and a frozen state never moves again, so
+        # only the live, unfrozen rows are stepped (a stopped set has none)
+        run = np.flatnonzero(alive[seed_of] & ~frozen)
+        Qn, Pn = hamcore.integrate(H, Q[run], P[run], dt_row[run], chunk)
+        # the intersection lives on {H = a}: remove the integrator's
+        # secular energy drift by re-projecting momenta onto the shell
+        # (asymptotic orbits would otherwise slide off within ~1/lambda)
+        Pn = _project_energy(H, Qn, Pn, a_row[run])
+        Q[run], P[run] = Qn, Pn
+        Qw = wrap(Qn)
+        # states with vanishing vector field sit at an equilibrium to
+        # numerical resolution: freeze them (finite steps would tunnel
+        # through the fixed point and amplify one-ulp noise)
+        frozen[run] = np.abs(H.grad_p(Qw, Pn)) + np.abs(H.grad_q(Qw, Pn)) <= vanish_tol
+        sets_run = row_set[run]
+        rows_per_set = np.bincount(sets_run, minlength=n_sets)
+        inside = np.empty(run.size, dtype=bool)
+        for k in np.flatnonzero(rows_per_set):
+            mine = sets_run == k
+            x = np.column_stack([Qw[mine], Pn[mine]])
+            inside[mine] = nearest_in_window(tiles[k], x, tube[k]) <= tube[k]
+        if recurrence_filter:
+            dq = np.abs(Qw - q0[run])
+            dq = np.minimum(dq, 1.0 - dq)
+            inside &= np.hypot(dq, Pn - p0[run]) <= tube[sets_run]
+        alive[seed_of[run[~inside]]] = False
         done += chunk
-        if done >= n_steps and survivors_first is None:
-            survivors_first = seeds[alive].copy()
-        # fixed state: every live seed is frozen both ways, so no later
-        # chunk can move a state, a distance or `alive` (empty case included)
-        if np.all(frozen[+1.0][alive] & frozen[-1.0][alive]):
-            stationary = True
-            if survivors_first is None:
-                survivors_first = seeds[alive].copy()
-            break
-    survivors = seeds[alive]
-    b1 = {tuple(np.round(x / tube_radius).astype(int)) for x in survivors_first}
-    b2 = {tuple(np.round(x / tube_radius).astype(int)) for x in survivors}
-    est = InvariantSetEstimate(samples=survivors, horizon=2 * horizon,
-                               tube_radius=float(tube_radius),
-                               converged=b1 == b2, n_seeds=int(seeds.shape[0]),
-                               energy=float(a),
-                               meta={"e_tol": float(e_tol), "dt": dt,
-                                     "steps_run": done, "stationary": stationary})
-    # containment in L cap {|H - a| <= e_tol} holds by construction; check it
-    if survivors.size:
-        worst = float(np.max(np.abs(H.value(survivors[:, 0], survivors[:, 1]) - a)))
-        if not worst <= e_tol + 1e-12:
-            raise RuntimeError(
-                "maximal_invariant_set: survivors left the energy band: "
-                f"worst |H - a| = {worst:.3g} > e_tol = {e_tol:.3g}")
-    return est
+        steps_run[~stopped] = done
+        traj_steps += chunk * rows_per_set
+        # fixed state: every live seed of a set is frozen both ways, so no
+        # later chunk can move its states, distances or `alive` (the empty
+        # case included); the set stops there
+        moving = np.bincount(set_of[alive & ~(frozen[:n] & frozen[n:])],
+                             minlength=n_sets) > 0
+        at_rest = ~stopped & ~moving
+        for k in range(n_sets):
+            if survivors_first[k] is None and (done >= n_steps or at_rest[k]):
+                survivors_first[k] = seeds[(set_of == k) & alive]
+        stopped |= at_rest
+    estimates = []
+    for k, (seeds_k, e_tol_k, tube_k) in enumerate(zip(own_seeds, e_tols, tubes)):
+        survivors = seeds[(set_of == k) & alive]
+        b1 = {tuple(np.round(x / tube_k).astype(int)) for x in survivors_first[k]}
+        b2 = {tuple(np.round(x / tube_k).astype(int)) for x in survivors}
+        # containment in L cap {|H - a| <= e_tol} holds by construction; check it
+        if survivors.size:
+            worst = float(np.max(np.abs(H.value(survivors[:, 0], survivors[:, 1]) - a)))
+            if not worst <= e_tol_k + 1e-12:
+                raise RuntimeError(
+                    "maximal_invariant_set: survivors left the energy band: "
+                    f"worst |H - a| = {worst:.3g} > e_tol = {e_tol_k:.3g}")
+        estimates.append(InvariantSetEstimate(
+            samples=survivors, horizon=2 * horizon, tube_radius=float(tube_k),
+            converged=b1 == b2, n_seeds=int(seeds_k.shape[0]), energy=float(a),
+            meta={"e_tol": float(e_tol_k), "dt": TRIM_DT,
+                  "steps_run": int(steps_run[k]), "stationary": bool(stopped[k]),
+                  "traj_steps": int(traj_steps[k])}))
+    return estimates
 
 
 def _project_energy(H, Q, P, a):

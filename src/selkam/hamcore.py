@@ -741,16 +741,18 @@ def _leapfrog(spec, Q, P, dt, nsteps, accumulate_action=False):
     Q, P = (np.array(x, dtype=float) for x in np.broadcast_arrays(Q, P))
     act = np.zeros(Q.shape[: Q.ndim - (spec.dim == 2)]) if accumulate_action else None
     half = 0.5 * dt
+    dq = dt if spec.dim == 1 else np.asarray(dt)[..., None]
+    half_q = 0.5 * dq
     Qw = wrap(Q)
     F = spec.grad_potential(Qw)
     if accumulate_action:
         g_prev = 0.5 * _sq(P, spec.dim) - spec.potential(Qw)
     for _ in range(nsteps):
-        P -= half * F
-        Q += dt * P
+        P -= half_q * F
+        Q += dq * P
         Qw = wrap(Q)
         F = spec.grad_potential(Qw)
-        P -= half * F
+        P -= half_q * F
         if accumulate_action:
             g = 0.5 * _sq(P, spec.dim) - spec.potential(Qw)
             act += half * (g_prev + g)
@@ -763,10 +765,19 @@ def _sq(P, dim):
 
 
 def _implicit_midpoint(spec, Q, P, dt, nsteps, accumulate_action=False):
+    """Implicit midpoint for any Tonelli H; Q is left unwrapped.
+
+    Each step solves z' = z + dt X_H((z + z')/2) by Newton, row by row: a
+    row stops once its own residual is below MIDPOINT_TOL, and only the rows
+    still open are solved and updated.  A row's floats therefore do not
+    depend on its batchmates, as with the leapfrog.
+    """
     Q = np.array(Q, dtype=float)
     P = np.array(P, dtype=float)
     n = spec.dim
     act = np.zeros(np.shape(spec.value(wrap(Q), P))) if accumulate_action else None
+    dq = dt if n == 1 else np.asarray(dt)[..., None]
+    half_jac = 0.5 * np.asarray(dt)[..., None, None]
 
     def integrand(q, p):
         gp = spec.grad_p(q, p)
@@ -778,21 +789,23 @@ def _implicit_midpoint(spec, Q, P, dt, nsteps, accumulate_action=False):
     for _ in range(nsteps):
         # Newton on z' = z + dt * X_H((z + z')/2), on (Q, P) rows of 2n unknowns
         Qw = wrap(Q)
-        Qn = Q + dt * spec.grad_p(Qw, P)
-        Pn = P - dt * spec.grad_q(Qw, P)
+        Qn = Q + dq * spec.grad_p(Qw, P)
+        Pn = P - dq * spec.grad_q(Qw, P)
         converged = False
         for _ in range(MIDPOINT_MAX_ITERS):
             Qm, Pm = wrap(0.5 * (Q + Qn)), 0.5 * (P + Pn)
-            FQ = Qn - Q - dt * spec.grad_p(Qm, Pm)
-            FP = Pn - P + dt * spec.grad_q(Qm, Pm)
-            if np.maximum(np.max(np.abs(FQ)), np.max(np.abs(FP))) < MIDPOINT_TOL:
+            FQ = Qn - Q - dq * spec.grad_p(Qm, Pm)
+            FP = Pn - P + dq * spec.grad_q(Qm, Pm)
+            F = np.concatenate([FQ.reshape(-1, n), FP.reshape(-1, n)], axis=1)
+            live = ~(np.max(np.abs(F), axis=1) < MIDPOINT_TOL)
+            if not live.any():
                 converged = True
                 break
-            A = eye - 0.5 * dt * spec.xh_jacobian(Qm, Pm)
-            F = np.concatenate([FQ.reshape(-1, n), FP.reshape(-1, n)], axis=1)
-            delta = np.linalg.solve(A.reshape(-1, 2 * n, 2 * n), F[..., None])[..., 0]
-            Qn = Qn - delta[:, :n].reshape(Qn.shape)
-            Pn = Pn - delta[:, n:].reshape(Pn.shape)
+            A = (eye - half_jac * spec.xh_jacobian(Qm, Pm)).reshape(-1, 2 * n, 2 * n)
+            delta = np.zeros_like(F)
+            delta[live] = np.linalg.solve(A[live], F[live][..., None])[..., 0]
+            Qn = Qn - delta[:, :n].reshape(np.shape(Qn))
+            Pn = Pn - delta[:, n:].reshape(np.shape(Pn))
         if not converged:
             raise IntegratorError(
                 f"implicit midpoint failed to reach {MIDPOINT_TOL} in {MIDPOINT_MAX_ITERS} iterations")
@@ -807,10 +820,18 @@ def _implicit_midpoint(spec, Q, P, dt, nsteps, accumulate_action=False):
 def integrate(spec, Q, P, dt, nsteps, accumulate_action=False):
     """Batch integration of Hamilton's equations; unwrapped base output.
 
-    Splitting scheme for mechanical H, implicit midpoint otherwise.  With
-    ``accumulate_action`` the Liouville integrand p . H_p - H is accumulated
-    by the trapezoid rule along each trajectory.
+    Splitting scheme for mechanical H, implicit midpoint otherwise.  ``dt``
+    is a float or an array of the batch shape (Q's shape without the dim-2
+    axis), one step per row; a row's floats do not depend on its
+    batchmates, and a row with step dt gives the floats of a scalar-dt call.
+    With ``accumulate_action`` the Liouville integrand p . H_p - H is
+    accumulated by the trapezoid rule along each trajectory.
     """
+    dt = np.asarray(dt, dtype=float)
+    batch = np.broadcast_shapes(np.shape(Q), np.shape(P))
+    batch = batch[: len(batch) - (spec.dim == 2)]
+    if dt.ndim and dt.shape != batch:
+        raise ValueError(f"dt has shape {dt.shape}; a step per row needs the batch shape {batch}")
     stepper = _leapfrog if spec.is_mechanical else _implicit_midpoint
     return stepper(spec, Q, P, dt, nsteps, accumulate_action)
 

@@ -413,7 +413,7 @@ def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
             kept.append(u)
     q = np.arange(grid) / grid
     h = 1.0 / grid
-    inv_sets = []
+    graphs = []
     for u in kept:
         du = (np.roll(u, -1) - np.roll(u, 1)) / (2 * h)
         pts = np.column_stack([q, du])
@@ -422,9 +422,9 @@ def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
             # graph; include them explicitly so exact fixed points seed the
             # trimming rather than their one-ulp neighbours
             pts = np.vstack([pts, equil])
-        est = dynamics.maximal_invariant_set(pts, H, alpha, horizon=horizon,
-                                             e_tol=num_tol)
-        inv_sets.append(est.samples)
+        graphs.append(pts)
+    ests = dynamics.maximal_invariant_sets(graphs, H, alpha, horizon=horizon, e_tol=num_tol)
+    inv_sets = [est.samples for est in ests]
     bin_r = 2.0 * h
     aubry = inv_sets[0]
     for s in inv_sets[1:]:
@@ -440,7 +440,9 @@ def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
         "single_subsolution": len(kept) == 1,
         "alpha_ascending": sol_plus.alpha,
         "outer_approximation": "family and horizon are finite; sets are outer estimates",
-        "horizon": horizon})
+        "horizon": horizon,
+        "trimming": [{key: est.meta[key] for key in ("steps_run", "stationary", "traj_steps")}
+                     for est in ests]})
     return sol_minus
 
 

@@ -4,8 +4,8 @@ import pytest
 from selkam import hamcore
 from selkam.dynamics import (CHECK_EVERY, TRIM_DT, energy_level_check,
                              equivariance_check, graph_test, maximal_invariant_set,
-                             verify_theorem_1_5, verify_theorem_6_3,
-                             dump_invariant_set)
+                             maximal_invariant_sets, verify_theorem_1_5,
+                             verify_theorem_6_3, dump_invariant_set)
 from selkam.lagrangian import from_graph, mollify_sequence
 from selkam.selector import generalized_selector
 from selkam.torus import hausdorff
@@ -43,7 +43,7 @@ def _count_integrate_calls(monkeypatch):
 def _full_run_calls(horizon):
     """integrate calls of a doubled-horizon trimming that never stops early."""
     total = 2 * int(np.ceil(horizon / TRIM_DT))
-    return 2 * -(-total // CHECK_EVERY)
+    return -(-total // CHECK_EVERY)
 
 
 def test_trimming_stops_once_every_live_seed_is_at_rest(pendulum, monkeypatch):
@@ -51,7 +51,8 @@ def test_trimming_stops_once_every_live_seed_is_at_rest(pendulum, monkeypatch):
     calls = _count_integrate_calls(monkeypatch)
     est = maximal_invariant_set(from_graph(np.zeros(512)), pendulum, 1.0, horizon=50.0)
     assert est.meta["stationary"]
-    assert len(calls) == 2 * est.meta["steps_run"] // CHECK_EVERY
+    # one call per chunk steps both time directions
+    assert len(calls) == est.meta["steps_run"] // CHECK_EVERY
     assert len(calls) * 100 <= _full_run_calls(50.0)
     # the stop came inside the first horizon: the doubled run's report stands
     assert est.converged and est.horizon == 100.0 and len(est) == 1
@@ -75,9 +76,67 @@ def test_trimming_runs_to_the_horizon_while_seeds_move(free, monkeypatch):
     est = maximal_invariant_set(np.column_stack([q, np.full(256, 0.5)]), free, 0.125,
                                 horizon=2.0)
     assert len(calls) == _full_run_calls(2.0)
-    assert sum(calls) == 2 * est.meta["steps_run"] == 2 * 2 * int(np.ceil(2.0 / TRIM_DT))
+    assert est.meta["steps_run"] == 2 * int(np.ceil(2.0 / TRIM_DT))
+    # no row dies or freezes: each chunk steps all 256 seeds in both directions
+    assert est.meta["traj_steps"] == 2 * 256 * est.meta["steps_run"]
     assert not est.meta["stationary"]
     assert len(est) == 256 and est.converged
+
+
+def _circle(q, p):
+    return np.column_stack([q, np.broadcast_to(p, q.shape)])
+
+
+def _trimming_cases():
+    """(H, level, horizon, sets): in each, one set stops early beside one
+    that runs to the horizon."""
+    q = np.arange(256) / 256
+    free = hamcore.parse_hamiltonian("p^2/2", 1)
+    pendulum = hamcore.parse_hamiltonian("p^2/2 + cos(2*pi*q)", 1)
+    nonmech = hamcore.parse_hamiltonian("p^2/2 + 0.3*sin(2*pi*q)*p + 0.5*cos(2*pi*q)", 1)
+    s = 0.3 * np.sin(2 * np.pi * q)
+    root = np.sqrt(s * s - 2.0 * (0.5 * np.cos(2 * np.pi * q) - 1.0))
+    return {
+        # the circle runs to the horizon; the arc leaves its own tube and
+        # the set stops once no seed is alive
+        "free": (free, 0.125, 2.0, [_circle(q, 0.5), _circle(q[:64], 0.5)]),
+        # the zero section stops at the frozen equilibrium; the separatrix
+        # seeds still move at the horizon
+        "pendulum": (pendulum, 1.0, 0.5,
+                     [from_graph(np.zeros(512)), _circle(q, 2.0 * np.abs(np.sin(np.pi * q)))]),
+        # the midpoint: two rotational circles on {H = 1} and an arc of one
+        "nonmech": (nonmech, 1.0, 0.25,
+                    [_circle(q, root - s), _circle(q, -root - s), _circle(q[:64], root[:64] - s[:64])]),
+    }
+
+
+@pytest.mark.parametrize("case", ["free", "pendulum", "nonmech"])
+def test_batched_trimming_equals_the_separate_calls(case):
+    H, a, horizon, sets = _trimming_cases()[case]
+    separate = [maximal_invariant_set(L, H, a, horizon=horizon) for L in sets]
+    assert {est.meta["stationary"] for est in separate} == {True, False}
+    for filtered in (False, True):
+        if filtered:
+            separate = [maximal_invariant_set(L, H, a, horizon=horizon, recurrence_filter=True)
+                        for L in sets]
+        batched = maximal_invariant_sets(sets, H, a, horizon=horizon,
+                                         recurrence_filter=filtered)
+        assert len(batched) == len(sets)
+        for got, want in zip(batched, separate):
+            assert got.samples.shape == want.samples.shape
+            assert got.samples.tobytes() == want.samples.tobytes()
+            for name in ("converged", "horizon", "tube_radius", "n_seeds", "energy"):
+                assert getattr(got, name) == getattr(want, name)
+            assert got.meta == want.meta
+
+
+def test_batched_trimming_raises_the_one_set_error(free):
+    q = np.arange(256) / 256
+    with pytest.raises(ValueError) as alone:
+        maximal_invariant_set(from_graph(np.zeros(512)), free, 0.125)
+    with pytest.raises(ValueError) as batched:
+        maximal_invariant_sets([_circle(q, 0.5), from_graph(np.zeros(512))], free, 0.125)
+    assert str(batched.value) == str(alone.value)
 
 
 def test_empty_level_raises(pendulum):

@@ -306,7 +306,8 @@ def test_leapfrog_rows_do_not_depend_on_their_batchmates(dim):
 
 
 def _two_branch_midpoint(spec, Q, P, dt, nsteps):
-    """Implicit midpoint with a dim-1 and a dim-2 Newton solve and three wraps."""
+    """Implicit midpoint with a dim-1 and a dim-2 Newton solve and three wraps;
+    each row stops on its own residual."""
     Q = np.array(Q, dtype=float)
     P = np.array(P, dtype=float)
     n = spec.dim
@@ -325,9 +326,10 @@ def _two_branch_midpoint(spec, Q, P, dt, nsteps):
             Qm, Pm = 0.5 * (Q + Qn), 0.5 * (P + Pn)
             FQ = Qn - Q - dt * spec.grad_p(wrap(Qm), Pm)
             FP = Pn - P + dt * spec.grad_q(wrap(Qm), Pm)
-            res = np.max(np.abs(np.concatenate([np.atleast_1d(FQ).ravel(),
-                                                np.atleast_1d(FP).ravel()])))
-            if res < MIDPOINT_TOL:
+            # each row stops on its own residual: a converged row's update is masked
+            res = np.maximum(np.abs(FQ), np.abs(FP))
+            todo = ~((res if n == 1 else np.max(res, axis=-1)) < MIDPOINT_TOL)
+            if not np.any(todo):
                 break
             A = eye - 0.5 * dt * spec.xh_jacobian(wrap(Qm), Pm)
             if n == 1:
@@ -335,12 +337,14 @@ def _two_branch_midpoint(spec, Q, P, dt, nsteps):
                 delta = np.linalg.solve(
                     np.broadcast_to(A, F.shape[:-1] + (2, 2)).reshape(-1, 2, 2),
                     F.reshape(-1, 2, 1)).reshape(F.shape)
+                delta = np.where(np.atleast_1d(todo)[..., None], delta, 0.0)
                 Qn = Qn - delta[..., 0].reshape(np.shape(Qn))
                 Pn = Pn - delta[..., 1].reshape(np.shape(Pn))
             else:
                 F = np.concatenate([np.atleast_2d(FQ), np.atleast_2d(FP)], axis=-1)
                 delta = np.linalg.solve(A.reshape(-1, 2 * n, 2 * n),
                                         F.reshape(-1, 2 * n, 1)).reshape(F.shape)
+                delta = np.where(np.atleast_1d(todo)[..., None], delta, 0.0)
                 Qn = Qn - delta[..., :n].reshape(np.shape(Qn))
                 Pn = Pn - delta[..., n:].reshape(np.shape(Pn))
         else:
@@ -375,6 +379,28 @@ def test_midpoint_matches_two_branch_reference(dim, batch, accumulate_action):
         for got, want in zip(out, ref):
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cases", [_LEAPFROG_CASES, _MIDPOINT_CASES],
+                         ids=["leapfrog", "midpoint"])
+def test_rows_do_not_depend_on_their_batchmates_under_a_step_per_row(cases, dim):
+    # integrate(batch)[i] == integrate(row i) with the scalar step of its own
+    # sign, action included, bit for bit; the midpoint stops each row's Newton
+    # solve on that row's residual
+    H = parse_hamiltonian(cases[dim], dim)
+    rng = np.random.default_rng(41 + dim)
+    shape = (24,) if dim == 1 else (24, 2)
+    Q0 = rng.uniform(-1.0, 2.0, shape)
+    P0 = rng.normal(scale=1.5, size=shape)
+    dt = np.where(rng.random(24) < 0.5, 2e-3, -2e-3)
+    batch = integrate(H, Q0, P0, dt, 60, accumulate_action=True)
+    for i in range(24):
+        row = integrate(H, Q0[i], P0[i], float(dt[i]), 60, accumulate_action=True)
+        for got, want in zip(row, batch):
+            assert got.tobytes() == want[i].tobytes()
+    with pytest.raises(ValueError, match="batch shape"):
+        integrate(H, Q0, P0, dt[:5], 1)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selkam import weakkam
+from selkam import hamcore, weakkam
 from selkam.hamcore import parse_hamiltonian
 from selkam.weakkam import (_shifted, critical_value, critical_value_infmax,
                             lax_oleinik_step, legendre_table, smooth_subsolution,
@@ -327,3 +327,20 @@ def test_mechanical_steps_share_one_potential_table(monkeypatch):
         counts[sol.iterations] = len(calls)
     assert len(counts) == 2, "the two runs should take different iteration counts"
     assert len(set(counts.values())) == 1, counts
+
+
+def test_weak_kam_family_trims_its_members_in_one_batch(monkeypatch):
+    calls = []
+    inner = hamcore.integrate
+
+    def spy(*args, **kwargs):
+        calls.append(args[4])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hamcore, "integrate", spy)
+    sol = weak_kam_family(NONMECH, grid=256, dt=0.1, horizon=5.0)
+    trimming = sol.meta["trimming"]
+    assert len(trimming) == sol.meta["family_size"]
+    assert all(set(t) == {"steps_run", "stationary", "traj_steps"} for t in trimming)
+    # one call per chunk steps every member in both time directions
+    assert sum(calls) == max(t["steps_run"] for t in trimming)
