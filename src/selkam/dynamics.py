@@ -46,6 +46,7 @@ E_TOL_FRACTION = 1e-3     # energy-shell tolerance, fraction of H's range on L
 INV_TOL_FRACTION = 1e-3   # invariance defect tolerance, fraction of diameter
 TRIM_DT = 5e-3
 CHECK_EVERY = 10
+VANISH_TOL = 1e-5         # speed |H_p| + |H_q| at which a trimmed state is frozen
 GRAPH_BINS = 256          # periodic base bins of graph_test
 SPREAD_TOL = 0.02         # momentum spread within one bin that breaks a graph
 
@@ -161,7 +162,6 @@ def maximal_invariant_sets(sets, H, a, horizon=50.0, e_tol=None, recurrence_filt
     steps_run = np.zeros(n_sets, dtype=int)
     traj_steps = np.zeros(n_sets, dtype=int)
     survivors_first = [None] * n_sets
-    vanish_tol = 1e-5
     done = 0
     while done < total and not stopped.all():
         chunk = min(CHECK_EVERY, total - done)
@@ -178,7 +178,7 @@ def maximal_invariant_sets(sets, H, a, horizon=50.0, e_tol=None, recurrence_filt
         # states with vanishing vector field sit at an equilibrium to
         # numerical resolution: freeze them (finite steps would tunnel
         # through the fixed point and amplify one-ulp noise)
-        frozen[run] = np.abs(H.grad_p(Qw, Pn)) + np.abs(H.grad_q(Qw, Pn)) <= vanish_tol
+        frozen[run] = np.abs(H.grad_p(Qw, Pn)) + np.abs(H.grad_q(Qw, Pn)) <= VANISH_TOL
         sets_run = row_set[run]
         rows_per_set = np.bincount(sets_run, minlength=n_sets)
         inside = np.empty(run.size, dtype=bool)

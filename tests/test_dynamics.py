@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from selkam import hamcore
-from selkam.dynamics import (CHECK_EVERY, TRIM_DT, energy_level_check,
+from selkam.dynamics import (CHECK_EVERY, TRIM_DT, VANISH_TOL, energy_level_check,
                              equivariance_check, graph_test, maximal_invariant_set,
                              maximal_invariant_sets, verify_theorem_1_5,
                              verify_theorem_6_3, dump_invariant_set)
 from selkam.lagrangian import from_graph, mollify_sequence
 from selkam.selector import generalized_selector
-from selkam.torus import hausdorff
+from selkam.torus import hausdorff, wrap
 from selkam.weakkam import critical_value, critical_value_infmax, subsolution_check
 
 GRID = np.arange(256) / 256
@@ -83,6 +83,27 @@ def test_trimming_runs_to_the_horizon_while_seeds_move(free, monkeypatch):
     assert len(est) == 256 and est.converged
 
 
+def test_trimming_never_steps_a_frozen_state(pendulum, monkeypatch):
+    # separatrix seeds freeze one by one at the equilibria while the others
+    # still move; after the first chunk every row stepped is unfrozen
+    states = []
+    inner = hamcore.integrate
+
+    def spy(H, Q, P, *args, **kwargs):
+        states.append((wrap(Q), P))
+        return inner(H, Q, P, *args, **kwargs)
+
+    monkeypatch.setattr(hamcore, "integrate", spy)
+    q = np.arange(256) / 256
+    est = maximal_invariant_set(np.column_stack([q, 2.0 * np.abs(np.sin(np.pi * q))]),
+                                pendulum, 1.0, horizon=0.5)
+    assert not est.meta["stationary"]
+    assert est.meta["traj_steps"] < 2 * 256 * est.meta["steps_run"]
+    for Qw, P in states[1:]:
+        speed = np.abs(pendulum.grad_p(Qw, P)) + np.abs(pendulum.grad_q(Qw, P))
+        assert np.all(speed > VANISH_TOL)
+
+
 def _circle(q, p):
     return np.column_stack([q, np.broadcast_to(p, q.shape)])
 
@@ -110,24 +131,23 @@ def _trimming_cases():
     }
 
 
+@pytest.mark.parametrize("recurrence_filter", [False, True])
 @pytest.mark.parametrize("case", ["free", "pendulum", "nonmech"])
-def test_batched_trimming_equals_the_separate_calls(case):
+def test_batched_trimming_equals_the_separate_calls(case, recurrence_filter):
     H, a, horizon, sets = _trimming_cases()[case]
-    separate = [maximal_invariant_set(L, H, a, horizon=horizon) for L in sets]
-    assert {est.meta["stationary"] for est in separate} == {True, False}
-    for filtered in (False, True):
-        if filtered:
-            separate = [maximal_invariant_set(L, H, a, horizon=horizon, recurrence_filter=True)
-                        for L in sets]
-        batched = maximal_invariant_sets(sets, H, a, horizon=horizon,
-                                         recurrence_filter=filtered)
-        assert len(batched) == len(sets)
-        for got, want in zip(batched, separate):
-            assert got.samples.shape == want.samples.shape
-            assert got.samples.tobytes() == want.samples.tobytes()
-            for name in ("converged", "horizon", "tube_radius", "n_seeds", "energy"):
-                assert getattr(got, name) == getattr(want, name)
-            assert got.meta == want.meta
+    separate = [maximal_invariant_set(L, H, a, horizon=horizon,
+                                      recurrence_filter=recurrence_filter) for L in sets]
+    if not recurrence_filter:
+        assert {est.meta["stationary"] for est in separate} == {True, False}
+    batched = maximal_invariant_sets(sets, H, a, horizon=horizon,
+                                     recurrence_filter=recurrence_filter)
+    assert len(batched) == len(sets)
+    for got, want in zip(batched, separate):
+        assert got.samples.shape == want.samples.shape
+        assert got.samples.tobytes() == want.samples.tobytes()
+        for name in ("converged", "horizon", "tube_radius", "n_seeds", "energy"):
+            assert getattr(got, name) == getattr(want, name)
+        assert got.meta == want.meta
 
 
 def test_batched_trimming_raises_the_one_set_error(free):
