@@ -768,9 +768,9 @@ def _implicit_midpoint(spec, Q, P, dt, nsteps, accumulate_action=False):
     """Implicit midpoint for any Tonelli H; Q is left unwrapped.
 
     Each step solves z' = z + dt X_H((z + z')/2) by Newton, row by row: a
-    row stops once its own residual is below MIDPOINT_TOL, and only the rows
-    still open are solved and updated.  A row's floats therefore do not
-    depend on its batchmates, as with the leapfrog.
+    row stops once its own residual is below MIDPOINT_TOL, and the update
+    of a stopped row is masked.  A row's floats therefore do not depend on
+    its batchmates, as with the leapfrog.
     """
     Q = np.array(Q, dtype=float)
     P = np.array(P, dtype=float)
@@ -796,14 +796,16 @@ def _implicit_midpoint(spec, Q, P, dt, nsteps, accumulate_action=False):
             Qm, Pm = wrap(0.5 * (Q + Qn)), 0.5 * (P + Pn)
             FQ = Qn - Q - dq * spec.grad_p(Qm, Pm)
             FP = Pn - P + dq * spec.grad_q(Qm, Pm)
-            F = np.concatenate([FQ.reshape(-1, n), FP.reshape(-1, n)], axis=1)
-            live = ~(np.max(np.abs(F), axis=1) < MIDPOINT_TOL)
+            res = np.maximum(np.abs(FQ), np.abs(FP))
+            live = ~((res if n == 1 else np.max(res, axis=-1)) < MIDPOINT_TOL)
             if not live.any():
                 converged = True
                 break
-            A = (eye - half_jac * spec.xh_jacobian(Qm, Pm)).reshape(-1, 2 * n, 2 * n)
-            delta = np.zeros_like(F)
-            delta[live] = np.linalg.solve(A[live], F[live][..., None])[..., 0]
+            A = eye - half_jac * spec.xh_jacobian(Qm, Pm)
+            F = np.concatenate([FQ.reshape(-1, n), FP.reshape(-1, n)], axis=1)
+            delta = np.linalg.solve(A.reshape(-1, 2 * n, 2 * n), F[..., None])[..., 0]
+            # a converged row keeps its floats (x - 0.0 is x)
+            delta[~live.reshape(-1)] = 0.0
             Qn = Qn - delta[:, :n].reshape(np.shape(Qn))
             Pn = Pn - delta[:, n:].reshape(np.shape(Pn))
         if not converged:
