@@ -214,15 +214,6 @@ def _cmd_selector(cfg):
     sf = _graph_selector(cfg, L)
     rep = selector.verify_selector(sf, L, c_tol=cfg.tolerances["c_tol"])
     selector.dump_selector(sf, cfg.out_dir / "selector.txt")
-    with open(cfg.out_dir / "selector.jsonl", "w") as fh:
-        for j in range(sf.q_grid.size):
-            fh.write(json.dumps({"q": sf.q_grid[j], "f": sf.values[j],
-                                 "provenance": int(sf.provenance[j])}) + "\n")
-        fh.write(json.dumps({"report": {
-            "max_graph_distance": rep.max_graph_distance,
-            "max_value_mismatch": rep.max_value_mismatch,
-            "lipschitz_const": rep.lipschitz_const,
-            "lipschitz_bound": rep.lipschitz_bound, "ok": rep.ok}}) + "\n")
     results = {"lipschitz_const": rep.lipschitz_const,
                "lipschitz_bound": rep.lipschitz_bound,
                "max_graph_distance": rep.max_graph_distance,

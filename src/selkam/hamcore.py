@@ -680,7 +680,6 @@ class TonelliReport:
     ratio_half: float
     ratio_full: float
     p_max: float
-    velocity_bound: float
 
     def __bool__(self):
         return self.ok
@@ -720,11 +719,9 @@ def tonelli_check(spec):
     r_full = ratio(TONELLI_P_MAX)
     convex = min_eig > 1e-9
     superlinear = r_full > r_half + 1e-9
-    vel = float(np.max(np.abs(spec.grad_p(Q, P))))
     return TonelliReport(ok=convex and superlinear, convex=convex,
                          superlinear=superlinear, min_hessian_eig=min_eig,
-                         ratio_half=r_half, ratio_full=r_full, p_max=TONELLI_P_MAX,
-                         velocity_bound=vel)
+                         ratio_half=r_half, ratio_full=r_full, p_max=TONELLI_P_MAX)
 
 
 # ---------------------------------------------------------------------------

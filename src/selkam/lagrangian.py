@@ -97,7 +97,7 @@ class ExactLagrangian:
     lipschitz_bound: float
     pmax: float
     meta: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def interp_q(self):
         if "q" not in self._cache:

@@ -34,7 +34,6 @@ __all__ = [
     "ActionKernel",
     "DiscreteAction",
     "SelectorFunction",
-    "FiberHull",
     "SelectorReport",
     "SpectralStabilityError",
     "build_discrete_action",
@@ -42,7 +41,6 @@ __all__ = [
     "graph_selector",
     "kernel_minimax",
     "verify_selector",
-    "convexify_fiber",
     "generalized_selector",
     "dump_selector",
 ]
@@ -234,24 +232,12 @@ class DiscreteAction:
     N_steps: int
     xi_dim: int
     lattice_shape: tuple
-    kernel: object                 # None when T == 0
-    s_offset: float = 0.0
+    kernel: ActionKernel
     meta: dict = field(default_factory=dict)
-
-    def _stiffness(self, n):
-        """T = 0 penalty weight pinning the breakpoints, from max |v'| on n points."""
-        x = np.arange(n) / n
-        return 100.0 * (1.0 + np.max(np.abs(self.v_fun.derivative(x)))) ** 2
 
     def lattice_values(self, n=None):
         n = n or self.lattice_shape[0]
         x = np.arange(n) / n
-        if self.T == 0:
-            stiff = self._stiffness(n)
-            G = self.v_fun(x) + stiff * _circ(x - self.q) ** 2
-            for _ in range(self.xi_dim - 1):
-                G = G[..., None] + stiff * _circ(x - x[0]) ** 2  # inert chain
-            return G
         lastcol = self.kernel.eval(x, np.full(n, self.q))
         G = self.v_fun(x)
         if self.xi_dim > 1:
@@ -263,12 +249,6 @@ class DiscreteAction:
     def value(self, q, xi):
         """Continuum extension of G at arbitrary (q, xi)."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if self.T == 0:
-            stiff = self._stiffness(self.lattice_shape[0])
-            out = self.v_fun(xi[:1])[0] + stiff * _circ(xi[-1] - q) ** 2
-            for k in range(xi.size - 1):
-                out += stiff * _circ(xi[k + 1] - xi[k]) ** 2
-            return float(out)
         total = self.v_fun(xi[:1])[0]
         for k in range(xi.size - 1):
             total += float(self.kernel.eval(xi[k], xi[k + 1]))
@@ -279,15 +259,6 @@ class DiscreteAction:
         """Analytic gradient of the continuum G with respect to xi."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         g = np.zeros(xi.size)
-        if self.T == 0:
-            stiff = self._stiffness(self.lattice_shape[0])
-            g[0] = self.v_fun.derivative(xi[:1])[0]
-            for k in range(xi.size - 1):
-                d = _circ(xi[k + 1] - xi[k])
-                g[k] += -2 * stiff * d
-                g[k + 1] += 2 * stiff * d
-            g[-1] += 2 * stiff * _circ(xi[-1] - q)
-            return g
         g[0] = self.v_fun.derivative(xi[:1])[0]
         for k in range(xi.size - 1):
             g[k] += float(self.kernel.eval(xi[k], xi[k + 1], dx=1))
@@ -305,23 +276,23 @@ def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,
                           p_bound=None):
     """Discrete action for the flowed graph of dv, targeted at base point q.
 
-    ``N_steps`` is the number of integration segments along a trajectory
-    (at least 8); ``xi_dim`` the number of free breakpoints (<= 3 for grid
-    evaluation).  The xi_dim chained kernels share the horizon, each
-    spanning T / xi_dim with its share of the segments.  ``spectral_value``
-    widens the kernel fan once if the minimizing momenta hit its boundary.
+    The horizon T must be positive: at T = 0 the selector is v itself, which
+    ``kernel_minimax`` returns without a discrete action.  ``N_steps`` is the
+    number of integration segments along a trajectory (at least 8);
+    ``xi_dim`` the number of free breakpoints (<= 3 for grid evaluation).
+    The xi_dim chained kernels share the horizon, each spanning T / xi_dim
+    with its share of the segments.  ``spectral_value`` widens the kernel
+    fan once if the minimizing momenta hit its boundary.
     """
-    if N_steps < 8 and T > 0:
+    if not T > 0:
+        raise ValueError(f"the discrete action needs a horizon T > 0, got T = {T}")
+    if N_steps < 8:
         raise ValueError("need at least 8 trajectory segments")
     if xi_dim < 1 or xi_dim > 3:
         raise ValueError("xi lattice evaluation supports 1 to 3 breakpoints")
     v = np.asarray(v, dtype=float)
     vf = SpectralFun(v)
     n = lattice_size or (512 if xi_dim == 1 else (64 if xi_dim == 2 else 32))
-    if T == 0:
-        return DiscreteAction(q=float(q), H=H, v_fun=vf, T=0.0, N_steps=0,
-                              xi_dim=xi_dim, lattice_shape=(n,) * xi_dim,
-                              kernel=None, s_offset=0.0)
     tau = T / xi_dim
     if p_bound is None:
         pv = float(np.max(np.abs(vf.derivative(np.arange(512) / 512))))
@@ -351,20 +322,18 @@ def spectral_value(DA):
     G = DA.lattice_values()
     diag = sublevel_persistence(G)
     lam = diag.selected
-    if DA.kernel is not None:
-        arg = np.unravel_index(diag.argmin_index, G.shape)
-        if _argmin_on_edge(DA, arg):
-            if DA.meta.get("expanded"):
-                raise RuntimeError("minimizing trajectories exit the momentum "
-                                   "box even after expansion")
-            # auto-expand once: a copy of DA on a kernel with a wider fan (not
-            # ``wider`` itself, whose v_fun is resampled from DA's)
-            vg = DA.v_fun(np.arange(512) / 512)
-            wider = build_discrete_action(DA.H, vg, DA.T, DA.N_steps, DA.q,
-                                          DA.xi_dim, DA.lattice_shape[0],
-                                          p_bound=2.0 * DA.meta["p_bound"])
-            return spectral_value(replace(DA, kernel=wider.kernel, meta={
-                **DA.meta, **wider.meta, "expanded": True}))
+    if _argmin_on_edge(DA, np.unravel_index(diag.argmin_index, G.shape)):
+        if DA.meta.get("expanded"):
+            raise RuntimeError("minimizing trajectories exit the momentum "
+                               "box even after expansion")
+        # auto-expand once: a copy of DA on a kernel with a wider fan (not
+        # ``wider`` itself, whose v_fun is resampled from DA's)
+        vg = DA.v_fun(np.arange(512) / 512)
+        wider = build_discrete_action(DA.H, vg, DA.T, DA.N_steps, DA.q,
+                                      DA.xi_dim, DA.lattice_shape[0],
+                                      p_bound=2.0 * DA.meta["p_bound"])
+        return spectral_value(replace(DA, kernel=wider.kernel, meta={
+            **DA.meta, **wider.meta, "expanded": True}))
     n = DA.lattice_shape[0]
     seen = [lam]
     for factor in (2, 4):
@@ -394,9 +363,8 @@ def _argmin_on_edge(DA, arg):
 def _grad_scale(DA):
     x = np.arange(256) / 256
     s = float(np.max(np.abs(DA.v_fun.derivative(x))))
-    if DA.kernel is not None:
-        s += float(np.percentile(np.abs(DA.kernel.p_start), 95))
-        s += float(np.percentile(np.abs(DA.kernel.p_end), 95))
+    s += float(np.percentile(np.abs(DA.kernel.p_start), 95))
+    s += float(np.percentile(np.abs(DA.kernel.p_end), 95))
     return max(s, 1.0)
 
 
@@ -419,7 +387,6 @@ class SelectorFunction:
     values: np.ndarray
     provenance: np.ndarray
     lipschitz_const: float
-    anchor: dict
     flags: np.ndarray
     fibers: list = field(repr=False)
     meta: dict = field(default_factory=dict)
@@ -474,7 +441,6 @@ def graph_selector(L, grid_size=512, snap_tol=SNAP_TOL):
     return SelectorFunction(
         q_grid=q_grid, values=values, provenance=provenance,
         lipschitz_const=_lipschitz_all_pairs(q_grid, values),
-        anchor={"s_offset": L.s_offset, "frame": "anchored primitive (S=0 at t=0)"},
         flags=flags, fibers=fibers, meta={"snapped": int(np.sum(flags))})
 
 
@@ -575,40 +541,7 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
 
 
 # ---------------------------------------------------------------------------
-# fiberwise convexification and generalized selectors
-
-
-@dataclass
-class FiberHull:
-    q: object
-    hull: np.ndarray          # [lo, hi]
-    extremal: np.ndarray      # flag per input point
-    points: np.ndarray
-
-    def distance(self, p):
-        """Distance from a momentum to the hull (0 inside)."""
-        lo, hi = self.hull
-        return float(max(0.0, lo - p, p - hi))
-
-    def extremal_distance(self, p):
-        """Distance from a momentum to the nearest extremal point."""
-        return float(np.min(np.abs(self.points[self.extremal] - p)))
-
-
-def convexify_fiber(points, q=None):
-    """Convex hull of 1-d fiber momenta with extremal-point flags.
-
-    The hull is the interval [min, max] and the extremal points are its
-    endpoints.  Planar (dim-2) momenta raise NotImplementedError.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1:
-        raise NotImplementedError("convexify_fiber works over T^1 only, not dim 2")
-    if pts.size == 0:
-        raise ValueError("empty fiber")
-    lo, hi = float(np.min(pts)), float(np.max(pts))
-    extremal = (pts == lo) | (pts == hi)
-    return FiberHull(q=q, hull=np.array([lo, hi]), extremal=extremal, points=pts)
+# generalized selectors
 
 
 @dataclass
@@ -629,8 +562,9 @@ def generalized_selector(seq, grid_size=512):
     Each level contributes its graph selector; the sequence must be Cauchy
     at CONV_TOL.  The limit is verified against the fiberwise
     convexification of the limit Lagrangian: the selector's differential
-    lies in the fiber hull at differentiability points, and wherever it is
-    extremal the selector value matches the primitive there.
+    lies in the fiber hull [min p, max p] at differentiability points, and
+    wherever it is extremal (within DIST_TOL of min p or max p) the selector
+    value matches the primitive there.
     """
     sels = [graph_selector(entry, grid_size) for entry in seq.entries]
     sups = np.array([float(np.max(np.abs(sels[i + 1].values - sels[i].values)))
@@ -661,17 +595,18 @@ def generalized_selector(seq, grid_size=512):
     for j in range(n):
         if not smooth[j] or len(fibers[j]) == 0:
             continue
-        fh = convexify_fiber(fibers[j].p, q=f.q_grid[j])
-        hull_d = max(hull_d, fh.distance(df[j]))
-        if fh.extremal_distance(df[j]) <= DIST_TOL:
-            i = int(np.argmin(np.abs(fibers[j].p - df[j])))
+        p, dfj = fibers[j].p, df[j]
+        lo, hi = p.min(), p.max()
+        hull_d = max(hull_d, float(max(0.0, lo - dfj, dfj - hi)))
+        # the extremal points of the hull are the momenta equal to lo or hi
+        if min(abs(lo - dfj), abs(hi - dfj)) <= DIST_TOL:
+            i = int(np.argmin(np.abs(p - dfj)))
             gap = max(gap, abs(vals[j] - fibers[j].h[i]))
             n_ext += 1
     report = GeneralizedReport(consecutive_sup=sups, hull_distance_max=hull_d,
                                extremal_value_gap_max=gap,
                                n_extremal_checked=n_ext,
                                ok=hull_d <= DIST_TOL and gap <= C_TOL)
-    f.meta["generalized_report"] = report
     return f, report
 
 

@@ -205,8 +205,8 @@ def test_selector_reports_the_flagged_points_as_snapped(tmp_path):
     cfg = load_config(cfg_path, out_dir=tmp_path / "out")
     summary, status = run("selector", cfg)
     assert status == 0
-    rows = (tmp_path / "out" / "selector.jsonl").read_text().splitlines()[:-1]
-    flagged = sum(json.loads(row)["provenance"] == -1 for row in rows)
+    provenance = np.loadtxt(tmp_path / "out" / "selector.txt", ndmin=2)[:, 2]
+    flagged = int(np.sum(provenance == -1))
     assert flagged > 0
     assert summary["results"]["snapped"] == flagged
 

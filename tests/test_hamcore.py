@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -608,6 +610,49 @@ def _nums(node):
         yield node
     for child in (getattr(node, a) for a in ("arg", "lhs", "rhs", "base") if hasattr(node, a)):
         yield from _nums(child)
+
+
+def _paths(node, path=()):
+    """The attribute path of every subtree, the root's () first."""
+    yield path
+    for a in ("arg", "lhs", "rhs", "base"):
+        if hasattr(node, a):
+            yield from _paths(getattr(node, a), path + (a,))
+
+
+def _at(node, path):
+    return _at(getattr(node, path[0]), path[1:]) if path else node
+
+
+def _replaced(node, path, new):
+    if not path:
+        return new
+    return dataclasses.replace(node, **{path[0]: _replaced(getattr(node, path[0]), path[1:], new)})
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parse_errors_point_at_the_spliced_fault(dim, data):
+    # one fault spliced around a subtree of a valid text: the error offset
+    # points at the fault, or at the end of the text for an unclosed '('
+    tree = data.draw(_expressions(dim))
+    path = data.draw(st.sampled_from(list(_paths(tree))))
+    kind = data.draw(st.sampled_from(["identifier", "divisor", "unclosed", "stray"]))
+    qs, ps = hamcore._IDENTS[dim][:dim], hamcore._IDENTS[dim][dim:]
+    divisor = data.draw(st.sampled_from(qs + ps + tuple(f"cos(2*pi*{q})" for q in qs)))
+    wrapped = f"({ast_to_text(_at(tree, path))})"
+    token, fault, message = {
+        "identifier": ("zeta", f"({wrapped}*zeta)", "unknown identifier 'zeta'"),
+        "divisor": (divisor, f"({wrapped}/{divisor})", "division by a non-constant"),
+        "unclosed": ("", "(" + wrapped, "expected '\\)'"),
+        "stray": (")", wrapped + ")", "unexpected trailing input"),
+    }[kind]
+    src = ast_to_text(_replaced(tree, path, Var("SPLICE"))).replace("SPLICE", fault)
+    with pytest.raises(ExpressionError, match=message) as exc:
+        parse_hamiltonian(src, dim)
+    rest = src[exc.value.position:].lstrip()
+    assert rest == "" if kind == "unclosed" else rest.startswith(token), (src, rest)
 
 
 @pytest.mark.parametrize("src, dim", [

@@ -331,6 +331,16 @@ def test_mollify_limit_passes_the_measure():
     assert np.max(np.abs(lim["S"] - v(lim["q"]))) <= 1e-6
 
 
+def test_a_replaced_curve_interpolates_its_own_samples():
+    # the interpolant cache is per instance: a copy with shifted momenta must
+    # not reuse the original's spline
+    L = from_graph(0.1 * np.sin(2 * np.pi * GRID))
+    L.interp_p()
+    M = dataclasses.replace(L, p=L.p + 0.3)
+    assert M.interp_p()(np.array([0.1]))[0] == pytest.approx(L.interp_p()(np.array([0.1]))[0]
+                                                             + 0.3, abs=1e-12)
+
+
 def test_mollify_rejects_nonexact():
     n = 2048
     g = np.arange(n) / n
@@ -507,7 +517,7 @@ def test_a_shifted_primitive_node_fails_the_exactness_measure(coef, n, factor, s
     L = from_graph(_v(coef, np.arange(n) / n))
     S = L.S.copy()
     S[int(node * n)] += sign * factor * verify_exactness(L).budget
-    assert not verify_exactness(dataclasses.replace(L, S=S, _cache={})).ok
+    assert not verify_exactness(dataclasses.replace(L, S=S)).ok
 
 
 @settings(max_examples=30, deadline=None)
@@ -516,7 +526,7 @@ def test_a_shifted_primitive_node_fails_the_exactness_measure(coef, n, factor, s
 def test_a_loop_integral_fails_the_exactness_measure(coef, n, factor, sign):
     L = from_graph(_v(coef, np.arange(n) / n))
     c = sign * factor * verify_exactness(L).budget
-    rep = verify_exactness(dataclasses.replace(L, p=L.p + c, _cache={}))
+    rep = verify_exactness(dataclasses.replace(L, p=L.p + c))
     assert rep.loop_residual == pytest.approx(abs(c), rel=0.02)
     assert not rep.ok
     with pytest.raises(ExactnessError):

@@ -7,15 +7,14 @@ import pytest
 from selkam import selector
 from selkam.front import FiberData, fiber_sweep
 from selkam.hamcore import parse_hamiltonian
-from selkam.lagrangian import (SpectralFun, from_flow, from_graph, from_parametric,
-                               mollify_sequence)
+from selkam.lagrangian import (ExactLagrangian, SpectralFun, from_flow, from_graph,
+                               from_parametric, mollify_sequence)
 from selkam.persistence import connectivity_oracle, sublevel_persistence
 from selkam.selector import (ActionKernel, DiscreteAction, _argmin_on_edge,
-                             build_discrete_action, convexify_fiber,
-                             generalized_selector, graph_selector,
-                             kernel_minimax, spectral_value, verify_selector,
-                             dump_selector)
-from selkam.torus import wrap
+                             build_discrete_action, generalized_selector,
+                             graph_selector, kernel_minimax, spectral_value,
+                             verify_selector, dump_selector)
+from selkam.torus import median, wrap
 
 GRID = np.arange(256) / 256
 
@@ -41,12 +40,21 @@ def pendulum_actions(pendulum, rand_v):
             for d in (1, 2, 3)}
 
 
-def test_time_zero_reduces_to_potential(free, rand_v):
-    q = 96 / 512.0  # on the lattice, so the constraint is met exactly
-    DA = build_discrete_action(free, rand_v, 0.0, 0, q, xi_dim=1)
-    lam = spectral_value(DA)
-    vf = SpectralFun(rand_v)
-    assert lam == pytest.approx(float(vf(np.array([q]))[0]), abs=1e-12)
+@pytest.mark.parametrize("T", [0.0, -0.5])
+def test_discrete_action_refuses_a_nonpositive_horizon(free, rand_v, T, monkeypatch):
+    # the refusal names T and comes before any momentum fan is integrated
+    fans = []
+    monkeypatch.setattr(selector, "_fan_kernel", lambda *args: fans.append(args))
+    with pytest.raises(ValueError, match=r"T > 0, got T = "):
+        build_discrete_action(free, rand_v, T, 1000, 0.3)
+    assert fans == []
+
+
+def test_time_zero_kernel_minimax_is_the_graph_selector(pendulum, rand_v):
+    # at T = 0 the flowed graph is the graph of dv, whose minimax is v itself
+    L = from_flow(rand_v, pendulum, 0.0, steps=1)
+    gap = np.abs(kernel_minimax(L, 256) - graph_selector(L, 256).values)
+    assert np.max(gap) <= 1e-12
 
 
 def test_free_particle_spectral_value_scan_oracle(free, rand_v):
@@ -287,30 +295,6 @@ def test_selector_from_front_matches_minimax(whorl, whorl_selector):
     assert np.max(gap[~sf.flags]) <= 1e-4
 
 
-def test_convexify_fiber_interval():
-    fh = convexify_fiber(np.array([-1.0, 0.0, 2.0]))
-    assert np.allclose(fh.hull, [-1.0, 2.0])
-    assert fh.extremal.tolist() == [True, False, True]
-    single = convexify_fiber(np.array([0.5]))
-    assert single.extremal.all()
-
-
-def test_convexify_fiber_collinear_and_repeated_points():
-    # momenta on one fiber of T*T^1: every copy of an endpoint is extremal
-    pts = np.array([0.0, 2.0, 1.0, 2.0, 0.0, 1.5])
-    fh = convexify_fiber(pts)
-    assert fh.extremal.tolist() == [True, True, False, True, True, False]
-    assert fh.hull.tolist() == [0.0, 2.0]
-    assert fh.distance(1.0) == 0.0
-    assert fh.distance(3.0) == pytest.approx(1.0)
-    assert fh.extremal_distance(1.5) == pytest.approx(0.5)
-
-
-def test_convexify_fiber_refuses_dim_2():
-    with pytest.raises(NotImplementedError, match="dim 2"):
-        convexify_fiber(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-
-
 def test_generalized_selector_graph_sequence(pendulum):
     v = 0.1 * np.sin(2 * np.pi * GRID)
     L = from_graph(v)
@@ -331,6 +315,66 @@ def test_generalized_selector_mollified_whorl(whorl_mid):
     assert rep.extremal_value_gap_max <= 1e-3
     sf = graph_selector(whorl_mid, 512)
     assert np.max(np.abs(f.values - sf.values)) <= 1e-3
+
+
+class _FiberHull:
+    """Reference convex hull of one fiber's momenta, with extremal flags."""
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
+        lo, hi = float(np.min(self.points)), float(np.max(self.points))
+        self.hull = np.array([lo, hi])
+        self.extremal = (self.points == lo) | (self.points == hi)
+
+    def distance(self, p):
+        lo, hi = self.hull
+        return float(max(0.0, lo - p, p - hi))
+
+    def extremal_distance(self, p):
+        return float(np.min(np.abs(self.points[self.extremal] - p)))
+
+
+def _reference_hull_check(seq, f):
+    """(hull distance, extremal value gap, extremal count) of selector f against
+    the fiber hulls of seq's limit, one ``_FiberHull`` per grid point."""
+    limit = ExactLagrangian(
+        kind="parametric", t=seq.limit["t"], q=seq.limit["q"],
+        p=seq.limit["p"], S=seq.limit["S"], s_offset=0.0,
+        winding=int(seq.limit["winding"]), lipschitz_bound=seq.equilip_const,
+        pmax=float(np.max(np.abs(seq.limit["p"]))), meta={})
+    fibers = fiber_sweep(limit, f.q_grid)
+    n = f.q_grid.size
+    h = 1.0 / n
+    vals = f.values
+    df = (np.roll(vals, -1) - np.roll(vals, 1)) / (2 * h)
+    d2 = np.abs(np.roll(vals, -1) + np.roll(vals, 1) - 2 * vals) / h ** 2
+    smooth = d2 < 10.0 * median(d2) + 1e3 * h
+    hull_d, gap, n_ext = 0.0, 0.0, 0
+    for j in range(n):
+        if not smooth[j] or len(fibers[j]) == 0:
+            continue
+        fh = _FiberHull(fibers[j].p)
+        hull_d = max(hull_d, fh.distance(df[j]))
+        if fh.extremal_distance(df[j]) <= selector.DIST_TOL:
+            i = int(np.argmin(np.abs(fibers[j].p - df[j])))
+            gap = max(gap, abs(vals[j] - fibers[j].h[i]))
+            n_ext += 1
+    return hull_d, gap, n_ext
+
+
+@pytest.mark.parametrize("case", ["graph sequence", "mollified whorl"])
+def test_generalized_selector_matches_the_per_point_hull(case, whorl_mid):
+    if case == "graph sequence":
+        seq = mollify_sequence(from_graph(0.1 * np.sin(2 * np.pi * GRID)), levels=4,
+                               base_width=1.0 / 64)
+    else:
+        seq = mollify_sequence(whorl_mid, levels=5, base_width=1.0 / 128,
+                               resample=8192)
+    f, rep = generalized_selector(seq, 512)
+    got = (rep.hull_distance_max, rep.extremal_value_gap_max, rep.n_extremal_checked)
+    want = _reference_hull_check(seq, f)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
 
 
 def test_dump_selector(tmp_path, pendulum):
