@@ -34,9 +34,9 @@ class ConfigError(ValueError):
 SAFE_TOLERANCES = {
     # name: (default, lo, hi)
     "snap_radius": (5e-4, 1e-6, 1e-2),
-    "snap_tol": (1e-4, 1e-8, 1e-2),
-    "c_tol": (1e-3, 1e-6, 1e-1),
-    "num_tol": (1e-3, 1e-8, 1e-1),
+    "snap_tol": (selector.SNAP_TOL, 1e-8, 1e-2),
+    "c_tol": (selector.C_TOL, 1e-6, 1e-1),
+    "num_tol": (weakkam.NUM_TOL, 1e-8, 1e-1),
 }
 
 
@@ -114,17 +114,27 @@ def load_config(path, out_dir=None, seed=None):
                               f"{val} outside the safe range [{lo}, {hi}]")
         tolerances[name] = val
 
+    T = get("lagrangian", "T", 0.0, float)
+    if not 0 <= T < np.inf:
+        raise ConfigError("lagrangian.T", f"must be finite and >= 0, got {T}")
+    dt = get("run", "dt", 0.1, float)
+    if not 0 < dt <= weakkam.DT_MAX:
+        raise ConfigError("run.dt", f"must lie in (0, {weakkam.DT_MAX}], got {dt}")
+    horizon = get("run", "horizon", 100.0, float)
+    if not 0 < horizon < np.inf:
+        raise ConfigError("run.horizon", f"must be finite and positive, got {horizon}")
+
     return RunConfig(
         kind=kind,
-        T=get("lagrangian", "T", 0.0, float),
+        T=T,
         steps=get("lagrangian", "steps", 1000, int),
         lagrangian_file=lag_file,
         base_grid=_power_of_two("grids.base", get("grids", "base", 512, int)),
         velocity_grid=_power_of_two("grids.velocity", get("grids", "velocity", 1024, int)),
         samples=_power_of_two("grids.samples", get("grids", "samples", 4096, int)),
         seed=seed if seed is not None else get("run", "seed", 0, int),
-        dt=get("run", "dt", 0.1, float),
-        horizon=get("run", "horizon", 100.0, float),
+        dt=dt,
+        horizon=horizon,
         level=get("run", "level", float("nan"), float),
         tolerances=tolerances,
         out_dir=Path(out_dir) if out_dir else Path(get("run", "out", "out")),

@@ -58,7 +58,6 @@ class InvariantSetEstimate:
     tube_radius: float
     converged: bool            # survivor bins unchanged under horizon doubling
     n_seeds: int
-    energy: float
     meta: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -137,9 +136,11 @@ def maximal_invariant_sets(sets, H, a, horizon=50.0, e_tol=None, recurrence_filt
     tube, projection level, stop and ``meta``, and its estimate is the one
     the one-set call gives: the rows of all sets and both time directions
     step together, but a row's floats do not depend on its batchmates.  A
-    set whose level misses its samples raises the one-set ValueError before
-    any flow.
+    set whose level misses its samples, or a horizon that is not positive,
+    raises a ValueError before any flow.
     """
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
     own_seeds, e_tols, tubes, tiles, levels = zip(
         *(_trimming_seeds(L, H, a, e_tol) for L in sets))
     n_sets = len(own_seeds)
@@ -218,7 +219,7 @@ def maximal_invariant_sets(sets, H, a, horizon=50.0, e_tol=None, recurrence_filt
                     f"worst |H - a| = {worst:.3g} > e_tol = {e_tol_k:.3g}")
         estimates.append(InvariantSetEstimate(
             samples=survivors, horizon=2 * horizon, tube_radius=float(tube_k),
-            converged=b1 == b2, n_seeds=int(seeds_k.shape[0]), energy=float(a),
+            converged=b1 == b2, n_seeds=int(seeds_k.shape[0]),
             meta={"e_tol": float(e_tol_k), "dt": TRIM_DT,
                   "steps_run": int(steps_run[k]), "stationary": bool(stopped[k]),
                   "traj_steps": int(traj_steps[k])}))
@@ -288,9 +289,7 @@ def graph_test(points):
 class EnergyPipelineReport:
     """Outcome of the graph-replacement pipeline at one energy level."""
 
-    alpha: float
     subsolution_ok: bool
-    violations: np.ndarray
     hausdorff_distance: float
     inv_L: InvariantSetEstimate
     inv_graph: InvariantSetEstimate
@@ -309,16 +308,18 @@ def verify_theorem_6_3(L, H, a, f, horizon=100.0):
     graph selector of a flowed L, else the limit selector of a mollification
     sequence.  Pipeline: subsolution check of f at level a -> double
     Lax-Oleinik smoothing -> graph of the smoothed differential ->
-    invariant-set comparison by trimming.  T^1 only: dim 2 raises
-    NotImplementedError.
+    invariant-set comparison by trimming.  A horizon that is not positive
+    raises ValueError; T^1 only: dim 2 raises NotImplementedError.
     """
+    if not horizon > 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
     pts = _as_points(L, H, "verify_theorem_6_3")
     vals = H.value(pts[:, 0], pts[:, 1])
     if float(np.max(vals)) > a + 1e-3 * max(1.0, abs(a)):
         raise ValueError(f"input set is not contained in the energy sublevel "
                          f"{{H <= {a}}} (max H = {vals.max():.6g})")
     n = f.q_grid.size
-    ok_sub, bad, margin = subsolution_check(f.values, H, a)
+    ok_sub, bad, _ = subsolution_check(f.values, H, a)
     if not ok_sub:
         # exclude two-step collars around derivative kinks before declaring failure
         kink = np.abs(np.roll(f.values, -1) + np.roll(f.values, 1) - 2 * f.values) * n
@@ -340,15 +341,13 @@ def verify_theorem_6_3(L, H, a, f, horizon=100.0):
         except ValueError:
             # level does not meet the set: empty invariant set
             return InvariantSetEstimate(samples=np.empty((0, 2)), horizon=horizon,
-                                        tube_radius=0.0, converged=True,
-                                        n_seeds=0, energy=float(a))
+                                        tube_radius=0.0, converged=True, n_seeds=0)
 
     inv_L = trimmed(L)
     inv_G = trimmed(graph_pts)
     hd = hausdorff(inv_L.samples, inv_G.samples)
     ok = ok_sub and hd <= 2.0 * h and inv_L.converged and inv_G.converged
-    return EnergyPipelineReport(alpha=float(a), subsolution_ok=ok_sub,
-                                violations=bad, hausdorff_distance=float(hd),
+    return EnergyPipelineReport(subsolution_ok=ok_sub, hausdorff_distance=float(hd),
                                 inv_L=inv_L, inv_graph=inv_G, grid_step=h, ok=ok)
 
 
@@ -357,9 +356,7 @@ class InvariantGraphReport:
     invariance_defect: float
     invariant: bool
     energy: float            # nan when not invariant or level check failed
-    energy_deviation: float
     is_graph: bool
-    lipschitz_estimate: float
     ok: bool                 # invariant implies (single level and graph)
 
     def __bool__(self):
@@ -392,16 +389,13 @@ def verify_theorem_1_5(L, H, horizon=5.0):
     invariant = defect <= inv_tol
     if not invariant:
         return InvariantGraphReport(invariance_defect=defect, invariant=False,
-                                    energy=float("nan"), energy_deviation=float("nan"),
-                                    is_graph=False, lipschitz_estimate=float("nan"),
-                                    ok=True)
-    e, dev = energy_level_check(L, H, tol=10.0 * inv_tol)
-    is_graph, quot = graph_test(pts)
+                                    energy=float("nan"), is_graph=False, ok=True)
+    e, _ = energy_level_check(L, H, tol=10.0 * inv_tol)
+    is_graph, _ = graph_test(pts)
     ok = (e is not None) and is_graph
     return InvariantGraphReport(invariance_defect=defect, invariant=True,
                                 energy=float("nan") if e is None else e,
-                                energy_deviation=dev, is_graph=is_graph,
-                                lipschitz_estimate=quot, ok=ok)
+                                is_graph=is_graph, ok=ok)
 
 
 def equivariance_check(v_samples, w_samples, dw_src, H, a=None, horizon=50.0):

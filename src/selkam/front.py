@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import median, wrap
+from .torus import wrap
 
 __all__ = [
     "FiberData",
@@ -23,7 +23,6 @@ __all__ = [
 GAP_TOL = 1e-6
 MERGE_TOL = 1e-9           # parameter-space dedupe radius for roots
 TRANSVERSE_TOL = 1e-5      # |dQ/dt| below this (x speed scale) flags tangency
-CUSP_TOL = 1e-3
 
 
 @dataclass
@@ -57,8 +56,6 @@ class FiberData:
 class CausticReport:
     t: np.ndarray               # fold parameters
     q: np.ndarray               # projected base points (wrapped)
-    curvature: np.ndarray       # d2Q/dt2 at the fold
-    kinds: list                 # "fold" | "cusp"
     intervals: list             # (q_lo, q_hi, fiber multiplicity) between folds
 
     def __len__(self):
@@ -164,24 +161,17 @@ def caustics(L):
     """Base projections of the fold points (critical values of projection).
 
     Folds are zeros of dQ/dt located by bisection on the interpolated
-    derivative; a vanishing second derivative flags a degenerate (cusp)
-    point.  Consecutive caustic values cut the torus into intervals whose
-    fiber multiplicity is reported.
+    derivative; ``t`` and ``q`` hold them sorted by q.  Consecutive caustic
+    values cut the torus into intervals whose fiber multiplicity is reported.
     """
     fq = L.interp_q()
     tc = np.append(L.t, L.t[0] + 1.0)
     dq = fq.derivative(tc)
     hits = np.nonzero(dq[:-1] * dq[1:] < 0)[0]
     if hits.size == 0:
-        return CausticReport(t=np.empty(0), q=np.empty(0), curvature=np.empty(0),
-                             kinds=[], intervals=[(0.0, 1.0, 1)])
+        return CausticReport(t=np.empty(0), q=np.empty(0), intervals=[(0.0, 1.0, 1)])
     t_fold = wrap(_bisect_batch(fq.derivative, tc[hits], tc[hits + 1], 0.0))
     q_fold = wrap(fq(t_fold))
-    eps = 1e-6
-    curv = (fq.derivative(t_fold + eps) - fq.derivative(t_fold - eps)) / (2 * eps)
-    # degenerate folds are judged against the fold population's own scale
-    scale = max(float(median(np.abs(curv))), 1e-12)
-    kinds = ["cusp" if abs(c) < CUSP_TOL * scale else "fold" for c in curv]
     order = np.argsort(q_fold)
     qs = q_fold[order]
     intervals = []
@@ -193,8 +183,7 @@ def caustics(L):
         intervals.append([q_lo, wrap(q_hi)])
     counts = [len(f) for f in fiber_sweep(L, mids)]
     intervals = [(a, b, c) for (a, b), c in zip(intervals, counts)]
-    return CausticReport(t=t_fold[order], q=qs, curvature=curv[order],
-                         kinds=[kinds[i] for i in order], intervals=intervals)
+    return CausticReport(t=t_fold[order], q=qs, intervals=intervals)
 
 
 def dump_front(L, q_grid, path):

@@ -674,12 +674,7 @@ def shift_momentum(spec, dw_src):
 @dataclass
 class TonelliReport:
     ok: bool
-    convex: bool
-    superlinear: bool
     min_hessian_eig: float
-    ratio_half: float
-    ratio_full: float
-    p_max: float
 
     def __bool__(self):
         return self.ok
@@ -689,8 +684,9 @@ def tonelli_check(spec):
     """Sample fiberwise convexity and superlinearity diagnostics.
 
     Reports the minimum eigenvalue of the fiberwise Hessian over samples
-    with |p| <= TONELLI_P_MAX, and the growth ratio H/|p| at
-    |p| = TONELLI_P_MAX versus TONELLI_P_MAX/2.  Report-only: never raises.
+    with |p| <= TONELLI_P_MAX, and ``ok``: that eigenvalue is positive and
+    the growth ratio H/|p| is larger at |p| = TONELLI_P_MAX than at
+    TONELLI_P_MAX/2.  Report-only: never raises.
     """
     n = spec.dim
     qs = np.linspace(0.0, 1.0, TONELLI_GRID, endpoint=False)
@@ -717,11 +713,8 @@ def tonelli_check(spec):
 
     r_half = ratio(TONELLI_P_MAX / 2)
     r_full = ratio(TONELLI_P_MAX)
-    convex = min_eig > 1e-9
-    superlinear = r_full > r_half + 1e-9
-    return TonelliReport(ok=convex and superlinear, convex=convex,
-                         superlinear=superlinear, min_hessian_eig=min_eig,
-                         ratio_half=r_half, ratio_full=r_full, p_max=TONELLI_P_MAX)
+    return TonelliReport(ok=min_eig > 1e-9 and r_full > r_half + 1e-9,
+                         min_hessian_eig=min_eig)
 
 
 # ---------------------------------------------------------------------------

@@ -137,10 +137,8 @@ class ApproxSequence:
 
     entries: list
     equilip_const: float
-    limit: dict                   # arrays t, q, p, S of the resampled target
+    limit: ExactLagrangian        # the target resampled, as a parametric curve
     sup_dists: np.ndarray         # per level, distance to the limit
-    consecutive_dists: np.ndarray
-    widths: np.ndarray
 
 
 @dataclass
@@ -597,15 +595,12 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
                              float(np.max(np.abs(pk - pu))),
                              float(np.max(np.abs(Sk - Su)))))
 
-    consec = [max(float(np.max(np.abs(entries[i + 1].q - entries[i].q))),
-                  float(np.max(np.abs(entries[i + 1].p - entries[i].p))))
-              for i in range(len(entries) - 1)]
     lips = [e.lipschitz_bound for e in entries]
-    return ApproxSequence(
-        entries=entries, equilip_const=float(max(lips + [lip0])),
-        limit={"t": tu, "q": qu, "p": pu, "S": Su, "winding": winding},
-        sup_dists=np.asarray(sup_dists), consecutive_dists=np.asarray(consec),
-        widths=widths)
+    limit = ExactLagrangian(kind="parametric", t=tu, q=qu, p=pu, S=Su, s_offset=0.0,
+                            winding=winding, lipschitz_bound=lip0,
+                            pmax=float(np.max(np.abs(pu))), meta={})
+    return ApproxSequence(entries=entries, equilip_const=float(max(lips + [lip0])),
+                          limit=limit, sup_dists=np.asarray(sup_dists))
 
 
 # ---------------------------------------------------------------------------

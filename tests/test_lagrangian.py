@@ -323,12 +323,8 @@ def test_mollify_limit_passes_the_measure():
     seq = mollify_sequence(from_graph(v(np.arange(64) / 64)), base_width=1.0 / 64,
                            resample=8192)
     lim = seq.limit
-    limit = lagrangian.ExactLagrangian(
-        kind="parametric", t=lim["t"], q=lim["q"], p=lim["p"], S=lim["S"],
-        s_offset=0.0, winding=lim["winding"], lipschitz_bound=seq.equilip_const,
-        pmax=float(np.max(np.abs(lim["p"]))))
-    assert verify_exactness(limit).ok
-    assert np.max(np.abs(lim["S"] - v(lim["q"]))) <= 1e-6
+    assert verify_exactness(lim).ok
+    assert np.max(np.abs(lim.S - v(lim.q))) <= 1e-6
 
 
 def test_a_replaced_curve_interpolates_its_own_samples():

@@ -7,8 +7,8 @@ import pytest
 from selkam import selector
 from selkam.front import FiberData, fiber_sweep
 from selkam.hamcore import parse_hamiltonian
-from selkam.lagrangian import (ExactLagrangian, SpectralFun, from_flow, from_graph,
-                               from_parametric, mollify_sequence)
+from selkam.lagrangian import (SpectralFun, from_flow, from_graph, from_parametric,
+                               mollify_sequence)
 from selkam.persistence import connectivity_oracle, sublevel_persistence
 from selkam.selector import (ActionKernel, DiscreteAction, _argmin_on_edge,
                              build_discrete_action, generalized_selector,
@@ -337,12 +337,7 @@ class _FiberHull:
 def _reference_hull_check(seq, f):
     """(hull distance, extremal value gap, extremal count) of selector f against
     the fiber hulls of seq's limit, one ``_FiberHull`` per grid point."""
-    limit = ExactLagrangian(
-        kind="parametric", t=seq.limit["t"], q=seq.limit["q"],
-        p=seq.limit["p"], S=seq.limit["S"], s_offset=0.0,
-        winding=int(seq.limit["winding"]), lipschitz_bound=seq.equilip_const,
-        pmax=float(np.max(np.abs(seq.limit["p"]))), meta={})
-    fibers = fiber_sweep(limit, f.q_grid)
+    fibers = fiber_sweep(seq.limit, f.q_grid)
     n = f.q_grid.size
     h = 1.0 / n
     vals = f.values

@@ -8,13 +8,15 @@ imports from accumulating.  Every mod-1 reduction goes through
 (which `python -O` strips).  Every function parameter and every name an
 `except` clause binds is read, and every tolerance the CLI loader
 range-checks is read by a command, so no knob is accepted and then
-ignored.  No function keeps state in a module-level name, so one call
-cannot change what the next one computes.  Every public function is
-called from somewhere other than its own body: the package, the benchmark
-or an acceptance criterion; the few kept without a caller are listed with
-their reasons, so the surface does not grow back, and each listed one must
-still exist and still lack a caller.  No module reads another module's
-private names: what another module needs is public.
+ignored.  Every field of a package dataclass is read somewhere, so no
+report carries a value nobody looks at.  No function keeps state in a
+module-level name, so one call cannot change what the next one computes.
+Every public function is called from somewhere other than its own body:
+the package, the benchmark or an acceptance criterion; the few kept
+without a caller are listed with their reasons, so the surface does not
+grow back, and each listed one must still exist and still lack a caller.
+No module reads another module's private names: what another module
+needs is public.
 
 One check imports the package: the benchmark's traced run
 (`perfbench/tracing.py`, read here with `ast`) wraps named `selkam`
@@ -228,6 +230,34 @@ def _module_state_writes(tree):
 def test_no_module_state(path):
     writes = _module_state_writes(_tree(path))
     assert not writes, f"{path.name}: functions write module-level names at {writes}"
+
+
+def _dataclass_fields(tree):
+    """(class, field) for every annotated field of a ``@dataclass`` class."""
+    return [(node.name, stmt.target.id) for node in tree.body
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def _attribute_reads(paths):
+    """Attribute names loaded, and string constants (``getattr`` names), in paths."""
+    return {n.attr if isinstance(n, ast.Attribute) else n.value
+            for path in paths for n in ast.walk(_tree(path))
+            if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+            or (isinstance(n, ast.Constant) and isinstance(n.value, str))}
+
+
+def test_every_dataclass_field_is_read():
+    # a report field nothing reads is surface a reader must check is unused,
+    # and often work done only to fill it
+    read = _attribute_reads(MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+                            + sorted((ROOT / "tests").glob("*.py")))
+    unread = [f"{cls}.{name}" for path in MODULES
+              for cls, name in _dataclass_fields(_tree(path)) if name not in read]
+    assert not unread, f"dataclass fields never read: {unread}"
 
 
 def _tracing_lists():
