@@ -40,7 +40,7 @@ SAFE_TOLERANCES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     H: hamcore.HamiltonianSpec     # [hamiltonian] expr, parsed and validated
     kind: str                      # graph | flowed | parametric
@@ -229,7 +229,7 @@ def _cmd_selector(cfg):
                "max_graph_distance": rep.max_graph_distance,
                "max_value_mismatch": rep.max_value_mismatch,
                "checked_points": rep.checked_points,
-               "snapped": sf.meta["snapped"],
+               "snapped": int(np.sum(sf.flags)),
                "ok": bool(rep.ok)}
     return results, 0 if rep.ok else 1
 

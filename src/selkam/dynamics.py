@@ -51,7 +51,7 @@ GRAPH_BINS = 256          # periodic base bins of graph_test
 SPREAD_TOL = 0.02         # momentum spread within one bin that breaks a graph
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantSetEstimate:
     samples: np.ndarray        # (k, 2) phase points (q, p) surviving the trimming
     horizon: float
@@ -285,7 +285,7 @@ def graph_test(points):
 # theorem harnesses
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyPipelineReport:
     """Outcome of the graph-replacement pipeline at one energy level."""
 
@@ -351,7 +351,7 @@ def verify_theorem_6_3(L, H, a, f, horizon=100.0):
                                 inv_L=inv_L, inv_graph=inv_G, grid_step=h, ok=ok)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantGraphReport:
     invariance_defect: float
     invariant: bool

@@ -25,7 +25,7 @@ MERGE_TOL = 1e-9           # parameter-space dedupe radius for roots
 TRANSVERSE_TOL = 1e-5      # |dQ/dt| below this (x speed scale) flags tangency
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiberData:
     """All points of a Lagrangian over the cotangent fiber at q.
 
@@ -52,7 +52,7 @@ class FiberData:
         return self.t.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class CausticReport:
     t: np.ndarray               # fold parameters
     q: np.ndarray               # projected base points (wrapped)
@@ -116,7 +116,7 @@ def fiber_sweep(L, q_values):
     """
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
     n = q_values.size
-    fq, fp = L.interp_q(), L.interp_p()
+    fq, fp = L.interp_q, L.interp_p
     qmin, qmax = float(np.min(L.q)) - 1.0, float(np.max(L.q)) + 1.0
     # initial=0 only widens the k range, so an empty query list needs no guard
     k = np.arange(np.floor(qmin - q_values.max(initial=0.0)),
@@ -164,7 +164,7 @@ def caustics(L):
     derivative; ``t`` and ``q`` hold them sorted by q.  Consecutive caustic
     values cut the torus into intervals whose fiber multiplicity is reported.
     """
-    fq = L.interp_q()
+    fq = L.interp_q
     tc = np.append(L.t, L.t[0] + 1.0)
     dq = fq.derivative(tc)
     hits = np.nonzero(dq[:-1] * dq[1:] < 0)[0]

@@ -501,14 +501,13 @@ def _compile(name, dim, size, entries, momenta=True):
 # Domain types
 
 
-@dataclass
+@dataclass(frozen=True)
 class HamiltonianSpec:
     """Parsed Hamiltonian with its vectorized evaluators and derivatives.
 
     Each evaluator is a function generated once by ``parse_hamiltonian``:
     q and p broadcast to one batch shape, with a trailing axis of size 2 in
-    dim 2.  Immutable after construction; all evaluators are pure, so
-    instances are safe to share across workers.
+    dim 2.  Frozen, with pure evaluators, so one instance is safe to share.
     """
 
     source: str
@@ -671,7 +670,7 @@ def shift_momentum(spec, dw_src):
 # Tonelli diagnostics
 
 
-@dataclass
+@dataclass(frozen=True)
 class TonelliReport:
     ok: bool
     min_hessian_eig: float

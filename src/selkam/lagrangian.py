@@ -9,6 +9,7 @@ trajectory) so selector pipelines can undo the normalization.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class SpectralFun:
                       - np.cos(ph) * (fac * self.w * self.c.imag), axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExactLagrangian:
     """Sampled exact Lagrangian with anchored Liouville primitive."""
 
@@ -94,20 +95,25 @@ class ExactLagrangian:
     S: np.ndarray                 # anchored: S[0] = 0
     s_offset: float
     winding: int
-    lipschitz_bound: float
-    pmax: float
     meta: dict = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
+    @property
+    def pmax(self):
+        """Max |p| over the samples."""
+        return float(np.max(np.abs(self.p)))
+
+    @property
+    def lipschitz_bound(self):
+        """Max difference quotient of (q, p) over consecutive samples."""
+        return _lipschitz_of_samples(self.t, [self.q, self.p], [float(self.winding), 0.0])
+
+    @cached_property
     def interp_q(self):
-        if "q" not in self._cache:
-            self._cache["q"] = PeriodicCubic(self.t, self.q, jump=float(self.winding))
-        return self._cache["q"]
+        return PeriodicCubic(self.t, self.q, jump=float(self.winding))
 
+    @cached_property
     def interp_p(self):
-        if "p" not in self._cache:
-            self._cache["p"] = PeriodicCubic(self.t, self.p)
-        return self._cache["p"]
+        return PeriodicCubic(self.t, self.p)
 
     def arc_length(self):
         return float(np.sum(_phase_gaps(self.q, self.p, self.winding)))
@@ -123,7 +129,7 @@ class ExactLagrangian:
         idx = np.searchsorted(self.t, smod, side="right") - 1
         idx = np.clip(idx, 0, self.t.size - 1)
         out = self.S[idx].copy()
-        _gauss3_add(out, self.interp_q(), self.interp_p(), self.t[idx], smod)
+        _gauss3_add(out, self.interp_q, self.interp_p, self.t[idx], smod)
         return out if out.size != 1 else float(out[0])
 
     def phase_points(self):
@@ -131,7 +137,7 @@ class ExactLagrangian:
         return np.column_stack([wrap(self.q), self.p])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ApproxSequence:
     """Equi-Lipschitz approximating sequence converging to a Lipschitz target."""
 
@@ -141,7 +147,7 @@ class ApproxSequence:
     sup_dists: np.ndarray         # per level, distance to the limit
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExactnessReport:
     """The exactness measure (``verify_exactness``); ok = residual <= budget.
 
@@ -256,12 +262,9 @@ def from_graph(v):
         raise ValueError(f"need at least {MIN_GRID} samples")
     n = v.size
     t = np.arange(n) / n
-    p = SpectralFun(v).derivative(t)
-    lip = _lipschitz_of_samples(t, [t, p], [1.0, 0.0])
     return ExactLagrangian(
-        kind="graph", t=t, q=t.copy(), p=p, S=v - v[0],
-        s_offset=float(v[0]), winding=1, lipschitz_bound=lip,
-        pmax=float(np.max(np.abs(p))), meta={"v_samples": v.copy()})
+        kind="graph", t=t, q=t.copy(), p=SpectralFun(v).derivative(t), S=v - v[0],
+        s_offset=float(v[0]), winding=1, meta={"v_samples": v.copy()})
 
 
 def _shoot(H, vf, dt, steps, starts):
@@ -333,12 +336,9 @@ def from_flow(v, H, T, steps, initial_samples=4096):
     if T == 0:
         n = max(v.size, 1024)
         t = np.arange(n) / n
-        p = vf.derivative(t)
-        lip = _lipschitz_of_samples(t, [t, p], [1.0, 0.0])
         return ExactLagrangian(
-            kind="flowed", t=t, q=t.copy(), p=p, S=vf(t) - vf(0.0),
+            kind="flowed", t=t, q=t.copy(), p=vf.derivative(t), S=vf(t) - vf(0.0),
             s_offset=float(vf(np.array([0.0]))[0]), winding=1,
-            lipschitz_bound=lip, pmax=float(np.max(np.abs(p))),
             meta={"H": H, "T": 0.0, "steps": 0, "v_samples": v.copy()})
 
     dt = T / steps
@@ -420,10 +420,8 @@ def from_flow(v, H, T, steps, initial_samples=4096):
         stats[f"{stage}_rounds"] = rounds
 
     S = _integrate_primitive(G)
-    lip = _lipschitz_of_samples(t, [Q, P], [1.0, 0.0])
     L = ExactLagrangian(
-        kind="flowed", t=t, q=Q, p=P, S=S, s_offset=s_offset,
-        winding=1, lipschitz_bound=lip, pmax=float(np.max(np.abs(P))),
+        kind="flowed", t=t, q=Q, p=P, S=S, s_offset=s_offset, winding=1,
         meta={"H": H, "T": float(T), "steps": steps,
               "v_samples": v.copy(), "loop_residual": float(np.sum(G)), **stats})
     _require_exact(_exactness(S, G, e, L.arc_length()), "flowed curve")
@@ -443,10 +441,7 @@ def _closed_curve(kind, t, q, p, S=None, what="curve"):
                          "curve in T*T^1 winds +-1")
     if S is None:
         S = _integrate_primitive(_segments(t, lift, p, winding)[0])
-    L = ExactLagrangian(
-        kind=kind, t=t, q=lift, p=p, S=S, s_offset=0.0, winding=winding,
-        lipschitz_bound=_lipschitz_of_samples(t, [lift, p], [float(winding), 0.0]),
-        pmax=float(np.max(np.abs(p))), meta={})
+    L = ExactLagrangian(kind=kind, t=t, q=lift, p=p, S=S, s_offset=0.0, winding=winding)
     _require_exact(verify_exactness(L), what)
     return L
 
@@ -488,7 +483,7 @@ def _theta_integral(L, a, b):
     quadrature is split at every knot; Gauss-2 keeps this independent of
     the Gauss-3 rule that defines the stored primitive.
     """
-    fq, fp = L.interp_q(), L.interp_p()
+    fq, fp = L.interp_q, L.interp_p
     # split points: a, every interior knot (tiled across windings), b
     lo, hi = (a, b) if a <= b else (b, a)
     knots = []
@@ -542,10 +537,12 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
     kernel, restores exactness with an O(width^2) momentum correction that
     cancels the loop integral of p dq, and re-integrates the primitive.
     Certification fails if the per-level Lipschitz constants grow by more
-    than a factor 2 over the target's.  The limit is the target resampled,
-    its primitive integrated along the resampled curve, so it passes the
-    measure too.  T^1 only: a target of 2-d sample arrays raises
-    NotImplementedError.
+    than a factor 2 over the target's.  These constants, and
+    ``equilip_const``, are difference quotients of (q, p, S), the primitive
+    included; an entry's ``lipschitz_bound`` covers (q, p) only.  The limit
+    is the target resampled, its primitive integrated along the resampled
+    curve, so it passes the measure too.  T^1 only: a target of 2-d sample
+    arrays raises NotImplementedError.
     """
     if not isinstance(target, ExactLagrangian) and np.ndim(target[1]) != 1:
         raise NotImplementedError("mollify_sequence works over T^1 only, not dim 2")
@@ -568,6 +565,7 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
     qper = qu - winding * tu
 
     lip0 = _lipschitz_of_samples(tu, [qu, pu, Su], [float(winding), 0.0, 0.0])
+    lips = [lip0]
     entries = []
     widths = base_width * 0.5 ** np.arange(levels)
     sup_dists = []
@@ -586,20 +584,17 @@ def mollify_sequence(target, levels=4, base_width=1.0 / 16, resample=4096):
             raise RuntimeError(
                 f"equi-Lipschitz certification failed: level constant {lipk:.3g} "
                 f"exceeds twice the target's {lip0:.3g}")
-        entry = ExactLagrangian(
-            kind="parametric", t=tu, q=qk, p=pk, S=Sk, s_offset=0.0,
-            winding=winding, lipschitz_bound=lipk,
-            pmax=float(np.max(np.abs(pk))), meta={"width": float(w)})
-        entries.append(entry)
+        lips.append(lipk)
+        entries.append(ExactLagrangian(kind="parametric", t=tu, q=qk, p=pk, S=Sk,
+                                       s_offset=0.0, winding=winding,
+                                       meta={"width": float(w)}))
         sup_dists.append(max(float(np.max(np.abs(qk - qu))),
                              float(np.max(np.abs(pk - pu))),
                              float(np.max(np.abs(Sk - Su)))))
 
-    lips = [e.lipschitz_bound for e in entries]
     limit = ExactLagrangian(kind="parametric", t=tu, q=qu, p=pu, S=Su, s_offset=0.0,
-                            winding=winding, lipschitz_bound=lip0,
-                            pmax=float(np.max(np.abs(pu))), meta={})
-    return ApproxSequence(entries=entries, equilip_const=float(max(lips + [lip0])),
+                            winding=winding)
+    return ApproxSequence(entries=entries, equilip_const=float(max(lips)),
                           limit=limit, sup_dists=np.asarray(sup_dists))
 
 

@@ -21,7 +21,7 @@ import numpy as np
 __all__ = ["PersistenceDiagram", "sublevel_persistence", "connectivity_oracle"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PersistenceDiagram:
     pairs: list            # (birth_value, death_value) for finite classes
     essential_births: list  # birth values of classes surviving to the end

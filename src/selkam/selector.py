@@ -21,6 +21,7 @@ minimax on the grid, and ``selkam verify`` compares it with the envelope.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class SpectralStabilityError(RuntimeError):
 # minimal-action kernels
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionKernel:
     """Two-point minimal action on the torus, tabulated on a periodic grid.
 
@@ -84,24 +85,21 @@ class ActionKernel:
     p_end: np.ndarray
     edge: np.ndarray
     p_bound: float
-    _spline: object = field(default=None, init=False, repr=False)
 
+    @cached_property
     def spline(self):
         """Periodic bicubic spline of K, built on first use."""
-        if self._spline is None:
-            # imported here: scipy.interpolate costs a cold start no command needs
-            from scipy.interpolate import RectBivariateSpline
+        # imported here: scipy.interpolate costs a cold start no command needs
+        from scipy.interpolate import RectBivariateSpline
 
-            n = self.grid.size
-            pad = 4
-            idx = np.arange(-pad, n + pad) % n
-            ax = np.arange(-pad, n + pad) / n
-            self._spline = RectBivariateSpline(ax, ax, self.K[np.ix_(idx, idx)],
-                                               kx=3, ky=3)
-        return self._spline
+        n = self.grid.size
+        pad = 4
+        idx = np.arange(-pad, n + pad) % n
+        ax = np.arange(-pad, n + pad) / n
+        return RectBivariateSpline(ax, ax, self.K[np.ix_(idx, idx)], kx=3, ky=3)
 
     def eval(self, a, b, dx=0, dy=0):
-        return self.spline().ev(wrap(a), wrap(b), dx=dx, dy=dy)
+        return self.spline.ev(wrap(a), wrap(b), dx=dx, dy=dy)
 
 
 def _fan_kernel(H, tau, n_grid, p_bound, dt_target):
@@ -213,7 +211,7 @@ def _build_kernel(H, T, n_grid, p_bound, n_steps):
 # discrete action over a xi-lattice
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteAction:
     """Discrete action G(q; xi) over a periodic xi-lattice.
 
@@ -241,7 +239,7 @@ class DiscreteAction:
         lastcol = self.kernel.eval(x, np.full(n, self.q))
         G = self.v_fun(x)
         if self.xi_dim > 1:
-            K = self.kernel.K if n == self.kernel.grid.size else self.kernel.spline()(x, x)
+            K = self.kernel.K if n == self.kernel.grid.size else self.kernel.spline(x, x)
             for _ in range(self.xi_dim - 1):
                 G = G[..., None] + K
         return G + lastcol[(None,) * (self.xi_dim - 1)]
@@ -372,7 +370,7 @@ def _grad_scale(DA):
 # selector assembly
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectorFunction:
     """Grid-sampled Lipschitz selector with per-point provenance.
 
@@ -386,22 +384,36 @@ class SelectorFunction:
     q_grid: np.ndarray
     values: np.ndarray
     provenance: np.ndarray
-    lipschitz_const: float
-    flags: np.ndarray
     fibers: list = field(repr=False)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.q_grid.size != self.values.size:
             raise ValueError("grid/value size mismatch")
 
+    @property
+    def flags(self):
+        """The flagged points: provenance -1."""
+        return self.provenance < 0
 
-def _lipschitz_all_pairs(q_grid, values):
-    dq = np.abs(q_grid[:, None] - q_grid[None, :])
-    dq = np.minimum(dq, 1.0 - dq)
-    df = np.abs(values[:, None] - values[None, :])
-    mask = dq > 0
-    return float(np.max(df[mask] / dq[mask]))
+    @property
+    def local_lipschitz(self):
+        """|f(q_j+1) - f(q_j)| / d(q_j, q_j+1) in the flat-torus metric, the
+        last point paired with the first."""
+        dq = np.abs(np.roll(self.q_grid, -1) - self.q_grid)
+        return np.abs(np.roll(self.values, -1) - self.values) / np.minimum(dq, 1.0 - dq)
+
+    @property
+    def lipschitz_const(self):
+        """The Lipschitz constant of the sampled selector in the flat-torus metric.
+
+        The max over neighbouring grid points: the shorter arc between any
+        two points passes through neighbours only, and a difference quotient
+        over an arc is at most the largest quotient of its pieces.  In
+        floats a max over all pairs can read a few ulps higher, since a far
+        pair's distance rounds while a uniform grid's neighbour distances
+        are exact.
+        """
+        return float(np.max(self.local_lipschitz))
 
 
 def graph_selector(L, grid_size=512, snap_tol=SNAP_TOL):
@@ -416,8 +428,6 @@ def graph_selector(L, grid_size=512, snap_tol=SNAP_TOL):
     Oh's spectral one; an envelope that jumps raises "no continuous
     section", although the paper proves that a selector exists.  A point
     where the second-lowest member lies within ``snap_tol`` is flagged.
-    The certified Lipschitz constant is the max over all grid pairs in the
-    flat-torus metric.
     """
     if "H" in L.meta:
         ton = L.meta["H"].tonelli
@@ -438,10 +448,8 @@ def graph_selector(L, grid_size=512, snap_tol=SNAP_TOL):
     # which is stable between folds (h-rank is not: the minimum is always 0)
     provenance = np.array([-1 if flag else int(np.sum(fd.t < fd.t[0]))
                            for fd, flag in zip(fibers, flags)])
-    return SelectorFunction(
-        q_grid=q_grid, values=values, provenance=provenance,
-        lipschitz_const=_lipschitz_all_pairs(q_grid, values),
-        flags=flags, fibers=fibers, meta={"snapped": int(np.sum(flags))})
+    return SelectorFunction(q_grid=q_grid, values=values, provenance=provenance,
+                            fibers=fibers)
 
 
 def kernel_minimax(L, grid_size):
@@ -474,7 +482,7 @@ def kernel_minimax(L, grid_size):
 # verification
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectorReport:
     max_graph_distance: float
     max_value_mismatch: float
@@ -541,7 +549,7 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
 # generalized selectors
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneralizedReport:
     hull_distance_max: float
     extremal_value_gap_max: float
@@ -602,11 +610,9 @@ def generalized_selector(seq, grid_size=512):
 
 def dump_selector(f, path):
     """Write rows `q f provenance lip_local` as decimal text."""
-    n = f.q_grid.size
-    h = 1.0 / n
-    lip_local = np.abs(np.roll(f.values, -1) - f.values) / h
+    lip_local = f.local_lipschitz
     with open(path, "w") as fh:
         fh.write("# q f provenance lip_local\n")
-        for j in range(n):
+        for j in range(f.q_grid.size):
             fh.write(f"{f.q_grid[j]:.12g} {f.values[j]:.17g} "
                      f"{f.provenance[j]} {lip_local[j]:.12g}\n")

@@ -12,7 +12,7 @@ computed family of critical subsolutions (an outer approximation: any
 finite run samples finitely many subsolutions, which every report notes).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -184,7 +184,7 @@ def _argmin_quadratic(w, quad):
     return J[:, :n]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeakKamSolution:
     u: np.ndarray
     alpha: float
@@ -431,10 +431,10 @@ def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
     aubry = _dedupe_points(aubry, bin_r)
     mane = _dedupe_points(np.vstack(inv_sets), 0.5 * h)
     # clip to the critical shell
-    sol_minus.aubry_pts, sol_minus.mane_pts = (
-        pts[np.abs(H.value(pts[:, 0], pts[:, 1]) - alpha) <= num_tol]
-        for pts in (aubry, mane))
-    sol_minus.meta.update({
+    aubry, mane = (pts[np.abs(H.value(pts[:, 0], pts[:, 1]) - alpha) <= num_tol]
+                   for pts in (aubry, mane))
+    return replace(sol_minus, aubry_pts=aubry, mane_pts=mane, meta={
+        **sol_minus.meta,
         "family_size": len(kept),
         "single_subsolution": len(kept) == 1,
         "alpha_ascending": sol_plus.alpha,
@@ -442,7 +442,6 @@ def weak_kam_family(H, grid=1024, dt=0.1, num_tol=NUM_TOL, horizon=50.0):
         "horizon": horizon,
         "trimming": [{key: est.meta[key] for key in ("steps_run", "stationary", "traj_steps")}
                      for est in ests]})
-    return sol_minus
 
 
 def _dedupe_points(pts, radius):

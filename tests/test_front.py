@@ -16,7 +16,7 @@ def dense_scan_spectrum(L, q, n=2 ** 16):
     s = np.concatenate([[0.0], np.cumsum(np.hypot(dq, dp))])
     s /= s[-1]
     ts = np.interp(np.arange(n + 1) / n, s, np.append(L.t, L.t[0] + 1.0))
-    fq = L.interp_q()
+    fq = L.interp_q
     Q = fq(ts)
     vals = []
     for k in range(int(np.floor(Q.min() - q)) - 1, int(np.ceil(Q.max() - q)) + 1):
@@ -174,7 +174,7 @@ def loop_fiber(L, q):
     for k in range(int(np.floor(Qc.min() - q)), int(np.ceil(Qc.max() - q)) + 1):
         d = Qc - (q + k)
         hits = np.nonzero((d[:-1] * d[1:] < 0) | (d[:-1] == 0) | (d[1:] == 0))[0]
-        roots.extend(_bisect_batch(L.interp_q(), tc[hits], tc[hits + 1], q + k))
+        roots.extend(_bisect_batch(L.interp_q, tc[hits], tc[hits + 1], q + k))
     kept = []
     for r in np.sort(wrap(np.array(roots))):
         if not kept or r - kept[-1] > MERGE_TOL:
@@ -184,7 +184,7 @@ def loop_fiber(L, q):
     t = np.array(kept)
     h = np.atleast_1d(L.primitive_at(t))
     order = np.argsort(h, kind="stable")
-    return t[order], L.interp_p()(t)[order], h[order]
+    return t[order], L.interp_p(t)[order], h[order]
 
 
 @pytest.mark.parametrize("case", ["whorl", "graph_nodes", "winding_minus_one"])

@@ -34,7 +34,7 @@ def scan_multiplicity(L, q, n=4096):
     s = np.concatenate([[0.0], np.cumsum(np.hypot(dq, dp))])
     s /= s[-1]
     ts = np.interp(np.arange(n) / n, s, np.append(L.t, L.t[0] + 1.0))
-    Q = L.interp_q()(ts)
+    Q = L.interp_q(ts)
     count = 0
     for k in range(int(np.floor(Q.min() - q)) - 1, int(np.ceil(Q.max() - q)) + 1):
         d = Q - (q + k)
@@ -113,12 +113,9 @@ def test_whorl_exactness(whorl):
 
 
 def test_exactness_flags_corrupted_primitive(whorl):
-    import copy
-    L = copy.copy(whorl)
     S = whorl.S.copy()
     S[len(S) // 2] += 0.1
-    L.S = S
-    rep = verify_exactness(L)
+    rep = verify_exactness(dataclasses.replace(whorl, S=S))
     assert not rep.ok
     assert rep.max_interval_residual == pytest.approx(0.1, rel=0.05)
 
@@ -331,10 +328,21 @@ def test_a_replaced_curve_interpolates_its_own_samples():
     # the interpolant cache is per instance: a copy with shifted momenta must
     # not reuse the original's spline
     L = from_graph(0.1 * np.sin(2 * np.pi * GRID))
-    L.interp_p()
+    L.interp_p
     M = dataclasses.replace(L, p=L.p + 0.3)
-    assert M.interp_p()(np.array([0.1]))[0] == pytest.approx(L.interp_p()(np.array([0.1]))[0]
-                                                             + 0.3, abs=1e-12)
+    assert M.interp_p(np.array([0.1]))[0] == pytest.approx(L.interp_p(np.array([0.1]))[0]
+                                                           + 0.3, abs=1e-12)
+
+
+def test_a_replaced_curve_reports_its_own_constants():
+    # pmax and lipschitz_bound are read off the samples, never carried over
+    L = from_graph(0.1 * np.sin(2 * np.pi * GRID))
+    M = dataclasses.replace(L, p=L.p + 0.3)
+    assert M.pmax == float(np.max(np.abs(L.p + 0.3))) > L.pmax
+    # the slope of p (about 4) sets the bound; doubling p doubles it exactly
+    N = dataclasses.replace(L, p=2.0 * L.p)
+    assert L.lipschitz_bound > 1.0
+    assert (N.pmax, N.lipschitz_bound) == (2.0 * L.pmax, 2.0 * L.lipschitz_bound)
 
 
 def test_mollify_rejects_nonexact():

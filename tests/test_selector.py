@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selkam import selector
 from selkam.front import FiberData, fiber_sweep
@@ -272,11 +273,75 @@ def test_verify_selector_flags_corruption(whorl, whorl_selector):
     sf = whorl_selector
     bad = np.array(sf.values)
     bad[150:200] += 0.1
-    sf_bad = replace(sf, values=bad,
-                     lipschitz_const=sf.lipschitz_const)
-    rep = verify_selector(sf_bad, whorl)
+    rep = verify_selector(replace(sf, values=bad), whorl)
     assert not rep.ok
-    assert rep.max_value_mismatch >= 0.05 or rep.lipschitz_const > rep.lipschitz_bound
+    # both checks fail: the values leave the front, and a 0.1 jump over a
+    # grid step of 1/512 is a slope of about 51
+    assert rep.max_value_mismatch >= 0.05
+    assert rep.lipschitz_const > rep.lipschitz_bound
+
+
+def test_a_replaced_selector_reports_its_own_lipschitz_const(whorl_selector):
+    sf = whorl_selector
+    bad = np.array(sf.values)
+    bad[150:200] += 0.1
+    got = replace(sf, values=bad).lipschitz_const
+    # on 512 points every neighbour distance is exactly 1/512
+    assert got == float(np.max(np.abs(np.diff(np.append(bad, bad[0]))))) * 512
+    assert got > 45.0 > sf.lipschitz_const
+
+
+def all_pairs_lipschitz(q_grid, values):
+    """Reference: the max difference quotient over all grid pairs, flat-torus metric."""
+    dq = np.abs(q_grid[:, None] - q_grid[None, :])
+    dq = np.minimum(dq, 1.0 - dq)
+    df = np.abs(values[:, None] - values[None, :])
+    mask = dq > 0
+    return float(np.max(df[mask] / dq[mask]))
+
+
+def test_lipschitz_const_is_the_all_pairs_quotient_on_the_whorl(whorl_selector):
+    sf = whorl_selector
+    assert sf.lipschitz_const == all_pairs_lipschitz(sf.q_grid, sf.values)
+
+
+@st.composite
+def grid_values(draw):
+    n = draw(st.integers(2, 700))
+    q = np.arange(n) / n
+    kind = draw(st.sampled_from(["free", "ties", "ramp"]))
+    if kind == "free":
+        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    elif kind == "ties":
+        values = draw(st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0]),
+                               min_size=n, max_size=n))
+    else:
+        # a smooth profile: here far pairs can round above the neighbours
+        a, b, c = (draw(st.floats(-50, 50)) for _ in range(3))
+        values = a * q + b * np.sin(2 * np.pi * q) + c * np.minimum(q, 1.0 - q)
+    return q, np.asarray(values, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_values())
+def test_lipschitz_const_is_the_all_pairs_quotient(grid):
+    # The neighbour pairs are among all pairs and round the same way there,
+    # so the neighbour max is never above the all-pairs max.  In exact
+    # arithmetic the two are equal (the shorter arc passes through
+    # neighbours only).  In floats every neighbour distance of arange(n)/n
+    # is exact, but a far pair's distance rounds by up to eps/4 over an arc
+    # of at least 2/n, so the all-pairs max may exceed the neighbour max by
+    # rounding: n/8 ulps, plus a few for the differences and the quotient.
+    q, values = grid
+    sf = selector.SelectorFunction(q_grid=q, values=values,
+                                   provenance=np.zeros(q.size, dtype=int), fibers=[])
+    reference = all_pairs_lipschitz(q, values)
+    assert sf.lipschitz_const <= reference
+    assert reference <= sf.lipschitz_const * (1.0 + (q.size + 8) * np.finfo(float).eps)
+    if q.size & (q.size - 1) == 0 and np.all(values == np.round(values * 4) / 4):
+        # dyadic grid and quarter-integer values: every difference is exact,
+        # and rounding the quotients keeps their order
+        assert sf.lipschitz_const == reference
 
 
 def test_selector_from_front_graph():

@@ -9,7 +9,10 @@ imports from accumulating.  Every mod-1 reduction goes through
 `except` clause binds is read, and every tolerance the CLI loader
 range-checks is read by a command, so no knob is accepted and then
 ignored.  Every field of a package dataclass is read somewhere, so no
-report carries a value nobody looks at.  No function keeps state in a
+report carries a value nobody looks at.  Every package dataclass is
+frozen, and no attribute is stored on anything but ``self``, so a value
+cannot drift from what made it: copies come from ``dataclasses.replace``
+and derived quantities are properties.  No function keeps state in a
 module-level name, so one call cannot change what the next one computes.
 Every public function is called from somewhere other than its own body:
 the package, the benchmark or an acceptance criterion; the few kept
@@ -232,14 +235,47 @@ def test_no_module_state(path):
     assert not writes, f"{path.name}: functions write module-level names at {writes}"
 
 
+def _is_dataclass_decorator(d):
+    return getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+
+
 def _dataclass_fields(tree):
     """(class, field) for every annotated field of a ``@dataclass`` class."""
     return [(node.name, stmt.target.id) for node in tree.body
-            if isinstance(node, ast.ClassDef) and any(
-                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-                for d in node.decorator_list)
+            if isinstance(node, ast.ClassDef)
+            and any(_is_dataclass_decorator(d) for d in node.decorator_list)
             for stmt in node.body
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def _unfrozen_dataclasses(tree):
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for d in node.decorator_list if _is_dataclass_decorator(d)
+            and not (isinstance(d, ast.Call) and any(
+                k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                for k in d.keywords))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_every_dataclass_is_frozen(path):
+    # a value is built once: a copy with other fields comes from
+    # dataclasses.replace, and what derives from the fields is a property
+    unfrozen = _unfrozen_dataclasses(_tree(path))
+    assert not unfrozen, f"{path.name}: dataclasses not frozen: {unfrozen}"
+
+
+def _attribute_stores(tree):
+    """Lines storing an attribute on anything but ``self``."""
+    return [(n.lineno, ast.unparse(n)) for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and not (isinstance(n.value, ast.Name) and n.value.id == "self")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_attribute_stores_outside_self(path):
+    # an object is changed only by its own methods, never by a caller
+    stores = _attribute_stores(_tree(path))
+    assert not stores, f"{path.name}: attributes stored outside self at {stores}"
 
 
 def _attribute_reads(paths):
