@@ -23,9 +23,10 @@ __all__ = ["PersistenceDiagram", "sublevel_persistence", "connectivity_oracle"]
 
 @dataclass(frozen=True)
 class PersistenceDiagram:
+    """H0 diagram of a sublevel filtration: finite pairs and essential births."""
+
     pairs: list            # (birth_value, death_value) for finite classes
     essential_births: list  # birth values of classes surviving to the end
-    argmin_index: int       # flat index of the global minimizer
 
     @property
     def selected(self):
@@ -95,10 +96,7 @@ def sublevel_persistence(values):
         parent[young] = old
     roots = {find(x) for x in range(n)}
     essential = [float(flat[birth_idx[r]]) for r in roots]
-    arg = int(np.lexsort((np.arange(n), flat))[0])
-    return PersistenceDiagram(pairs=sorted(pairs),
-                              essential_births=sorted(essential),
-                              argmin_index=arg)
+    return PersistenceDiagram(pairs=sorted(pairs), essential_births=sorted(essential))
 
 
 def _label_periodic(mask):
@@ -163,6 +161,4 @@ def connectivity_oracle(values):
                     pairs.append((b, float(lam)))
         prev_reps = cur_reps
     essential = sorted(float(flat[r]) for r in prev_reps)
-    arg = int(order[0])
-    return PersistenceDiagram(pairs=sorted(pairs), essential_births=essential,
-                              argmin_index=arg)
+    return PersistenceDiagram(pairs=sorted(pairs), essential_births=essential)

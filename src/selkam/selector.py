@@ -20,7 +20,7 @@ union-find persistence as the reference).  ``kernel_minimax`` reads that
 minimax on the grid, and ``selkam verify`` compares it with the envelope.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -75,7 +75,8 @@ class ActionKernel:
     K[i, j] is the least trajectory action from a_i to a_j in time tau;
     p_start and p_end are the momenta of the minimizing trajectory, which
     are also the partial derivatives -dK/da and dK/db.  ``edge`` marks
-    entries whose minimizer ran into the momentum-fan boundary.
+    entries whose minimizer ran into the momentum-fan boundary (bookkeeping
+    of the compositions); a kernel ``_build_kernel`` returns has none.
     """
 
     tau: float
@@ -182,29 +183,28 @@ def _compose(k1, k2):
 def _build_kernel(H, T, n_grid, p_bound, n_steps):
     """Composed minimal-action kernel for horizon T (T > 0) and its segment count.
 
-    Every call builds; a caller that needs the same kernel again passes the
-    one it holds (a ``DiscreteAction`` is reused with ``dataclasses.replace``).
+    The fan widens (x1.6, 3 times per segment length) while a cell is
+    unreachable or a composed minimizer uses its edge; a folded endpoint map
+    halves the segments (4 times).  Every call builds: nothing is cached.
     """
     m = max(1, int(np.ceil(T / TAU_MAX)))
+    dt_target = min(T / max(n_steps, 8), 1e-3)
     for _ in range(4):
-        tau = T / m
-        dt_target = min(T / max(n_steps, 8), 1e-3)
-        base = None
         for _ in range(3):
-            base = _fan_kernel(H, tau, n_grid, p_bound, dt_target)
-            if base is not None and not np.any(base.K >= LARGE):
+            tried = p_bound
+            base = _fan_kernel(H, T / m, n_grid, p_bound, dt_target)
+            if base is None:
                 break
-            if base is not None:
-                p_bound *= 1.6      # unreachable cells: widen the fan
-            else:
-                break
-        if base is not None and not np.any(base.K >= LARGE):
-            kernel = base
-            for _ in range(m - 1):
-                kernel = _compose(kernel, base)
-            return kernel, m
-        m *= 2                      # endpoint map folded: shorten segments
-    raise RuntimeError("could not build a monotone short-time action kernel")
+            if not np.any(base.K >= LARGE):
+                kernel = base
+                for _ in range(m - 1):
+                    kernel = _compose(kernel, base)
+                if not np.any(kernel.edge):
+                    return kernel, m
+            p_bound *= 1.6          # unreachable cells or edge minimizers: widen
+        m *= 2                      # folded, or no widening left: shorten segments
+    raise RuntimeError("no action kernel: unreachable cells or edge minimizers up to "
+                       f"p_bound {tried:.6g}, or a folded endpoint map at {m // 2} segments")
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +224,7 @@ class DiscreteAction:
     """
 
     q: float
-    H: object
     v_fun: object
-    T: float
-    N_steps: int
     xi_dim: int
     lattice_shape: tuple
     kernel: ActionKernel
@@ -265,11 +262,6 @@ class DiscreteAction:
         return g
 
 
-def _circ(d):
-    """Signed circular displacement in (-1/2, 1/2]."""
-    return wrap(d + 0.5) - 0.5
-
-
 def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,
                           p_bound=None):
     """Discrete action for the flowed graph of dv, targeted at base point q.
@@ -279,8 +271,8 @@ def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,
     number of integration segments along a trajectory (at least 8);
     ``xi_dim`` the number of free breakpoints (<= 3 for grid evaluation).
     The xi_dim chained kernels share the horizon, each spanning T / xi_dim
-    with its share of the segments.  ``spectral_value`` widens the kernel
-    fan once if the minimizing momenta hit its boundary.
+    with its share of the segments.  ``p_bound`` is the initial fan width;
+    the kernel build widens it until no minimizer uses the fan edge.
     """
     if not T > 0:
         raise ValueError(f"the discrete action needs a horizon T > 0, got T = {T}")
@@ -304,34 +296,19 @@ def build_discrete_action(H, v, T, N_steps, q, xi_dim=1, lattice_size=None,
         p_bound = 0.5 * np.ceil(2.0 * p_bound)
     kernel_grid = max(n, KERNEL_MIN_GRID) if xi_dim == 1 else KERNEL_MIN_GRID
     kernel, m = _build_kernel(H, tau, kernel_grid, p_bound, -(-N_steps // xi_dim))
-    return DiscreteAction(q=float(q), H=H, v_fun=vf, T=float(T),
-                          N_steps=N_steps, xi_dim=xi_dim,
+    return DiscreteAction(q=float(q), v_fun=vf, xi_dim=xi_dim,
                           lattice_shape=(n,) * xi_dim, kernel=kernel,
-                          meta={"segments": m, "p_bound": p_bound})
+                          meta={"segments": m})
 
 
 def spectral_value(DA):
     """Minimax level of the discrete action: birth of the essential class.
 
-    Computed by union-find persistence over the periodic xi-lattice; the
-    lattice is then refined (x2, then x4) and the selected value must move
-    by no more than a grid-scale bound.
+    Union-find persistence over the periodic xi-lattice, whose kernel fan
+    holds every minimizer; the lattice is then refined (x2, then x4) and the
+    selected value must move by no more than a grid-scale bound.
     """
-    G = DA.lattice_values()
-    diag = sublevel_persistence(G)
-    lam = diag.selected
-    if _argmin_on_edge(DA, np.unravel_index(diag.argmin_index, G.shape)):
-        if DA.meta.get("expanded"):
-            raise RuntimeError("minimizing trajectories exit the momentum "
-                               "box even after expansion")
-        # auto-expand once: a copy of DA on a kernel with a wider fan (not
-        # ``wider`` itself, whose v_fun is resampled from DA's)
-        vg = DA.v_fun(np.arange(512) / 512)
-        wider = build_discrete_action(DA.H, vg, DA.T, DA.N_steps, DA.q,
-                                      DA.xi_dim, DA.lattice_shape[0],
-                                      p_bound=2.0 * DA.meta["p_bound"])
-        return spectral_value(replace(DA, kernel=wider.kernel, meta={
-            **DA.meta, **wider.meta, "expanded": True}))
+    lam = sublevel_persistence(DA.lattice_values()).selected
     n = DA.lattice_shape[0]
     seen = [lam]
     for factor in (2, 4):
@@ -344,18 +321,6 @@ def spectral_value(DA):
         raise SpectralStabilityError(
             "spectral value did not stabilize under lattice refinement", seen)
     return lam
-
-
-def _argmin_on_edge(DA, arg):
-    """True if the broken trajectory through the breakpoints at lattice
-    index ``arg`` and on to q uses a kernel entry flagged as fan edge.
-
-    Each point goes to its circular-nearest kernel cell: q = 0.999 is next
-    to cell 0, not to the last cell.
-    """
-    pts = np.append(np.asarray(arg) / DA.lattice_shape[0], DA.q)
-    cells = np.abs(_circ(DA.kernel.grid[:, None] - pts[None, :])).argmin(axis=0)
-    return bool(np.any(DA.kernel.edge[cells[:-1], cells[1:]]))
 
 
 def _grad_scale(DA):
@@ -458,9 +423,9 @@ def kernel_minimax(L, grid_size):
     Each grid point's discrete action is a column of the kernel lattice
     v(x) + K_T(x, q); on that connected 1-d lattice the essential class is
     born at the minimum, so the minimax is the column minimum
-    (``spectral_value``'s union-find persistence is the reference).  Values
-    are shifted to the anchored primitive frame of ``graph_selector``, which
-    this checks.
+    (``spectral_value``'s union-find persistence is the reference); no
+    kernel entry uses the fan edge.  Values are shifted to the anchored
+    primitive frame of ``graph_selector``, which this checks.
     """
     if L.kind != "flowed" or "H" not in L.meta:
         raise ValueError("the kernel minimax needs a flow presentation (from_flow output)")

@@ -242,8 +242,8 @@ def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
     The family is the set of exact graphs with truncated-trigonometric
     derivative (zero mean); coordinate descent with golden-section line
     searches plus seeded random restarts.  Returns the smallest max seen,
-    an upper bound for the critical value by construction.  T^1 only: dim 2
-    raises NotImplementedError.
+    an upper bound for the critical value, and the mode coefficients
+    ``theta`` of its graph.  T^1 only: dim 2 raises NotImplementedError.
     """
     if H.dim != 1:
         raise NotImplementedError("critical_value_infmax works over T^1 only, not dim 2")
@@ -285,8 +285,7 @@ def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
                         best = min(best, (f2, t2), key=lambda z: z[0])
                 theta[i] = x1 if f1 < f2 else x2
             span *= 0.5
-    dv_best = best[1] @ basis
-    return best[0], {"theta": best[1], "dv": dv_best, "modes": modes}
+    return best
 
 
 def subsolution_check(v, H, a, tol=1e-2):

@@ -25,7 +25,6 @@ steps = 200
 
 [grids]
 base = 256
-lattice = 256
 velocity = 256
 samples = 1024
 
@@ -401,12 +400,13 @@ def test_summary_has_versions_and_hash(fast_cfg, tmp_path):
 
 
 def test_removed_keys_still_load(tmp_path):
-    # FAST_CFG carries [grids] lattice; add [run] workers, and [tolerances]
-    # conv_tol and sub_tol at values their old range checks refused: all ignored
+    # add [grids] lattice and [run] workers, and [tolerances] conv_tol and
+    # sub_tol at values their old range checks refused: all ignored
     plain = tmp_path / "plain.cfg"
-    plain.write_text(FAST_CFG.replace("lattice = 256\n", ""))
+    plain.write_text(FAST_CFG)
     legacy = tmp_path / "legacy.cfg"
-    legacy.write_text(FAST_CFG.replace("[run]\n", "[run]\nworkers = 4\n"))
+    legacy.write_text(FAST_CFG.replace("[grids]\n", "[grids]\nlattice = 256\n")
+                      .replace("[run]\n", "[run]\nworkers = 4\n"))
     tolerances = tmp_path / "tolerances.cfg"
     tolerances.write_text(FAST_CFG + "\n[tolerances]\nconv_tol = 1.0\nsub_tol = 5.0\n")
     summaries = []

@@ -34,9 +34,3 @@ def test_union_find_matches_oracle_random():
         assert a.pairs == b.pairs
         assert a.essential_births == b.essential_births
 
-
-def test_argmin_index_consistent():
-    rng = np.random.default_rng(3)
-    vals = rng.normal(size=(12, 12))
-    diag = sublevel_persistence(vals)
-    assert vals.reshape(-1)[diag.argmin_index] == vals.min()

@@ -11,8 +11,7 @@ from selkam.hamcore import parse_hamiltonian
 from selkam.lagrangian import (SpectralFun, from_flow, from_graph, from_parametric,
                                mollify_sequence)
 from selkam.persistence import connectivity_oracle, sublevel_persistence
-from selkam.selector import (ActionKernel, DiscreteAction, _argmin_on_edge,
-                             build_discrete_action, generalized_selector,
+from selkam.selector import (ActionKernel, build_discrete_action, generalized_selector,
                              graph_selector, kernel_minimax, spectral_value,
                              verify_selector, dump_selector)
 from selkam.torus import median, wrap
@@ -178,41 +177,43 @@ def test_spectral_refinement_validation(pendulum, rand_v):
     assert np.isfinite(lam)
 
 
-def test_spectral_value_leaves_its_argument_unchanged(free, monkeypatch):
-    # a deep well opposite q: the minimizer leaves at the fan edge, so the
-    # value is taken on a copy with a fan twice as wide
+def test_a_narrow_fan_is_widened_until_no_minimizer_uses_its_edge(free):
+    # a deep well opposite q: at p_bound 2.05 every cell is reachable, but
+    # minimizers of the kernel leave at the fan edge; one widening (x1.6)
+    # holds them all, and the value is the one a fan twice as wide gives
     v = 5.0 * np.sin(2 * np.pi * GRID)
     DA = build_discrete_action(free, v, 0.25, 250, 0.253, lattice_size=256,
                                p_bound=2.05)
-    kernel, meta = DA.kernel, dict(DA.meta)
-    widths = []
-    build = selector.build_discrete_action
-
-    def spy(*args, **kwargs):
-        widths.append(kwargs["p_bound"])
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(selector, "build_discrete_action", spy)
-    assert np.isfinite(spectral_value(DA))
-    assert widths == [4.1]
-    assert DA.kernel is kernel and DA.meta == meta
+    assert DA.kernel.p_bound == 2.05 * 1.6
+    assert not DA.kernel.edge.any()
+    wide = build_discrete_action(free, v, 0.25, 250, 0.253, lattice_size=256,
+                                 p_bound=4.1)
+    assert spectral_value(DA) == pytest.approx(spectral_value(wide), abs=1e-12)
 
 
-def test_argmin_on_edge_uses_circular_cells():
-    # only kernel column 0 is flagged: points just below 1 are next to it
-    n = 256
-    zeros = np.zeros((n, n))
-    edge = np.zeros((n, n), dtype=bool)
-    edge[:, 0] = True
-    kernel = ActionKernel(tau=1.0, grid=np.arange(n) / n, K=zeros, p_start=zeros,
-                          p_end=zeros, edge=edge, p_bound=1.0)
-    DA = DiscreteAction(q=0.999, H=None, v_fun=None, T=1.0, N_steps=8, xi_dim=1,
-                        lattice_shape=(n,), kernel=kernel)
-    assert _argmin_on_edge(DA, (5,))
-    assert not _argmin_on_edge(replace(DA, q=0.5), (5,))
-    DA2 = replace(DA, q=0.5, xi_dim=2, lattice_shape=(1024, 1024))
-    assert _argmin_on_edge(DA2, (5, 1023))       # 1023/1024 is nearest cell 0
-    assert not _argmin_on_edge(DA2, (5, 1020))   # 1020/1024 is cell 255
+def test_kernel_build_names_the_last_fan_width(free, monkeypatch):
+    # a fan whose minimizers always use its edge: 3 widenings per segment
+    # length and 4 halvings, then a refusal naming both causes and the
+    # last width tried
+    fans = []
+
+    def edge_fan(H, tau, n_grid, p_bound, dt_target):
+        fans.append((tau, p_bound))
+        zeros = np.zeros((4, 4))
+        return ActionKernel(tau=tau, grid=np.arange(4) / 4, K=zeros, p_start=zeros,
+                            p_end=zeros, edge=np.ones((4, 4), dtype=bool),
+                            p_bound=p_bound)
+
+    monkeypatch.setattr(selector, "_fan_kernel", edge_fan)
+    with pytest.raises(RuntimeError) as exc:
+        build_discrete_action(free, np.zeros(256), 0.5, 500, 0.3, p_bound=2.0)
+    taus, widths = zip(*fans)
+    assert taus == tuple(0.5 / 2 ** (1 + k // 3) for k in range(12))
+    assert widths == pytest.approx([2.0 * 1.6 ** k for k in range(12)], rel=1e-12)
+    message = str(exc.value)
+    assert "unreachable cells or edge minimizers" in message
+    assert "folded endpoint map" in message
+    assert f"p_bound {widths[-1]:.6g}" in message
 
 
 def test_graph_selector_trivial_graph(pendulum):

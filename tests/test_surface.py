@@ -8,8 +8,11 @@ imports from accumulating.  Every mod-1 reduction goes through
 (which `python -O` strips).  Every function parameter and every name an
 `except` clause binds is read, and every tolerance the CLI loader
 range-checks is read by a command, so no knob is accepted and then
-ignored.  Every field of a package dataclass is read somewhere, so no
-report carries a value nobody looks at.  Every package dataclass is
+ignored.  Every field of a package dataclass is read by the program (the
+package, the benchmark or an acceptance criterion), so no report carries
+a value nobody looks at; the few that only tests read are listed with
+their reasons, and each listed one must still exist, still lack a program
+reader and still have a test that reads it.  Every package dataclass is
 frozen, and no attribute is stored on anything but ``self``, so a value
 cannot drift from what made it: copies come from ``dataclasses.replace``
 and derived quantities are properties.  No function keeps state in a
@@ -286,14 +289,58 @@ def _attribute_reads(paths):
             or (isinstance(n, ast.Constant) and isinstance(n.value, str))}
 
 
+def _program_files():
+    """The package, the benchmark and the acceptance criteria."""
+    return MODULES + sorted((ROOT / "perfbench").glob("*.py")) \
+        + [ROOT / "tests" / "test_acceptance.py"]
+
+
+def _all_dataclass_fields():
+    """``Class.field`` -> field name, over every package dataclass."""
+    return {f"{cls}.{name}": name for path in MODULES
+            for cls, name in _dataclass_fields(_tree(path))}
+
+
+# Dataclass fields no program reader reads, kept for the reason given; a
+# test reads each.
+READ_BY_TESTS_ONLY = {
+    "InvariantGraphReport.invariance_defect": "the measured flow defect behind `invariant`",
+    "InvariantGraphReport.energy": "the level of an invariant graph, the theorem's conclusion",
+    "InvariantGraphReport.is_graph": "the theorem's graph conclusion, one part of `ok`",
+    "FiberData.transverse": "the fiber's tangency flag, one part of `cerf_regular`",
+    "FiberData.multiplicity_stable": "the merge-radius certificate of the fiber's point count",
+    "HamiltonianSpec.source": "the canonical text of the parsed H, which parses back to it",
+    "PeriodicFunction.source": "the canonical text of the parsed function",
+    "ApproxSequence.sup_dists": "each level's distance to the limit: the convergence it certifies",
+    "ExactnessReport.max_interval_residual": "the worst interval of a failed exactness check",
+    "PersistenceDiagram.pairs": "the finite classes, which the oracle comparison checks",
+}
+
+
 def test_every_dataclass_field_is_read():
     # a report field nothing reads is surface a reader must check is unused,
     # and often work done only to fill it
-    read = _attribute_reads(MODULES + sorted((ROOT / "perfbench").glob("*.py"))
-                            + sorted((ROOT / "tests").glob("*.py")))
-    unread = [f"{cls}.{name}" for path in MODULES
-              for cls, name in _dataclass_fields(_tree(path)) if name not in read]
-    assert not unread, f"dataclass fields never read: {unread}"
+    read = _attribute_reads(_program_files())
+    unread = sorted(key for key, name in _all_dataclass_fields().items()
+                    if name not in read and key not in READ_BY_TESTS_ONLY)
+    assert not unread, f"dataclass fields no program reads: {unread}"
+
+
+def test_read_by_tests_only_is_current():
+    # an exemption outlives neither its field, nor its lack of a program
+    # reader, nor the test that reads it
+    fields = _all_dataclass_fields()
+    program = _attribute_reads(_program_files())
+    tests = _attribute_reads(sorted((ROOT / "tests").glob("test_*.py")))
+    stale = {}
+    for key in READ_BY_TESTS_ONLY:
+        if key not in fields:
+            stale[key] = "no longer a dataclass field"
+        elif fields[key] in program:
+            stale[key] = "now read by the program"
+        elif fields[key] not in tests:
+            stale[key] = "read by no test"
+    assert not stale, f"stale READ_BY_TESTS_ONLY entries: {stale}"
 
 
 def _tracing_lists():
@@ -356,9 +403,7 @@ def _references(tree):
 
 def _caller_reads():
     """Names read by the package, the benchmark and the acceptance criteria."""
-    callers = MODULES + sorted((ROOT / "perfbench").glob("*.py")) \
-        + [ROOT / "tests" / "test_acceptance.py"]
-    return {name for path in callers for name, owner in _references(_tree(path))
+    return {name for path in _program_files() for name, owner in _references(_tree(path))
             if name != owner}
 
 

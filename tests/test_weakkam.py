@@ -173,7 +173,7 @@ def test_alpha_independent_of_initialization(pendulum):
 
 
 def test_infmax_free(free):
-    a_hat, info = critical_value_infmax(free, grid=512, restarts=2, sweeps=4)
+    a_hat, _ = critical_value_infmax(free, grid=512, restarts=2, sweeps=4)
     assert a_hat == pytest.approx(0.0, abs=1e-9)
 
 
