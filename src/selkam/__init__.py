@@ -1,8 +1,8 @@
 """Graph selectors and weak-KAM objects for Tonelli Hamiltonians on tori."""
 
-__version__ = "0.1.0"
+from . import dynamics, front, hamcore, lagrangian, persistence, selector, weakkam
 
-from . import dynamics, front, hamcore, lagrangian, persistence, selector, weakkam  # noqa: E402,F401
+__version__ = "0.1.0"
 
 __all__ = [
     "dynamics",

@@ -798,8 +798,8 @@ def _implicit_midpoint(spec, Q, P, dt, nsteps, accumulate_action=False):
             Qn = Qn - delta[:, :n].reshape(np.shape(Qn))
             Pn = Pn - delta[:, n:].reshape(np.shape(Pn))
         if not converged:
-            raise IntegratorError(
-                f"implicit midpoint failed to reach {MIDPOINT_TOL} in {MIDPOINT_MAX_ITERS} iterations")
+            raise IntegratorError(f"implicit midpoint failed to reach {MIDPOINT_TOL} in "
+                                  f"{MIDPOINT_MAX_ITERS} iterations")
         Q, P = Qn, Pn
         if accumulate_action:
             g = integrand(wrap(Q), P)

@@ -77,6 +77,10 @@ class ActionKernel:
     are also the partial derivatives -dK/da and dK/db.  ``edge`` marks
     entries whose minimizer ran into the momentum-fan boundary (bookkeeping
     of the compositions); a kernel ``_build_kernel`` returns has none.
+    ``eval`` reads K off the grid by a periodic bicubic Hermite patch on K
+    alone: it returns K at the nodes (bit for bit on a power-of-two grid),
+    and it is exact where K is quadratic over a cell's 4 x 4 stencil, as a
+    free particle's single-fan kernel is.
     """
 
     tau: float
@@ -88,19 +92,25 @@ class ActionKernel:
     p_bound: float
 
     @cached_property
-    def spline(self):
-        """Periodic bicubic spline of K, built on first use."""
-        # imported here: scipy.interpolate costs a cold start no command needs
-        from scipy.interpolate import RectBivariateSpline
-
-        n = self.grid.size
-        pad = 4
-        idx = np.arange(-pad, n + pad) % n
-        ax = np.arange(-pad, n + pad) / n
-        return RectBivariateSpline(ax, ax, self.K[np.ix_(idx, idx)], kx=3, ky=3)
+    def patch(self):
+        """Corner tables in grid-step units: K, its centred differences along
+        a and along b, and the b-difference differenced along a."""
+        Ka, Kb = (0.5 * (np.roll(self.K, -1, ax) - np.roll(self.K, 1, ax)) for ax in (0, 1))
+        return self.K, Ka, Kb, 0.5 * (np.roll(Kb, -1, 0) - np.roll(Kb, 1, 0))
 
     def eval(self, a, b, dx=0, dy=0):
-        return self.spline.ev(wrap(a), wrap(b), dx=dx, dy=dy)
+        """K at (a, b), broadcast, or its partial of order dx in a, dy in b (0 or 1)."""
+        n = self.grid.size
+        s, t = wrap(a) * n, wrap(b) * n
+        i, j = np.floor(s).astype(int), np.floor(t).astype(int)
+        ha, hb = hermite_basis(s - i, dx == 1), hermite_basis(t - j, dy == 1)
+        K, Ka, Kb, Kab = self.patch
+        total = 0.0
+        for wa, sa, ia in ((ha[0], ha[1], i % n), (ha[2], ha[3], (i + 1) % n)):
+            for wb, sb, jb in ((hb[0], hb[1], j % n), (hb[2], hb[3], (j + 1) % n)):
+                total = total + (wa * wb * K[ia, jb] + sa * wb * Ka[ia, jb]
+                                 + wa * sb * Kb[ia, jb] + sa * sb * Kab[ia, jb])
+        return total * float(n) ** (dx + dy)
 
 
 def _fan_kernel(H, tau, n_grid, p_bound, dt_target):
@@ -233,32 +243,25 @@ class DiscreteAction:
     def lattice_values(self, n=None):
         n = n or self.lattice_shape[0]
         x = np.arange(n) / n
-        lastcol = self.kernel.eval(x, np.full(n, self.q))
         G = self.v_fun(x)
         if self.xi_dim > 1:
-            K = self.kernel.K if n == self.kernel.grid.size else self.kernel.spline(x, x)
+            K = self.kernel.eval(x[:, None], x)
             for _ in range(self.xi_dim - 1):
                 G = G[..., None] + K
-        return G + lastcol[(None,) * (self.xi_dim - 1)]
+        return G + self.kernel.eval(x, self.q)
 
     def value(self, q, xi):
         """Continuum extension of G at arbitrary (q, xi)."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        total = self.v_fun(xi[:1])[0]
-        for k in range(xi.size - 1):
-            total += float(self.kernel.eval(xi[k], xi[k + 1]))
-        total += float(self.kernel.eval(xi[-1], q))
-        return float(total)
+        legs = self.kernel.eval(xi, np.append(xi[1:], q))
+        return float(self.v_fun(xi[:1])[0] + np.sum(legs))
 
     def gradient(self, q, xi):
         """Analytic gradient of the continuum G with respect to xi."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        g = np.zeros(xi.size)
-        g[0] = self.v_fun.derivative(xi[:1])[0]
-        for k in range(xi.size - 1):
-            g[k] += float(self.kernel.eval(xi[k], xi[k + 1], dx=1))
-            g[k + 1] += float(self.kernel.eval(xi[k], xi[k + 1], dy=1))
-        g[-1] += float(self.kernel.eval(xi[-1], q, dx=1))
+        g = self.kernel.eval(xi, np.append(xi[1:], q), dx=1)
+        g[0] += self.v_fun.derivative(xi[:1])[0]
+        g[1:] += self.kernel.eval(xi[:-1], xi[1:], dy=1)
         return g
 
 

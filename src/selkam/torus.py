@@ -71,10 +71,15 @@ def unwrap_closed(q):
     return lift, winding
 
 
-def hermite_basis(u):
-    """Cubic-Hermite basis (h00, h10, h01, h11) at local coordinates u in [0, 1]."""
-    return ((1 + 2 * u) * (1 - u) ** 2, u * (1 - u) ** 2,
-            u * u * (3 - 2 * u), u * u * (u - 1))
+def hermite_basis(u, derivative=False):
+    """Cubic-Hermite basis (h00, h10, h01, h11) at local coordinates u in [0, 1],
+    or its u-derivatives, whose h01 is the exact negation of h00."""
+    if not derivative:
+        return ((1 + 2 * u) * (1 - u) ** 2, u * (1 - u) ** 2,
+                u * u * (3 - 2 * u), u * u * (u - 1))
+    w, t = 1 - u, 3 * u
+    d01 = 6 * u * w
+    return -d01, w * (1 - t), d01, u * (t - 2)
 
 
 class PeriodicCubic:
@@ -111,36 +116,23 @@ class PeriodicCubic:
         return (y[2:] * h0 / h1 + y[1:-1] * (h1 / h0 - h0 / h1)
                 - y[:-2] * h1 / h0) / (h0 + h1)
 
-    def _locate(self, s):
+    def _cell(self, s):
+        """Each s's cell: local coordinate u, width h, end values and slopes."""
         s = wrap(np.asarray(s, dtype=float) - self.t[0]) + self.t[0]
-        k = np.searchsorted(self._te, s, side="right") - 1
-        k = np.clip(k, 0, self._te.size - 2)
-        return s, k
+        k = np.clip(np.searchsorted(self._te, s, side="right") - 1, 0, self._te.size - 2)
+        t0, h = self._te[k], self._te[k + 1] - self._te[k]
+        return (s - t0) / h, h, self._ye[k], self._ye[k + 1], self._me[k], self._me[k + 1]
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        wind = np.floor(s - self.t[0])
-        sm, k = self._locate(s)
-        t0, t1 = self._te[k], self._te[k + 1]
-        y0, y1 = self._ye[k], self._ye[k + 1]
-        m0, m1 = self._me[k], self._me[k + 1]
-        h = t1 - t0
-        h00, h10, h01, h11 = hermite_basis((sm - t0) / h)
+        u, h, y0, y1, m0, m1 = self._cell(s)
+        h00, h10, h01, h11 = hermite_basis(u)
         val = h00 * y0 + h10 * h * m0 + h01 * y1 + h11 * h * m1
-        return val + wind * self.jump
+        return val + np.floor(np.asarray(s, dtype=float) - self.t[0]) * self.jump
 
     def derivative(self, s):
-        sm, k = self._locate(s)
-        t0, t1 = self._te[k], self._te[k + 1]
-        y0, y1 = self._ye[k], self._ye[k + 1]
-        m0, m1 = self._me[k], self._me[k + 1]
-        h = t1 - t0
-        u = (sm - t0) / h
-        d00 = 6 * u * (u - 1) / h
-        d10 = (1 - u) * (1 - 3 * u)
-        d01 = -d00
-        d11 = u * (3 * u - 2)
-        return d00 * y0 + d10 * m0 + d01 * y1 + d11 * m1
+        u, h, y0, y1, m0, m1 = self._cell(s)
+        d00, d10, d01, d11 = hermite_basis(u, derivative=True)
+        return d00 / h * y0 + d10 * m0 + d01 / h * y1 + d11 * m1
 
 
 def phase_tiles(points):

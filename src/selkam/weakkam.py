@@ -255,6 +255,14 @@ def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
     def objective(theta):
         return float(np.max(H.value(q, theta @ basis)))
 
+    def probe(x):
+        # the objective at theta with theta[i] = x; keeps the best point, the earlier on a tie
+        nonlocal best
+        t = np.where(np.arange(n_params) == i, x, theta)
+        f = objective(t)
+        best = min(best, (f, t), key=lambda z: z[0])
+        return f
+
     rng = np.random.default_rng(seed)
     gr = (np.sqrt(5.0) - 1) / 2
     best = (objective(np.zeros(n_params)), np.zeros(n_params))
@@ -266,23 +274,16 @@ def critical_value_infmax(H, n_params=7, grid=1024, restarts=4, sweeps=12,
                 a, b = theta[i] - span, theta[i] + span
                 x1 = b - gr * (b - a)
                 x2 = a + gr * (b - a)
-                t1 = theta.copy(); t1[i] = x1
-                t2 = theta.copy(); t2[i] = x2
-                f1, f2 = objective(t1), objective(t2)
-                best = min(best, (f1, t1), (f2, t2), key=lambda z: z[0])
+                f1, f2 = probe(x1), probe(x2)
                 for _ in range(40):
                     if f1 < f2:
                         b, x2, f2 = x2, x1, f1
                         x1 = b - gr * (b - a)
-                        t1 = theta.copy(); t1[i] = x1
-                        f1 = objective(t1)
-                        best = min(best, (f1, t1), key=lambda z: z[0])
+                        f1 = probe(x1)
                     else:
                         a, x1, f1 = x1, x2, f2
                         x2 = a + gr * (b - a)
-                        t2 = theta.copy(); t2[i] = x2
-                        f2 = objective(t2)
-                        best = min(best, (f2, t2), key=lambda z: z[0])
+                        f2 = probe(x2)
                 theta[i] = x1 if f1 < f2 else x2
             span *= 0.5
     return best

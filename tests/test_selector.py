@@ -110,6 +110,39 @@ def test_discrete_action_gradient_fd(pendulum_actions):
     assert worst <= 1e-6
 
 
+def test_patch_is_exact_on_a_free_particle_single_fan(free):
+    # off the cut locus the free particle's tau-kernel is d^2 / (2 tau), d
+    # the signed gap b - a: a quadratic, which the bicubic Hermite patch on
+    # centred differences reproduces
+    tau = 0.25
+    kernel = build_discrete_action(free, np.zeros(256), tau, 250, 0.3,
+                                   lattice_size=256).kernel
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0, 1, 20000)
+    b = wrap(a + rng.uniform(-0.48, 0.48, a.size))
+    d = circ(b - a)
+    assert np.max(np.abs(kernel.eval(a, b) - d ** 2 / (2 * tau))) <= 1e-11
+    assert np.max(np.abs(kernel.eval(a, b, dx=1) + d / tau)) <= 1e-9
+    assert np.max(np.abs(kernel.eval(a, b, dy=1) - d / tau)) <= 1e-9
+
+
+def test_patch_returns_the_kernel_at_the_nodes(pendulum_actions):
+    for d in (1, 2):
+        kernel = pendulum_actions[d].kernel
+        x = kernel.grid
+        assert np.array_equal(kernel.eval(x[:, None], x), kernel.K)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_value_matches_the_lattice_at_its_nodes(pendulum_actions, d):
+    DA = pendulum_actions[d]
+    G = DA.lattice_values()
+    n = G.shape[0]
+    rng = np.random.default_rng(d)
+    for idx in rng.integers(0, n, (50, d)):
+        assert DA.value(DA.q, idx / n) == pytest.approx(G[tuple(idx)], abs=1e-12)
+
+
 def test_spectral_value_matches_oracle_exactly(pendulum_actions):
     # lattices 512 and 64, the default sizes for one and two breakpoints
     for d in (1, 2):

@@ -22,7 +22,11 @@ the package, the benchmark or an acceptance criterion; the few kept
 without a caller are listed with their reasons, so the surface does not
 grow back, and each listed one must still exist and still lack a caller.
 No module reads another module's private names: what another module
-needs is public.
+needs is public.  scipy serves two places only
+(`test_scipy_serves_only_the_oracle_and_the_version_string`):
+`persistence._label_periodic` labels components with `scipy.ndimage`
+for the persistence oracle, and `cli` reads the version string; every
+interpolant is the package's own cubic Hermite.
 
 One check imports the package: the benchmark's traced run
 (`perfbench/tracing.py`, read here with `ast`) wraps named `selkam`
@@ -107,6 +111,33 @@ def _is_mod_one(node):
 def test_mod_one_goes_through_wrap(path):
     lines = [node.lineno for node in ast.walk(_tree(path)) if _is_mod_one(node)]
     assert not lines, f"{path.name}: mod-1 reduction outside torus.wrap at lines {lines}"
+
+
+SCIPY_IMPORTS = {
+    ("persistence", "_label_periodic", "scipy.ndimage"),   # the oracle's labelling
+    ("cli", None, "scipy"),                                # the version string
+}
+
+
+def _scipy_imports(path):
+    """(module, enclosing top-level definition or None, imported path) of
+    each scipy import in a module."""
+    out = set()
+    for top in _tree(path).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Import):
+                out |= {(path.stem, owner, a.name) for a in node.names
+                        if a.name.split(".")[0] == "scipy"}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] == "scipy":
+                out |= {(path.stem, owner, f"{node.module}.{a.name}") for a in node.names}
+    return out
+
+
+def test_scipy_serves_only_the_oracle_and_the_version_string():
+    found = set().union(*(_scipy_imports(path) for path in MODULES))
+    assert found == SCIPY_IMPORTS, f"scipy imports: {sorted(found, key=str)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
