@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from selkam import hamcore, weakkam
 from selkam.hamcore import parse_hamiltonian
-from selkam.weakkam import (_shifted, critical_value, critical_value_infmax,
+from selkam.weakkam import (_rolls, critical_value, critical_value_infmax,
                             lax_oleinik_step, legendre_table, smooth_subsolution,
                             subsolution_check, weak_kam_family)
 
@@ -44,7 +45,7 @@ def test_shift_gather_is_a_stack_of_rolls(shape, seed, data):
         k = n // 2
         shifts = data.draw(st.lists(st.integers(-k, k), min_size=1, max_size=2 * k + 3))
         want = np.stack([np.roll(u, s, axis) for s in shifts])
-        assert _shifted(u, shifts, axis).tobytes() == want.tobytes()
+        assert _rolls(u, axis)[n - np.asarray(shifts)].tobytes() == want.tobytes()
 
 
 def _rolled_step(u, H, dt, direction, v_max):
@@ -97,7 +98,7 @@ def _stacked_step(u, H, dt, direction, v_max):
     for axis, n in enumerate(u.shape):
         shifts = weakkam._shifts(n, v_max, dt)
         quad = (shifts * (1.0 / n)) ** 2 / (2 * dt)
-        out = pick([pick(_shifted(out, shifts[i:i + 256], axis)
+        out = pick([pick(_rolls(out, axis)[n - shifts[i:i + 256]]
                          + (sign * quad[i:i + 256]).reshape((-1,) + (1,) * u.ndim), axis=0)
                     for i in range(0, shifts.size, 256)], axis=0)
     grids = np.meshgrid(*(np.arange(n) / n for n in u.shape), indexing="ij")
@@ -141,6 +142,25 @@ def test_unknown_direction_is_refused_by_name(call):
 def test_step_rejects_bad_dt(free):
     with pytest.raises(ValueError):
         lax_oleinik_step(np.zeros(64), free, 0.7)
+
+
+@pytest.mark.parametrize("H", [NONMECH, PENDULUM], ids=["legendre", "mechanical"])
+def test_a_table_of_another_shape_is_refused_by_name(H):
+    # a one-row table used to broadcast into a step off by up to 1.4
+    u = np.zeros(64)
+    v_max = weakkam._velocity_bound(H)
+    table = weakkam._grid_table(H, u.shape, 0.1, v_max)
+    assert lax_oleinik_step(u, H, 0.1, v_max=v_max, table=table).shape == u.shape
+    with pytest.raises(ValueError, match="table has shape"):
+        lax_oleinik_step(u, H, 0.1, v_max=v_max, table=table[:1])
+
+
+@pytest.mark.parametrize("H", [NONMECH, PENDULUM], ids=["legendre", "mechanical"])
+@pytest.mark.parametrize("v_max", [0, -1.0])
+def test_a_non_positive_v_max_is_refused_by_name(H, v_max):
+    # 0 used to stand for the default bound, and -1 to end in an empty argmin
+    with pytest.raises(ValueError, match="v_max must be positive"):
+        lax_oleinik_step(np.zeros(64), H, 0.1, v_max=v_max)
 
 
 def test_critical_value_free(free):
@@ -271,6 +291,54 @@ def test_legendre_table_matches_the_meshgrid_solve(expr):
     got = legendre_table(H, velocities, q)
     assert got.tobytes() == _meshgrid_table(H, velocities, q).tobytes()
     assert got.shape == (81, 256)
+
+
+@pytest.mark.parametrize("budget", [7, 259])
+@pytest.mark.parametrize("n, dt", [(64, 0.1), (64, 0.5), (50, 0.1)])
+def test_ragged_row_blocks_are_bit_identical(monkeypatch, budget, n, dt):
+    # v_max 2.5 gives 33, 65 (K = n // 2) and 27 rows; a budget of 7 elements
+    # makes one-row blocks, one of 259 blocks of 4 or 5 rows with a shorter
+    # last one.  The quartic H's Newton solve takes longest at large
+    # velocities, put first and then last, so a stop test read on the last
+    # block or on the first ends early.
+    v_max = 2.5
+    u = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    velocities = weakkam._shifts(n, v_max, dt) * (1.0 / n) / dt
+    q = np.arange(n) / n
+    quartic = parse_hamiltonian("p^4/12 + p^2/2 + 0.3*cos(2*pi*q)*p + 0.2*sin(4*pi*q)", 1)
+    solves = [(H, vel, _meshgrid_table(H, vel, q)) for H, vel in
+              ((NONMECH, velocities), (quartic, velocities[::-1] - velocities[0]),
+               (quartic, velocities - velocities[0]))]
+    steps = {d: _rolled_step(u, NONMECH, dt, d, v_max) for d in ("descending", "ascending")}
+    monkeypatch.setattr(weakkam, "STACK_BLOCK", budget)
+    sizes = [len(range(velocities.size)[b]) for b in weakkam._row_blocks(velocities.size, n)]
+    assert sum(sizes) == velocities.size and sizes[0] == max(1, budget // n)
+    assert budget < n or sizes[-1] < sizes[0]
+    for H, vel, want in solves:
+        assert legendre_table(H, vel, q).tobytes() == want.tobytes()
+    for direction, want in steps.items():
+        got = lax_oleinik_step(u, NONMECH, dt, direction=direction, v_max=v_max)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_the_table_build_and_step_stay_near_the_table_size():
+    # the weakkam-nonmech table, 1025 x 1024 (K = n // 2) and 8.0 MiB; a
+    # whole-table Newton solve peaked at 48.1 MiB and a whole-stack step took
+    # 8.06 MiB above its inputs
+    v_max = weakkam._velocity_bound(NONMECH)
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, 1024)
+    tracemalloc.start()
+    try:
+        table = weakkam._grid_table(NONMECH, u.shape, 0.1, v_max)
+        held, build = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        lax_oleinik_step(u, NONMECH, 0.1, v_max=v_max, table=table)
+        step = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (1025, 1024)
+    assert build <= table.nbytes + 4 * 2 ** 20, build / 2 ** 20
+    assert step <= 2 * 2 ** 20, step / 2 ** 20
 
 
 def test_legendre_table_refuses_a_concave_hamiltonian():
