@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, dynamics, front, hamcore, lagrangian, selector, torus, weakkam
 from .persistence import connectivity_oracle, sublevel_persistence
@@ -179,12 +178,15 @@ def _build_lagrangian(cfg):
 
 
 def _summary(cfg, command, results):
+    versions = {"selkam": __version__, "numpy": np.__version__}
+    if command == "oracle":
+        import scipy  # the one command that runs scipy records its version
+        versions["scipy"] = scipy.__version__
     return {
         "command": command,
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
-        "versions": {"selkam": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": versions,
         "results": results,
     }
 

@@ -398,7 +398,7 @@ def verify_theorem_1_5(L, H, horizon=5.0):
                                 is_graph=is_graph, ok=ok)
 
 
-def equivariance_check(v_samples, w_samples, dw_src, H, a=None, horizon=50.0):
+def equivariance_check(v_samples, w_samples, dw_src, H, a, horizon=50.0):
     """Momentum-shift equivariance of the computed invariant sets.
 
     phi(q, p) = (q, p + dw(q)) is an exact symplectomorphism; the
@@ -417,9 +417,6 @@ def equivariance_check(v_samples, w_samples, dw_src, H, a=None, horizon=50.0):
     L1 = from_graph(vf(fine))
     L2 = from_graph(vf(fine) - wf(fine))
     H2 = hamcore.shift_momentum(H, dw_src)
-    if a is None:
-        pts = L1.phase_points()
-        a = float(np.max(H.value(pts[:, 0], pts[:, 1])))
     inv1 = maximal_invariant_set(L1, H, a, horizon=horizon)
     inv2 = maximal_invariant_set(L2, H2, a, horizon=horizon)
     # pull the first set back through phi^{-1}: p -> p - dw(q)

@@ -21,7 +21,6 @@ __all__ = [
 ]
 
 GAP_TOL = 1e-6
-MERGE_TOL = 1e-9           # parameter-space dedupe radius for roots
 TRANSVERSE_TOL = 1e-5      # |dQ/dt| below this (x speed scale) flags tangency
 
 
@@ -30,14 +29,11 @@ class FiberData:
     """All points of a Lagrangian over the cotangent fiber at q.
 
     Momenta and primitives come sorted by primitive value, so ``h`` is the
-    fiber's spectrum.  ``transverse`` is False when a found root meets the
-    fiber at a tangency; a double root with no sign change, as at a fold
-    value, is not found.  A root within MERGE_TOL of the previous one
-    merges into it; multiplicity is certified stable when merging at
-    MERGE_TOL/2 keeps the same count.  ``cerf_regular``: transverse, with
-    primitive values separated by more than GAP_TOL.  ``fiber_sweep``
-    computes all fibers in one pass, but each depends only on its own q,
-    not on the other queries of the batch.
+    fiber's spectrum.  ``transverse`` is False when a root meets the fiber
+    at a tangency, as the fold root of a fiber over a caustic does.
+    ``cerf_regular``: transverse, with primitive values separated by more
+    than GAP_TOL.  ``fiber_sweep`` computes all fibers in one pass, but each
+    depends only on its own q, not on the other queries of the batch.
     """
 
     q: float
@@ -46,7 +42,6 @@ class FiberData:
     h: np.ndarray              # anchored primitive values, ascending
     transverse: bool
     cerf_regular: bool
-    multiplicity_stable: bool
 
     def __len__(self):
         return self.t.size
@@ -66,7 +61,8 @@ def _bisect_batch(fq, lo, hi, targets):
     """Vectorized bisection of fq(t) = target on bracketing intervals.
 
     Brackets whose endpoint sits exactly on the target resolve to that
-    endpoint (closing intervals can land there after float rounding).
+    endpoint, so a level at a knot value, a fold value included, lands on
+    the knot.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -88,31 +84,26 @@ def _bisect_batch(fq, lo, hi, targets):
     return out
 
 
-def _merged(r, own, tol):
-    """Mask of the sorted roots ``r`` (grouped by ``own``) kept at merge radius tol.
-
-    A root within tol of its predecessor merges into it; the last kept root
-    of a query merges into the first across the closing wrap.
-    """
-    keep = np.ones(r.size, dtype=bool)
-    keep[1:] = (own[1:] != own[:-1]) | (np.diff(r) > tol)
-    idx = np.nonzero(keep)[0]
-    cut = np.diff(own[idx], prepend=-1, append=-1) != 0
-    first, last = idx[cut[:-1]], idx[cut[1:]]
-    keep[last[(first != last) & (r[first] + 1.0 - r[last] <= tol)]] = False
-    return keep
+def _folds(L):
+    """Fold parameters in [t0, t0 + 1]: the zeros of dQ/dt where it changes sign."""
+    fq = L.interp_q
+    tc = np.append(L.t, L.t[0] + 1.0)
+    dq = fq.derivative(tc)
+    hits = np.nonzero(dq[:-1] * dq[1:] < 0)[0]
+    return _bisect_batch(fq.derivative, tc[hits], tc[hits + 1], 0.0)
 
 
 def fiber_sweep(L, q_values):
     """FiberData for many base points in one array pass.
 
-    Every level q + k the lift can reach is tabulated, sorted; each sample
-    interval of the lift brackets the levels between its end values
-    (touching ones included), and all brackets are bisected together.  The
-    roots are sorted and merged per query, and the interpolants and the
-    primitive are evaluated once on all kept roots.  Every step is
-    elementwise or per query, so a query's fiber does not depend on the
-    other queries of the batch.
+    Every level q + k the lift can reach is tabulated, sorted.  The folds
+    join the sample nodes as knots, so the lift is monotone on each knot
+    interval; an interval takes the levels from its start value (included)
+    to its end value (excluded), so each root is bracketed once and a level
+    at a fold value lands on the fold.  All brackets are bisected together,
+    and the interpolants and the primitive are evaluated once on all roots.
+    Every step is elementwise or per query, so a query's fiber does not
+    depend on the other queries of the batch.
     """
     q_values = np.atleast_1d(np.asarray(q_values, dtype=float))
     n = q_values.size
@@ -124,20 +115,21 @@ def fiber_sweep(L, q_values):
     levels = (q_values[:, None] + k).ravel()
     order = np.argsort(levels)
     levels, owner = levels[order], order // k.size
-    Qc = np.append(L.q, L.q[0] + L.winding)
-    tc = np.append(L.t, L.t[0] + 1.0)
-    first = np.searchsorted(levels, np.minimum(Qc[:-1], Qc[1:]), side="left")
-    count = np.searchsorted(levels, np.maximum(Qc[:-1], Qc[1:]), side="right") - first
+    tf = _folds(L)
+    at = np.searchsorted(L.t, tf, side="right")
+    tk, Qk = np.insert(L.t, at, tf), np.insert(L.q, at, fq(tf))
+    tc = np.append(tk, L.t[0] + 1.0)
+    up = np.diff(np.append(Qk, L.q[0] + L.winding)) >= 0
+    # the closing interval ends at the first knot, read in that knot's frame
+    left, right = (np.append(np.searchsorted(levels, Qk, side=side),
+                             np.searchsorted(levels - L.winding, Qk[0], side=side))
+                   for side in ("left", "right"))
+    first = np.where(up, left[:-1], right[1:])
+    count = np.where(up, left[1:], right[:-1]) - first
     interval = np.repeat(np.arange(count.size), count)
     level = np.arange(interval.size) + np.repeat(first - np.cumsum(count) + count, count)
-    roots = wrap(_bisect_batch(fq, tc[interval], tc[interval + 1], levels[level]))
+    t = wrap(_bisect_batch(fq, tc[interval], tc[interval + 1], levels[level]))
     own = owner[level]
-    order = np.lexsort((roots, own))
-    roots, own = roots[order], own[order]
-    keep = _merged(roots, own, MERGE_TOL)
-    stable = (np.bincount(own[keep], minlength=n)
-              == np.bincount(own[_merged(roots, own, MERGE_TOL / 2)], minlength=n))
-    t, own = roots[keep], own[keep]
     dq, dp = fq.derivative(t), fp.derivative(t)
     p = fp(t)
     h = np.atleast_1d(L.primitive_at(t))
@@ -145,45 +137,36 @@ def fiber_sweep(L, q_values):
     cosine = np.abs(dq) / np.maximum(np.hypot(dq, dp), 1e-300)
     transverse = np.bincount(own, weights=~(cosine > TRANSVERSE_TOL), minlength=n) == 0
     sizes = np.bincount(own, minlength=n)
-    order = np.lexsort((h, own))
+    order = np.lexsort((t, h, own))
     t, p, h, own = t[order], p[order], h[order], own[order]
     close = (own[1:] == own[:-1]) & ~(np.diff(h) > GAP_TOL)
     cerf = transverse & (sizes > 0) & (np.bincount(own[1:][close], minlength=n) == 0)
     cuts = np.cumsum(sizes)[:-1]
     return [FiberData(q=float(qv), t=tj, p=pj, h=hj, transverse=bool(tr),
-                      cerf_regular=bool(ce), multiplicity_stable=bool(st))
-            for qv, tj, pj, hj, tr, ce, st in zip(
+                      cerf_regular=bool(ce))
+            for qv, tj, pj, hj, tr, ce in zip(
                 q_values, np.split(t, cuts), np.split(p, cuts), np.split(h, cuts),
-                transverse, cerf, stable)]
+                transverse, cerf)]
 
 
 def caustics(L):
     """Base projections of the fold points (critical values of projection).
 
     Folds are zeros of dQ/dt located by bisection on the interpolated
-    derivative; ``t`` and ``q`` hold them sorted by q.  Consecutive caustic
+    derivative (``_folds``, the knots ``fiber_sweep`` also cuts the lift
+    at); ``t`` and ``q`` hold them sorted by q.  Consecutive caustic
     values cut the torus into intervals whose fiber multiplicity is reported.
     """
-    fq = L.interp_q
-    tc = np.append(L.t, L.t[0] + 1.0)
-    dq = fq.derivative(tc)
-    hits = np.nonzero(dq[:-1] * dq[1:] < 0)[0]
-    if hits.size == 0:
+    t_fold = wrap(_folds(L))
+    if t_fold.size == 0:
         return CausticReport(t=np.empty(0), q=np.empty(0), intervals=[(0.0, 1.0, 1)])
-    t_fold = wrap(_bisect_batch(fq.derivative, tc[hits], tc[hits + 1], 0.0))
-    q_fold = wrap(fq(t_fold))
+    q_fold = wrap(L.interp_q(t_fold))
     order = np.argsort(q_fold)
     qs = q_fold[order]
-    intervals = []
-    mids = []
-    for i in range(qs.size):
-        q_lo = qs[i]
-        q_hi = qs[(i + 1) % qs.size] + (1.0 if i == qs.size - 1 else 0.0)
-        mids.append(wrap(0.5 * (q_lo + q_hi)))
-        intervals.append([q_lo, wrap(q_hi)])
-    counts = [len(f) for f in fiber_sweep(L, mids)]
-    intervals = [(a, b, c) for (a, b), c in zip(intervals, counts)]
-    return CausticReport(t=t_fold[order], q=qs, intervals=intervals)
+    q_hi = np.append(qs[1:], qs[0] + 1.0)
+    counts = [len(f) for f in fiber_sweep(L, wrap(0.5 * (qs + q_hi)))]
+    return CausticReport(t=t_fold[order], q=qs,
+                         intervals=list(zip(qs, wrap(q_hi), counts)))
 
 
 def dump_front(L, q_grid, path):

@@ -106,8 +106,6 @@ def _label_periodic(mask):
 
     shape = mask.shape
     lab, num = ndimage.label(mask)
-    if num == 0:
-        return lab.reshape(-1)
     lut = np.arange(num + 1)
 
     def lfind(x):

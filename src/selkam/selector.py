@@ -494,8 +494,6 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
     gd = []
     vm = []
     for fd, dfj, fj in zip(fibers, df[mask], vals[mask]):
-        if len(fd) == 0:
-            continue
         dp = np.abs(fd.p - dfj)
         best = float(np.min(dp))
         gd.append(best)

@@ -20,8 +20,7 @@ from selkam.hamcore import parse_hamiltonian
 from selkam.lagrangian import (from_flow, from_graph, line_integral_check,
                                mollify_sequence)
 from selkam.persistence import connectivity_oracle, sublevel_persistence
-from selkam.selector import (build_discrete_action, generalized_selector,
-                             graph_selector, verify_selector)
+from selkam.selector import generalized_selector, graph_selector, verify_selector
 from selkam.weakkam import (critical_value, critical_value_infmax,
                             weak_kam_family)
 
@@ -42,12 +41,11 @@ def _random_potential(rng, modes=3, amp=0.05):
 
 
 @pytest.fixture(scope="module")
-def pendulum_actions():
+def pendulum_actions(pendulum, discrete_action):
     """Discrete actions of criteria 2 and 3 (T = 1.5, q = 0.3), one kernel per
     breakpoint count, on criterion 2's lattices."""
-    H = parse_hamiltonian("p^2/2 + cos(2*pi*q)", 1)
     v = _random_potential(np.random.default_rng(5))
-    return {d: build_discrete_action(H, v, 1.5, 1500, 0.3, xi_dim=d, lattice_size=n)
+    return {d: discrete_action(pendulum, v, 1.5, 1500, 0.3, xi_dim=d, lattice_size=n)
             for d, n in ((1, 512), (2, 32), (3, 8))}
 
 

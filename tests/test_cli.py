@@ -76,6 +76,27 @@ def test_config_rejects_non_periodic_hamiltonian(tmp_path, expr, dim):
     assert status == 2
 
 
+@pytest.mark.parametrize("line, bad, fieldpath, message", [
+    (None, None, "config", "file not found"),
+    ("[hamiltonian]\n", "", "config", "parse error"),
+    ("base = 256", "base = many", "grids.base", "cannot parse"),
+    ("expr = p^2/2\n", "", "hamiltonian.expr", "missing required key"),
+    ("dim = 1", "dim = 3", "hamiltonian.dim", "must be 1 or 2"),
+    ("kind = flowed", "kind = spline", "lagrangian.kind", "unknown kind"),
+    ("kind = flowed", "kind = parametric", "lagrangian.file", "needs a file"),
+    ("kind = flowed", "kind = parametric\nfile = {tmp}/nowhere.txt", "lagrangian.file",
+     "file not found")],
+    ids=["no-file", "ini-syntax", "not-a-number", "missing-key", "dim-3", "unknown-kind",
+         "parametric-no-file", "parametric-missing-file"])
+def test_load_config_refusals_name_the_field(tmp_path, line, bad, fieldpath, message):
+    p = tmp_path / "bad.cfg"
+    if line is not None:
+        p.write_text(FAST_CFG.replace(line, bad.format(tmp=tmp_path)))
+    with pytest.raises(ConfigError, match=message) as exc:
+        load_config(p)
+    assert exc.value.fieldpath == fieldpath
+
+
 @pytest.mark.parametrize("line, bad, fieldpath, command", [
     ("dt = 0.1", "dt = 0.7", "run.dt", "weakkam"),
     ("dt = 0.1", "dt = -0.1", "run.dt", "invariant"),
@@ -149,9 +170,9 @@ def test_selector_checks_tonelli_once(fast_cfg, tmp_path, monkeypatch):
 
 
 def test_no_heavy_import_on_the_workload_path(tmp_path):
-    # the workload commands load no scipy submodule beyond the version string,
-    # no sympy (derivatives are compiled in-house) and no numpy.ma (which
-    # np.median's NaN check imports)
+    # the workload commands load no scipy (only `oracle` runs it), no sympy
+    # (derivatives are compiled in-house) and no numpy.ma (which np.median's
+    # NaN check imports)
     (tmp_path / "fast.cfg").write_text(FAST_CFG)
     script = f"""
 import sys
@@ -159,8 +180,7 @@ from selkam.cli import load_config, run
 for command in ("weakkam", "selector"):
     cfg = load_config({str(tmp_path / "fast.cfg")!r}, out_dir={str(tmp_path)!r} + "/" + command)
     assert run(command, cfg)[1] == 0
-heavy = ("scipy.sparse", "scipy.spatial", "scipy.interpolate", "scipy.ndimage",
-         "scipy.optimize", "sympy", "numpy.ma")
+heavy = ("scipy", "sympy", "numpy.ma")
 print(sorted(m for m in sys.modules if m in heavy or m.startswith(tuple(h + "." for h in heavy))))
 """
     env = dict(os.environ)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from selkam.front import (MERGE_TOL, _bisect_batch, _merged, caustics, dump_front,
-                          fiber_sweep)
+from selkam.front import _bisect_batch, caustics, dump_front, fiber_sweep
 from selkam.lagrangian import from_graph, from_parametric
 from selkam.torus import wrap
 
@@ -56,7 +55,7 @@ def test_graph_has_no_caustics():
 
 def test_whorl_fold_region_fiber(whorl):
     fd = fiber_sweep(whorl, [0.99])[0]
-    assert len(fd) == 3 and fd.multiplicity_stable
+    assert len(fd) == 3
     assert np.all(np.diff(fd.h) > 0)
     oracle = dense_scan_spectrum(whorl, 0.99)
     assert oracle.size == 3
@@ -82,6 +81,18 @@ def test_whorl_caustics_structure(whorl):
     counts = [c for _, _, c in ca.intervals]
     jumps = np.abs(np.diff(counts + counts[:1]))
     assert np.all(jumps == 2)
+
+
+def test_fiber_over_a_caustic_holds_the_fold_once(whorl):
+    # a fold value is a tangential double root: the fiber there has one more
+    # point than the side with fewer sheets, and the tangency is flagged
+    ca = caustics(whorl)
+    assert len(ca) == 12
+    for qf in ca.q:
+        below, at, above = fiber_sweep(whorl, [qf - 1e-6, qf, qf + 1e-6])
+        assert abs(len(below) - len(above)) == 2, qf
+        assert len(at) == min(len(below), len(above)) + 1, qf
+        assert not at.transverse and not at.cerf_regular, qf
 
 
 def test_cerf_regular_flags(whorl):
@@ -161,13 +172,12 @@ def test_fiber_does_not_depend_on_its_batchmates(case, request):
     assert len(batch) == qs.size
     for q, fd in zip(qs, batch):
         alone = fiber_sweep(L, [q])[0]
-        for name in ("q", "t", "p", "h", "transverse", "cerf_regular",
-                     "multiplicity_stable"):
+        for name in ("q", "t", "p", "h", "transverse", "cerf_regular"):
             assert np.array_equal(getattr(fd, name), getattr(alone, name)), (q, name)
 
 
 def loop_fiber(L, q):
-    """Reference: one query, level by level; roots merge greedily into the last kept one."""
+    """Reference: one query, level by level; a root two touching brackets share counts once."""
     tc = np.append(L.t, L.t[0] + 1.0)
     Qc = np.append(L.q, L.q[0] + L.winding)
     roots = []
@@ -175,13 +185,7 @@ def loop_fiber(L, q):
         d = Qc - (q + k)
         hits = np.nonzero((d[:-1] * d[1:] < 0) | (d[:-1] == 0) | (d[1:] == 0))[0]
         roots.extend(_bisect_batch(L.interp_q, tc[hits], tc[hits + 1], q + k))
-    kept = []
-    for r in np.sort(wrap(np.array(roots))):
-        if not kept or r - kept[-1] > MERGE_TOL:
-            kept.append(r)
-    if len(kept) > 1 and kept[0] + 1.0 - kept[-1] <= MERGE_TOL:
-        kept.pop()
-    t = np.array(kept)
+    t = np.unique(wrap(np.array(roots)))
     h = np.atleast_1d(L.primitive_at(t))
     order = np.argsort(h, kind="stable")
     return t[order], L.interp_p(t)[order], h[order]
@@ -193,16 +197,6 @@ def test_fiber_sweep_equals_the_per_level_loop(case, request):
     for q, fd in zip(qs, fiber_sweep(L, qs)):
         t, p, h = loop_fiber(L, q)
         assert np.array_equal(fd.t, t) and np.array_equal(fd.p, p) and np.array_equal(fd.h, h)
-
-
-def test_merged_closes_each_query_across_the_wrap():
-    # query 0: the last root lies 5e-10 before the first across t = 0 and
-    # merges into it; query 1: its ends are 0.2 apart across the wrap and
-    # stay, its inner pair merges; query 2: a lone root is never merged away
-    r = np.array([2e-10, 0.5, 1 - 3e-10, 0.1, 0.3, 0.3 + 5e-10, 0.9, 1 - 2e-10])
-    own = np.array([0, 0, 0, 1, 1, 1, 1, 2])
-    assert _merged(r, own, 1e-9).tolist() == [True, True, False,
-                                             True, True, False, True, True]
 
 
 def test_fiber_sweep_of_no_queries_is_empty():

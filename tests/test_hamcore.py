@@ -101,6 +101,25 @@ def test_parse_periodic_rejects(src, message, position):
     assert exc.value.position == position and "Hamiltonian" not in str(exc.value)
 
 
+@pytest.mark.parametrize("call, error, message, position", [
+    (lambda: parse_hamiltonian("p^2/2 + q^x", 1), ExpressionError,
+     "expected integer exponent", 10),
+    (lambda: parse_hamiltonian("p^2/2 + sin q", 1), ExpressionError,
+     "expected '\\(' after sin", 12),
+    (lambda: parse_hamiltonian("p^2/2 + .", 1), ExpressionError, "malformed number", 8),
+    # a negative exponent parses; this one is refused as not periodic
+    (lambda: parse_hamiltonian("p^2/2 + q^-2", 1), ExpressionError,
+     "not 1-periodic in q", 0),
+    (lambda: parse_hamiltonian("p^2/2", 3), ValueError, "dim must be 1 or 2", None),
+    (lambda: shift_momentum(parse_hamiltonian("p^2/2", 1), ("0", "0")), ValueError,
+     "one shift expression per momentum", None)],
+    ids=["exponent", "call-paren", "number", "negative-exponent", "dim-3", "shift-count"])
+def test_parser_refusals(call, error, message, position):
+    with pytest.raises(error, match=message) as exc:
+        call()
+    assert getattr(exc.value, "position", None) == position
+
+
 def test_shift_momentum_rejects_a_momentum_in_the_shift(pendulum):
     with pytest.raises(ExpressionError, match="invalid for a function of q only"):
         shift_momentum(pendulum, "0.1*p")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selkam import selector
-from selkam.front import FiberData, fiber_sweep
+from selkam.front import FiberData, caustics, fiber_sweep
 from selkam.hamcore import parse_hamiltonian
 from selkam.lagrangian import (SpectralFun, from_flow, from_graph, from_parametric,
                                mollify_sequence)
@@ -34,9 +34,9 @@ def rand_v():
 
 
 @pytest.fixture(scope="module")
-def pendulum_actions(pendulum, rand_v):
+def pendulum_actions(pendulum, rand_v, discrete_action):
     """T = 1.5 discrete actions at q = 0.3, one kernel per breakpoint count."""
-    return {d: build_discrete_action(pendulum, rand_v, 1.5, 1500, 0.3, xi_dim=d)
+    return {d: discrete_action(pendulum, rand_v, 1.5, 1500, 0.3, xi_dim=d)
             for d in (1, 2, 3)}
 
 
@@ -50,6 +50,53 @@ def test_discrete_action_refuses_a_nonpositive_horizon(free, rand_v, T, monkeypa
     assert fans == []
 
 
+def hopf_lax(v, dv, d2v, T, q):
+    """min over y of v(y) + (q - y)^2 / (2T), v periodic, at sorted q.
+
+    A scan at 2^16 points a period over every y within reach, refined by
+    Newton.  The cost is a Monge array, so the first argmin is
+    nondecreasing in q: each query scans only between its neighbours'.
+    """
+    reach = int(np.ceil(T * np.max(np.abs(dv(GRID))))) + 1
+    y = np.arange(-reach * 2 ** 16, (1 + reach) * 2 ** 16) / 2 ** 16
+    vy = v(y)
+    at = np.empty(q.size, dtype=int)
+
+    def scan(lo, hi, a, b):
+        if lo < hi:
+            m = (lo + hi) // 2
+            at[m] = a + np.argmin(vy[a:b + 1] + (q[m] - y[a:b + 1]) ** 2 / (2 * T))
+            scan(lo, m, a, at[m])
+            scan(m + 1, hi, at[m], b)
+
+    scan(0, q.size, 0, y.size - 1)
+    x = y[at]
+    for _ in range(8):
+        x = x - (dv(x) - (q - x) / T) / (d2v(x) + 1 / T)
+    return v(x) + (q - x) ** 2 / (2 * T)
+
+
+@pytest.mark.parametrize("T", [1.0, 2.0, 3.0])
+def test_free_selector_is_the_hopf_lax_envelope(free, T):
+    # for H = p^2/2 the selector of the flowed graph of dv is the Hopf-Lax
+    # envelope; this v's front folds, so the pin reaches the fold knots
+    w = 2 * np.pi
+
+    def v(x):
+        return 0.05 * np.cos(w * x) + 0.015 * np.sin(2 * w * x)
+
+    def dv(x):
+        return -0.05 * w * np.sin(w * x) + 0.03 * w * np.cos(2 * w * x)
+
+    def d2v(x):
+        return -0.05 * w * w * np.cos(w * x) - 0.06 * w * w * np.sin(2 * w * x)
+
+    L = from_flow(v(GRID), free, T, int(1000 * T), 4096)
+    assert len(caustics(L)) == 4
+    f = graph_selector(L, 512)
+    assert np.max(np.abs(f.values + L.s_offset - hopf_lax(v, dv, d2v, T, f.q_grid))) <= 1e-12
+
+
 def test_time_zero_kernel_minimax_is_the_graph_selector(pendulum, rand_v):
     # at T = 0 the flowed graph is the graph of dv, whose minimax is v itself
     L = from_flow(rand_v, pendulum, 0.0, steps=1)
@@ -57,8 +104,8 @@ def test_time_zero_kernel_minimax_is_the_graph_selector(pendulum, rand_v):
     assert np.max(gap) <= 1e-12
 
 
-def test_free_particle_spectral_value_scan_oracle(free, rand_v):
-    DA = build_discrete_action(free, rand_v, 1.0, 2000, 0.3, xi_dim=1)
+def test_free_particle_spectral_value_scan_oracle(free, rand_v, discrete_action):
+    DA = discrete_action(free, rand_v, 1.0, 2000, 0.3)
     lam = spectral_value(DA)
     vf = SpectralFun(rand_v)
     xs = np.arange(200001) / 200001
@@ -66,10 +113,10 @@ def test_free_particle_spectral_value_scan_oracle(free, rand_v):
     assert lam == pytest.approx(oracle, abs=5e-5)
 
 
-def test_free_particle_zero_potential(free):
+def test_free_particle_zero_potential(free, discrete_action):
     # unique critical point: the straight (constant) trajectory, zero action
     # (the floor is the breakpoint quantization of the composed kernel)
-    DA = build_discrete_action(free, np.zeros(256), 1.0, 2000, 0.3, xi_dim=1)
+    DA = discrete_action(free, np.zeros(256), 1.0, 2000, 0.3)
     assert spectral_value(DA) == pytest.approx(0.0, abs=5e-6)
 
 
@@ -175,7 +222,7 @@ def test_snap_values_ambiguous_point_takes_lowest_sheet(monkeypatch):
     spectra = [np.array([-1.91104037, -1.91104035, 0.5]), np.array([0.1, 0.3])]
     params = [np.array([0.7, 0.2, 0.4]), np.array([0.9, 0.3])]
     fibers = [FiberData(q=j / 2, t=t, p=np.zeros(t.size), h=h, transverse=True,
-                        cerf_regular=True, multiplicity_stable=True)
+                        cerf_regular=True)
               for j, (t, h) in enumerate(zip(params, spectra))]
     monkeypatch.setattr(selector, "fiber_sweep", lambda L, q: fibers)
     curve = SimpleNamespace(meta={}, pmax=1.0, s_offset=0.0)

@@ -25,8 +25,9 @@ No module reads another module's private names: what another module
 needs is public.  scipy serves two places only
 (`test_scipy_serves_only_the_oracle_and_the_version_string`):
 `persistence._label_periodic` labels components with `scipy.ndimage`
-for the persistence oracle, and `cli` reads the version string; every
-interpolant is the package's own cubic Hermite.
+for the persistence oracle, and `cli` reads the version string for
+`selkam oracle`, the one command that runs it; every interpolant is the
+package's own cubic Hermite.
 
 One check imports the package: the benchmark's traced run
 (`perfbench/tracing.py`, read here with `ast`) wraps named `selkam`
@@ -115,7 +116,7 @@ def test_mod_one_goes_through_wrap(path):
 
 SCIPY_IMPORTS = {
     ("persistence", "_label_periodic", "scipy.ndimage"),   # the oracle's labelling
-    ("cli", None, "scipy"),                                # the version string
+    ("cli", "_summary", "scipy"),                          # oracle's version string
 }
 
 
@@ -339,7 +340,6 @@ READ_BY_TESTS_ONLY = {
     "InvariantGraphReport.energy": "the level of an invariant graph, the theorem's conclusion",
     "InvariantGraphReport.is_graph": "the theorem's graph conclusion, one part of `ok`",
     "FiberData.transverse": "the fiber's tangency flag, one part of `cerf_regular`",
-    "FiberData.multiplicity_stable": "the merge-radius certificate of the fiber's point count",
     "HamiltonianSpec.source": "the canonical text of the parsed H, which parses back to it",
     "PeriodicFunction.source": "the canonical text of the parsed function",
     "ApproxSequence.sup_dists": "each level's distance to the limit: the convergence it certifies",
