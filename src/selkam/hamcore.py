@@ -624,7 +624,8 @@ def parse_periodic(src):
 
 
 def _check_periodic(F, dim, what, momenta=True):
-    """Raise ExpressionError unless F(q + e_i, ...) = F(q, ...) on sampled points.
+    """Raise ExpressionError unless F is finite and F(q + e_i, ...) = F(q, ...)
+    on sampled points.
 
     F is an evaluator: it takes q, then p when ``momenta``.  The integrators
     wrap q to [0, 1) every step, which would silently turn a non-periodic H
@@ -637,16 +638,19 @@ def _check_periodic(F, dim, what, momenta=True):
     grids = np.meshgrid(*([q] * dim + ([p] * dim if momenta else [])), indexing="ij")
     layout = lambda g: [np.stack(g[k:k + dim], axis=-1) if dim == 2 else g[k]
                         for k in range(0, len(g), dim)]
-    base = F(*layout(grids))
-    for i in range(dim):
-        shifted = list(grids)
-        shifted[i] = grids[i] + 1.0
-        diff = np.abs(F(*layout(shifted)) - base)
-        if np.any(diff > PERIODIC_TOL * (1.0 + np.abs(base))):
-            name = _IDENTS[dim][i]
-            raise ExpressionError(
-                f"{what} is not 1-periodic in {name}: it changes by up to "
-                f"{float(np.max(diff)):.3g} under {name} -> {name} + 1", 0)
+    with np.errstate(all="ignore"):
+        base = F(*layout(grids))
+        if not np.all(np.isfinite(base)):
+            raise ExpressionError(f"{what} is not finite at every sampled point", 0)
+        for i in range(dim):
+            shifted = list(grids)
+            shifted[i] = grids[i] + 1.0
+            diff = np.abs(F(*layout(shifted)) - base)
+            if not np.all(diff <= PERIODIC_TOL * (1.0 + np.abs(base))):
+                name = _IDENTS[dim][i]
+                raise ExpressionError(
+                    f"{what} is not 1-periodic in {name}: it changes by up to "
+                    f"{float(np.max(diff)):.3g} under {name} -> {name} + 1", 0)
 
 
 def shift_momentum(spec, dw_src):

@@ -34,37 +34,42 @@ FP_TOL = 1e-10
 LO_MAX_ITERS = 4000       # Lax-Oleinik steps critical_value allows to reach FP_TOL
 NUM_TOL = 1e-3
 DT_MAX = 0.5              # largest Lax-Oleinik time step
-STACK_BLOCK = 1 << 16     # elements per row block of a Legendre table solve or table step
+STACK_BLOCK = 1 << 16     # elements per row block of a table step, all summed into one buffer
+# elements per row block of a Legendre table solve: 128 KiB, so that a block's temporaries
+# reuse freed heap memory and malloc maps no fresh pages for them
+SOLVE_BLOCK = 1 << 14
 
 
 def legendre_table(H, velocities, q_grid):
-    """Fiberwise Legendre transform l(v, q) tabulated on velocities x q_grid.
+    """Fiberwise Legendre transform l(v, q) tabulated on q_grid x velocities.
 
     The supremum over p is found by a safeguarded Newton iteration on
-    H_p(q, p) = v, one per (velocity, base) pair.  P, the one table-sized
-    array, is stepped and then overwritten by l in row blocks of STACK_BLOCK
-    elements; the stop test is global, so the floats are a whole-table solve's.
+    H_p(q, p) = v, one per (base, velocity) pair.  P, the one table-sized
+    array, is stepped in place and then overwritten by l in row blocks of
+    SOLVE_BLOCK elements; the stop test is global, so the floats are a
+    whole-table solve's.
     """
-    V = np.asarray(velocities, dtype=float)[:, None]
-    Q = np.asarray(q_grid, dtype=float)[None, :]
-    P = np.repeat(V, Q.shape[1], axis=1)        # mechanical-like initial guess
-    blocks = _row_blocks(*P.shape)
+    V = np.asarray(velocities, dtype=float)[None, :]
+    Q = np.asarray(q_grid, dtype=float)[:, None]
+    P = np.repeat(V, Q.shape[0], axis=0)        # mechanical-like initial guess
+    blocks = _row_blocks(*P.shape, SOLVE_BLOCK)
     for _ in range(80):
         gmax = []
         for b in blocks:
-            g = H.grad_p(Q, P[b]) - V[b]
-            P[b] -= np.clip(g / np.maximum(H.hess_pp(Q, P[b])[..., 0, 0], 1e-9), -1.0, 1.0)
+            g = H.grad_p(Q[b], P[b]) - V
             gmax.append(np.max(np.abs(g)))
+            g /= np.maximum(H.hess_pp(Q[b], P[b])[..., 0, 0], 1e-9)
+            P[b] -= np.clip(g, -1.0, 1.0, out=g)
         if np.max(gmax) < 1e-12:
             break
     else:
-        resid = float(np.max([np.max(np.abs(H.grad_p(Q, P[b]) - V[b])) for b in blocks]))
+        resid = float(np.max([np.max(np.abs(H.grad_p(Q[b], P[b]) - V)) for b in blocks]))
         if resid > 1e-8:
             raise RuntimeError(
                 f"Legendre transform did not converge (residual {resid:.2e}); "
                 "is the Hamiltonian fiberwise convex?")
     for b in blocks:
-        P[b] = P[b] * V[b] - H.value(Q, P[b])
+        P[b] = P[b] * V - H.value(Q[b], P[b])
     return P
 
 
@@ -82,11 +87,12 @@ def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     """One Lax-Oleinik step on a periodic grid function.
 
     Mechanical H (dim 1 or 2): per-axis quadratic passes (``_argmin_quadratic``),
-    then the potential term.  Other H, dim 1 only: the shift stack plus dt * l
-    in row blocks of STACK_BLOCK elements (min and max are exact, so bit-identical
-    to the whole stack); l is Monge only where l_vv / dt + l_vq >= 0 (p^2/2 + 2
-    sin(2 pi q) p + 0.5 cos(2 pi q), grid 1024, dt 0.1: mixed differences up to
-    +2.4e-6).  ``table`` is ``_grid_table(H, u.shape, dt, v_max)``, or refused.
+    then the potential term.  Other H, dim 1 only: per row block of STACK_BLOCK
+    elements, windows of u plus the table's rows into one buffer, then min (max)
+    along each row (exact, so bit-identical to the whole stack); l is Monge only
+    where l_vv / dt + l_vq >= 0 (p^2/2 + 2 sin(2 pi q) p + 0.5 cos(2 pi q), grid
+    1024, dt 0.1: mixed differences up to +2.4e-6).  ``table`` is
+    ``_grid_table(H, u.shape, dt, v_max)``, or refused.
     """
     u = np.asarray(u, dtype=float)
     if direction not in ("descending", "ascending"):
@@ -100,25 +106,31 @@ def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     if table is None:
         table = _grid_table(H, u.shape, dt, v_max)
     shifts = None if H.is_mechanical else _shifts(u.size, v_max, dt)
-    want = u.shape if shifts is None else (shifts.size, u.size)
+    want = u.shape if shifts is None else (u.size, shifts.size)
     if np.shape(table) != want:
         raise ValueError(f"table has shape {np.shape(table)}; this step needs {want}")
     if H.is_mechanical:
         return _lo_step_mechanical(u, dt, sign, v_max, table)
     # descending: min over k of u(q - k h) + dt*l(k h / dt, q); ascending: max of u(q + k h) - dt*l
     pick, op = (np.min, np.add) if sign > 0 else (np.max, np.subtract)
-    rolls, first = _rolls(u, 0), u.size - int(sign) * shifts     # rolls[first[i]]: u(q -+ k h)
-    parts = []
-    for b in _row_blocks(*want):
-        stack = rolls[first[b]]
-        parts.append(pick(op(stack, table[b], out=stack), axis=0))
-    return pick(parts, axis=0)
+    (n, width), K = want, shifts[-1]
+    # row q's candidates u(q -+ k h), k = -K..K, are one window of u tiled three
+    # times; the descending step reads reversed u, from its end
+    if sign > 0:
+        windows = sliding_window_view(np.tile(u[::-1], 3), width)[2 * n - 1 - K::-1]
+    else:
+        windows = sliding_window_view(np.tile(u, 3), width)[n - K:]
+    blocks = _row_blocks(*want, STACK_BLOCK)
+    out, buf = np.empty(n), np.empty((blocks[0].stop, width))
+    for b in blocks:
+        pick(op(windows[b], table[b], out=buf[:b.stop - b.start]), axis=1, out=out[b])
+    return out
 
 
-def _row_blocks(rows, n):
-    """Slices of max(1, STACK_BLOCK // n) rows, the last one ragged, covering rows x n."""
-    step = max(1, STACK_BLOCK // n)
-    return [slice(i, i + step) for i in range(0, rows, step)]
+def _row_blocks(rows, n, budget):
+    """Slices of max(1, budget // n) rows, the last one ragged, covering rows x n."""
+    step = max(1, budget // n)
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
 def _shifts(n, v_max, dt):
@@ -132,8 +144,9 @@ def _grid_table(H, shape, dt, v_max):
     """The table a step of size dt adds on a periodic grid of the given shape.
 
     dt * V on the grid for a mechanical H; the cost table dt * l for other
-    H, dim 1 only, (2K + 1) x n.  Scaled once here, in place, so neither the
-    build nor a step allocates a second table-sized array.
+    H, dim 1 only, n x (2K + 1): row q holds dt * l(k h / dt, q), k = -K..K.
+    Scaled once here, in place, so neither the build nor a step allocates a
+    second table-sized array.
     """
     axes = [np.arange(n) / n for n in shape]
     if H.is_mechanical:
@@ -145,18 +158,6 @@ def _grid_table(H, shape, dt, v_max):
     table = legendre_table(H, _shifts(n, v_max, dt) * (1.0 / n) / dt, axes[0])
     table *= dt
     return table
-
-
-def _rolls(u, axis):
-    """View whose entry n - k along a new first axis is ``np.roll(u, k, axis)``, |k| <= n.
-
-    The windows of u tiled three times along the axis: the window starting
-    at n - k is the roll by k.  Fancy indexing a block of its entries copies
-    only those windows (``np.take`` would copy the whole view).
-    """
-    n = u.shape[axis]
-    windows = sliding_window_view(np.concatenate([u, u, u], axis=axis), n, axis=axis)
-    return np.moveaxis(np.moveaxis(windows, axis, 0), -1, axis + 1)
 
 
 def _lo_step_mechanical(u, dt, sign, v_max, table):

@@ -76,6 +76,18 @@ def test_config_rejects_non_periodic_hamiltonian(tmp_path, expr, dim):
     assert status == 2
 
 
+def test_config_rejects_a_non_finite_hamiltonian(tmp_path, capsys):
+    # infinite at p = 0: the weakkam run used to end in an OverflowError
+    p = tmp_path / "bad.cfg"
+    p.write_text(FAST_CFG.replace("expr = p^2/2", "expr = p^2/2 + p^-2"))
+    with pytest.raises(ConfigError, match="not finite") as exc:
+        load_config(p)
+    assert exc.value.fieldpath == "hamiltonian.expr"
+    assert main(["weakkam", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: hamiltonian.expr:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("line, bad, fieldpath, message", [
     (None, None, "config", "file not found"),
     ("[hamiltonian]\n", "", "config", "parse error"),

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import mpmath
 import numpy as np
@@ -123,6 +124,20 @@ def test_parser_refusals(call, error, message, position):
 def test_shift_momentum_rejects_a_momentum_in_the_shift(pendulum):
     with pytest.raises(ExpressionError, match="invalid for a function of q only"):
         shift_momentum(pendulum, "0.1*p")
+
+
+@pytest.mark.parametrize("parse, src", [
+    (lambda src: parse_hamiltonian(src, 1), "p^2/2 + p^-2"),
+    (lambda src: parse_hamiltonian(src, 2), "(p1^2 + p2^2)/2 + exp(1000*q2)"),
+    (parse_periodic, "exp(1000*q)")], ids=["pole-at-p-0", "overflow-dim-2", "potential"])
+def test_parse_refuses_a_non_finite_function_without_warning(parse, src):
+    # p^-2 used to pass with an ok Tonelli report and end a weakkam run in
+    # an OverflowError; the check's own divide and overflow stay silent
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExpressionError, match="not finite at every sampled point") as exc:
+            parse(src)
+    assert exc.value.position == 0
 
 
 def test_parse_accepts_periodic_with_large_values():
@@ -667,6 +682,11 @@ def test_parse_errors_point_at_the_spliced_fault(dim, data):
         "unclosed": ("", "(" + wrapped, "expected '\\)'"),
         "stray": (")", wrapped + ")", "unexpected trailing input"),
     }[kind]
+    # an unclosed '(' in a divisor swallows the text after it into the
+    # divisor, so the first fault read is then a non-constant divisor
+    assume(kind != "unclosed" or not any(
+        a == "rhs" and getattr(_at(tree, path[:i]), "op", None) == "/"
+        for i, a in enumerate(path)))
     src = ast_to_text(_replaced(tree, path, Var("SPLICE"))).replace("SPLICE", fault)
     with pytest.raises(ExpressionError, match=message) as exc:
         parse_hamiltonian(src, dim)

@@ -29,13 +29,19 @@ for the persistence oracle, and `cli` reads the version string for
 `selkam oracle`, the one command that runs it; every interpolant is the
 package's own cubic Hermite.
 
-One check imports the package: the benchmark's traced run
+Two checks import the package: the benchmark's traced run
 (`perfbench/tracing.py`, read here with `ast`) wraps named `selkam`
-functions and module attributes, and each of them must still exist.
+functions and module attributes, and each of them must still exist, and
+be loaded, on every benchmark workload, by the set-up that
+`perfbench/operation.py` runs before it installs the tracer.
 """
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -398,6 +404,36 @@ def test_traced_names_exist():
         value = getattr(importlib.import_module(modname), attr, None)
         assert any(value is fn for fn in traced), \
             f"{alias} no longer holds a traced function"
+
+
+@pytest.mark.parametrize("workload", [w["name"] for w in json.loads(
+    (ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_the_benchmark_set_up_imports_every_traced_module(tmp_path, workload):
+    # `perfbench/operation.py` imports cli and weakkam and loads the config,
+    # then installs the tracer, which finds each target in sys.modules: a
+    # module a command imported lazily would end every traced operation
+    targets, aliases = _tracing_lists()
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import workloads
+config = {str(tmp_path / "workload.cfg")!r}
+with open(config, "w") as fh:
+    fh.write(workloads.instance({workload!r}, 0).config_text())
+from selkam import cli, weakkam
+cli.load_config(config, out_dir={str(tmp_path / "out")!r})
+homes = sorted({{"selkam." + module for module, _ in {targets!r}}})
+unbound = [a for a in {aliases!r}
+           if getattr(sys.modules.get(a.rsplit(".", 1)[0]), a.rsplit(".", 1)[1], None) is None]
+print(json.dumps([[m for m in homes if m not in sys.modules], unbound]))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent)]
+                                        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
 
 
 # Public functions no command, benchmark or acceptance criterion reaches,
