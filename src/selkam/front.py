@@ -1,7 +1,9 @@
 """Wavefront analysis: fiber intersections, spectra and caustics.
 
 All queries are pure functions of a sampled Lagrangian curve: roots are
-bracketed on the interpolated lift and refined by bisection.  The front's
+bracketed on the interpolated lift between knots, the sample nodes and the
+curve's folds (``ExactLagrangian.folds``, found once per curve), and refined
+by bisection, each bracket in its one Hermite cell.  The front's
 lower envelope is the graph selector (``selector.graph_selector``);
 ``dump_front`` writes every sheet with its Cerf-regularity flag.
 """
@@ -57,50 +59,14 @@ class CausticReport:
         return self.t.size
 
 
-def _bisect_batch(fq, lo, hi, targets):
-    """Vectorized bisection of fq(t) = target on bracketing intervals.
-
-    Brackets whose endpoint sits exactly on the target resolve to that
-    endpoint, so a level at a knot value, a fold value included, lands on
-    the knot.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    lo0 = lo.copy()
-    hi0 = hi.copy()
-    flo = fq(lo) - targets
-    at_lo = flo == 0
-    at_hi = (fq(hi) - targets == 0) & ~at_lo
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        fm = fq(mid) - targets
-        left = (flo < 0) == (fm < 0)
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fm, flo)
-        hi = np.where(left, hi, mid)
-    out = 0.5 * (lo + hi)
-    out[at_lo] = lo0[at_lo]
-    out[at_hi] = hi0[at_hi]
-    return out
-
-
-def _folds(L):
-    """Fold parameters in [t0, t0 + 1]: the zeros of dQ/dt where it changes sign."""
-    fq = L.interp_q
-    tc = np.append(L.t, L.t[0] + 1.0)
-    dq = fq.derivative(tc)
-    hits = np.nonzero(dq[:-1] * dq[1:] < 0)[0]
-    return _bisect_batch(fq.derivative, tc[hits], tc[hits + 1], 0.0)
-
-
 def fiber_sweep(L, q_values):
     """FiberData for many base points in one array pass.
 
     Every level q + k the lift can reach is tabulated, sorted.  The folds
-    join the sample nodes as knots, so the lift is monotone on each knot
-    interval; an interval takes the levels from its start value (included)
-    to its end value (excluded), so each root is bracketed once and a level
-    at a fold value lands on the fold.  All brackets are bisected together,
+    (``L.folds``) join the sample nodes as knots, so the lift is monotone on
+    each knot interval; an interval takes the levels from its start value
+    (included) to its end value (excluded), so each root is bracketed once
+    and a level at a fold value lands on the fold.  All brackets are bisected together,
     and the interpolants and the primitive are evaluated once on all roots.
     Every step is elementwise or per query, so a query's fiber does not
     depend on the other queries of the batch.
@@ -115,7 +81,7 @@ def fiber_sweep(L, q_values):
     levels = (q_values[:, None] + k).ravel()
     order = np.argsort(levels)
     levels, owner = levels[order], order // k.size
-    tf = _folds(L)
+    tf = L.folds
     at = np.searchsorted(L.t, tf, side="right")
     tk, Qk = np.insert(L.t, at, tf), np.insert(L.q, at, fq(tf))
     tc = np.append(tk, L.t[0] + 1.0)
@@ -128,7 +94,7 @@ def fiber_sweep(L, q_values):
     count = np.where(up, left[1:], right[:-1]) - first
     interval = np.repeat(np.arange(count.size), count)
     level = np.arange(interval.size) + np.repeat(first - np.cumsum(count) + count, count)
-    t = wrap(_bisect_batch(fq, tc[interval], tc[interval + 1], levels[level]))
+    t = wrap(fq.bisect(tc[interval], tc[interval + 1], levels[level]))
     own = owner[level]
     dq, dp = fq.derivative(t), fp.derivative(t)
     p = fp(t)
@@ -153,11 +119,11 @@ def caustics(L):
     """Base projections of the fold points (critical values of projection).
 
     Folds are zeros of dQ/dt located by bisection on the interpolated
-    derivative (``_folds``, the knots ``fiber_sweep`` also cuts the lift
+    derivative (``L.folds``, the knots ``fiber_sweep`` also cuts the lift
     at); ``t`` and ``q`` hold them sorted by q.  Consecutive caustic
     values cut the torus into intervals whose fiber multiplicity is reported.
     """
-    t_fold = wrap(_folds(L))
+    t_fold = wrap(L.folds)
     if t_fold.size == 0:
         return CausticReport(t=np.empty(0), q=np.empty(0), intervals=[(0.0, 1.0, 1)])
     q_fold = wrap(L.interp_q(t_fold))

@@ -727,30 +727,40 @@ def tonelli_check(spec):
 def _leapfrog(spec, Q, P, dt, nsteps, accumulate_action=False):
     """Strang splitting for H = |p|^2/2 + V(q); Q is left unwrapped.
 
-    Kick-drift-kick with the closing kick's force carried into the next
-    step's opening kick: one wrap and one force evaluation per step, the
-    same floats as evaluating both kicks afresh.
+    Kick-drift-kick with the closing kick carried into the next step's
+    opening kick: one wrap, one force evaluation and one kick product per
+    step, into buffers allocated once per call, the same floats as
+    evaluating both kicks afresh.  The action is accumulated on the rows
+    ``accumulate_action`` names (see ``integrate``).
     """
     Q, P = (np.array(x, dtype=float) for x in np.broadcast_arrays(Q, P))
-    act = np.zeros(Q.shape[: Q.ndim - (spec.dim == 2)]) if accumulate_action else None
-    half = 0.5 * dt
     dq = dt if spec.dim == 1 else np.asarray(dt)[..., None]
     half_q = 0.5 * dq
-    Qw = wrap(Q)
-    F = spec.grad_potential(Qw)
+    Qw, drift, kick = np.empty_like(Q), np.empty_like(Q), np.empty_like(P)
+    np.subtract(Q, np.floor(Q, out=Qw), out=Qw)
+    np.multiply(half_q, spec.grad_potential(Qw), out=kick)
     if accumulate_action:
-        g_prev = 0.5 * _sq(P, spec.dim) - spec.potential(Qw)
+        rows, half = _action_rows(accumulate_action, dt)
+        g_prev = 0.5 * _sq(P[rows], spec.dim) - spec.potential(Qw[rows])
+        act = np.zeros(np.shape(g_prev))
     for _ in range(nsteps):
-        P -= half_q * F
-        Q += dq * P
-        Qw = wrap(Q)
-        F = spec.grad_potential(Qw)
-        P -= half_q * F
+        P -= kick
+        Q += np.multiply(dq, P, out=drift)
+        np.subtract(Q, np.floor(Q, out=Qw), out=Qw)
+        np.multiply(half_q, spec.grad_potential(Qw), out=kick)
+        P -= kick
         if accumulate_action:
-            g = 0.5 * _sq(P, spec.dim) - spec.potential(Qw)
+            g = 0.5 * _sq(P[rows], spec.dim) - spec.potential(Qw[rows])
             act += half * (g_prev + g)
             g_prev = g
     return (Q, P, act) if accumulate_action else (Q, P)
+
+
+def _action_rows(accumulate_action, dt):
+    """The rows whose action is accumulated (all, or the first k), and their half steps."""
+    rows = ... if accumulate_action is True else slice(accumulate_action)
+    half = np.asarray(0.5 * dt)
+    return rows, half[rows] if half.ndim else half
 
 
 def _sq(P, dim):
@@ -768,7 +778,6 @@ def _implicit_midpoint(spec, Q, P, dt, nsteps, accumulate_action=False):
     Q = np.array(Q, dtype=float)
     P = np.array(P, dtype=float)
     n = spec.dim
-    act = np.zeros(np.shape(spec.value(wrap(Q), P))) if accumulate_action else None
     dq = dt if n == 1 else np.asarray(dt)[..., None]
     half_jac = 0.5 * np.asarray(dt)[..., None, None]
 
@@ -777,7 +786,9 @@ def _implicit_midpoint(spec, Q, P, dt, nsteps, accumulate_action=False):
         return (p * gp if n == 1 else np.sum(p * gp, axis=-1)) - spec.value(q, p)
 
     if accumulate_action:
-        g_prev = integrand(wrap(Q), P)
+        rows, half = _action_rows(accumulate_action, dt)
+        g_prev = integrand(wrap(Q), P)[rows]    # Q and P share a shape after a step
+        act = np.zeros(np.shape(g_prev))
     eye = np.eye(2 * n)
     for _ in range(nsteps):
         # Newton on z' = z + dt * X_H((z + z')/2), on (Q, P) rows of 2n unknowns
@@ -806,8 +817,8 @@ def _implicit_midpoint(spec, Q, P, dt, nsteps, accumulate_action=False):
                                   f"{MIDPOINT_MAX_ITERS} iterations")
         Q, P = Qn, Pn
         if accumulate_action:
-            g = integrand(wrap(Q), P)
-            act += 0.5 * dt * (g_prev + g)
+            g = integrand(wrap(Q[rows]), P[rows])
+            act += half * (g_prev + g)
             g_prev = g
     return (Q, P, act) if accumulate_action else (Q, P)
 
@@ -820,13 +831,18 @@ def integrate(spec, Q, P, dt, nsteps, accumulate_action=False):
     axis), one step per row; a row's floats do not depend on its
     batchmates, and a row with step dt gives the floats of a scalar-dt call.
     With ``accumulate_action`` the Liouville integrand p . H_p - H is
-    accumulated by the trapezoid rule along each trajectory.
+    accumulated by the trapezoid rule along each trajectory: along every
+    one for True, along the first k rows (the leading batch axis) for an
+    int k, the same floats as the first k entries of the all-row action.
     """
     dt = np.asarray(dt, dtype=float)
     batch = np.broadcast_shapes(np.shape(Q), np.shape(P))
     batch = batch[: len(batch) - (spec.dim == 2)]
     if dt.ndim and dt.shape != batch:
         raise ValueError(f"dt has shape {dt.shape}; a step per row needs the batch shape {batch}")
+    k, rows = accumulate_action, batch[0] if batch else 0
+    if not isinstance(k, bool) and not (isinstance(k, (int, np.integer)) and 1 <= k <= rows):
+        raise ValueError(f"accumulate_action = {k!r} is not a bool or a row count in 1..{rows}")
     stepper = _leapfrog if spec.is_mechanical else _implicit_midpoint
     return stepper(spec, Q, P, dt, nsteps, accumulate_action)
 

@@ -115,6 +115,18 @@ class ExactLagrangian:
     def interp_p(self):
         return PeriodicCubic(self.t, self.p)
 
+    @cached_property
+    def folds(self):
+        """Fold parameters in [t0, t0 + 1]: the zeros of dQ/dt where it changes
+        sign, found once per curve for ``front``'s sweeps (read-only)."""
+        fq = self.interp_q
+        tc = np.append(self.t, self.t[0] + 1.0)
+        dq = fq.derivative(tc)
+        hits = np.nonzero(dq[:-1] * dq[1:] < 0)[0]
+        tf = fq.bisect(tc[hits], tc[hits + 1], 0.0, derivative=True)
+        tf.setflags(write=False)
+        return tf
+
     def arc_length(self):
         return float(np.sum(_phase_gaps(self.q, self.p, self.winding)))
 
@@ -267,13 +279,14 @@ def from_graph(v):
         s_offset=float(v[0]), winding=1, meta={"v_samples": v.copy()})
 
 
-def _shoot(H, vf, dt, steps, starts):
-    """Flow the graph of dv from the start parameters: (q, p).
+def _shoot(H, vf, dt, steps, starts, accumulate_action=False):
+    """Flow the graph of dv from the start parameters: (q, p), and the
+    action of the rows ``accumulate_action`` names (``hamcore.integrate``).
 
     Each row's floats depend on its own start only, never on its batchmates,
     so a row shot in any batch is the row any other batch would give.
     """
-    return hamcore.integrate(H, starts, vf.derivative(starts), dt, steps)
+    return hamcore.integrate(H, starts, vf.derivative(starts), dt, steps, accumulate_action)
 
 
 def _dyadic_points(lo, hi, depth):
@@ -301,7 +314,8 @@ def from_flow(v, H, T, steps, initial_samples=4096):
 
     The stored S is the curve integral of p dq along the final samples
     (anchored).  The action p . H_p - H is accumulated along the anchor's
-    trajectory only: v(0) plus that action is kept as ``s_offset``.
+    trajectory only, row 0 of the initial grid's shot (t = 0): v(0) plus
+    that action is kept as ``s_offset``.
 
     Sampling is refined in rounds, each splitting every bad parameter
     interval at its midpoint: a density pass until consecutive phase-space
@@ -320,7 +334,8 @@ def from_flow(v, H, T, steps, initial_samples=4096):
     ExactnessError.
 
     ``meta`` records the rounds of each pass (``density_rounds``,
-    ``exactness_rounds``), the ``integrate_calls`` (the anchor's included),
+    ``exactness_rounds``), the ``integrate_calls`` (the initial grid's shot,
+    the anchor's action included, and one per speculative round that shot),
     the ``rows_shot`` and the ``rows_used`` (the samples, curve rows that
     were kept).
     """
@@ -343,12 +358,10 @@ def from_flow(v, H, T, steps, initial_samples=4096):
 
     dt = T / steps
     t = np.arange(initial_samples) / initial_samples
-    Q, P = _shoot(H, vf, dt, steps, t)
-    # the action is needed along the anchor's trajectory only, from t = 0
-    act = hamcore.integrate(H, t[:1], vf.derivative(t[:1]), dt, steps,
-                            accumulate_action=True)[2]
+    # the action is needed along the anchor's trajectory only: row 0, from t = 0
+    Q, P, act = _shoot(H, vf, dt, steps, t, accumulate_action=1)
     s_offset = float(vf(t[:1])[0] + act[0])
-    stats = {"integrate_calls": 2, "rows_shot": t.size, "rows_used": t.size}
+    stats = {"integrate_calls": 1, "rows_shot": t.size, "rows_used": t.size}
     shot = {}                 # wrapped start parameter -> its (q, p)
 
     def refine(t, Q, P, bad, depth, stage):

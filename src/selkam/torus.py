@@ -16,6 +16,7 @@ import numpy as np
 
 WINDOW_PAD = 1e-9         # widening of a search window against rounding in q +- r
 PAIR_BLOCK = 1 << 16      # candidate pairs the neighbour search holds at once
+BISECT_MAX_ITERS = 70     # cap of PeriodicCubic.bisect; 2^-70 of a unit bracket
 
 
 def wrap(q):
@@ -116,23 +117,70 @@ class PeriodicCubic:
         return (y[2:] * h0 / h1 + y[1:-1] * (h1 / h0 - h0 / h1)
                 - y[:-2] * h1 / h0) / (h0 + h1)
 
-    def _cell(self, s):
-        """Each s's cell: local coordinate u, width h, end values and slopes."""
-        s = wrap(np.asarray(s, dtype=float) - self.t[0]) + self.t[0]
-        k = np.clip(np.searchsorted(self._te, s, side="right") - 1, 0, self._te.size - 2)
-        t0, h = self._te[k], self._te[k + 1] - self._te[k]
-        return (s - t0) / h, h, self._ye[k], self._ye[k + 1], self._me[k], self._me[k + 1]
+    def _reduce(self, s):
+        return wrap(s - self.t[0]) + self.t[0]
 
-    def __call__(self, s):
-        u, h, y0, y1, m0, m1 = self._cell(s)
+    def _lookup(self, r):
+        """The cells of reduced parameters r: start, end, end values and slopes."""
+        k = np.clip(np.searchsorted(self._te, r, side="right") - 1, 0, self._te.size - 2)
+        te, ye, me = self._te, self._ye, self._me
+        return te[k], te[k + 1], ye[k], ye[k + 1], me[k], me[k + 1]
+
+    def _cell(self, s, cells=None):
+        """Each s's local coordinate u, width h, end values and slopes: read
+        from ``cells`` (a ``_lookup``) where s lies inside them, else looked up."""
+        r = self._reduce(s)
+        if cells is None:
+            cells = self._lookup(r)
+        else:
+            stray = (r < cells[0]) | ~(r < cells[1])
+            if stray.any():
+                cells = [np.where(stray, own, c) for own, c in zip(self._lookup(r), cells)]
+        t0, t1, y0, y1, m0, m1 = cells
+        h = t1 - t0
+        return (r - t0) / h, h, y0, y1, m0, m1
+
+    def __call__(self, s, cells=None):
+        s = np.asarray(s, dtype=float)
+        u, h, y0, y1, m0, m1 = self._cell(s, cells)
         h00, h10, h01, h11 = hermite_basis(u)
         val = h00 * y0 + h10 * h * m0 + h01 * y1 + h11 * h * m1
-        return val + np.floor(np.asarray(s, dtype=float) - self.t[0]) * self.jump
+        return val + np.floor(s - self.t[0]) * self.jump
 
-    def derivative(self, s):
-        u, h, y0, y1, m0, m1 = self._cell(s)
+    def derivative(self, s, cells=None):
+        u, h, y0, y1, m0, m1 = self._cell(np.asarray(s, dtype=float), cells)
         d00, d10, d01, d11 = hermite_basis(u, derivative=True)
         return d00 / h * y0 + d10 * m0 + d01 / h * y1 + d11 * m1
+
+    def bisect(self, lo, hi, targets, derivative=False):
+        """Bisection of self(t) = targets, or of the derivative's, on brackets
+        [lo, hi] each inside one cell, which is looked up once.
+
+        A bracket whose endpoint sits exactly on the target resolves to that
+        endpoint, so a level at a knot value (a fold value included) lands on
+        the knot.  Stopping once an iteration leaves every (lo, hi) unchanged,
+        a fixed point, gives the result of all BISECT_MAX_ITERS iterations.
+        """
+        f = self.derivative if derivative else self
+        lo = lo0 = np.array(lo, dtype=float)
+        hi = hi0 = np.array(hi, dtype=float)
+        flo = f(lo) - targets
+        at_lo = flo == 0
+        at_hi = (f(hi) - targets == 0) & ~at_lo
+        cells = self._lookup(self._reduce(0.5 * (lo + hi)))
+        for _ in range(BISECT_MAX_ITERS):
+            mid = 0.5 * (lo + hi)
+            fm = f(mid, cells) - targets
+            left = (flo < 0) == (fm < 0)
+            if np.all(mid == np.where(left, lo, hi)):
+                break
+            lo = np.where(left, mid, lo)
+            flo = np.where(left, fm, flo)
+            hi = np.where(left, hi, mid)
+        out = 0.5 * (lo + hi)
+        out[at_lo] = lo0[at_lo]
+        out[at_hi] = hi0[at_hi]
+        return out
 
 
 def phase_tiles(points):

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from selkam.front import _bisect_batch, caustics, dump_front, fiber_sweep
+from selkam.front import caustics, dump_front, fiber_sweep
 from selkam.lagrangian import from_graph, from_parametric
-from selkam.torus import wrap
+from selkam.torus import PeriodicCubic, wrap
 
 GRID = np.arange(256) / 256
 
@@ -184,7 +186,7 @@ def loop_fiber(L, q):
     for k in range(int(np.floor(Qc.min() - q)), int(np.ceil(Qc.max() - q)) + 1):
         d = Qc - (q + k)
         hits = np.nonzero((d[:-1] * d[1:] < 0) | (d[:-1] == 0) | (d[1:] == 0))[0]
-        roots.extend(_bisect_batch(L.interp_q, tc[hits], tc[hits + 1], q + k))
+        roots.extend(L.interp_q.bisect(tc[hits], tc[hits + 1], q + k))
     t = np.unique(wrap(np.array(roots)))
     h = np.atleast_1d(L.primitive_at(t))
     order = np.argsort(h, kind="stable")
@@ -217,3 +219,59 @@ def test_dump_front_roundtrip(tmp_path, whorl):
     data = np.loadtxt(path, ndmin=2)
     assert data.shape[1] == 5
     assert data.shape[0] >= 16
+
+
+def lookup_bisect(f, lo, hi, targets):
+    """Reference: all 70 iterations, each evaluation looking its cell up."""
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    lo0, hi0 = lo.copy(), hi.copy()
+    flo = f(lo) - targets
+    at_lo = flo == 0
+    at_hi = (f(hi) - targets == 0) & ~at_lo
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid) - targets
+        left = (flo < 0) == (fm < 0)
+        lo, flo, hi = np.where(left, mid, lo), np.where(left, fm, flo), np.where(left, hi, mid)
+    out = 0.5 * (lo + hi)
+    out[at_lo] = lo0[at_lo]
+    out[at_hi] = hi0[at_hi]
+    return out
+
+
+@pytest.mark.parametrize("case", ["whorl", "graph_nodes", "winding_minus_one", "shifted"])
+def test_fixed_cell_bisection_is_the_lookup_bisection(case, request, monkeypatch):
+    # every bracket the sweep and the fold table bisect, caustic values and
+    # queries on sample nodes included, gives the floats of a cell lookup per
+    # evaluation and all 70 iterations
+    if case == "shifted":
+        # parameters off 0: reducing them rounds, near nodes into the next cell
+        t = (np.arange(1024) + 0.37) / 1024
+        L = from_parametric(t, np.mod(-t + 0.1 * np.sin(4 * np.pi * t), 1.0),
+                            0.2 * np.sin(2 * np.pi * t))
+        qs = np.arange(48) / 48
+    else:
+        L, qs = _batch_case(case, request)
+    L = replace(L)              # a fresh fold table
+    calls, bisect = [], PeriodicCubic.bisect
+
+    def spy(fq, lo, hi, targets, derivative=False):
+        calls.append((fq, lo, hi, np.broadcast_to(targets, np.shape(lo)), derivative))
+        return bisect(fq, lo, hi, targets, derivative)
+
+    monkeypatch.setattr(PeriodicCubic, "bisect", spy)
+    fiber_sweep(L, np.append(qs, caustics(L).q))
+    tc = np.append(L.t, L.t[0] + 1.0)
+    ends = {"node": 0, "fold": 0, "closing": 0, "on target": 0}
+    for fq, lo, hi, targets, derivative in calls:
+        got = bisect(fq, lo, hi, targets, derivative)
+        f = fq.derivative if derivative else fq
+        assert got.tobytes() == lookup_bisect(f, lo, hi, targets).tobytes()
+        ends["node"] += np.count_nonzero(np.isin(lo, tc) | np.isin(hi, tc))
+        ends["fold"] += np.count_nonzero(np.isin(lo, L.folds) | np.isin(hi, L.folds))
+        ends["closing"] += np.count_nonzero(hi == tc[-1])
+        ends["on target"] += np.count_nonzero((f(lo) == targets) | (f(hi) == targets))
+    assert ends["node"] and ends["on target"], ends
+    assert case == "graph_nodes" or ends["fold"], ends
+    assert case not in ("whorl", "shifted") or (ends["closing"] and L.winding != 0), ends

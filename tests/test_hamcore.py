@@ -443,17 +443,28 @@ def test_rows_do_not_depend_on_their_batchmates_under_a_step_per_row(cases, dim)
 @pytest.mark.parametrize("cases", [_LEAPFROG_CASES, _MIDPOINT_CASES],
                          ids=["leapfrog", "midpoint"])
 def test_integrate_states_do_not_depend_on_accumulate_action(cases, dim):
-    # the action rides along: the states are the same floats without it
+    # the action rides along: the states are the same floats without it, and
+    # the action of the first k rows is the all-row action's first k entries,
+    # under a scalar step and under a step per row
     H = parse_hamiltonian(cases[dim], dim)
     rng = np.random.default_rng(31 + dim)
     shape = (40,) if dim == 1 else (40, 2)
     Q0 = rng.uniform(-1.0, 2.0, shape)
     P0 = rng.normal(size=shape)
-    plain = integrate(H, Q0, P0, 2e-3, 200)
-    with_action = integrate(H, Q0, P0, 2e-3, 200, accumulate_action=True)
-    assert len(plain) == 2 and len(with_action) == 3
-    for got, want in zip(with_action, plain):
-        assert got.tobytes() == want.tobytes()
+    for dt in (2e-3, np.where(rng.random(40) < 0.5, 2e-3, -3e-3)):
+        plain = integrate(H, Q0, P0, dt, 200)
+        with_action = integrate(H, Q0, P0, dt, 200, accumulate_action=True)
+        assert len(plain) == 2 and len(with_action) == 3
+        for got, want in zip(with_action, plain):
+            assert got.tobytes() == want.tobytes()
+        for k in (1, 7, 40):
+            leading = integrate(H, Q0, P0, dt, 200, accumulate_action=k)
+            assert leading[2].tobytes() == with_action[2][:k].tobytes()
+            for got, want in zip(leading, plain):
+                assert got.tobytes() == want.tobytes()
+        for k in (0, 41, -1, 2.0):
+            with pytest.raises(ValueError, match="accumulate_action"):
+                integrate(H, Q0, P0, dt, 1, accumulate_action=k)
 
 
 def test_dim2_midpoint_energy_drift():

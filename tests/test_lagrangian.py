@@ -230,8 +230,8 @@ def test_speculative_refinement_equals_the_sequential_one(case, whorl, pendulum,
     sequential = from_flow(*args, initial_samples=4096)
     _assert_same_curve(default, sequential)
     rounds = sequential.meta["density_rounds"] + sequential.meta["exactness_rounds"]
-    # one call per round, plus the initial grid's and the anchor's
-    assert sequential.meta["integrate_calls"] == 2 + rounds
+    # one call per round, plus the initial grid's, which carries the anchor's action
+    assert sequential.meta["integrate_calls"] == 1 + rounds
     assert sequential.meta["rows_shot"] == sequential.t.size
     # the default shot ahead: fewer calls, and rows the replay dropped
     assert default.meta["integrate_calls"] < sequential.meta["integrate_calls"]

@@ -2,8 +2,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
-from selkam.torus import (hausdorff, median, nearest, nearest_in_window, phase_tiles,
-                          spacing, wrap)
+from selkam.torus import (PeriodicCubic, hausdorff, median, nearest, nearest_in_window,
+                          phase_tiles, spacing, wrap)
 from selkam.weakkam import _dedupe_points
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True,
@@ -159,3 +159,16 @@ def _dedupe_cloud(seed, n, radius):
 def test_dedupe_is_the_greedy_double_loop(seed, n, radius):
     pts = _dedupe_cloud(seed, n, radius)
     assert np.array_equal(_dedupe_points(pts, radius), _dedupe_loop(pts, radius))
+
+
+def test_periodic_cubic_reads_given_cells_only_where_s_lies_in_them():
+    # a parameter handed another cell (a neighbour's, or one ending on its
+    # node) is evaluated in its own: the floats of the lookup
+    t = (np.arange(64) + 0.37) / 64
+    fq = PeriodicCubic(t, -t + 0.1 * np.sin(4 * np.pi * t), jump=-1.0)
+    rng = np.random.default_rng(3)
+    s = np.concatenate([rng.uniform(-1.0, 2.0, 200), t, t + 1.0])
+    for other in (np.roll(s, 1), s - 1e-12, s + 1e-12):
+        cells = fq._lookup(fq._reduce(other))
+        for f in (fq, fq.derivative):
+            assert f(s, cells).tobytes() == f(s).tobytes()
