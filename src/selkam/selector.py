@@ -466,11 +466,12 @@ class SelectorReport:
 def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
     """Check the defining selector properties on the grid.
 
-    ``f`` must be L's selector: its ``fibers`` are read as L's fibers.
-    At grid points outside collars around caustics, provenance changes and
-    flagged points: (q, df(q)) must lie on L (fiber-vertical distance) and
-    f(q) must equal the primitive at that point; ``f.lipschitz_const``
-    must not exceed max |p| plus a small margin.
+    ``f`` must be L's selector: its ``fibers`` are read as L's fibers.  At
+    unflagged points off collars around f's switches (provenance changes,
+    caustics), (q, df(q)) must lie on L and f(q) must equal the primitive;
+    ``f.lipschitz_const`` must not exceed max |p| plus a small margin.
+    Provenance misses a switch only in a fold's cell or at a crossing of the
+    seam t0 in the same cell; a kink missed there is off L and fails the check.
     """
     n = f.q_grid.size
     h = 1.0 / n
@@ -482,9 +483,6 @@ def verify_selector(f, L, c_tol=C_TOL, collar=COLLAR):
         centres.append(np.round(caustics(L).q * n).astype(int))
     switches = np.nonzero(np.roll(f.provenance, -1) != f.provenance)[0]
     centres += [switches, switches + 1]
-    # derivative kinks (value crossings the provenance may have missed)
-    kink = np.abs(np.roll(vals, -1) + np.roll(vals, 1) - 2 * vals) / h
-    centres.append(np.nonzero(kink > 0.1 * max(1.0, L.pmax))[0])
     idx = np.concatenate(centres)
     mask = np.ones(n, dtype=bool)
     mask[(idx[:, None] + np.arange(-collar, collar + 1)) % n] = False
@@ -534,7 +532,8 @@ def generalized_selector(seq, grid_size=512):
     convexification of the limit Lagrangian: the selector's differential
     lies in the fiber hull [min p, max p] at differentiability points, and
     wherever it is extremal (within DIST_TOL of min p or max p) the selector
-    value matches the primitive there.
+    value matches the primitive there.  A mollified entry has one sheet, so
+    kinks show as curvature, not as provenance or a per-cell slope jump.
     """
     sels = [graph_selector(entry, grid_size) for entry in seq.entries]
     sups = np.array([float(np.max(np.abs(sels[i + 1].values - sels[i].values)))
@@ -550,7 +549,6 @@ def generalized_selector(seq, grid_size=512):
     h = 1.0 / n
     vals = f.values
     df = (np.roll(vals, -1) - np.roll(vals, 1)) / (2 * h)
-    # differentiability points: exclude kinks, seen as second-difference spikes
     d2 = np.abs(np.roll(vals, -1) + np.roll(vals, 1) - 2 * vals) / h ** 2
     smooth = d2 < 10.0 * median(d2) + 1e3 * h
     hull_d = 0.0

@@ -9,7 +9,8 @@ from selkam.dynamics import (CHECK_EVERY, TRIM_DT, VANISH_TOL, energy_level_chec
 from selkam.lagrangian import from_graph, mollify_sequence
 from selkam.selector import generalized_selector
 from selkam.torus import hausdorff, wrap
-from selkam.weakkam import critical_value, critical_value_infmax, subsolution_check
+from selkam.weakkam import (_calibrated_solutions, critical_value, critical_value_infmax,
+                            subsolution_check)
 
 GRID = np.arange(256) / 256
 
@@ -222,6 +223,25 @@ def test_theorem_6_3_trivial_graph(pendulum):
     f, _ = generalized_selector(seq, 512)
     rep = verify_theorem_6_3(L, pendulum, 1.05, f, horizon=25.0)
     assert rep.ok and rep.hausdorff_distance == 0.0
+
+
+@pytest.mark.parametrize("grid", [256, 512, 1024])
+@pytest.mark.parametrize("expr", ["p^2/2 + cos(2*pi*q)", "p^2/2 + cos(4*pi*q)",
+                                  "p^2/2 + cos(2*pi*q) + 0.25*cos(4*pi*q)"])
+def test_a_calibrated_solutions_concave_kink_is_a_subsolution_point(expr, grid):
+    # theorem 6.3 checks every grid point: for H convex in p the centred
+    # difference at a concave kink averages the one-sided slopes (Jensen)
+    H = hamcore.parse_hamiltonian(expr, 1)
+    alpha = float(np.max(H.potential(np.arange(65536) / 65536)))
+    for u in _calibrated_solutions(H, alpha, grid):
+        ok, _, margin = subsolution_check(u, H, alpha)
+        assert ok and np.max(margin) <= 1e-12
+        d2 = np.roll(u, -1) + np.roll(u, 1) - 2 * u
+        cut = np.argmin(d2)
+        assert margin[cut] <= 0.0
+        if "cos(2*pi*q)" in expr:
+            # a corner at the cut q = 1/2: slope +2 meets slope -2
+            assert cut == grid // 2 and d2[cut] * grid < -3.9
 
 
 def test_theorem_6_3_precondition(whorl, whorl_selector, pendulum):

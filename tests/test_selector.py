@@ -335,6 +335,21 @@ def test_whorl_selector_properties(whorl, whorl_selector):
     assert rep.max_value_mismatch <= 1e-3
 
 
+def test_verify_selector_checks_off_the_switch_and_fold_collars(whorl, whorl_selector):
+    # the checked set is read from the selector's own switch points (provenance
+    # changes) and L's folds, less the flagged points: no second-difference rule
+    sf = whorl_selector
+    n = sf.q_grid.size
+    switches = np.flatnonzero(np.roll(sf.provenance, -1) != sf.provenance)
+    centres = np.concatenate([switches, switches + 1,
+                              np.round(caustics(whorl).q * n).astype(int)])
+    off = np.zeros(n, dtype=bool)
+    off[(centres[:, None] + np.arange(-selector.COLLAR, selector.COLLAR + 1)) % n] = True
+    rep = verify_selector(sf, whorl)
+    assert rep.ok
+    assert rep.checked_points == np.sum(~off & ~sf.flags) == 445
+
+
 def test_selector_refinement_stability(whorl, whorl_selector):
     # doubling the base grid moves the selector by at most a grid-step scale
     f256 = graph_selector(whorl, 256)
