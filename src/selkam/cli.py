@@ -254,7 +254,7 @@ def _cmd_weakkam(cfg):
     if refused:
         return refused
     sol = weakkam.weak_kam_family(H, grid=cfg.velocity_grid, dt=cfg.dt,
-                                  num_tol=cfg.tolerances["num_tol"])
+                                  num_tol=cfg.tolerances["num_tol"], horizon=cfg.horizon)
     n = sol.u.size
     h = 1.0 / n
     du = (np.roll(sol.u, -1) - np.roll(sol.u, 1)) / (2 * h)
@@ -360,7 +360,8 @@ def _cmd_verify(cfg, suite):
               np.all(gap[~sf.flags] <= cfg.tolerances["snap_radius"]))
     if suite in ("weakkam", "all"):
         sol = weakkam.weak_kam_family(H, grid=cfg.velocity_grid, dt=cfg.dt,
-                                      num_tol=cfg.tolerances["num_tol"])
+                                      num_tol=cfg.tolerances["num_tol"],
+                                      horizon=cfg.horizon)
         Vmax = float(np.max(H.potential(np.arange(8192) / 8192))) if H.is_mechanical else None
         if Vmax is not None:
             check("weakkam.alpha_maxV", abs(sol.alpha - Vmax) <= 1e-3)
@@ -399,20 +400,25 @@ def run(command, cfg, suite="all"):
     """Dispatch one command; returns (summary dict, exit status)."""
     t0 = time.time()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if command == "selector":
-        results, status = _cmd_selector(cfg)
-    elif command == "front":
-        results, status = _cmd_front(cfg)
-    elif command == "weakkam":
-        results, status = _cmd_weakkam(cfg)
-    elif command == "invariant":
-        results, status = _cmd_invariant(cfg)
-    elif command == "oracle":
-        results, status = _cmd_oracle(cfg)
-    elif command == "verify":
-        results, status = _cmd_verify(cfg, suite)
-    else:
-        raise ConfigError("command", f"unknown command {command!r}")
+    try:
+        if command == "selector":
+            results, status = _cmd_selector(cfg)
+        elif command == "front":
+            results, status = _cmd_front(cfg)
+        elif command == "weakkam":
+            results, status = _cmd_weakkam(cfg)
+        elif command == "invariant":
+            results, status = _cmd_invariant(cfg)
+        elif command == "oracle":
+            results, status = _cmd_oracle(cfg)
+        elif command == "verify":
+            results, status = _cmd_verify(cfg, suite)
+        else:
+            raise ConfigError("command", f"unknown command {command!r}")
+    except weakkam.StalledIteration as exc:
+        # a Tonelli H whose critical value the iteration cannot reach: no
+        # result to write, so the run reports why, like a refusal
+        results, status = {"ok": False, "reason": str(exc), "residual": exc.residual}, 1
     summary = _write_summary(cfg, command, results, time.time() - t0)
     return summary, status
 

@@ -75,12 +75,12 @@ def _as_points(L, H, name):
     return points
 
 
-def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, recurrence_filter=False):
+def maximal_invariant_set(L, H, a, horizon=50.0, recurrence_filter=False):
     """Trimmed estimate of the maximal invariant subset of L on {H = a}.
 
-    Seeds are the samples of L within e_tol of the level; each is
-    integrated to +-2 horizon and discarded on first exit from the tube
-    around the seed locus.  The convergence flag records whether the
+    Seeds are the samples of L within e_tol (E_TOL_FRACTION of H's range on
+    L) of the level; each is integrated to +-2 horizon and discarded on
+    first exit from the tube around the seed locus.  The convergence flag records whether the
     survivor bins changed between the horizon and its double, which is the
     horizon reported.  ``recurrence_filter`` additionally discards seeds
     whose orbit wanders further than the tube from its own starting point:
@@ -95,7 +95,7 @@ def maximal_invariant_set(L, H, a, horizon=50.0, e_tol=None, recurrence_filter=F
     ``traj_steps``, the trajectory-steps integrated (rows times steps).
     This is the one-set case of `maximal_invariant_sets`.
     """
-    return maximal_invariant_sets([L], H, a, horizon=horizon, e_tol=e_tol,
+    return maximal_invariant_sets([L], H, a, horizon=horizon,
                                   recurrence_filter=recurrence_filter)[0]
 
 

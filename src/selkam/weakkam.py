@@ -6,7 +6,8 @@ The descending operator
 
 with l the fiberwise Legendre transform of H drives grid functions to the
 critical solution up to a linear drift; the drift rate is the critical
-value.  The ascending operator runs the reversed cost.  Aubry and Mane
+value.  For a mechanical H the potential part of dt * l is charged by the
+trapezoid rule, dt * (V(q') + V(q)) / 2, so u is second order in dt.  The ascending operator runs the reversed cost.  Aubry and Mane
 sets are assembled from maximal invariant sets of the graphs of the
 computed family of critical subsolutions (an outer approximation: any
 finite run samples finitely many subsolutions, which every report notes).
@@ -21,6 +22,7 @@ from .torus import nearest, phase_tiles, window_pairs, wrap
 
 __all__ = [
     "WeakKamSolution",
+    "StalledIteration",
     "legendre_table",
     "lax_oleinik_step",
     "critical_value",
@@ -86,8 +88,8 @@ def _velocity_bound(H):
 def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     """One Lax-Oleinik step on a periodic grid function.
 
-    Mechanical H (dim 1 or 2): per-axis quadratic passes (``_argmin_quadratic``),
-    then the potential term.  Other H, dim 1 only: per row block of STACK_BLOCK
+    Mechanical H (dim 1 or 2): per-axis quadratic passes (``_argmin_quadratic``)
+    between two halves of the potential term (the trapezoid rule).  Other H, dim 1 only: per row block of STACK_BLOCK
     elements, windows of u plus the table's rows into one buffer, then min (max)
     along each row (exact, so bit-identical to the whole stack); l is Monge only
     where l_vv / dt + l_vq >= 0 (p^2/2 + 2 sin(2 pi q) p + 0.5 cos(2 pi q), grid
@@ -161,7 +163,13 @@ def _grid_table(H, shape, dt, v_max):
 
 
 def _lo_step_mechanical(u, dt, sign, v_max, table):
-    """Per axis, the stack's u + sign * c at the leftmost argmin of sign * u + c; then dt * V."""
+    """Per axis, the stack's u + sign * c at the leftmost argmin of sign * u + c.
+
+    The potential is charged by the trapezoid rule, dt * (V(x) + V(q)) / 2:
+    half of ``table`` before the passes and half after, second order in dt.
+    """
+    half = (0.5 * sign) * table
+    u = u - half
     for axis, n in enumerate(u.shape):
         shifts = _shifts(n, v_max, dt)
         quad = (shifts * (1.0 / n)) ** 2 / (2 * dt)
@@ -169,7 +177,7 @@ def _lo_step_mechanical(u, dt, sign, v_max, table):
         j = _argmin_quadratic((sign * lines).reshape(-1, n), quad).reshape(lines.shape)
         lines = np.take_along_axis(lines, j % n, -1) + (sign * quad)[np.arange(n) - j + shifts[-1]]
         u = np.moveaxis(lines, -1, axis)
-    return u - sign * table
+    return u - half
 
 
 def _argmin_quadratic(w, quad):
@@ -203,6 +211,19 @@ def _argmin_quadratic(w, quad):
         hits = np.flatnonzero(vals == np.repeat(np.minimum.reduceat(vals, start), lens))
         J[:, m] = idx[hits[np.searchsorted(hits, start)]].reshape(B, -1) - line
     return J[:, :n]
+
+
+class StalledIteration(RuntimeError):
+    """A Lax-Oleinik iteration that missed FP_TOL in LO_MAX_ITERS steps.
+
+    Met on a Tonelli H without a static class (ROADMAP item 17), where the
+    iterates neither settle nor cycle; ``residual`` is the last one.
+    """
+
+    def __init__(self, residual):
+        super().__init__(f"critical_value: Lax-Oleinik iteration did not reach residual "
+                         f"{FP_TOL} in {LO_MAX_ITERS} steps (residual {residual:.2e})")
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -247,9 +268,7 @@ def critical_value(H, grid=1024, dt=0.1, direction="descending", seed=None,
         if resid <= FP_TOL and it > 8:
             break
     else:
-        raise RuntimeError(
-            f"Lax-Oleinik iteration did not reach residual {FP_TOL} in "
-            f"{LO_MAX_ITERS} steps (residual {resid:.2e})")
+        raise StalledIteration(resid)
     tail = alphas[-max(1, len(alphas) // 4):]
     return WeakKamSolution(u=u, alpha=float(np.mean(tail)), residual=resid,
                            grid=q, iterations=it,

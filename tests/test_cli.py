@@ -287,6 +287,21 @@ def test_verify_reads_tolerances_like_the_commands(tmp_path, monkeypatch, suite,
     assert seen.get(key) == value
 
 
+@pytest.mark.parametrize("argv", [["weakkam"], ["verify", "--suite", "weakkam"]],
+                         ids=["weakkam", "verify"])
+def test_weakkam_reads_the_run_horizon(fast_cfg, tmp_path, monkeypatch, argv):
+    inner = weakkam.weak_kam_family
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("horizon"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(weakkam, "weak_kam_family", spy)
+    main(argv + ["--config", str(fast_cfg), "--out", str(tmp_path / "o")])
+    assert seen == [5.0]
+
+
 def test_verify_all_builds_one_selector(tmp_path, monkeypatch):
     # max H on the graph of dv is 4.9e-4, inside the sublevel {H <= alpha + 1e-3},
     # so the dynamics suite runs its pipeline on the selector suite's selector;
@@ -365,6 +380,22 @@ def test_refuses_non_tonelli(tmp_path, command):
     results = json.loads((out / "summary.json").read_text())["results"]
     assert results["ok"] is False and "Tonelli" in results["reason"]
     assert results["min_hessian_eig"] < 0
+    assert sorted(f.name for f in out.iterdir()) == ["meta.json", "summary.json"]
+
+
+@pytest.mark.parametrize("argv", [["weakkam"], ["invariant"], ["verify", "--suite", "dynamics"]],
+                         ids=["weakkam", "invariant", "verify"])
+def test_a_stalled_critical_value_is_reported(tmp_path, argv):
+    # Tonelli, but c = 0 lies off the flat of p^2/2 + 0.1 cos(2 pi q): no static
+    # class, and the Lax-Oleinik iteration stalls above FP_TOL
+    p = tmp_path / "offflat.cfg"
+    p.write_text(FAST_CFG.replace("expr = p^2/2", "expr = p^2/2 - p + 0.1*cos(2*pi*q)"))
+    out = tmp_path / "o"
+    assert main(argv + ["--config", str(p), "--out", str(out)]) == 1
+    results = json.loads((out / "summary.json").read_text())["results"]
+    assert results["ok"] is False and "critical_value" in results["reason"]
+    assert results["residual"] > weakkam.FP_TOL
+    assert f"residual {results['residual']:.2e}" in results["reason"]
     assert sorted(f.name for f in out.iterdir()) == ["meta.json", "summary.json"]
 
 

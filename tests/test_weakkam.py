@@ -49,7 +49,10 @@ def _rolled_step(u, H, dt, direction, v_max):
         return np.max([np.roll(u, -k) - dt * tab[:, i] for i, k in enumerate(shifts)], axis=0)
     sign = 1.0 if direction == "descending" else -1.0
     pick = np.min if direction == "descending" else np.max
-    out = u.copy()
+    # the trapezoid rule: half the potential at each end of the step
+    grids = np.meshgrid(*(np.arange(n) / n for n in u.shape), indexing="ij")
+    half = 0.5 * sign * (dt * H.potential(grids[0] if u.ndim == 1 else np.stack(grids, -1)))
+    out = u - half
     for axis, n in enumerate(u.shape):
         h = 1.0 / n
         K = min(int(np.ceil(v_max * dt / h)), n // 2)
@@ -57,8 +60,7 @@ def _rolled_step(u, H, dt, direction, v_max):
         quad = (shifts * h) ** 2 / (2 * dt)
         out = pick([np.roll(out, k, axis) + sign * quad[i] for i, k in enumerate(shifts)],
                    axis=0)
-    grids = np.meshgrid(*(np.arange(n) / n for n in u.shape), indexing="ij")
-    return out - sign * dt * H.potential(grids[0] if u.ndim == 1 else np.stack(grids, -1))
+    return out - half
 
 
 @settings(max_examples=40, deadline=None)
@@ -82,15 +84,16 @@ def _stacked_step(u, H, dt, direction, v_max):
     """
     sign = 1.0 if direction == "descending" else -1.0
     pick = np.min if direction == "descending" else np.max
-    out = u.copy()
+    grids = np.meshgrid(*(np.arange(n) / n for n in u.shape), indexing="ij")
+    half = 0.5 * sign * (dt * H.potential(grids[0] if u.ndim == 1 else np.stack(grids, -1)))
+    out = u - half
     for axis, n in enumerate(u.shape):
         shifts = weakkam._shifts(n, v_max, dt)
         quad = (shifts * (1.0 / n)) ** 2 / (2 * dt)
         out = pick([pick(np.stack([np.roll(out, k, axis) for k in shifts[i:i + 256]])
                          + (sign * quad[i:i + 256]).reshape((-1,) + (1,) * u.ndim), axis=0)
                     for i in range(0, shifts.size, 256)], axis=0)
-    grids = np.meshgrid(*(np.arange(n) / n for n in u.shape), indexing="ij")
-    return out - sign * dt * H.potential(grids[0] if u.ndim == 1 else np.stack(grids, -1))
+    return out - half
 
 
 @settings(max_examples=120, deadline=None)
@@ -197,6 +200,21 @@ def test_infmax_restricted_to_zero_section(pendulum):
     single = float(np.max(pendulum.value(q, np.zeros_like(q))))
     a_hat, _ = critical_value_infmax(pendulum, grid=1024, restarts=1, sweeps=1)
     assert a_hat <= single + 1e-12
+
+
+def test_pendulum_solution_is_second_order_in_dt(pendulum):
+    # u = min(int_0^q 2 |sin pi x| dx, int_q^1 2 |sin pi x| dx) at alpha = 1; the
+    # trapezoid-rule step's error falls about 4x per halving of dt (at grid
+    # 1024 it meets the grid floor near dt = 0.025)
+    q = np.arange(1024) / 1024
+    exact = (2 / np.pi) * (1 - np.abs(np.cos(np.pi * q)))
+    errs = []
+    for dt in (0.2, 0.1, 0.05):
+        sol = critical_value(pendulum, grid=1024, dt=dt)
+        errs.append(float(np.max(np.abs(sol.u - sol.u[0] - exact))))
+        assert abs(sol.alpha - 1.0) <= 1e-5
+    assert errs[1] <= 6e-3
+    assert errs[0] / errs[1] >= 3.5 and errs[1] / errs[2] >= 3.5
 
 
 def test_subsolution_checks(free, pendulum):
