@@ -214,11 +214,8 @@ def _argmin_quadratic(w, quad):
 
 
 class StalledIteration(RuntimeError):
-    """A Lax-Oleinik iteration that missed FP_TOL in LO_MAX_ITERS steps.
-
-    Met on a Tonelli H without a static class (ROADMAP item 17), where the
-    iterates neither settle nor cycle; ``residual`` is the last one.
-    """
+    """critical_value missed FP_TOL (a Tonelli H without a static class can);
+    ``residual`` is the last one-step residual."""
 
     def __init__(self, residual):
         super().__init__(f"critical_value: Lax-Oleinik iteration did not reach residual "
