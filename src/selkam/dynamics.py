@@ -80,9 +80,9 @@ def maximal_invariant_set(L, H, a, horizon=50.0, recurrence_filter=False):
 
     Seeds are the samples of L within e_tol (E_TOL_FRACTION of H's range on
     L) of the level; each is integrated to +-2 horizon and discarded on
-    first exit from the tube around the seed locus.  The convergence flag records whether the
-    survivor bins changed between the horizon and its double, which is the
-    horizon reported.  ``recurrence_filter`` additionally discards seeds
+    first exit from the tube around the seed locus.  The convergence flag
+    records whether the survivor bins changed between the horizon and its
+    double, which is the horizon reported.  ``recurrence_filter`` additionally discards seeds
     whose orbit wanders further than the tube from its own starting point:
     it localizes the non-wandering core, removing shadowing arcs that the
     energy-band seeding cannot distinguish from true invariant points.

@@ -7,10 +7,11 @@ The descending operator
 with l the fiberwise Legendre transform of H drives grid functions to the
 critical solution up to a linear drift; the drift rate is the critical
 value.  For a mechanical H the potential part of dt * l is charged by the
-trapezoid rule, dt * (V(q') + V(q)) / 2, so u is second order in dt.  The ascending operator runs the reversed cost.  Aubry and Mane
-sets are assembled from maximal invariant sets of the graphs of the
-computed family of critical subsolutions (an outer approximation: any
-finite run samples finitely many subsolutions, which every report notes).
+trapezoid rule, dt * (V(q') + V(q)) / 2, so u is second order in dt.  The
+ascending operator runs the reversed cost.  Aubry and Mane sets are
+assembled from maximal invariant sets of the graphs of the computed family
+of critical subsolutions (an outer approximation: any finite run samples
+finitely many subsolutions, which every report notes).
 """
 
 from dataclasses import dataclass, field, replace
@@ -89,9 +90,10 @@ def lax_oleinik_step(u, H, dt, direction="descending", v_max=None, table=None):
     """One Lax-Oleinik step on a periodic grid function.
 
     Mechanical H (dim 1 or 2): per-axis quadratic passes (``_argmin_quadratic``)
-    between two halves of the potential term (the trapezoid rule).  Other H, dim 1 only: per row block of STACK_BLOCK
-    elements, windows of u plus the table's rows into one buffer, then min (max)
-    along each row (exact, so bit-identical to the whole stack); l is Monge only
+    between two halves of the potential term (the trapezoid rule).  Other H,
+    dim 1 only: per row block of STACK_BLOCK elements, windows of u plus the
+    table's rows into one buffer, then min (max) along each row (exact, so
+    bit-identical to the whole stack); l is Monge only
     where l_vv / dt + l_vq >= 0 (p^2/2 + 2 sin(2 pi q) p + 0.5 cos(2 pi q), grid
     1024, dt 0.1: mixed differences up to +2.4e-6).  ``table`` is
     ``_grid_table(H, u.shape, dt, v_max)``, or refused.

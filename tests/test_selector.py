@@ -337,7 +337,7 @@ def test_whorl_selector_properties(whorl, whorl_selector):
 
 def test_verify_selector_checks_off_the_switch_and_fold_collars(whorl, whorl_selector):
     # the checked set is read from the selector's own switch points (provenance
-    # changes) and L's folds, less the flagged points: no second-difference rule
+    # changes) and L's folds, less the flagged points
     sf = whorl_selector
     n = sf.q_grid.size
     switches = np.flatnonzero(np.roll(sf.provenance, -1) != sf.provenance)
